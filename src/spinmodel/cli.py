@@ -101,6 +101,16 @@ def _validate(config: dict):
         raise ConfigError("m must be non-negative")
     if "delays" in config and any(float(d) < 0 for d in _as_list(config["delays"])):
         raise ConfigError("delays must be non-negative")
+    if "state" in config and config["state"] not in entanglement.BELL_MODELS:
+        raise ConfigError(
+            f"state must be one of: {', '.join(entanglement.BELL_MODELS)}"
+        )
+    if "mode" in config and config["mode"] not in (
+        entanglement.ANALYTIC, entanglement.MONTE_CARLO
+    ):
+        raise ConfigError(
+            f"mode must be {entanglement.ANALYTIC} or {entanglement.MONTE_CARLO}"
+        )
 
 
 def _as_list(value):
@@ -117,7 +127,8 @@ def _as_list(value):
 
 def _fmt(value):
     if isinstance(value, float):
-        return repr(value)
+        # float() drops numpy's scalar repr, np.float64(...) under numpy 2
+        return repr(float(value))
     return value
 
 
@@ -278,17 +289,6 @@ def run_stern_gerlach(config, seed, out_dir, fmt):
     return files, summary
 
 
-def _bell_rows(result, model, n, rng):
-    rows = []
-    for (a, b), e, se in zip(result.settings, result.expectations, result.stderrs):
-        s_a, s_b, _ = entanglement.sample_pair_outcomes(model, a, b, n, rng)
-        counts = entanglement.outcome_counts(s_a, s_b)
-        rows.append(
-            (a, b, counts["++"], counts["+-"], counts["-+"], counts["--"], e, se)
-        )
-    return rows
-
-
 def run_bell_test(config, seed, out_dir, fmt):
     model = entanglement.BELL_MODELS[config["state"]]
     plan = entanglement.MeasurementPlan(
@@ -298,8 +298,12 @@ def run_bell_test(config, seed, out_dir, fmt):
     )
     rng = stream(seed, "bell-test")
     result = entanglement.chsh(plan, model, mode=config["mode"], rng=rng)
-    count_rng = stream(seed, "bell-test-counts")
-    rows = _bell_rows(result, model, min(plan.samples, 100000), count_rng)
+    rows = [
+        (a, b, *counts, e, se)
+        for (a, b), counts, e, se in zip(
+            result.settings, result.counts, result.expectations, result.stderrs
+        )
+    ]
     header = ["a", "b", "n_pp", "n_pm", "n_mp", "n_mm", "E", "stderr"]
     summary = {
         "state": config["state"],

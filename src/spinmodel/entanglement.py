@@ -9,11 +9,16 @@ E(a, b) is the sum of the z-branch and y-branch conditional expectations
 naive equiprobable-branch Monte Carlo mean produces half of that sum, the
 sampled estimator is defined as E_hat = 2 * mean(S_A * S_B).
 
+Every quantity derives from one outcome table per setting, the joint law
+of (branch, S_A, S_B): the analytic E is its branch sum, the Monte Carlo
+E and its standard error come from one multinomial draw of it, and the
+per-pair sampler draws its cells.
+
 Delayed measurement degrades the z-branch correlation: Bob's trend
 evolves as a telegraph process during the delay, and an odd number of
 switches flips his sub-state.  Odd parity is the same event as "trend at
 the delay differs from the initial trend", which has a closed form for
-exponential dwells.
+both exponential and fixed dwells.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .telegraph import EXPONENTIAL, DwellModel, flip_parity
+from .telegraph import EXPONENTIAL, DwellModel
 
 ANTI = "anti"
 SAME = "same"
@@ -107,11 +112,7 @@ def branch_expectation(correlation: str, alpha: float, beta: float) -> float:
 
 def correlation(model: BellPairModel, a: float, b: float) -> float:
     """E(a, b): sum of the z-branch and the complementary y-branch terms."""
-    e_z = branch_expectation(model.z_correlation, a, b)
-    e_y = branch_expectation(
-        model.y_correlation, math.pi / 2 - a, math.pi / 2 - b
-    )
-    return e_z + e_y
+    return _correlation(_outcome_table(model, a, b))
 
 
 def time_constraint_satisfied(
@@ -124,22 +125,64 @@ def time_constraint_satisfied(
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# the outcome table
 
 
-def _branch_up_probs(kind: str, alpha: float, beta: float, sub: np.ndarray):
-    """Per-sample up-probabilities for Alice and Bob on one branch.
+def _outcome_table(
+    model: BellPairModel,
+    a: float,
+    b: float,
+    p_flip_z: float = 0.0,
+    p_flip_y: float = 0.0,
+) -> tuple:
+    """Joint law P(branch, S_A, S_B) = (1 + S_A S_B c_branch) / 8.
 
-    sub selects the delta sub-branch: 0 means Alice's corner is theta = 0.
+    Each branch is taken with probability 1/2 and carries the conditional
+    expectation c_branch; flipping Bob's sub-state with probability p
+    scales it by 1 - 2p.  Every Bell quantity, analytic or sampled,
+    derives from this table.  Cells run over (S_A, S_B) = ++, +-, -+, --
+    on the z-branch, then the same on the y-branch.
     """
-    cos2a = math.cos(alpha / 2.0) ** 2
-    cos2b = math.cos(beta / 2.0) ** 2
-    p_alice = np.where(sub == 0, cos2a, 1.0 - cos2a)
-    if kind == ANTI:
-        p_bob = np.where(sub == 0, 1.0 - cos2b, cos2b)
-    else:
-        p_bob = np.where(sub == 0, cos2b, 1.0 - cos2b)
-    return p_alice, p_bob
+    c_z = branch_expectation(model.z_correlation, a, b) * (1.0 - 2.0 * p_flip_z)
+    c_y = branch_expectation(
+        model.y_correlation, math.pi / 2 - a, math.pi / 2 - b
+    ) * (1.0 - 2.0 * p_flip_y)
+    same_z, diff_z = (1.0 + c_z) / 8.0, (1.0 - c_z) / 8.0
+    same_y, diff_y = (1.0 + c_y) / 8.0, (1.0 - c_y) / 8.0
+    return (same_z, diff_z, diff_z, same_z, same_y, diff_y, diff_y, same_y)
+
+
+def _coincidences(c) -> tuple:
+    """(++, +-, -+, --) weights of an 8-cell table or count vector."""
+    return (c[0] + c[4], c[1] + c[5], c[2] + c[6], c[3] + c[7])
+
+
+def _correlation(cells, total=1.0) -> float:
+    """Branch-sum E = 2 sum S_A S_B w / total over a table or count vector."""
+    pp, pm, mp, mm = _coincidences(cells)
+    return 2.0 * (pp + mm - pm - mp) / total
+
+
+def _estimate(table, n: int, rng: np.random.Generator):
+    """(E_hat, stderr, coincidences) from one multinomial draw of n pairs.
+
+    The products S_A S_B are +/-1 with mean E/2, so the estimator's
+    standard error is 2 sqrt((1 - (E/2)^2) / n).
+    """
+    counts = rng.multinomial(n, table).tolist()
+    e = _correlation(counts, n)
+    return e, 2.0 * math.sqrt((1.0 - (e / 2.0) ** 2) / n), _coincidences(counts)
+
+
+def _check_mode(mode: str, rng):
+    if mode not in (ANALYTIC, MONTE_CARLO):
+        raise ValueError(f"mode must be {ANALYTIC!r} or {MONTE_CARLO!r}")
+    if mode == MONTE_CARLO and rng is None:
+        raise ValueError("Monte Carlo mode needs an rng")
+
+
+# ---------------------------------------------------------------------------
+# sampling
 
 
 def sample_pair_outcome(
@@ -157,40 +200,16 @@ def sample_pair_outcomes(
     b: float,
     n: int,
     rng: np.random.Generator,
-    bob_flip_z=None,
-    bob_flip_y=None,
 ):
     """Vectorized joint outcomes; returns (S_A, S_B, branch) arrays.
 
-    branch is 0 for z, 1 for y.  The optional flip masks invert Bob's
-    sub-state on the corresponding branch (delayed-measurement model).
+    branch is 0 for z, 1 for y.  Each pair is one categorical draw from
+    the outcome table.
     """
-    branch = (rng.random(n) < 0.5).astype(np.int8)  # 0 -> z, 1 -> y
-    sub = (rng.random(n) < 0.5).astype(np.int8)
-    if bob_flip_z is not None:
-        sub_z = np.where(bob_flip_z & (branch == 0), 1 - sub, sub)
-    else:
-        sub_z = sub
-    if bob_flip_y is not None:
-        sub_y = np.where(bob_flip_y & (branch == 1), 1 - sub, sub)
-    else:
-        sub_y = sub
-
-    pz_a, pz_b = _branch_up_probs(model.z_correlation, a, b, sub)
-    # Bob's flipped sub-state changes only his own marginal
-    _, pz_b_flipped = _branch_up_probs(model.z_correlation, a, b, sub_z)
-    py_a, py_b = _branch_up_probs(
-        model.y_correlation, math.pi / 2 - a, math.pi / 2 - b, sub
-    )
-    _, py_b_flipped = _branch_up_probs(
-        model.y_correlation, math.pi / 2 - a, math.pi / 2 - b, sub_y
-    )
-
-    p_alice = np.where(branch == 0, pz_a, py_a)
-    p_bob = np.where(branch == 0, pz_b_flipped, py_b_flipped)
-    s_a = np.where(rng.random(n) < p_alice, 1, -1)
-    s_b = np.where(rng.random(n) < p_bob, 1, -1)
-    return s_a, s_b, branch
+    cell = rng.choice(8, size=n, p=_outcome_table(model, a, b))
+    s_a = 1 - 2 * ((cell >> 1) & 1)
+    s_b = 1 - 2 * (cell & 1)
+    return s_a, s_b, (cell >> 2).astype(np.int8)
 
 
 def estimate_correlation(
@@ -199,13 +218,9 @@ def estimate_correlation(
     b: float,
     n: int,
     rng: np.random.Generator,
-    **flips,
 ):
     """Branch-sum Monte Carlo estimator E_hat = 2 mean(S_A S_B) and its SE."""
-    s_a, s_b, _ = sample_pair_outcomes(model, a, b, n, rng, **flips)
-    products = (s_a * s_b).astype(float)
-    e_hat = 2.0 * float(np.mean(products))
-    stderr = 2.0 * float(np.std(products) / math.sqrt(n))
+    e_hat, stderr, _ = _estimate(_outcome_table(model, a, b), n, rng)
     return e_hat, stderr
 
 
@@ -234,6 +249,9 @@ class ChshResult:
     expectations: tuple
     stderrs: tuple
     statistic: float
+    # per setting, the (++, +-, -+, --) coincidences of plan.samples pairs:
+    # the drawn counts in Monte Carlo mode, their expectations in analytic
+    counts: tuple = ()
 
     def rows(self):
         for (a, b), e, se in zip(self.settings, self.expectations, self.stderrs):
@@ -256,70 +274,46 @@ def chsh(
     A zero delay reproduces the simultaneous-measurement Bell test; a
     positive delay applies the telegraph degradation to Bob's branches.
     """
+    _check_mode(mode, rng)
+    p = _p_flip(plan.dwell, plan.delay)
     a, ap = plan.alice_angles
     b, bp = plan.bob_angles
     settings = ((a, b), (a, bp), (ap, b), (ap, bp))
-    es, ses = [], []
-    for sa, sb in settings:
-        if plan.delay == 0 and mode == ANALYTIC:
-            es.append(correlation(model, sa, sb))
-            ses.append(0.0)
-        elif mode == ANALYTIC:
-            es.append(
-                delayed_correlation(
-                    model, sa, sb, plan.delay, plan.dwell, ANALYTIC,
-                    degrade_y=degrade_y,
-                )
-            )
-            ses.append(0.0)
-        else:
-            if rng is None:
-                raise ValueError("Monte Carlo mode needs an rng")
-            if plan.delay == 0:
-                e, se = estimate_correlation(model, sa, sb, plan.samples, rng)
-            else:
-                e, se = _delayed_mc(
-                    model, sa, sb, plan.delay, plan.dwell, plan.samples, rng,
-                    degrade_y,
-                )
-            es.append(e)
-            ses.append(se)
-    return ChshResult(settings, tuple(es), tuple(ses), _chsh_from_terms(es))
+    tables = [
+        _outcome_table(model, sa, sb, p, p if degrade_y else 0.0)
+        for sa, sb in settings
+    ]
+    if mode == ANALYTIC:
+        es = tuple(_correlation(t) for t in tables)
+        ses = (0.0,) * len(tables)
+        counts = tuple(
+            tuple(plan.samples * w for w in _coincidences(t)) for t in tables
+        )
+    else:
+        es, ses, counts = zip(*(_estimate(t, plan.samples, rng) for t in tables))
+    return ChshResult(settings, es, ses, _chsh_from_terms(es), counts)
 
 
 # ---------------------------------------------------------------------------
 # delayed measurement
 
 
-def _switch_rate_sum(dwell: DwellModel) -> float:
-    return 1.0 / dwell.tau_plus + 1.0 / dwell.tau_minus
+def _p_flip(dwell: DwellModel, delay: float) -> float:
+    """P(odd number of Bob's trend switches within the delay).
 
-
-def _odd_flip_prob(dwell: DwellModel, delay: float, start_trend: int, rng=None):
-    """P(odd number of trend switches within the delay | initial trend).
-
-    Odd parity is equivalent to the trend differing at the end of the
-    delay, which for exponential dwells is the two-state Markov
-    transition probability.  Fixed-duration dwells fall back to the
-    stationary-phase parity sampler (uniform residual life of the first
-    segment), averaged over the initial trend.
+    Odd parity is the event that the trend at the delay differs from the
+    initial one.  For exponential dwells this is the two-state Markov
+    transition probability averaged over the two initial trends.  Fixed
+    dwells observed at a uniform phase of their period T = tau+ + tau-
+    differ over a shift r = delay mod T on a set of phases of measure
+    2 min(r, T - r, tau+, tau-).
     """
-    if delay == 0:
-        return 0.0
     if dwell.distribution == EXPONENTIAL:
-        s = _switch_rate_sum(dwell)
-        rate_out = 1.0 / (dwell.tau_plus if start_trend > 0 else dwell.tau_minus)
-        return (rate_out / s) * (1.0 - math.exp(-s * delay))
-    if rng is None:
-        raise ValueError("fixed-duration dwells need an rng for parity")
-    return float(np.mean(flip_parity(dwell, delay, rng, size=4096)))
-
-
-def _damping(dwell: DwellModel, delay: float) -> float:
-    """1 - p_odd(+) - p_odd(-): the branch-expectation attenuation factor."""
-    if dwell.distribution != EXPONENTIAL:
-        raise ValueError("analytic delayed correlation needs exponential dwells")
-    return math.exp(-_switch_rate_sum(dwell) * delay)
+        rate_sum = 1.0 / dwell.tau_plus + 1.0 / dwell.tau_minus
+        return 0.5 * (1.0 - math.exp(-rate_sum * delay))
+    period = dwell.tau_plus + dwell.tau_minus
+    r = math.fmod(delay, period)
+    return 2.0 * min(r, period - r, dwell.tau_plus, dwell.tau_minus) / period
 
 
 def delayed_correlation(
@@ -340,38 +334,12 @@ def delayed_correlation(
     """
     if delay < 0:
         raise ValueError("delay must be non-negative")
+    _check_mode(mode, rng)
+    p = _p_flip(dwell, delay)
+    table = _outcome_table(model, a, b, p, p if degrade_y else 0.0)
     if mode == ANALYTIC:
-        d = _damping(dwell, delay) if delay > 0 else 1.0
-        e_z = branch_expectation(model.z_correlation, a, b) * d
-        e_y = branch_expectation(
-            model.y_correlation, math.pi / 2 - a, math.pi / 2 - b
-        )
-        if degrade_y:
-            e_y *= d
-        return e_z + e_y
-    if rng is None:
-        raise ValueError("Monte Carlo mode needs an rng")
-    e, _ = _delayed_mc(model, a, b, delay, dwell, n, rng, degrade_y)
-    return e
-
-
-def _delayed_mc(model, a, b, delay, dwell, n, rng, degrade_y):
-    # Bob's sub-branch flip probability depends on his initial trend, i.e.
-    # on the sub-branch; approximate with the sub-branch average, exact for
-    # symmetric dwells and unbiased for the branch expectation (see
-    # _damping: only the sum p_odd(+) + p_odd(-) enters E).
-    p_plus = _odd_flip_prob(dwell, delay, +1, rng)
-    p_minus = _odd_flip_prob(dwell, delay, -1, rng)
-    p_flip = 0.5 * (p_plus + p_minus)
-    flip_z = rng.random(n) < p_flip
-    flip_y = (rng.random(n) < p_flip) if degrade_y else None
-    s_a, s_b, _ = sample_pair_outcomes(
-        model, a, b, n, rng, bob_flip_z=flip_z, bob_flip_y=flip_y
-    )
-    products = (s_a * s_b).astype(float)
-    return 2.0 * float(np.mean(products)), 2.0 * float(
-        np.std(products) / math.sqrt(n)
-    )
+        return _correlation(table)
+    return _estimate(table, n, rng)[0]
 
 
 def outcome_counts(s_a: np.ndarray, s_b: np.ndarray) -> dict:

@@ -149,17 +149,14 @@ def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
     )
 
 
-def _kinetic_phase(grid: SpatialGrid, config: FieldConfig, dt: float):
-    ks = grid.wavenumbers()
-    a = config.vector_potential
-    if len(a) < grid.dimension:
-        a = tuple(a) + (0.0,) * (grid.dimension - len(a))
+def _kinetic_energy(grid: SpatialGrid, config: FieldConfig) -> np.ndarray:
+    """Spectral kinetic energy (-hbar k + e A)^2 / 2m of each plane wave."""
+    a = _padded_vector_potential(config, grid)
     hbar, e, m = config.hbar, config.charge, config.mass
     # plane wave e^{ikx}: (i hbar grad + eA) -> (-hbar k + e A)
-    energy = sum(
-        (-hbar * k + e * ai) ** 2 for k, ai in zip(ks, a)
+    return sum(
+        (-hbar * k + e * ai) ** 2 for k, ai in zip(grid.wavenumbers(), a)
     ) / (2.0 * m)
-    return np.exp(-1j * dt / hbar * energy)
 
 
 def evolve(
@@ -174,7 +171,7 @@ def evolve(
     v_plus, v_minus = config.potential_energy(grid)
     half_plus = np.exp(-0.5j * dt / config.hbar * v_plus)
     half_minus = np.exp(-0.5j * dt / config.hbar * v_minus)
-    kinetic = _kinetic_phase(grid, config, dt)
+    kinetic = np.exp(-1j * dt / config.hbar * _kinetic_energy(grid, config))
 
     psi_p = field.psi_plus.copy()
     psi_m = field.psi_minus.copy()
@@ -218,12 +215,6 @@ def madelung(field: SpinorField, hbar: float = 1.0) -> MadelungDecomposition:
         s_plus=hbar * _unwrapped_phase(field.psi_plus),
         s_minus=hbar * _unwrapped_phase(field.psi_minus),
     )
-
-
-def _spectral_gradient(values: np.ndarray, grid: SpatialGrid):
-    ks = grid.wavenumbers()
-    v_hat = np.fft.fftn(values)
-    return [np.real(np.fft.ifftn(1j * k * v_hat)) for k in ks]
 
 
 def _component(field: SpinorField, component: str) -> np.ndarray:
@@ -320,7 +311,6 @@ def hj_residual(
     for k in grid.wavenumbers():
         lap += np.real(np.fft.ifftn(-(k**2) * np.fft.fftn(sqrt_rho)))
     quantum = np.zeros(grid.shape)
-    mask = rho_mid > floor
     quantum[mask] = (
         -config.hbar**2 / (2.0 * config.mass) * lap[mask] / sqrt_rho[mask]
     )
@@ -332,12 +322,7 @@ def total_energy(field: SpinorField, config: FieldConfig) -> float:
     """<Psi|H|Psi>, used for the conservation diagnostic."""
     grid = field.grid
     v_plus, v_minus = config.potential_energy(grid)
-    ks = grid.wavenumbers()
-    a = config.vector_potential
-    if len(a) < grid.dimension:
-        a = tuple(a) + (0.0,) * (grid.dimension - len(a))
-    hbar, e, m = config.hbar, config.charge, config.mass
-    kin = sum((-hbar * k + e * ai) ** 2 for k, ai in zip(ks, a)) / (2.0 * m)
+    kin = _kinetic_energy(grid, config)
     dv = grid.cell_volume
     energy = 0.0
     for psi, v in ((field.psi_plus, v_plus), (field.psi_minus, v_minus)):

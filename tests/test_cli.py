@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 
 import pytest
@@ -113,3 +115,37 @@ class TestRun:
         assert code == cli.EXIT_OK
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["nodes"] == 512
+
+    def test_oracle_check_cells_are_plain_floats(self, tmp_path, capsys):
+        assert cli.run(["oracle-check", "--out", str(tmp_path), "--pairs", "5"]) == 0
+        with open(tmp_path / "oracle_check.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 5
+        for row in rows:
+            for cell in row:
+                float(cell)
+
+    def test_bell_test_counts_carry_the_reported_expectation(self, tmp_path, capsys):
+        args = ["bell-test", "--samples", "20000", "--seed", "3"]
+        for out in ("r1", "r2"):
+            assert cli.run(args + ["--out", str(tmp_path / out)]) == cli.EXIT_OK
+        raw = (tmp_path / "r1" / "bell_test.csv").read_bytes()
+        assert raw == (tmp_path / "r2" / "bell_test.csv").read_bytes()
+        rows = list(csv.DictReader(raw.decode().splitlines()))
+        assert len(rows) == 4
+        for row in rows:
+            pp, pm, mp, mm = (int(row[k]) for k in ("n_pp", "n_pm", "n_mp", "n_mm"))
+            e = float(row["E"])
+            assert pp + pm + mp + mm == 20000
+            assert abs(2 * (pp + mm - pm - mp) / 20000 - e) < 1e-12
+            assert float(row["stderr"]) == pytest.approx(
+                2 * math.sqrt((1 - (e / 2) ** 2) / 20000), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("flag", ["--mode", "--state"])
+    @pytest.mark.parametrize("sub", ["bell-test", "bell-delay"])
+    def test_unknown_mode_or_state_is_a_config_error(self, tmp_path, capsys, sub, flag):
+        code = cli.run([sub, flag, "bogus", "--out", str(tmp_path)])
+        assert code == cli.EXIT_CONFIG
+        assert flag[2:] in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spinmodel import entanglement as ent
 from spinmodel import qm_oracle as qm
 from spinmodel.streams import stream
-from spinmodel.telegraph import FIXED, DwellModel
+from spinmodel.telegraph import FIXED, DwellModel, flip_parity
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -110,6 +110,22 @@ class TestSampling:
         # 16x more samples per step: each rms error should drop about 4x
         assert errors[2] < errors[0] / 6
 
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_cell_frequencies_match_table(self, model):
+        a, b, n = 0.3, 1.1, 400000
+        s_z = -1.0 if model.z_correlation == ent.ANTI else 1.0
+        s_y = -1.0 if model.y_correlation == ent.ANTI else 1.0
+        c = {0: s_z * math.cos(a) * math.cos(b), 1: s_y * math.sin(a) * math.sin(b)}
+        s_a, s_b, branch = ent.sample_pair_outcomes(
+            model, a, b, n, stream(21, "ent-cells", model.name)
+        )
+        for br in (0, 1):
+            for x in (1, -1):
+                for y in (1, -1):
+                    p = (1.0 + x * y * c[br]) / 8.0
+                    hits = np.sum((branch == br) & (s_a == x) & (s_b == y))
+                    assert abs(hits / n - p) < 5 * math.sqrt(p * (1 - p) / n)
+
     def test_outcome_counts_partition(self):
         rng = stream(21, "ent-counts")
         s_a, s_b, _ = ent.sample_pair_outcomes(ent.PHI_PLUS, 0.2, 0.4, 5000, rng)
@@ -142,6 +158,21 @@ class TestChsh:
     def test_monte_carlo_requires_rng(self):
         with pytest.raises(ValueError):
             ent.chsh(ent.MeasurementPlan(), ent.PSI_MINUS, mode=ent.MONTE_CARLO)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            ent.chsh(ent.MeasurementPlan(), ent.PSI_MINUS, mode="bogus",
+                     rng=stream(21, "ent-bogus"))
+
+    @pytest.mark.parametrize("mode", [ent.ANALYTIC, ent.MONTE_CARLO])
+    def test_counts_imply_expectations(self, mode):
+        plan = ent.MeasurementPlan(samples=50000, delay=0.4)
+        result = ent.chsh(plan, ent.PHI_PLUS, mode=mode, rng=stream(21, "ent-cnt"))
+        for (pp, pm, mp, mm), e in zip(result.counts, result.expectations):
+            assert pp + pm + mp + mm == pytest.approx(plan.samples, abs=1e-9)
+            assert 2 * (pp + mm - pm - mp) / plan.samples == pytest.approx(
+                e, abs=1e-12
+            )
 
     def test_result_rows(self):
         result = ent.chsh(ent.MeasurementPlan(), ent.PSI_MINUS)
@@ -199,6 +230,67 @@ class TestDelayedMeasurement:
         # unit fixed dwells at delay 0.5 flip with probability 1/2, which
         # wipes out the z-branch; the y-branch vanishes at these angles
         assert e == pytest.approx(0.0, abs=0.05)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            ent.delayed_correlation(
+                ent.PSI_MINUS, 0.0, 0.0, 0.5, DwellModel(), mode="bogus",
+                rng=stream(21, "ent-bogus"),
+            )
+
+    @pytest.mark.parametrize(
+        "tau_plus, tau_minus, delays",
+        [
+            (1.0, 1.0, (0.3, 1.7, 4.4, 7.7)),
+            (1.0, 2.5, (0.6, 2.0, 3.2, 6.1)),
+            (3.0, 0.7, (0.5, 2.9, 4.0, 9.3)),
+        ],
+    )
+    def test_fixed_dwell_flip_probability_matches_parity_sampler(
+        self, tau_plus, tau_minus, delays
+    ):
+        dwell = DwellModel(tau_plus, tau_minus, FIXED)
+        n = 20000
+        for delay in delays:
+            rng = stream(21, "ent-fixed-parity", tau_plus, tau_minus, delay)
+            sampled = float(np.mean(flip_parity(dwell, delay, rng, size=n)))
+            p = ent._p_flip(dwell, delay)
+            assert abs(sampled - p) < 5 * math.sqrt(p * (1 - p) / n) + 1e-9
+
+    @pytest.mark.parametrize("delay", [0.0, 0.25, 1.0, 1.6, 2.0, 5.3])
+    def test_fixed_dwell_analytic(self, delay):
+        # unit dwells at a uniform phase: switches fall at r, r + 1, ...
+        # with r ~ U[0, 1), so the parity is the fractional part of the
+        # delay, or its complement after an odd number of whole periods
+        q, f = divmod(delay, 1.0)
+        p_odd = f if int(q) % 2 == 0 else 1.0 - f
+        dwell = DwellModel(1.0, 1.0, FIXED)
+        plan = ent.MeasurementPlan(delay=delay, dwell=dwell)
+        terms = [
+            -math.cos(a) * math.cos(b) * (1 - 2 * p_odd) - math.sin(a) * math.sin(b)
+            for a, b in ent.chsh(plan, ent.PSI_MINUS).settings
+        ]
+        a, b = plan.alice_angles[0], plan.bob_angles[0]
+        assert ent.delayed_correlation(
+            ent.PSI_MINUS, a, b, delay, dwell
+        ) == pytest.approx(terms[0], abs=1e-12)
+        assert ent.chsh(plan, ent.PSI_MINUS).statistic == pytest.approx(
+            abs(terms[0] - terms[1] + terms[2] + terms[3]), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("delay", [0.3, 1.4, 3.7])
+    def test_fixed_dwell_monte_carlo_within_stderr(self, delay):
+        plan = ent.MeasurementPlan(
+            samples=10**6, delay=delay, dwell=DwellModel(1.0, 2.5, FIXED)
+        )
+        exact = ent.chsh(plan, ent.PSI_MINUS, degrade_y=True)
+        rng = stream(21, "ent-fixed-mc", delay)
+        mc = ent.chsh(plan, ent.PSI_MINUS, ent.MONTE_CARLO, rng, degrade_y=True)
+        for e, want, se in zip(mc.expectations, exact.expectations, mc.stderrs):
+            assert se == pytest.approx(
+                2 * math.sqrt((1 - (e / 2) ** 2) / plan.samples), rel=1e-12
+            )
+            assert abs(e - want) < 5 * se
 
     def test_statistic_monotone_in_delay(self):
         dwell = DwellModel()
