@@ -6,9 +6,13 @@ produce byte-identical result files; the manifest additionally records
 the wall-clock duration and is therefore not byte-stable.
 
 Configuration may come from a file (``key = value`` lines or a JSON
-document) with command-line flags taking precedence.  Unknown keys are
-rejected.  Exit codes: 0 success, 2 malformed configuration, 3 numerical
-non-convergence.
+document) with command-line flags taking precedence.  ``SCHEMA`` gives each
+subcommand its keys, each with one parser and one default, and a flag per
+key.  Flag and ``key = value`` values are read as JSON literals, then parsed
+like JSON file values: counts integral (``1e6`` is one), numbers finite,
+lists ``1,2,3`` or a JSON list.  Unknown keys are rejected.  Exit codes:
+0 success; 2 malformed configuration, naming the key, or a value a model's
+constructor rejects with ``ValueError``; 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -46,10 +50,118 @@ class ConfigError(ValueError):
 
 
 def _parse_scalar(text: str):
+    """A JSON literal (number, bool, list, quoted string) or the raw text."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:
         return text
+
+
+def _numeric(kind, low, strict=False):
+    """Parser of finite `kind` (int or float) values >= low, or > low if strict."""
+    relation = ">" if strict else ">="
+
+    def parse(key, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key}: expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{key}: must be a finite number, got {value!r}")
+        if kind is int and value != int(value):
+            raise ConfigError(f"{key}: must be a whole number, got {value!r}")
+        if value < low or (strict and value == low):
+            raise ConfigError(f"{key}: must be {relation} {low}, got {value!r}")
+        return kind(value)
+
+    return parse
+
+
+def _list_of(item):
+    """Parser of a non-empty list: a JSON list or a comma-separated string."""
+
+    def parse(key, value):
+        if isinstance(value, str):
+            value = [_parse_scalar(v) for v in value.split(",") if v.strip()]
+        elif not isinstance(value, list):
+            value = [value]
+        if not value:
+            raise ConfigError(f"{key}: needs at least one value")
+        return [item(key, v) for v in value]
+
+    return parse
+
+
+def _choice(*options):
+    def parse(key, value):
+        if value not in options:
+            choices = ", ".join(options)
+            raise ConfigError(f"{key}: must be one of {choices}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _flag(key, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key}: must be true or false, got {value!r}")
+    return value
+
+
+COUNT = _numeric(int, 1)
+REAL = _numeric(float, -math.inf)
+POSITIVE = _numeric(float, 0.0, strict=True)
+MODE = _choice(entanglement.ANALYTIC, entanglement.MONTE_CARLO)
+_PAIR = {  # the Bell state and the CHSH angles
+    "state": (_choice(*entanglement.BELL_MODELS), "psi_minus"),
+    "a": (REAL, 0.0),
+    "a_prime": (REAL, math.pi / 2),
+    "b": (REAL, math.pi / 4),
+    "b_prime": (REAL, 3 * math.pi / 4),
+}
+
+# subcommand -> key -> (parser, default)
+SCHEMA = {
+    "variational": {"orders": (_list_of(COUNT), "1,2,3"), "nodes": (COUNT, 2048)},
+    "stern-gerlach": {
+        "samples": (COUNT, 100000),
+        "beta": (REAL, math.pi / 3),
+        "m": (_numeric(int, 0), 1),
+        "eta": (POSITIVE, 1.0),
+        "transit_time": (POSITIVE, 1.0),
+        "bins": (COUNT, 200),
+    },
+    "bell-test": {
+        **_PAIR,
+        "samples": (COUNT, 1000000),
+        "mode": (MODE, "monte_carlo"),
+    },
+    "bell-delay": {
+        **_PAIR,
+        "samples": (COUNT, 200000),
+        "tau": (POSITIVE, 1.0),
+        "delays": (_list_of(_numeric(float, 0.0)), "0,0.1,0.2,0.5,1,2,5,10"),
+        "mode": (MODE, "analytic"),
+        "degrade_y": (_flag, False),
+    },
+    "pauli": {
+        "nodes": (COUNT, 256),
+        "extent": (POSITIVE, 20.0),
+        "dt": (POSITIVE, 0.001),
+        "steps": (COUNT, 1000),
+        "b_z": (REAL, 1.0),
+        "stride": (COUNT, 8),
+        "packet_width": (POSITIVE, 1.0),
+    },
+    "fluctuations": {
+        "samples": (COUNT, 1000000),
+        "mass": (POSITIVE, 1.0),
+        "omega": (POSITIVE, 1.0),
+        "dt": (POSITIVE, 1.0),
+        "dt_sequence": (_list_of(POSITIVE), "0.1,0.01,0.001"),
+    },
+    "oracle-check": {"pairs": (COUNT, 100)},
+}
+# a key shared by several subcommands has the same parser in each
+PARSERS = {key: parse for keys in SCHEMA.values() for key, (parse, _) in keys.items()}
 
 
 def load_config_file(path: str) -> dict:
@@ -58,11 +170,10 @@ def load_config_file(path: str) -> dict:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
+    if raw.lstrip().startswith("{"):
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top-level JSON value must be an object")
@@ -80,45 +191,12 @@ def load_config_file(path: str) -> dict:
 
 
 def merge_config(defaults: dict, file_config: dict, cli_overrides: dict) -> dict:
-    unknown = sorted(set(file_config) - set(defaults))
+    """Defaults, then file values, then flags; each value parsed by its key."""
+    unknown = sorted((set(file_config) | set(cli_overrides)) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    merged = dict(defaults)
-    merged.update(file_config)
-    merged.update({k: v for k, v in cli_overrides.items() if v is not None})
-    _validate(merged)
-    return merged
-
-
-def _validate(config: dict):
-    for key in ("samples", "pairs", "steps", "nodes", "bins"):
-        if key in config and int(config[key]) < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    for key in ("tau", "transit_time", "dt", "eta", "extent"):
-        if key in config and float(config[key]) <= 0:
-            raise ConfigError(f"{key} must be positive")
-    if "m" in config and config["m"] is not None and int(config["m"]) < 0:
-        raise ConfigError("m must be non-negative")
-    if "delays" in config and any(float(d) < 0 for d in _as_list(config["delays"])):
-        raise ConfigError("delays must be non-negative")
-    if "state" in config and config["state"] not in entanglement.BELL_MODELS:
-        raise ConfigError(
-            f"state must be one of: {', '.join(entanglement.BELL_MODELS)}"
-        )
-    if "mode" in config and config["mode"] not in (
-        entanglement.ANALYTIC, entanglement.MONTE_CARLO
-    ):
-        raise ConfigError(
-            f"mode must be {entanglement.ANALYTIC} or {entanglement.MONTE_CARLO}"
-        )
-
-
-def _as_list(value):
-    if isinstance(value, str):
-        return [_parse_scalar(v) for v in value.split(",") if v.strip()]
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
+    merged = {**defaults, **file_config, **cli_overrides}
+    return {key: PARSERS[key](key, value) for key, value in merged.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -176,73 +254,17 @@ def write_manifest(out_dir, subcommand, config, seed, files, started, summary):
 # experiments
 
 
-DEFAULTS = {
-    "variational": {
-        "orders": "1,2,3",
-        "nodes": 2048,
-    },
-    "stern-gerlach": {
-        "samples": 100000,
-        "beta": math.pi / 3,
-        "m": 1,
-        "eta": 1.0,
-        "transit_time": 1.0,
-        "bins": 200,
-    },
-    "bell-test": {
-        "state": "psi_minus",
-        "samples": 1000000,
-        "a": 0.0,
-        "a_prime": math.pi / 2,
-        "b": math.pi / 4,
-        "b_prime": 3 * math.pi / 4,
-        "mode": "monte_carlo",
-    },
-    "bell-delay": {
-        "state": "psi_minus",
-        "samples": 200000,
-        "a": 0.0,
-        "a_prime": math.pi / 2,
-        "b": math.pi / 4,
-        "b_prime": 3 * math.pi / 4,
-        "tau": 1.0,
-        "delays": "0,0.1,0.2,0.5,1,2,5,10",
-        "mode": "analytic",
-        "degrade_y": False,
-    },
-    "pauli": {
-        "nodes": 256,
-        "extent": 20.0,
-        "dt": 0.001,
-        "steps": 1000,
-        "b_z": 1.0,
-        "stride": 8,
-        "packet_width": 1.0,
-    },
-    "fluctuations": {
-        "samples": 1000000,
-        "mass": 1.0,
-        "omega": 1.0,
-        "dt": 1.0,
-        "dt_sequence": "0.1,0.01,0.001",
-    },
-    "oracle-check": {
-        "pairs": 100,
-    },
-}
-
-
 def run_variational(config, seed, out_dir, fmt):
     rows = []
-    for m in [int(v) for v in _as_list(config["orders"])]:
+    for m in config["orders"]:
         for divergence in (orientation.TSALLIS, orientation.RENYI):
             spec = orientation.ActionSpec(divergence=divergence, m=m)
-            solved = orientation.variational_solve(spec, n_nodes=int(config["nodes"]))
+            solved = orientation.variational_solve(spec, n_nodes=config["nodes"])
             closed = orientation.eval_density(m, solved.thetas)
             linf = float(np.max(np.abs(solved.values - closed)))
             rows.append((m, divergence, linf))
     kl_spec = orientation.ActionSpec(divergence=orientation.KULLBACK_LEIBLER)
-    kl = orientation.variational_solve(kl_spec, n_nodes=int(config["nodes"]))
+    kl = orientation.variational_solve(kl_spec, n_nodes=config["nodes"])
     min_value = float(np.min(kl.values))
     rows.append((kl_spec.m, orientation.KULLBACK_LEIBLER, min_value))
     header = ["order_m", "divergence", "linf_error_or_min_density"]
@@ -253,21 +275,17 @@ def run_variational(config, seed, out_dir, fmt):
 
 def run_stern_gerlach(config, seed, out_dir, fmt):
     rng = stream(seed, "stern-gerlach")
-    n = int(config["samples"])
-    beta = float(config["beta"])
+    n = config["samples"]
+    beta = config["beta"]
     p_up = sg.rotated_up_probability(beta)
-    outcomes = sg.measure_many(
-        orientation.TwoPointDensity(p_up, 1.0 - p_up), rng, n
-    )
+    outcomes = sg.measure_many(orientation.TwoPointDensity(p_up, 1.0 - p_up), rng, n)
     up_fraction = float(np.mean(outcomes == sg.UP))
     apparatus = sg.ApparatusConfig(
-        axis_angle=beta,
-        gradient=float(config["eta"]),
-        transit_time=float(config["transit_time"]),
-        m=int(config["m"]),
+        axis_angle=beta, gradient=config["eta"], transit_time=config["transit_time"],
+        m=config["m"],
     )
     _, edges, counts = sg.displacement_distribution(
-        apparatus.m, apparatus, n, rng, bins=int(config["bins"])
+        apparatus.m, apparatus, n, rng, bins=config["bins"]
     )
     header = ["bin_left", "bin_right", "count", "density"]
     summary = {
@@ -276,26 +294,27 @@ def run_stern_gerlach(config, seed, out_dir, fmt):
         "empirical_up_fraction": up_fraction,
         "samples": n,
     }
-    files = [
-        write_result(
-            out_dir, "displacement_histogram", fmt, header,
-            sg.histogram_rows(edges, counts), summary,
-        )
-    ]
+    rows = sg.histogram_rows(edges, counts)
+    name = "displacement_histogram"
+    files = [write_result(out_dir, name, fmt, header, rows, summary)]
     if fmt == "csv":
-        path = os.path.join(out_dir, "measurement_summary.json")
-        write_json(path, summary)
-        files.append(os.path.basename(path))
+        files.append("measurement_summary.json")
+        write_json(os.path.join(out_dir, files[-1]), summary)
     return files, summary
+
+
+def _bell_plan(config, **timing):
+    return entanglement.MeasurementPlan(
+        alice_angles=(config["a"], config["a_prime"]),
+        bob_angles=(config["b"], config["b_prime"]),
+        samples=config["samples"],
+        **timing,
+    )
 
 
 def run_bell_test(config, seed, out_dir, fmt):
     model = entanglement.BELL_MODELS[config["state"]]
-    plan = entanglement.MeasurementPlan(
-        alice_angles=(float(config["a"]), float(config["a_prime"])),
-        bob_angles=(float(config["b"]), float(config["b_prime"])),
-        samples=int(config["samples"]),
-    )
+    plan = _bell_plan(config)
     rng = stream(seed, "bell-test")
     result = entanglement.chsh(plan, model, mode=config["mode"], rng=rng)
     rows = [
@@ -312,37 +331,28 @@ def run_bell_test(config, seed, out_dir, fmt):
         "samples": plan.samples,
     }
     files = [write_result(out_dir, "bell_test", fmt, header, rows, summary)]
-    path = os.path.join(out_dir, "bell_test_summary.json")
-    write_json(path, summary)
-    files.append(os.path.basename(path))
+    files.append("bell_test_summary.json")
+    write_json(os.path.join(out_dir, files[-1]), summary)
     return files, summary
 
 
 def run_bell_delay(config, seed, out_dir, fmt):
     model = entanglement.BELL_MODELS[config["state"]]
-    dwell = telegraph.DwellModel(float(config["tau"]), float(config["tau"]))
-    delays = [float(d) for d in _as_list(config["delays"])]
+    dwell = telegraph.DwellModel(config["tau"], config["tau"])
     rows = []
-    for i, delay in enumerate(delays):
-        plan = entanglement.MeasurementPlan(
-            alice_angles=(float(config["a"]), float(config["a_prime"])),
-            bob_angles=(float(config["b"]), float(config["b_prime"])),
-            samples=int(config["samples"]),
-            delay=delay,
-            dwell=dwell,
-        )
+    for i, delay in enumerate(config["delays"]):
+        plan = _bell_plan(config, delay=delay, dwell=dwell)
         rng = stream(seed, "bell-delay", i)
         result = entanglement.chsh(
-            plan, model, mode=config["mode"], rng=rng,
-            degrade_y=bool(config["degrade_y"]),
+            plan, model, mode=config["mode"], rng=rng, degrade_y=config["degrade_y"]
         )
         rows.append((delay, result.statistic))
     header = ["delay", "S"]
     summary = {
         "state": config["state"],
         "mode": config["mode"],
-        "tau": float(config["tau"]),
-        "degrade_y": bool(config["degrade_y"]),
+        "tau": config["tau"],
+        "degrade_y": config["degrade_y"],
         "S_first": rows[0][1],
         "S_last": rows[-1][1],
     }
@@ -351,12 +361,12 @@ def run_bell_delay(config, seed, out_dir, fmt):
 
 
 def run_pauli(config, seed, out_dir, fmt):
-    grid = pauli.SpatialGrid(1, int(config["nodes"]), float(config["extent"]))
-    packet = pauli.gaussian_packet(grid, width=float(config["packet_width"]))
+    grid = pauli.SpatialGrid(1, config["nodes"], config["extent"])
+    packet = pauli.gaussian_packet(grid, width=config["packet_width"])
     init = pauli.SpinorField.normalized(grid, packet, packet)
-    field_config = pauli.FieldConfig(b_z=float(config["b_z"]))
-    final = pauli.evolve(init, field_config, float(config["dt"]), int(config["steps"]))
-    rows = pauli.snapshot_rows(final, stride=int(config["stride"]))
+    field_config = pauli.FieldConfig(b_z=config["b_z"])
+    final = pauli.evolve(init, field_config, config["dt"], config["steps"])
+    rows = pauli.snapshot_rows(final, stride=config["stride"])
     header = ["x", "rho_plus", "rho_minus", "s_plus", "s_minus"]
     summary = {
         "norm": pauli.norm(final),
@@ -370,8 +380,8 @@ def run_pauli(config, seed, out_dir, fmt):
 
 def run_fluctuations(config, seed, out_dir, fmt):
     rng = stream(seed, "fluctuations")
-    n = int(config["samples"])
-    trans = fluctuations.TranslationParams(float(config["mass"]), float(config["dt"]))
+    n = config["samples"]
+    trans = fluctuations.TranslationParams(config["mass"], config["dt"])
     w = fluctuations.sample_displacement(trans, rng, n)
     product = fluctuations.uncertainty_product(w, trans)
     rows = [("uncertainty_product", product, 0.5)]
@@ -381,8 +391,8 @@ def run_fluctuations(config, seed, out_dir, fmt):
         rows.append((f"angular_momentum_m{mass}_w{omega}", ls, 0.5))
     x = np.linspace(-10, 10, 4001)
     rho = np.exp(-(x**2) / 2.0) / math.sqrt(2 * math.pi)
-    for dt in [float(v) for v in _as_list(config["dt_sequence"])]:
-        p = fluctuations.TranslationParams(float(config["mass"]), dt)
+    for dt in config["dt_sequence"]:
+        p = fluctuations.TranslationParams(config["mass"], dt)
         rate = fluctuations.kl_shift_rate(x, rho, p, stream(seed, "kl", dt))
         fisher = fluctuations.fisher_functional(x, rho, p)
         rows.append((f"kl_over_fisher_dt{dt}", rate / fisher, 1.0))
@@ -394,7 +404,7 @@ def run_fluctuations(config, seed, out_dir, fmt):
 
 def run_oracle_check(config, seed, out_dir, fmt):
     rng = stream(seed, "oracle-check")
-    n = int(config["pairs"])
+    n = config["pairs"]
     rows = []
     max_overlap = 0.0
     max_singlet = 0.0
@@ -441,54 +451,44 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinmodel", description="Spin-model experiment runner"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, defaults in DEFAULTS.items():
-        p = sub.add_parser(name, help=f"run the {name} experiment")
+    for name, keys in SCHEMA.items():
+        # flags not given stay off the namespace, so only given flags override
+        p = sub.add_parser(
+            name, help=f"run the {name} experiment", argument_default=argparse.SUPPRESS
+        )
         p.add_argument("--config", default=None, help="config file (key=value or JSON)")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--samples", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        for key, value in defaults.items():
-            if key == "samples":
-                continue
+        for key, (parse, _) in keys.items():
             flag = "--" + key.replace("_", "-")
-            if isinstance(value, bool):
-                p.add_argument(flag, dest=key, action="store_true", default=None)
-            elif isinstance(value, int):
-                p.add_argument(flag, dest=key, type=int, default=None)
-            elif isinstance(value, float):
-                p.add_argument(flag, dest=key, type=float, default=None)
+            if parse is _flag:
+                p.add_argument(flag, dest=key, action="store_true")
             else:
-                p.add_argument(flag, dest=key, default=None)
+                p.add_argument(flag, dest=key, type=_parse_scalar)
     return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     name = args.subcommand
-    defaults = DEFAULTS[name]
+    keys = SCHEMA[name]
+    out_dir = args.out or os.environ.get(ENV_OUT) or "."
     try:
         file_config = load_config_file(args.config) if args.config else {}
-        overrides = {
-            key: getattr(args, key, None)
-            for key in defaults
-            if getattr(args, key, None) is not None
-        }
-        if "samples" in defaults and args.samples is not None:
-            overrides["samples"] = args.samples
+        overrides = {key: value for key, value in vars(args).items() if key in keys}
+        defaults = {key: default for key, (_, default) in keys.items()}
         config = merge_config(defaults, file_config, overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out_dir = args.out or os.environ.get(ENV_OUT) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    started = time.monotonic()
-    try:
+        os.makedirs(out_dir, exist_ok=True)
+        started = time.monotonic()
         files, summary = RUNNERS[name](config, args.seed, out_dir, args.format)
     except ConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        # a ConfigError, or a model's own rule such as power-of-two grid nodes
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     write_manifest(out_dir, name, config, args.seed, files, started, summary)
     print(json.dumps({"subcommand": name, "out": out_dir, **summary}, default=str))
     return EXIT_OK

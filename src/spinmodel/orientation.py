@@ -15,10 +15,10 @@ Units: hbar = 1 throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 HBAR = 1.0
 
@@ -117,15 +117,13 @@ def alpha_from_m(m: int) -> float:
 
 @lru_cache(maxsize=None)
 def normalization_constant(m: int) -> float:
-    """Z_m = integral of cos^{2m}(theta) over [0, pi], by adaptive quadrature."""
+    """Z_m = integral of cos^{2m}(theta) over [0, pi], by the Wallis product.
+
+    Z_m = pi * prod_{k=1}^{m} (2k - 1) / (2k).
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
-    if m == 0:
-        return float(np.pi)
-    value, _ = integrate.quad(
-        lambda t: np.cos(t) ** (2 * m), 0.0, np.pi, epsrel=1e-12, limit=200
-    )
-    return float(value)
+    return math.pi * math.prod((2 * k - 1) / (2 * k) for k in range(1, m + 1))
 
 
 def eval_density(m: int, theta) -> float | np.ndarray:
@@ -147,7 +145,9 @@ def closed_form_density(m: int, n_nodes: int = DEFAULT_GRID_NODES) -> GridDensit
 def _inverse_cdf_table(m: int, n_nodes: int = 4097):
     thetas = theta_grid(n_nodes)
     pdf = np.asarray(eval_density(m, thetas))
-    cdf = integrate.cumulative_trapezoid(pdf, thetas, initial=0.0)
+    cdf = np.concatenate(
+        ([0.0], np.cumsum(np.diff(thetas) * (pdf[1:] + pdf[:-1]) / 2.0))
+    )
     cdf /= cdf[-1]
     # strictly increasing knots only; cos^{2m} has a flat CDF plateau at
     # theta = pi/2 for large m, which interp handles as a jump

@@ -16,9 +16,12 @@ extended Hamilton-Jacobi residual diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .orientation import ConvergenceError
 
 NORM_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
@@ -183,7 +186,9 @@ def evolve(
         psi_p *= half_plus
         psi_m *= half_minus
         if not (np.all(np.isfinite(psi_p.real)) and np.all(np.isfinite(psi_m.real))):
-            raise RuntimeError(f"non-finite amplitudes at step {step}")
+            raise ConvergenceError(
+                f"non-finite amplitudes at step {step}", math.nan
+            )
     return SpinorField(grid, psi_p, psi_m)
 
 

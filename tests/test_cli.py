@@ -3,7 +3,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinmodel import cli
 from spinmodel.orientation import ConvergenceError
@@ -25,6 +28,12 @@ class TestConfigParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("beta 0.5\n")
         with pytest.raises(cli.ConfigError, match="bad.cfg:1"):
+            cli.load_config_file(str(path))
+
+    def test_invalid_json_document(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"beta": 0.5,}')
+        with pytest.raises(cli.ConfigError, match="invalid JSON"):
             cli.load_config_file(str(path))
 
     def test_missing_file(self):
@@ -149,3 +158,106 @@ class TestRun:
         assert code == cli.EXIT_CONFIG
         assert flag[2:] in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+
+def _exit_code(argv):
+    try:
+        return cli.run(argv)
+    except SystemExit as exc:  # argparse rejects a flag the subcommand lacks
+        return exc.code
+
+
+# (subcommand, config file line or None, flags, key the error must name)
+MALFORMED = [
+    ("stern-gerlach", "samples = abc", [], "samples"),
+    ("bell-delay", "delays = 1,x", [], "delays"),
+    ("variational", "orders = 1,x", [], "orders"),
+    ("pauli", "dt = Infinity", [], "dt"),
+    ("pauli", None, ["--nodes", "100"], "nodes"),
+    ("pauli", None, ["--stride", "0"], "stride"),
+    ("variational", None, ["--orders", "0"], "orders"),
+    ("fluctuations", None, ["--samples", "10"], "samples"),
+    ("bell-delay", "tau = NaN", [], "tau"),
+    ("bell-test", "samples = 1.7", [], "samples"),
+    ("bell-delay", 'degrade_y = "no"', [], "degrade_y"),
+    ("variational", None, ["--samples", "5"], "samples"),
+    ("pauli", None, ["--samples", "5"], "samples"),
+    ("oracle-check", None, ["--samples", "5"], "samples"),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("sub, line, flags, key", MALFORMED)
+    def test_exit_2_naming_the_key(self, tmp_path, capsys, sub, line, flags, key):
+        argv = [sub, "--out", str(tmp_path / "out"), *flags]
+        if line is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(line + "\n")
+            argv += ["--config", str(path)]
+        assert _exit_code(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_non_finite_field_is_non_convergence(self, tmp_path, capsys):
+        argv = ["pauli", "--dt", "1e307", "--steps", "2", "--out", str(tmp_path)]
+        with np.errstate(all="ignore"):
+            assert cli.run(argv) == cli.EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_flags_and_file_values_parse_alike(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("orders = [1]\nnodes = 5.12e2\n")
+        configs = []
+        for extra in (["--config", str(cfg)], ["--orders", "1", "--nodes", "512"]):
+            out = tmp_path / str(len(configs))
+            assert cli.run(["variational", "--out", str(out), *extra]) == cli.EXIT_OK
+            configs.append(json.loads((out / "manifest.json").read_text())["config"])
+        assert configs[0] == configs[1] == {"orders": [1], "nodes": 512}
+
+
+def test_shared_keys_have_one_parser():
+    for keys in cli.SCHEMA.values():
+        for key, (parse, _) in keys.items():
+            assert cli.PARSERS[key] is parse
+
+
+_NUMBERS = st.integers(0, 4) | st.floats(0.5, 4.0) | st.sampled_from(["1,2", "1e6"])
+_SCALARS = (
+    _NUMBERS
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["0,x", "NaN", "-Infinity", "", ",", "analytic", "psi_plus"])
+)
+_VALUES = _NUMBERS | _SCALARS | st.lists(_SCALARS, max_size=3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sub=st.sampled_from(sorted(cli.SCHEMA)), data=st.data())
+def test_merge_config_returns_declared_types_or_config_error(sub, data):
+    keys = cli.SCHEMA[sub]
+    defaults = {key: default for key, (_, default) in keys.items()}
+    typed = cli.merge_config(defaults, {}, {})
+    entries = st.dictionaries(st.sampled_from([*keys, "bogus"]), _VALUES, max_size=2)
+    file_config, overrides = data.draw(entries), data.draw(entries)
+    try:
+        merged = cli.merge_config(defaults, file_config, overrides)
+    except cli.ConfigError:
+        return
+    assert merged.keys() == typed.keys()
+    for key, value in merged.items():
+        declared = typed[key]
+        if isinstance(declared, list):
+            assert isinstance(value, list) and value
+            declared, items = declared[0], value
+        else:
+            items = [value]
+        for item in items:
+            assert type(item) is type(declared)
+            if isinstance(item, float):
+                assert math.isfinite(item)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
+import spinmodel
 from spinmodel import orientation as om
 from spinmodel.streams import stream
 
@@ -32,6 +37,22 @@ class TestNormalizationConstant:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             om.normalization_constant(-1)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 40, 300])
+    def test_matches_quadrature(self, m):
+        value, _ = integrate.quad(
+            lambda t: np.cos(t) ** (2 * m), 0.0, np.pi, epsrel=1e-13, limit=200
+        )
+        assert om.normalization_constant(m) == pytest.approx(value, rel=1e-12)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(spinmodel.__file__))
+    code = "import sys, spinmodel.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == b"False"
 
 
 class TestAlpha:

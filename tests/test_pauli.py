@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinmodel import pauli
+from spinmodel.orientation import ConvergenceError
 
 
 def packet_state(grid=None, momentum=0.0, width=1.0):
@@ -84,6 +85,10 @@ class TestUnitarity:
         bad = pauli.SpinorField(grid, psi, psi)
         with pytest.raises(ValueError):
             pauli.evolve(bad, pauli.FieldConfig(), 0.001, 1)
+
+    def test_non_finite_amplitudes_are_non_convergence(self):
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="step 0"):
+            pauli.evolve(packet_state(), pauli.FieldConfig(b_z=1.0), 1e307, 2)
 
 
 class TestLarmor:
