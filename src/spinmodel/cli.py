@@ -57,8 +57,9 @@ def _parse_scalar(text: str):
         return text
 
 
-def _numeric(kind, low, strict=False):
-    """Parser of finite `kind` (int or float) values >= low, or > low if strict."""
+def _numeric(kind, low, strict=False, high=math.inf):
+    """Parser of finite `kind` (int or float) values >= low, or > low if
+    strict, and <= high."""
     relation = ">" if strict else ">="
 
     def parse(key, value):
@@ -70,6 +71,8 @@ def _numeric(kind, low, strict=False):
             raise ConfigError(f"{key}: must be a whole number, got {value!r}")
         if value < low or (strict and value == low):
             raise ConfigError(f"{key}: must be {relation} {low}, got {value!r}")
+        if value > high:
+            raise ConfigError(f"{key}: must be <= {high}, got {value!r}")
         return kind(value)
 
     return parse
@@ -109,6 +112,7 @@ def _flag(key, value):
 COUNT = _numeric(int, 1)
 REAL = _numeric(float, -math.inf)
 POSITIVE = _numeric(float, 0.0, strict=True)
+NODES = _numeric(int, 2)  # a grid needs two nodes to have a spacing
 MODE = _choice(entanglement.ANALYTIC, entanglement.MONTE_CARLO)
 _PAIR = {  # the Bell state and the CHSH angles
     "state": (_choice(*entanglement.BELL_MODELS), "psi_minus"),
@@ -120,14 +124,15 @@ _PAIR = {  # the Bell state and the CHSH angles
 
 # subcommand -> key -> (parser, default)
 SCHEMA = {
-    "variational": {"orders": (_list_of(COUNT), "1,2,3"), "nodes": (COUNT, 2048)},
+    "variational": {"orders": (_list_of(COUNT), "1,2,3"), "nodes": (NODES, 2048)},
     "stern-gerlach": {
         "samples": (COUNT, 100000),
         "beta": (REAL, math.pi / 3),
         "m": (_numeric(int, 0), 1),
         "eta": (POSITIVE, 1.0),
         "transit_time": (POSITIVE, 1.0),
-        "bins": (COUNT, 200),
+        # bounds the histogram's memory: 1e9 bins need 8 GB for the edges alone
+        "bins": (_numeric(int, 1, high=10**6), 200),
     },
     "bell-test": {
         **_PAIR,
@@ -143,7 +148,7 @@ SCHEMA = {
         "degrade_y": (_flag, False),
     },
     "pauli": {
-        "nodes": (COUNT, 256),
+        "nodes": (NODES, 256),
         "extent": (POSITIVE, 20.0),
         "dt": (POSITIVE, 0.001),
         "steps": (COUNT, 1000),
@@ -154,7 +159,6 @@ SCHEMA = {
     "fluctuations": {
         "samples": (COUNT, 1000000),
         "mass": (POSITIVE, 1.0),
-        "omega": (POSITIVE, 1.0),
         "dt": (POSITIVE, 1.0),
         "dt_sequence": (_list_of(POSITIVE), "0.1,0.01,0.001"),
     },

@@ -18,6 +18,8 @@ import numpy as np
 
 from .orientation import ConvergenceError
 
+_KL_BLOCK = 64  # shifts interpolated together in kl_shift_rate
+
 
 @dataclass(frozen=True)
 class TranslationParams:
@@ -67,8 +69,9 @@ def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float
     w = np.asarray(samples, dtype=float)
     if w.ndim != 2 or w.shape[0] < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
-    p = params.mass * w / params.dt
-    return float(np.mean(w * p))
+    # sum of w_i^2 without the two n x 3 temporaries of w * (m w / dt); einsum
+    # rather than a BLAS dot, whose threads keep spinning after the call
+    return params.mass / params.dt * float(np.einsum("ij,ij->", w, w)) / w.size
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +175,19 @@ def kl_shift_rate(
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("density must be strictly positive")
+    x = np.asarray(x, dtype=float)
     sigma = math.sqrt(params.component_variance)
     shifts = rng.normal(0.0, sigma, n_shifts)
     log_rho = np.log(rho)
-    total = 0.0
-    for w in shifts:
-        shifted = np.interp(x + w, x, rho, left=rho[0], right=rho[-1])
-        total += float(np.trapezoid(rho * (log_rho - np.log(shifted)), x))
-    return total / n_shifts / params.dt
+    # per-node sum over shifts of log rho(x) - log rho(x + w); the integral
+    # is linear, so one trapezoid of rho * acc replaces one per shift.
+    # Subtracting per element, before summing, avoids the cancellation
+    # between two summed totals.
+    acc = np.zeros_like(rho)
+    for start in range(0, n_shifts, _KL_BLOCK):
+        w = shifts[start : start + _KL_BLOCK]
+        s = np.interp(x + w[:, None], x, rho, left=rho[0], right=rho[-1])
+        np.log(s, out=s)
+        np.subtract(log_rho, s, out=s)
+        acc += s.sum(axis=0)
+    return float(np.trapezoid(rho * acc, x)) / n_shifts / params.dt

@@ -23,6 +23,7 @@ import numpy as np
 HBAR = 1.0
 
 DEFAULT_GRID_NODES = 2048
+MAX_SAMPLED_ORDER = 1000  # highest m the inverse-CDF table resolves
 _NORM_TOL = 1e-10
 
 
@@ -156,12 +157,25 @@ def _inverse_cdf_table(m: int, n_nodes: int = 4097):
 
 
 def sample_theta(m: int, rng: np.random.Generator, size=None):
-    """Draw theta ~ p_m by inverse-CDF interpolation on a monotone table."""
+    """Draw theta ~ p_m by inverse-CDF interpolation on a monotone table.
+
+    Orders above MAX_SAMPLED_ORDER are rejected: the table's knots no
+    longer resolve the cos^{2m} peak there, and <cos^2 theta> drifts off
+    (2m+1)/(2m+2).
+    """
     if m < 0:
         raise ValueError("m must be non-negative")
-    u = rng.random(size)
+    if m > MAX_SAMPLED_ORDER:
+        raise ValueError(f"m must be <= {MAX_SAMPLED_ORDER} to sample, got {m}")
+    u = np.asarray(rng.random(size))
     cdf, thetas = _inverse_cdf_table(m)
-    return np.interp(u, cdf, thetas)
+    # interp's bracket search is cheap when successive queries are close, so
+    # look up sorted draws and scatter them back; each value is unchanged
+    flat = u.ravel()
+    order = np.argsort(flat)
+    out = np.empty_like(flat)
+    out[order] = np.interp(flat[order], cdf, thetas)
+    return out.reshape(u.shape) if u.ndim else out[0]
 
 
 # ---------------------------------------------------------------------------

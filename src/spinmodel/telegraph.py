@@ -10,6 +10,7 @@ fraction of time spent trending upward.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +33,14 @@ class DwellModel:
         if self.distribution not in (EXPONENTIAL, FIXED):
             raise ValueError("distribution must be 'exponential' or 'fixed'")
 
-    def draw(self, trend: int, rng: np.random.Generator) -> float:
-        tau = self.tau_plus if trend > 0 else self.tau_minus
-        if self.distribution == FIXED:
-            return tau
-        return float(rng.exponential(tau))
+    def draw(self, trend, rng: np.random.Generator):
+        """Dwell of a segment with trend +1 / -1; an array of trends gives
+        one independent dwell per element, drawn in order."""
+        up = np.asarray(trend) > 0
+        tau = np.where(up, float(self.tau_plus), float(self.tau_minus))
+        if self.distribution == EXPONENTIAL:
+            tau = rng.exponential(tau)
+        return tau if np.ndim(tau) else float(tau)
 
     def stationary_up_fraction(self) -> float:
         return self.tau_plus / (self.tau_plus + self.tau_minus)
@@ -89,16 +93,22 @@ def simulate(
         raise ValueError("duration must be positive")
     if initial_trend not in (+1, -1):
         raise ValueError("initial_trend must be +1 or -1")
-    starts = [0.0]
-    trends = [initial_trend]
-    t = model.draw(initial_trend, rng)
-    trend = initial_trend
-    while t < duration:
-        trend = -trend
-        starts.append(t)
-        trends.append(trend)
-        t += model.draw(trend, rng)
-    return TelegraphTrajectory(tuple(starts), tuple(trends), duration)
+    # segment i has trend initial_trend * (-1)**i; batches of whole pairs
+    # keep that phase.  One cumsum over all dwells adds them in the same
+    # order as a running total would, so batching leaves the start times as
+    # they are; it only draws a few dwells past the window.
+    pairs = int(duration / (model.tau_plus + model.tau_minus)) + 1
+    phase = np.tile((initial_trend, -initial_trend), pairs + 4 * math.isqrt(pairs) + 8)
+    dwells = np.empty(0)
+    while True:
+        dwells = np.concatenate((dwells, model.draw(phase, rng)))
+        ends = np.cumsum(dwells)
+        if ends[-1] >= duration:
+            break
+    switches = int(np.searchsorted(ends, duration))
+    starts = (0.0, *ends[:switches].tolist())
+    trends = ((initial_trend, -initial_trend) * (switches // 2 + 1))[: switches + 1]
+    return TelegraphTrajectory(starts, trends, duration)
 
 
 def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
@@ -119,32 +129,28 @@ def flip_parity(
     """Whether the trend has switched an odd number of times within delay.
 
     Vectorized over size for Monte Carlo ensembles; exact for both dwell
-    distributions by simulating switch epochs only.
+    distributions by simulating switch epochs only.  Each round draws the
+    next dwell of every sample whose switch epochs have not yet passed
+    delay.
     """
     if delay < 0:
         raise ValueError("delay must be non-negative")
-    if size is None:
-        return _single_parity(model, delay, rng)
-    return np.array([_single_parity(model, delay, rng) for _ in range(int(size))])
-
-
-def _single_parity(model: DwellModel, delay: float, rng) -> bool:
-    if delay == 0:
-        return False
-    t = 0.0
-    trend = +1 if rng.random() < model.stationary_up_fraction() else -1
-    flips = 0
-    # residual life of the first segment: exponential is memoryless; a
-    # fixed-duration segment observed at a uniform time has uniform residual
-    first = model.draw(trend, rng)
-    if model.distribution == FIXED:
-        first *= rng.random()
-    t += first
-    while t < delay:
-        trend = -trend
-        flips += 1
-        t += model.draw(trend, rng)
-    return flips % 2 == 1
+    n = 1 if size is None else int(size)
+    odd = np.zeros(n, dtype=bool)
+    if delay > 0:
+        trend = np.where(rng.random(n) < model.stationary_up_fraction(), 1, -1)
+        # residual life of the first segment: exponential is memoryless; a
+        # fixed-duration segment observed at a uniform time has uniform residual
+        t = model.draw(trend, rng)
+        if model.distribution == FIXED:
+            t *= rng.random(n)
+        active = np.flatnonzero(t < delay)
+        while active.size:
+            odd[active] ^= True
+            trend[active] *= -1
+            t[active] += model.draw(trend[active], rng)
+            active = active[t[active] < delay]
+    return bool(odd[0]) if size is None else odd
 
 
 def odd_flip_probability(model: DwellModel, delay: float) -> float:

@@ -183,6 +183,11 @@ MALFORMED = [
     ("variational", None, ["--samples", "5"], "samples"),
     ("pauli", None, ["--samples", "5"], "samples"),
     ("oracle-check", None, ["--samples", "5"], "samples"),
+    ("stern-gerlach", None, ["--bins", "1e300"], "bins"),
+    ("stern-gerlach", "bins = 1000001", [], "bins"),
+    ("variational", None, ["--nodes", "1"], "nodes"),
+    ("stern-gerlach", None, ["--m", "1001", "--samples", "10"], "m must be <= 1000"),
+    ("fluctuations", None, ["--omega", "5"], "omega"),
 ]
 
 

@@ -113,3 +113,39 @@ class TestFisherLimit:
         rate = fl.kl_shift_rate(x, rho, params, rng)
         fisher = fl.fisher_functional(x, rho, params)
         assert rate / fisher == pytest.approx(1.0, abs=0.05)
+
+    @staticmethod
+    def _per_shift_loop(x, rho, params, rng, n_shifts):
+        """Reference: one interpolation and one trapezoid per shift."""
+        shifts = rng.normal(0.0, math.sqrt(params.component_variance), n_shifts)
+        log_rho = np.log(rho)
+        total = 0.0
+        for w in shifts:
+            shifted = np.interp(x + w, x, rho, left=rho[0], right=rho[-1])
+            total += float(np.trapezoid(rho * (log_rho - np.log(shifted)), x))
+        return total / n_shifts / params.dt
+
+    @pytest.mark.parametrize("dt", [0.1, 0.01, 0.001])
+    def test_kl_rate_matches_per_shift_loop(self, dt):
+        # 1000 shifts: the last block of the vectorized sum is a partial one
+        params = fl.TranslationParams(dt=dt)
+        x, rho = self._gaussian()
+        rate = fl.kl_shift_rate(x, rho, params, stream(31, "fl-kl-eq", dt), 1000)
+        expected = self._per_shift_loop(x, rho, params, stream(31, "fl-kl-eq", dt), 1000)
+        assert rate == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_kl_rate_matches_per_shift_loop_on_nonuniform_grid(self):
+        params = fl.TranslationParams(mass=2.0, dt=0.05)
+        x = 3.0 * np.sinh(np.linspace(-2.5, 2.5, 1501))
+        rho = np.exp(-((x - 1.0) ** 2) / 8.0) + 0.5 * np.exp(-((x + 2.0) ** 2))
+        rng_key = (31, "fl-kl-nonuniform")
+        rate = fl.kl_shift_rate(x, rho, params, stream(*rng_key), 333)
+        expected = self._per_shift_loop(x, rho, params, stream(*rng_key), 333)
+        assert rate == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_uncertainty_product_matches_momentum_form():
+    params = fl.TranslationParams(mass=3.0, dt=0.2)
+    w = fl.sample_displacement(params, stream(31, "fl-ur-eq"), 50000)
+    expected = float(np.mean(w * (params.mass * w / params.dt)))
+    assert fl.uncertainty_product(w, params) == pytest.approx(expected, rel=1e-12)

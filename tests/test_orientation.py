@@ -155,6 +155,21 @@ class TestSampling:
         near_pole = (thetas < 0.1) | (thetas > math.pi - 0.1)
         assert np.mean(near_pole) > 0.9
 
+    @pytest.mark.parametrize("m", [0, 1, 10, 300])
+    @pytest.mark.parametrize("size", [None, 7, (3, 5)])
+    def test_draws_equal_direct_table_lookup(self, m, size):
+        # the sorted lookup must return exactly interp(u) for the same u
+        thetas = om.sample_theta(m, stream(7, "orientation-lookup", m), size)
+        u = stream(7, "orientation-lookup", m).random(size)
+        expected = np.interp(u, *om._inverse_cdf_table(m))
+        assert np.shape(thetas) == np.shape(expected)
+        assert np.array_equal(thetas, expected)
+
+    def test_rejects_orders_the_table_cannot_resolve(self):
+        om.sample_theta(om.MAX_SAMPLED_ORDER, stream(7, "orientation-cap"), 3)
+        with pytest.raises(ValueError, match="m must be <= 1000"):
+            om.sample_theta(om.MAX_SAMPLED_ORDER + 1, stream(7, "orientation-cap"))
+
 
 class TestActionFunctional:
     def test_uniform_density_zero_action(self):

@@ -88,6 +88,14 @@ class TestDisplacement:
         dz = sg.displacement(thetas, 2, 1.0, 1.0)
         assert np.allclose(dz, -dz[::-1], atol=1e-15)
 
+    @pytest.mark.parametrize("m", [0, 1, 3, 10, 40])
+    def test_matches_float_power(self, m):
+        thetas = om.sample_theta(m, stream(3, "sg-power", m), 100000)
+        prefactor = 1.0 / (4.0 * om.normalization_constant(m))
+        expected = prefactor * np.cos(thetas) ** (2 * m + 1)
+        dz = sg.displacement(thetas, m, 1.0, 1.0)
+        np.testing.assert_allclose(dz, expected, rtol=1e-14, atol=0)
+
     def test_requires_finite_order(self):
         with pytest.raises(ValueError):
             sg.displacement(0.0, None, 1.0, 1.0)

@@ -95,6 +95,36 @@ class TestSimulate:
         assert traj.start_times == (0.0, 1.0, 3.0, 4.0, 6.0, 7.0, 9.0)
 
 
+def _sequential_simulate(model, duration, initial_trend, rng):
+    """Reference: one dwell draw per segment, summed as a running total."""
+
+    def draw(trend):
+        tau = model.tau_plus if trend > 0 else model.tau_minus
+        return tau if model.distribution == tg.FIXED else float(rng.exponential(tau))
+
+    starts, trends = [0.0], [initial_trend]
+    t = draw(initial_trend)
+    trend = initial_trend
+    while t < duration:
+        trend = -trend
+        starts.append(t)
+        trends.append(trend)
+        t += draw(trend)
+    return tuple(starts), tuple(trends)
+
+
+@pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
+@pytest.mark.parametrize("initial_trend", [+1, -1])
+@pytest.mark.parametrize("duration", [0.05, 7.3, 2000.0])
+def test_simulate_matches_sequential_reference(distribution, initial_trend, duration):
+    model = tg.DwellModel(0.7, 1.9, distribution)
+    key = (9, "tg-sequential", distribution, initial_trend, duration)
+    traj = tg.simulate(model, duration, initial_trend, stream(*key))
+    starts, trends = _sequential_simulate(model, duration, initial_trend, stream(*key))
+    assert traj.start_times == starts
+    assert traj.trends == trends
+
+
 class TestParity:
     def test_closed_form_limits(self):
         model = tg.DwellModel(1.0, 1.0)
@@ -123,6 +153,22 @@ class TestParity:
         rng = stream(9, "tg-parity-fixed")
         parities = tg.flip_parity(model, 0.5, rng, size=20000)
         assert np.mean(parities) == pytest.approx(0.5, abs=0.01)
+
+    def test_asymmetric_exponential_parity(self):
+        # stationary two-state chain: P(trend differs after delay) =
+        # 2 pi_up pi_down (1 - exp(-(1/tau+ + 1/tau-) delay))
+        model = tg.DwellModel(1.0, 3.0)
+        delay, n = 3.0, 20000
+        parities = tg.flip_parity(model, delay, stream(9, "tg-parity-asym"), size=n)
+        p_up = model.stationary_up_fraction()
+        p = 2.0 * p_up * (1.0 - p_up) * (1.0 - math.exp(-(1.0 + 1.0 / 3.0) * delay))
+        assert abs(np.mean(parities) - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_single_draw_is_a_bool(self):
+        rng = stream(9, "tg-parity-single")
+        assert type(tg.flip_parity(tg.DwellModel(), 0.7, rng)) is bool
+        parities = tg.flip_parity(tg.DwellModel(), 0.7, rng, size=5)
+        assert parities.dtype == bool and parities.shape == (5,)
 
     def test_zero_delay_has_no_flip(self):
         rng = stream(9, "tg-parity-zero")
