@@ -16,9 +16,8 @@ per-pair sampler draws its cells.
 
 Delayed measurement degrades the z-branch correlation: Bob's trend
 evolves as a telegraph process during the delay, and an odd number of
-switches flips his sub-state.  Odd parity is the same event as "trend at
-the delay differs from the initial trend", which has a closed form for
-both exponential and fixed dwells.
+switches flips his sub-state with the closed-form probability
+telegraph.odd_flip_probability.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .telegraph import EXPONENTIAL, DwellModel
+from .telegraph import DwellModel, odd_flip_probability
 
 ANTI = "anti"
 SAME = "same"
@@ -112,7 +111,7 @@ def branch_expectation(correlation: str, alpha: float, beta: float) -> float:
 
 def correlation(model: BellPairModel, a: float, b: float) -> float:
     """E(a, b): sum of the z-branch and the complementary y-branch terms."""
-    return _correlation(_outcome_table(model, a, b))
+    return _correlation(_coincidences(_outcome_table(model, a, b)))
 
 
 def time_constraint_satisfied(
@@ -157,28 +156,30 @@ def _coincidences(c) -> tuple:
     return (c[0] + c[4], c[1] + c[5], c[2] + c[6], c[3] + c[7])
 
 
-def _correlation(cells, total=1.0) -> float:
-    """Branch-sum E = 2 sum S_A S_B w / total over a table or count vector."""
-    pp, pm, mp, mm = _coincidences(cells)
+def _correlation(coincidences, total=1.0) -> float:
+    """Branch-sum E = 2 sum S_A S_B w / total from (++, +-, -+, --) weights."""
+    pp, pm, mp, mm = coincidences
     return 2.0 * (pp + mm - pm - mp) / total
 
 
-def _estimate(table, n: int, rng: np.random.Generator):
-    """(E_hat, stderr, coincidences) from one multinomial draw of n pairs.
+def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
+    """(E, stderr, coincidences) of n pairs with the table's law.
 
-    The products S_A S_B are +/-1 with mean E/2, so the estimator's
-    standard error is 2 sqrt((1 - (E/2)^2) / n).
+    Analytic mode gives the exact E, stderr 0 and the expected counts n P.
+    Monte Carlo mode makes one multinomial draw of n pairs; the products
+    S_A S_B are +/-1 with mean E/2, so the estimator's standard error is
+    2 sqrt((1 - (E/2)^2) / n).
     """
-    counts = rng.multinomial(n, table).tolist()
-    e = _correlation(counts, n)
-    return e, 2.0 * math.sqrt((1.0 - (e / 2.0) ** 2) / n), _coincidences(counts)
-
-
-def _check_mode(mode: str, rng):
-    if mode not in (ANALYTIC, MONTE_CARLO):
+    if mode == ANALYTIC:
+        cells = _coincidences(table)
+        return _correlation(cells), 0.0, tuple([n * w for w in cells])
+    if mode != MONTE_CARLO:
         raise ValueError(f"mode must be {ANALYTIC!r} or {MONTE_CARLO!r}")
-    if mode == MONTE_CARLO and rng is None:
+    if rng is None:
         raise ValueError("Monte Carlo mode needs an rng")
+    counts = _coincidences(rng.multinomial(n, table).tolist())
+    e = _correlation(counts, n)
+    return e, 2.0 * math.sqrt((1.0 - (e / 2.0) ** 2) / n), counts
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def estimate_correlation(
     rng: np.random.Generator,
 ):
     """Branch-sum Monte Carlo estimator E_hat = 2 mean(S_A S_B) and its SE."""
-    e_hat, stderr, _ = _estimate(_outcome_table(model, a, b), n, rng)
+    e_hat, stderr, _ = _evaluate(_outcome_table(model, a, b), MONTE_CARLO, n, rng)
     return e_hat, stderr
 
 
@@ -274,46 +275,22 @@ def chsh(
     A zero delay reproduces the simultaneous-measurement Bell test; a
     positive delay applies the telegraph degradation to Bob's branches.
     """
-    _check_mode(mode, rng)
-    p = _p_flip(plan.dwell, plan.delay)
+    p = odd_flip_probability(plan.dwell, plan.delay)
     a, ap = plan.alice_angles
     b, bp = plan.bob_angles
     settings = ((a, b), (a, bp), (ap, b), (ap, bp))
-    tables = [
-        _outcome_table(model, sa, sb, p, p if degrade_y else 0.0)
-        for sa, sb in settings
-    ]
-    if mode == ANALYTIC:
-        es = tuple(_correlation(t) for t in tables)
-        ses = (0.0,) * len(tables)
-        counts = tuple(
-            tuple(plan.samples * w for w in _coincidences(t)) for t in tables
+    es, ses, counts = zip(*(
+        _evaluate(
+            _outcome_table(model, sa, sb, p, p if degrade_y else 0.0),
+            mode, plan.samples, rng,
         )
-    else:
-        es, ses, counts = zip(*(_estimate(t, plan.samples, rng) for t in tables))
+        for sa, sb in settings
+    ))
     return ChshResult(settings, es, ses, _chsh_from_terms(es), counts)
 
 
 # ---------------------------------------------------------------------------
 # delayed measurement
-
-
-def _p_flip(dwell: DwellModel, delay: float) -> float:
-    """P(odd number of Bob's trend switches within the delay).
-
-    Odd parity is the event that the trend at the delay differs from the
-    initial one.  For exponential dwells this is the two-state Markov
-    transition probability averaged over the two initial trends.  Fixed
-    dwells observed at a uniform phase of their period T = tau+ + tau-
-    differ over a shift r = delay mod T on a set of phases of measure
-    2 min(r, T - r, tau+, tau-).
-    """
-    if dwell.distribution == EXPONENTIAL:
-        rate_sum = 1.0 / dwell.tau_plus + 1.0 / dwell.tau_minus
-        return 0.5 * (1.0 - math.exp(-rate_sum * delay))
-    period = dwell.tau_plus + dwell.tau_minus
-    r = math.fmod(delay, period)
-    return 2.0 * min(r, period - r, dwell.tau_plus, dwell.tau_minus) / period
 
 
 def delayed_correlation(
@@ -332,14 +309,9 @@ def delayed_correlation(
     The z-branch correlation decays by the odd-switch parity of Bob's
     telegraph trend; the y-branch is kept intact unless degrade_y.
     """
-    if delay < 0:
-        raise ValueError("delay must be non-negative")
-    _check_mode(mode, rng)
-    p = _p_flip(dwell, delay)
+    p = odd_flip_probability(dwell, delay)
     table = _outcome_table(model, a, b, p, p if degrade_y else 0.0)
-    if mode == ANALYTIC:
-        return _correlation(table)
-    return _estimate(table, n, rng)[0]
+    return _evaluate(table, mode, n, rng)[0]
 
 
 def outcome_counts(s_a: np.ndarray, s_b: np.ndarray) -> dict:

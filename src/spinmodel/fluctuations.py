@@ -107,7 +107,6 @@ def variational_radius_solve(
     params: RotationParams,
     u_max: float | None = None,
     n_nodes: int = 4096,
-    delta_phi: float = 1.0,
     tol: float = 1e-12,
     max_iter: int = 200,
 ):
@@ -115,7 +114,9 @@ def variational_radius_solve(
 
     A_t = (m/2) dphi int p(u) omega u^2 du + (hbar/2) dphi int p ln(p/mu) du
     under normalization; the stationarity condition is solved per node and
-    renormalized until the iterates settle.  Returns (u_grid, density).
+    renormalized until the iterates settle.  dphi scales the whole action,
+    so the stationary density does not depend on it.  Returns (u_grid,
+    density).
     """
     if u_max is None:
         u_max = 6.0 * params.radius_scale

@@ -228,17 +228,36 @@ def _component(field: SpinorField, component: str) -> np.ndarray:
     return field.psi_plus if component == "plus" else field.psi_minus
 
 
-def _complex_gradient(psi: np.ndarray, grid: SpatialGrid):
-    ks = grid.wavenumbers()
-    psi_hat = np.fft.fftn(psi)
-    return [np.fft.ifftn(1j * k * psi_hat) for k in ks]
-
-
 def _padded_vector_potential(config: FieldConfig, grid: SpatialGrid):
     a = config.vector_potential
     if len(a) < grid.dimension:
         a = tuple(a) + (0.0,) * (grid.dimension - len(a))
     return a
+
+
+def _current(fields: list[SpinorField], config: FieldConfig, component: str):
+    """Each snapshot's component, and the middle one's rho, current and k.
+
+    The per-axis probability current (hbar Im(psi* grad psi) + e A rho)/m
+    equals rho (grad S + eA)/m wherever the Madelung phase is defined, but
+    needs no phase unwrapping.
+    """
+    if len(fields) != 3:
+        raise ValueError("need three consecutive snapshots")
+    grid = fields[0].grid
+    psis = [_component(f, component) for f in fields]
+    psi = psis[1]
+    rho = np.abs(psi) ** 2
+    ks = grid.wavenumbers()
+    psi_hat = np.fft.fftn(psi)
+    current = [
+        (
+            config.hbar * np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat))
+            + config.charge * ai * rho
+        ) / config.mass
+        for k, ai in zip(ks, _padded_vector_potential(config, grid))
+    ]
+    return psis, rho, current, ks
 
 
 def continuity_residual(
@@ -250,30 +269,16 @@ def continuity_residual(
 ) -> float:
     """RMS of d(rho)/dt + div(rho (grad S + eA))/m over three snapshots.
 
-    Evaluated at the middle snapshot with central time differencing.  The
-    flux rho grad(S)/m is computed as the probability current
-    hbar Im(psi* grad psi)/m, which equals rho grad(S)/m wherever the
-    Madelung phase is defined but needs no phase unwrapping.
-    Near-zero-density regions are masked out.
+    Evaluated at the middle snapshot with central time differencing, with
+    the flux taken as the probability current.  Near-zero-density regions
+    are masked out.
     """
-    if len(fields) != 3:
-        raise ValueError("need three consecutive snapshots")
-    grid = fields[0].grid
-    psis = [_component(f, component) for f in fields]
-    rho = [np.abs(p) ** 2 for p in psis]
-    drho_dt = (rho[2] - rho[0]) / (2.0 * dt)
-    a = _padded_vector_potential(config, grid)
-    div = np.zeros(grid.shape)
-    grads = _complex_gradient(psis[1], grid)
-    for axis, (g, ai) in enumerate(zip(grads, a)):
-        flux = (
-            config.hbar * np.imag(np.conj(psis[1]) * g)
-            + config.charge * ai * rho[1]
-        ) / config.mass
-        k = grid.wavenumbers()[axis]
-        div += np.real(np.fft.ifftn(1j * k * np.fft.fftn(flux)))
-    mask = rho[1] > floor
-    residual = (drho_dt + div)[mask]
+    psis, rho, current, ks = _current(fields, config, component)
+    drho_dt = (np.abs(psis[2]) ** 2 - np.abs(psis[0]) ** 2) / (2.0 * dt)
+    div = sum(
+        np.real(np.fft.ifftn(1j * k * np.fft.fftn(j))) for k, j in zip(ks, current)
+    )
+    residual = (drho_dt + div)[rho > floor]
     return float(np.sqrt(np.mean(residual**2)))
 
 
@@ -288,38 +293,21 @@ def hj_residual(
 
     dS/dt + (grad S + eA)^2 / 2m + V - (hbar^2/2m) lap(sqrt rho)/sqrt rho,
     with V the diagonal potential of the component.  dS/dt comes from the
-    central phase difference arg(psi_after psi_before*)/(2 dt) and grad S
-    from the probability current, so no global phase unwrapping is
-    needed; masked where the density is below the floor.
+    central phase difference arg(psi_after psi_before*)/(2 dt) and
+    (grad S + eA)/m from the probability current J/rho, so no global phase
+    unwrapping is needed; masked where the density is below the floor.
     """
-    if len(fields) != 3:
-        raise ValueError("need three consecutive snapshots")
-    grid = fields[0].grid
-    psis = [_component(f, component) for f in fields]
-    rho_mid = np.abs(psis[1]) ** 2
-    ds_dt = config.hbar * np.angle(psis[2] * np.conj(psis[0])) / (2.0 * dt)
-    a = _padded_vector_potential(config, grid)
-    mask = rho_mid > floor
-    grads = _complex_gradient(psis[1], grid)
-    kinetic = np.zeros(grid.shape)
-    for g, ai in zip(grads, a):
-        grad_s = np.zeros(grid.shape)
-        grad_s[mask] = (
-            config.hbar * np.imag(np.conj(psis[1]) * g)[mask] / rho_mid[mask]
-        )
-        kinetic += (grad_s + config.charge * ai) ** 2
-    kinetic /= 2.0 * config.mass
-    v_plus, v_minus = config.potential_energy(grid)
-    v = v_plus if component == "plus" else v_minus
-    sqrt_rho = np.sqrt(np.clip(rho_mid, 0.0, None))
-    lap = np.zeros(grid.shape)
-    for k in grid.wavenumbers():
-        lap += np.real(np.fft.ifftn(-(k**2) * np.fft.fftn(sqrt_rho)))
-    quantum = np.zeros(grid.shape)
-    quantum[mask] = (
-        -config.hbar**2 / (2.0 * config.mass) * lap[mask] / sqrt_rho[mask]
-    )
-    residual = (ds_dt + kinetic + v + quantum)[mask]
+    psis, rho, current, ks = _current(fields, config, component)
+    mask = rho > floor
+    rho_m = rho[mask]
+    ds_dt = config.hbar * np.angle(psis[2] * np.conj(psis[0]))[mask] / (2.0 * dt)
+    kinetic = 0.5 * config.mass * sum((j[mask] / rho_m) ** 2 for j in current)
+    v_plus, v_minus = config.potential_energy(fields[0].grid)
+    v = (v_plus if component == "plus" else v_minus)[mask]
+    sqrt_rho = np.sqrt(rho)
+    lap = np.real(np.fft.ifftn(-sum(k**2 for k in ks) * np.fft.fftn(sqrt_rho)))
+    quantum = -config.hbar**2 / (2.0 * config.mass) * lap[mask] / sqrt_rho[mask]
+    residual = ds_dt + kinetic + v + quantum
     return float(np.sqrt(np.mean(residual**2)))
 
 

@@ -33,7 +33,6 @@ class ApparatusConfig:
 
     axis_angle: float = 0.0
     gradient: float = 1.0
-    constant_field: float = 0.0
     transit_time: float = 1.0
     m: int | None = 1  # None means the quantized limit
     charge: float = 1.0

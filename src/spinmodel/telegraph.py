@@ -119,10 +119,6 @@ def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
     return up, 1.0 - up
 
 
-def trend_at(traj: TelegraphTrajectory, t: float) -> int:
-    return traj.trend_at(t)
-
-
 def flip_parity(
     model: DwellModel, delay: float, rng: np.random.Generator, size=None
 ):
@@ -154,10 +150,27 @@ def flip_parity(
 
 
 def odd_flip_probability(model: DwellModel, delay: float) -> float:
-    """Closed-form odd-switch probability for symmetric exponential dwells."""
-    if model.distribution != EXPONENTIAL or model.tau_plus != model.tau_minus:
-        raise ValueError("closed form only for symmetric exponential dwells")
-    return 0.5 * (1.0 - np.exp(-2.0 * delay / model.tau_plus))
+    """P(odd number of trend switches within delay), in closed form.
+
+    Odd parity is the event that the trend at the delay differs from the
+    initial one.  For exponential dwells this is the two-state Markov
+    transition probability averaged equally over the two initial trends:
+    1/2 (1 - exp(-(1/tau+ + 1/tau-) delay)).  Fixed dwells observed at a
+    uniform phase of their period T = tau+ + tau- differ over a shift
+    r = delay mod T on a set of phases of measure 2 min(r, T - r, tau+,
+    tau-); this branch, like flip_parity for both laws, starts from the
+    stationary trend law tau+-/(tau+ + tau-).  The two conventions
+    coincide when tau+ = tau-; for asymmetric exponential dwells
+    flip_parity's mean is 2 pi+ pi- (1 - exp(-(1/tau+ + 1/tau-) delay)).
+    """
+    if delay < 0:
+        raise ValueError("delay must be non-negative")
+    if model.distribution == EXPONENTIAL:
+        rate_sum = 1.0 / model.tau_plus + 1.0 / model.tau_minus
+        return 0.5 * (1.0 - math.exp(-rate_sum * delay))
+    period = model.tau_plus + model.tau_minus
+    r = math.fmod(delay, period)
+    return 2.0 * min(r, period - r, model.tau_plus, model.tau_minus) / period
 
 
 def trajectory_rows(traj: TelegraphTrajectory):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spinmodel import entanglement as ent
 from spinmodel import qm_oracle as qm
 from spinmodel.streams import stream
-from spinmodel.telegraph import FIXED, DwellModel, flip_parity
+from spinmodel.telegraph import FIXED, DwellModel, flip_parity, odd_flip_probability
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -254,7 +254,7 @@ class TestDelayedMeasurement:
         for delay in delays:
             rng = stream(21, "ent-fixed-parity", tau_plus, tau_minus, delay)
             sampled = float(np.mean(flip_parity(dwell, delay, rng, size=n)))
-            p = ent._p_flip(dwell, delay)
+            p = odd_flip_probability(dwell, delay)
             assert abs(sampled - p) < 5 * math.sqrt(p * (1 - p) / n) + 1e-9
 
     @pytest.mark.parametrize("delay", [0.0, 0.25, 1.0, 1.6, 2.0, 5.3])

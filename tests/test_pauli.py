@@ -13,6 +13,66 @@ def packet_state(grid=None, momentum=0.0, width=1.0):
     return pauli.SpinorField.normalized(grid, psi, psi)
 
 
+def _reference_gradient(psi, grid):
+    psi_hat = np.fft.fftn(psi)
+    return [np.fft.ifftn(1j * k * psi_hat) for k in grid.wavenumbers()]
+
+
+def _reference_vector_potential(config, grid):
+    a = tuple(config.vector_potential)
+    return a + (0.0,) * (grid.dimension - len(a))
+
+
+def _reference_continuity_residual(fields, dt, config, component):
+    """Per-axis continuity residual, one gradient and divergence per axis."""
+    grid = fields[0].grid
+    psis = [f.psi_plus if component == "plus" else f.psi_minus for f in fields]
+    rho = [np.abs(p) ** 2 for p in psis]
+    drho_dt = (rho[2] - rho[0]) / (2.0 * dt)
+    a = _reference_vector_potential(config, grid)
+    div = np.zeros(grid.shape)
+    grads = _reference_gradient(psis[1], grid)
+    for axis, (g, ai) in enumerate(zip(grads, a)):
+        flux = (
+            config.hbar * np.imag(np.conj(psis[1]) * g)
+            + config.charge * ai * rho[1]
+        ) / config.mass
+        k = grid.wavenumbers()[axis]
+        div += np.real(np.fft.ifftn(1j * k * np.fft.fftn(flux)))
+    residual = (drho_dt + div)[rho[1] > pauli.DENSITY_FLOOR]
+    return float(np.sqrt(np.mean(residual**2)))
+
+
+def _reference_hj_residual(fields, dt, config, component, floor=1e-6):
+    """Per-axis Hamilton-Jacobi residual with grad S = hbar Im(psi* grad psi)/rho."""
+    grid = fields[0].grid
+    psis = [f.psi_plus if component == "plus" else f.psi_minus for f in fields]
+    rho_mid = np.abs(psis[1]) ** 2
+    ds_dt = config.hbar * np.angle(psis[2] * np.conj(psis[0])) / (2.0 * dt)
+    a = _reference_vector_potential(config, grid)
+    mask = rho_mid > floor
+    kinetic = np.zeros(grid.shape)
+    for g, ai in zip(_reference_gradient(psis[1], grid), a):
+        grad_s = np.zeros(grid.shape)
+        grad_s[mask] = (
+            config.hbar * np.imag(np.conj(psis[1]) * g)[mask] / rho_mid[mask]
+        )
+        kinetic += (grad_s + config.charge * ai) ** 2
+    kinetic /= 2.0 * config.mass
+    v_plus, v_minus = config.potential_energy(grid)
+    v = v_plus if component == "plus" else v_minus
+    sqrt_rho = np.sqrt(rho_mid)
+    lap = np.zeros(grid.shape)
+    for k in grid.wavenumbers():
+        lap += np.real(np.fft.ifftn(-(k**2) * np.fft.fftn(sqrt_rho)))
+    quantum = np.zeros(grid.shape)
+    quantum[mask] = (
+        -config.hbar**2 / (2.0 * config.mass) * lap[mask] / sqrt_rho[mask]
+    )
+    residual = (ds_dt + kinetic + v + quantum)[mask]
+    return float(np.sqrt(np.mean(residual**2)))
+
+
 class TestGrid:
     def test_spacing_and_volume(self):
         grid = pauli.SpatialGrid(1, 256, 20.0)
@@ -161,6 +221,32 @@ class TestMadelung:
         res = pauli.hj_residual([before, mid, after], dt, config)
         scale = abs(pauli.total_energy(mid, config)) + 1.0
         assert res < 0.01 * scale
+
+    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("component", ["plus", "minus"])
+    def test_residuals_match_per_axis_reference(self, dimension, nodes, component):
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        coords = grid.coordinates()
+        r2 = sum(c**2 for c in coords)
+        phase = 0.5 * coords[0] - 0.3 * coords[-1]
+        state = pauli.SpinorField.normalized(
+            grid,
+            np.exp(-r2 / 4.0 + 1j * phase),
+            np.exp(-sum((c - 1.0) ** 2 for c in coords) / 3.0 - 1j * phase),
+        )
+        config = pauli.FieldConfig(
+            vector_potential=(0.3, -0.2), b_z=lambda x, *_: 0.4 + 0.1 * x
+        )
+        dt = 0.01
+        snaps = [pauli.evolve(state, config, dt, n) for n in (19, 20, 21)]
+        assert pauli.continuity_residual(
+            snaps, dt, config, component
+        ) == pytest.approx(
+            _reference_continuity_residual(snaps, dt, config, component), rel=1e-12
+        )
+        assert pauli.hj_residual(snaps, dt, config, component) == pytest.approx(
+            _reference_hj_residual(snaps, dt, config, component), rel=1e-12
+        )
 
     def test_snapshot_rows_shape(self):
         rows = pauli.snapshot_rows(packet_state(), stride=16)

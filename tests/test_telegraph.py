@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,11 +132,47 @@ class TestParity:
         assert tg.odd_flip_probability(model, 0.0) == 0.0
         assert tg.odd_flip_probability(model, 50.0) == pytest.approx(0.5)
 
-    def test_closed_form_requires_symmetric_exponential(self):
-        with pytest.raises(ValueError):
-            tg.odd_flip_probability(tg.DwellModel(1.0, 2.0), 1.0)
-        with pytest.raises(ValueError):
-            tg.odd_flip_probability(tg.DwellModel(1.0, 1.0, tg.FIXED), 1.0)
+    @pytest.mark.parametrize("tau_plus, tau_minus", [(1.0, 3.0), (2.5, 0.4)])
+    @pytest.mark.parametrize("delay", [0.2, 1.0, 3.0, 7.5])
+    def test_closed_form_asymmetric_exponential(self, tau_plus, tau_minus, delay):
+        # two-state Markov chain, the two initial trends weighted equally
+        rates = np.array([[-1.0 / tau_plus, 1.0 / tau_plus],
+                          [1.0 / tau_minus, -1.0 / tau_minus]])
+        transition = expm(rates * delay)
+        want = 0.5 * (transition[0, 1] + transition[1, 0])
+        model = tg.DwellModel(tau_plus, tau_minus)
+        assert tg.odd_flip_probability(model, delay) == pytest.approx(want, abs=1e-12)
+
+    def test_exponential_convention_pinned(self):
+        # equal initial-trend weights: 1/2 (1 - e^-4), not the stationary
+        # 2 pi+ pi- (1 - e^-4) that flip_parity samples
+        model = tg.DwellModel(1.0, 3.0)
+        assert tg.odd_flip_probability(model, 3.0) == pytest.approx(
+            0.4908421805556329, abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "tau_plus, tau_minus", [(1.0, 1.0), (1.0, 2.0), (3.0, 0.7)]
+    )
+    @pytest.mark.parametrize("delay", [0.5, 1.5, 2.9, 4.0, 9.3])
+    def test_closed_form_fixed_dwells(self, tau_plus, tau_minus, delay):
+        # fraction of the period's phases whose trend differs after delay,
+        # on a grid of midpoint phases
+        period = tau_plus + tau_minus
+        n = 200000
+        phase = (np.arange(n) + 0.5) * period / n
+        up = phase < tau_plus
+        up_later = np.mod(phase + delay, period) < tau_plus
+        want = float(np.mean(up != up_later))
+        model = tg.DwellModel(tau_plus, tau_minus, tg.FIXED)
+        assert tg.odd_flip_probability(model, delay) == pytest.approx(want, abs=1e-4)
+
+    @pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
+    def test_closed_form_delay_bounds(self, distribution):
+        model = tg.DwellModel(1.0, 2.0, distribution)
+        assert tg.odd_flip_probability(model, 0.0) == 0.0
+        with pytest.raises(ValueError, match="delay must be non-negative"):
+            tg.odd_flip_probability(model, -0.1)
 
     @pytest.mark.parametrize("delay", [0.1, 0.5, 1.5])
     def test_monte_carlo_matches_closed_form(self, delay):
