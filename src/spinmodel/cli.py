@@ -128,7 +128,8 @@ SCHEMA = {
     "stern-gerlach": {
         "samples": (COUNT, 100000),
         "beta": (REAL, math.pi / 3),
-        "m": (_numeric(int, 0), 1),
+        # bounds the O(m) Wallis product for Z_m: ~0.1 s at 1e6, ~1 s at 1e7
+        "m": (_numeric(int, 0, high=10**6), 1),
         "eta": (POSITIVE, 1.0),
         "transit_time": (POSITIVE, 1.0),
         # bounds the histogram's memory: 1e9 bins need 8 GB for the edges alone

@@ -186,15 +186,6 @@ def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
 # sampling
 
 
-def sample_pair_outcome(
-    model: BellPairModel, a: float, b: float, rng: np.random.Generator
-):
-    """One joint measurement: (S_A, S_B, branch_tag)."""
-    s_a, s_b, branch = sample_pair_outcomes(model, a, b, 1, rng)
-    tag = AXIS_Z if branch[0] == 0 else AXIS_Y
-    return int(s_a[0]), int(s_b[0]), tag
-
-
 def sample_pair_outcomes(
     model: BellPairModel,
     a: float,

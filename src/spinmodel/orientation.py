@@ -23,7 +23,6 @@ import numpy as np
 HBAR = 1.0
 
 DEFAULT_GRID_NODES = 2048
-MAX_SAMPLED_ORDER = 1000  # highest m the inverse-CDF table resolves
 _NORM_TOL = 1e-10
 
 
@@ -142,40 +141,21 @@ def closed_form_density(m: int, n_nodes: int = DEFAULT_GRID_NODES) -> GridDensit
     return GridDensity.from_unnormalized(thetas, eval_density(m, thetas))
 
 
-@lru_cache(maxsize=None)
-def _inverse_cdf_table(m: int, n_nodes: int = 4097):
-    thetas = theta_grid(n_nodes)
-    pdf = np.asarray(eval_density(m, thetas))
-    cdf = np.concatenate(
-        ([0.0], np.cumsum(np.diff(thetas) * (pdf[1:] + pdf[:-1]) / 2.0))
-    )
-    cdf /= cdf[-1]
-    # strictly increasing knots only; cos^{2m} has a flat CDF plateau at
-    # theta = pi/2 for large m, which interp handles as a jump
-    keep = np.concatenate(([True], np.diff(cdf) > 0))
-    return cdf[keep], thetas[keep]
-
-
 def sample_theta(m: int, rng: np.random.Generator, size=None):
-    """Draw theta ~ p_m by inverse-CDF interpolation on a monotone table.
+    """Draw theta ~ p_m exactly, for any order m >= 0.
 
-    Orders above MAX_SAMPLED_ORDER are rejected: the table's knots no
-    longer resolve the cos^{2m} peak there, and <cos^2 theta> drifts off
-    (2m+1)/(2m+2).
+    x = cos(theta) has density x^{2m} / (Z_m sqrt(1 - x^2)) on [-1, 1], so
+    cos^2(theta) ~ Beta(m + 1/2, 1/2), whose normaliser B(m + 1/2, 1/2) is
+    Z_m.  With G ~ Gamma(m + 1/2) and Z ~ N(0, 1), G / (G + Z^2 / 2) has
+    that law (Devroye 1986, ch. IX), and the sign of Z, independent of Z^2,
+    picks the hemisphere.  arctan2 keeps the angle's full resolution near
+    the poles, where the mass sits at large m.
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    if m > MAX_SAMPLED_ORDER:
-        raise ValueError(f"m must be <= {MAX_SAMPLED_ORDER} to sample, got {m}")
-    u = np.asarray(rng.random(size))
-    cdf, thetas = _inverse_cdf_table(m)
-    # interp's bracket search is cheap when successive queries are close, so
-    # look up sorted draws and scatter them back; each value is unchanged
-    flat = u.ravel()
-    order = np.argsort(flat)
-    out = np.empty_like(flat)
-    out[order] = np.interp(flat[order], cdf, thetas)
-    return out.reshape(u.shape) if u.ndim else out[0]
+    g = rng.standard_gamma(m + 0.5, size)
+    z = rng.standard_normal(size)
+    return np.arctan2(np.abs(z), np.copysign(np.sqrt(2.0 * g), z))
 
 
 # ---------------------------------------------------------------------------

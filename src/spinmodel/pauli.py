@@ -238,9 +238,10 @@ def _padded_vector_potential(config: FieldConfig, grid: SpatialGrid):
 def _current(fields: list[SpinorField], config: FieldConfig, component: str):
     """Each snapshot's component, and the middle one's rho, current and k.
 
-    The per-axis probability current (hbar Im(psi* grad psi) + e A rho)/m
-    equals rho (grad S + eA)/m wherever the Madelung phase is defined, but
-    needs no phase unwrapping.
+    The per-axis probability current (hbar Im(psi* grad psi) - e A rho)/m
+    equals rho (grad S - eA)/m wherever the Madelung phase is defined, the
+    velocity of the (i hbar grad + eA)^2 / 2m kinetic term that evolve
+    propagates with, but needs no phase unwrapping.
     """
     if len(fields) != 3:
         raise ValueError("need three consecutive snapshots")
@@ -253,7 +254,7 @@ def _current(fields: list[SpinorField], config: FieldConfig, component: str):
     current = [
         (
             config.hbar * np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat))
-            + config.charge * ai * rho
+            - config.charge * ai * rho
         ) / config.mass
         for k, ai in zip(ks, _padded_vector_potential(config, grid))
     ]
@@ -267,7 +268,7 @@ def continuity_residual(
     component: str = "plus",
     floor: float = DENSITY_FLOOR,
 ) -> float:
-    """RMS of d(rho)/dt + div(rho (grad S + eA))/m over three snapshots.
+    """RMS of d(rho)/dt + div(rho (grad S - eA))/m over three snapshots.
 
     Evaluated at the middle snapshot with central time differencing, with
     the flux taken as the probability current.  Near-zero-density regions
@@ -291,10 +292,10 @@ def hj_residual(
 ) -> float:
     """RMS residual of the extended Hamilton-Jacobi equation.
 
-    dS/dt + (grad S + eA)^2 / 2m + V - (hbar^2/2m) lap(sqrt rho)/sqrt rho,
+    dS/dt + (grad S - eA)^2 / 2m + V - (hbar^2/2m) lap(sqrt rho)/sqrt rho,
     with V the diagonal potential of the component.  dS/dt comes from the
     central phase difference arg(psi_after psi_before*)/(2 dt) and
-    (grad S + eA)/m from the probability current J/rho, so no global phase
+    (grad S - eA)/m from the probability current J/rho, so no global phase
     unwrapping is needed; masked where the density is below the floor.
     """
     psis, rho, current, ks = _current(fields, config, component)

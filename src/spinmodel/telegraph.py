@@ -60,9 +60,10 @@ class TelegraphTrajectory:
             raise ValueError("first segment must start at t = 0")
         if len(starts) != len(self.trends):
             raise ValueError("start_times and trends must have equal length")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if np.any(np.diff(starts) <= 0):
             raise ValueError("start times must be strictly increasing")
-        if any(t * u != -1 for t, u in zip(self.trends, self.trends[1:])):
+        trends = np.asarray(self.trends)
+        if np.any(trends[1:] * trends[:-1] != -1):
             raise ValueError("trends must alternate")
         if starts[-1] >= self.total_duration:
             raise ValueError("last segment must start before total_duration")

@@ -186,7 +186,7 @@ MALFORMED = [
     ("stern-gerlach", None, ["--bins", "1e300"], "bins"),
     ("stern-gerlach", "bins = 1000001", [], "bins"),
     ("variational", None, ["--nodes", "1"], "nodes"),
-    ("stern-gerlach", None, ["--m", "1001", "--samples", "10"], "m must be <= 1000"),
+    ("stern-gerlach", None, ["--m", "1000001", "--samples", "10"], "m:"),
     ("fluctuations", None, ["--omega", "5"], "omega"),
 ]
 

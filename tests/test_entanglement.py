@@ -79,12 +79,6 @@ class TestSampling:
         z = branch == 0
         assert np.all(s_a[z] * s_b[z] == -1)
 
-    def test_single_outcome_tags_branch(self):
-        rng = stream(21, "ent-single")
-        s_a, s_b, tag = ent.sample_pair_outcome(ent.PSI_MINUS, 0.0, 0.0, rng)
-        assert s_a in (-1, 1) and s_b in (-1, 1)
-        assert tag in (ent.AXIS_Z, ent.AXIS_Y)
-
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_estimator_matches_analytic(self, model):
         rng = stream(21, "ent-estimator", model.name)

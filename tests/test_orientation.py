@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 import spinmodel
 from spinmodel import orientation as om
@@ -157,18 +157,58 @@ class TestSampling:
 
     @pytest.mark.parametrize("m", [0, 1, 10, 300])
     @pytest.mark.parametrize("size", [None, 7, (3, 5)])
-    def test_draws_equal_direct_table_lookup(self, m, size):
-        # the sorted lookup must return exactly interp(u) for the same u
-        thetas = om.sample_theta(m, stream(7, "orientation-lookup", m), size)
-        u = stream(7, "orientation-lookup", m).random(size)
-        expected = np.interp(u, *om._inverse_cdf_table(m))
-        assert np.shape(thetas) == np.shape(expected)
-        assert np.array_equal(thetas, expected)
+    def test_shape_and_type_contract(self, m, size):
+        thetas = om.sample_theta(m, stream(7, "orientation-shape", m), size)
+        again = om.sample_theta(m, stream(7, "orientation-shape", m), size)
+        if size is None:
+            assert isinstance(thetas, float)
+        else:
+            assert isinstance(thetas, np.ndarray)
+            assert thetas.shape == np.empty(size).shape
+        assert np.all((0.0 <= thetas) & (thetas <= math.pi))
+        assert np.array_equal(thetas, again)
 
-    def test_rejects_orders_the_table_cannot_resolve(self):
-        om.sample_theta(om.MAX_SAMPLED_ORDER, stream(7, "orientation-cap"), 3)
-        with pytest.raises(ValueError, match="m must be <= 1000"):
-            om.sample_theta(om.MAX_SAMPLED_ORDER + 1, stream(7, "orientation-cap"))
+    @pytest.mark.parametrize("m", [0, 1, 10, 10**4, 10**6, 10**9])
+    def test_moments_match_beta_law(self, m):
+        # cos^2 theta ~ Beta(m + 1/2, 1/2): mean (2m+1)/(2m+2), variance
+        # (m + 1/2)/2 / ((m + 1)^2 (m + 2)); sin^2 theta = 1 - cos^2 theta
+        # resolves the poles, and cos theta is symmetric about 0
+        n = 400000
+        thetas = om.sample_theta(m, stream(7, "orientation-moments", m), n)
+        se = math.sqrt((m + 0.5) / 2.0 / ((m + 1) ** 2 * (m + 2)) / n)
+        cos_mean = (2 * m + 1) / (2 * m + 2)
+        assert abs(np.mean(np.cos(thetas) ** 2) - cos_mean) < 5 * se
+        assert abs(np.mean(np.sin(thetas) ** 2) - 1.0 / (2 * m + 2)) < 5 * se
+        assert abs(np.mean(np.cos(thetas))) < 5 * math.sqrt(cos_mean / n)
+
+    @pytest.mark.parametrize("m", [0, 1, 10])
+    def test_bin_counts_match_density_quadrature(self, m):
+        n = 200000
+        thetas = om.sample_theta(m, stream(7, "orientation-bins", m), n)
+        edges = np.linspace(0.0, math.pi, 31)
+        counts, _ = np.histogram(thetas, bins=edges)
+        probs = np.array([
+            integrate.quad(lambda t: om.eval_density(m, t), lo, hi, epsabs=1e-14)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ])
+        sigma = np.sqrt(n * probs * (1.0 - probs))
+        assert np.all(np.abs(counts - n * probs) <= 5 * sigma + 1e-9)
+
+    @pytest.mark.parametrize("m", [10**4, 10**6, 10**9])
+    def test_bin_counts_match_beta_law(self, m):
+        # sin^2 theta ~ Beta(1/2, m + 1/2), split evenly between the
+        # hemispheres; edges are scaled by the mean 1/(2m + 2)
+        n = 200000
+        thetas = om.sample_theta(m, stream(7, "orientation-beta-bins", m), n)
+        edges = np.array([0.0, 0.02, 0.1, 0.3, 0.6, 1.0, 2.0, 4.0, 8.0]) / (m + 1)
+        edges = np.append(edges, 1.0)
+        cdf = special.betainc(0.5, m + 0.5, edges)
+        probs = 0.5 * np.diff(cdf)
+        sin2 = np.sin(thetas) ** 2
+        for hemisphere in (thetas < math.pi / 2, thetas >= math.pi / 2):
+            counts, _ = np.histogram(sin2[hemisphere], bins=edges)
+            sigma = np.sqrt(n * probs * (1.0 - probs))
+            assert np.all(np.abs(counts - n * probs) <= 5 * sigma + 1e-9)
 
 
 class TestActionFunctional:

@@ -63,6 +63,19 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             tg.TelegraphTrajectory((0.5, 1.0), (+1, -1), 2.0)
 
+    @pytest.mark.parametrize(
+        "starts, trends, duration, message",
+        [
+            ((0.0, 1.0), (+1, -1, +1), 2.0, "equal length"),
+            ((0.0, 1.0, 1.0), (+1, -1, +1), 2.0, "strictly increasing"),
+            ((0.0, 1.5, 1.0), (+1, -1, +1), 2.0, "strictly increasing"),
+            ((0.0, 1.0, 2.0), (+1, -1, +1), 2.0, "before total_duration"),
+        ],
+    )
+    def test_rejects_malformed_segments(self, starts, trends, duration, message):
+        with pytest.raises(ValueError, match=message):
+            tg.TelegraphTrajectory(starts, trends, duration)
+
     def test_rejects_queries_outside_window(self):
         with pytest.raises(ValueError):
             self._traj().trend_at(4.5)
