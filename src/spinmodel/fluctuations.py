@@ -5,8 +5,8 @@ per-component variance hbar dt / 2m reproduces <dx dp> = hbar/2.  The
 rotational model gives the radius of random circular motion a
 half-Gaussian density, whose variational derivation and Monte Carlo
 average both land on <L_s> = hbar/2 independent of mass and frequency.
-The shift-averaged Kullback-Leibler metric converges to the Fisher-type
-functional (hbar/4m) int (grad rho)^2 / rho as dt -> 0.
+The Kullback-Leibler metric, averaged over the shift by Gauss-Hermite
+quadrature, converges to (hbar/4m) int (grad rho)^2 / rho as dt -> 0.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orientation import ConvergenceError
-
-_KL_BLOCK = 64  # shifts interpolated together in kl_shift_rate
 
 
 @dataclass(frozen=True)
@@ -166,29 +164,31 @@ def kl_shift_rate(
     x,
     rho,
     params: TranslationParams,
-    rng: np.random.Generator,
-    n_shifts: int = 4096,
+    rng: np.random.Generator | None = None,
+    n_shifts: int = 32,
 ) -> float:
     """Average KL divergence between rho and its fluctuation-shifted copy,
     per unit time: <D_KL(rho(x) || rho(x+w))>_w / dt with w ~ the
     translational kernel (1D).  Converges to fisher_functional as dt -> 0.
+    The average over w is an n_shifts-node probabilists' Gauss-Hermite rule,
+    so it is deterministic; 32 nodes reach the grid's interpolation error.
+    rng is unused, kept for callers that pass one.
     """
+    if n_shifts < 1 or n_shifts != int(n_shifts):
+        raise ValueError("n_shifts must be a whole number >= 1")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("density must be strictly positive")
     x = np.asarray(x, dtype=float)
-    sigma = math.sqrt(params.component_variance)
-    shifts = rng.normal(0.0, sigma, n_shifts)
-    log_rho = np.log(rho)
-    # per-node sum over shifts of log rho(x) - log rho(x + w); the integral
-    # is linear, so one trapezoid of rho * acc replaces one per shift.
-    # Subtracting per element, before summing, avoids the cancellation
-    # between two summed totals.
-    acc = np.zeros_like(rho)
-    for start in range(0, n_shifts, _KL_BLOCK):
-        w = shifts[start : start + _KL_BLOCK]
-        s = np.interp(x + w[:, None], x, rho, left=rho[0], right=rho[-1])
-        np.log(s, out=s)
-        np.subtract(log_rho, s, out=s)
-        acc += s.sum(axis=0)
-    return float(np.trapezoid(rho * acc, x)) / n_shifts / params.dt
+    # Golub & Welsch (Math. Comp. 23, 1969): nodes are the eigenvalues of the
+    # He_n Jacobi matrix, weights the squared first eigenvector components
+    k = np.sqrt(np.arange(1.0, n_shifts))
+    nodes, vectors = np.linalg.eigh(np.diag(k, 1) + np.diag(k, -1))
+    weights = vectors[0] ** 2
+    w = math.sqrt(params.component_variance) * nodes
+    s = np.interp(x + w[:, None], x, rho, left=rho[0], right=rho[-1])
+    # log rho(x) - log rho(x + w) per element, before the weighted sum, so two
+    # summed totals never cancel; einsum, not BLAS, as in uncertainty_product
+    np.log(s, out=s)
+    np.subtract(np.log(rho), s, out=s)
+    return float(np.trapezoid(rho * np.einsum("i,ij->j", weights, s), x)) / params.dt

@@ -9,7 +9,6 @@ fraction of time spent trending upward.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -46,38 +45,41 @@ class DwellModel:
         return self.tau_plus / (self.tau_plus + self.tau_minus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TelegraphTrajectory:
-    """Alternating trend segments tiling [0, total_duration] gaplessly."""
+    """Alternating trend segments tiling [0, total_duration] gaplessly, held
+    as read-only arrays; compare them with np.array_equal, not ==."""
 
-    start_times: tuple
-    trends: tuple  # +1 / -1, strictly alternating
+    start_times: np.ndarray
+    trends: np.ndarray  # +1 / -1, strictly alternating
     total_duration: float
 
     def __post_init__(self):
-        starts = self.start_times
-        if not starts or starts[0] != 0.0:
+        starts = np.asarray(self.start_times, dtype=float).view()
+        trends = np.asarray(self.trends).view()
+        starts.flags.writeable = trends.flags.writeable = False
+        object.__setattr__(self, "start_times", starts)
+        object.__setattr__(self, "trends", trends)
+        if not len(starts) or starts[0] != 0.0:
             raise ValueError("first segment must start at t = 0")
-        if len(starts) != len(self.trends):
+        if len(starts) != len(trends):
             raise ValueError("start_times and trends must have equal length")
         if np.any(np.diff(starts) <= 0):
             raise ValueError("start times must be strictly increasing")
-        trends = np.asarray(self.trends)
         if np.any(trends[1:] * trends[:-1] != -1):
             raise ValueError("trends must alternate")
         if starts[-1] >= self.total_duration:
             raise ValueError("last segment must start before total_duration")
 
     def segment_durations(self) -> np.ndarray:
-        bounds = np.append(np.asarray(self.start_times), self.total_duration)
-        return np.diff(bounds)
+        return np.diff(self.start_times, append=self.total_duration)
 
     def trend_at(self, t: float) -> int:
         """Trend at time t; boundary instants belong to the later segment."""
         if t < 0 or t > self.total_duration:
             raise ValueError("t outside [0, total_duration]")
-        idx = bisect.bisect_right(self.start_times, t) - 1
-        return self.trends[idx]
+        idx = np.searchsorted(self.start_times, t, side="right") - 1
+        return int(self.trends[idx])
 
     def switch_count(self) -> int:
         return len(self.trends) - 1
@@ -107,16 +109,13 @@ def simulate(
         if ends[-1] >= duration:
             break
     switches = int(np.searchsorted(ends, duration))
-    starts = (0.0, *ends[:switches].tolist())
-    trends = ((initial_trend, -initial_trend) * (switches // 2 + 1))[: switches + 1]
-    return TelegraphTrajectory(starts, trends, duration)
+    starts = np.concatenate(([0.0], ends[:switches]))
+    return TelegraphTrajectory(starts, np.resize(phase, switches + 1), duration)
 
 
 def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
     """Time fractions (up, down); they sum to 1 exactly."""
-    durations = traj.segment_durations()
-    trends = np.asarray(traj.trends)
-    up = float(durations[trends > 0].sum()) / traj.total_duration
+    up = float(traj.segment_durations()[traj.trends > 0].sum()) / traj.total_duration
     return up, 1.0 - up
 
 

@@ -108,6 +108,27 @@ class TestRun:
         name = "displacement_histogram.csv"
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_fluctuations_kl_rows_do_not_depend_on_seed(self, tmp_path, capsys):
+        tables = {}
+        for seed, out in (("1", "a"), ("1", "b"), ("2", "c")):
+            args = ["fluctuations", "--samples", "10000", "--seed", seed]
+            assert cli.run(args + ["--out", str(tmp_path / out)]) == cli.EXIT_OK
+            tables[out] = (tmp_path / out / "fluctuations.csv").read_bytes()
+        assert tables["a"] == tables["b"]
+        seed1, seed2 = (
+            {r["quantity"]: float(r["estimate"])
+             for r in csv.DictReader(tables[k].decode().splitlines())}
+            for k in ("a", "c")
+        )
+        kl = [q for q in seed1 if q.startswith("kl_over_fisher_")]
+        assert len(kl) == 3
+        for q in seed1:
+            if q in kl:
+                assert seed1[q] == seed2[q]
+                assert abs(seed1[q] - 1.0) < 1e-4
+            else:
+                assert seed1[q] != seed2[q]
+
     def test_csv_dialect(self, tmp_path, capsys):
         cli.run(["variational", "--out", str(tmp_path)])
         raw = (tmp_path / "variational.csv").read_bytes()

@@ -80,6 +80,22 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             self._traj().trend_at(4.5)
 
+    def test_stores_read_only_arrays(self):
+        traj = self._traj()
+        assert traj.start_times.dtype == np.float64
+        assert np.array_equal(traj.trends, (+1, -1, +1))
+        assert type(traj.trend_at(3.0)) is int
+        with pytest.raises(ValueError):
+            traj.start_times[1] = 0.5
+        with pytest.raises(ValueError):
+            traj.trends[0] = -1
+
+    def test_compares_by_identity(self):
+        # field-wise == would ask numpy for the truth of an array
+        traj = self._traj()
+        assert traj == traj
+        assert traj != self._traj()
+
 
 class TestSimulate:
     @settings(max_examples=30, deadline=None)
@@ -106,7 +122,7 @@ class TestSimulate:
         model = tg.DwellModel(1.0, 2.0, tg.FIXED)
         rng = stream(9, "tg-periodic")
         traj = tg.simulate(model, 9.5, +1, rng)
-        assert traj.start_times == (0.0, 1.0, 3.0, 4.0, 6.0, 7.0, 9.0)
+        assert np.array_equal(traj.start_times, (0.0, 1.0, 3.0, 4.0, 6.0, 7.0, 9.0))
 
 
 def _sequential_simulate(model, duration, initial_trend, rng):
@@ -135,8 +151,8 @@ def test_simulate_matches_sequential_reference(distribution, initial_trend, dura
     key = (9, "tg-sequential", distribution, initial_trend, duration)
     traj = tg.simulate(model, duration, initial_trend, stream(*key))
     starts, trends = _sequential_simulate(model, duration, initial_trend, stream(*key))
-    assert traj.start_times == starts
-    assert traj.trends == trends
+    assert np.array_equal(traj.start_times, starts)
+    assert np.array_equal(traj.trends, trends)
 
 
 class TestParity:
