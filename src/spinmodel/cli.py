@@ -112,7 +112,11 @@ def _flag(key, value):
 COUNT = _numeric(int, 1)
 REAL = _numeric(float, -math.inf)
 POSITIVE = _numeric(float, 0.0, strict=True)
-NODES = _numeric(int, 2)  # a grid needs two nodes to have a spacing
+# bounds the arrays of a draw or a grid: 1e7 float64 values take 80 MB each,
+# and a run at 1e7 peaks at 0.4-0.65 GiB RSS (1.7 GiB for pauli at 2^23 nodes)
+SAMPLES = _numeric(int, 1, high=10**7)
+NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
+ORDER = _numeric(int, 1, high=10**6)  # the bound on m below, for orders >= 1
 MODE = _choice(entanglement.ANALYTIC, entanglement.MONTE_CARLO)
 _PAIR = {  # the Bell state and the CHSH angles
     "state": (_choice(*entanglement.BELL_MODELS), "psi_minus"),
@@ -124,9 +128,9 @@ _PAIR = {  # the Bell state and the CHSH angles
 
 # subcommand -> key -> (parser, default)
 SCHEMA = {
-    "variational": {"orders": (_list_of(COUNT), "1,2,3"), "nodes": (NODES, 2048)},
+    "variational": {"orders": (_list_of(ORDER), "1,2,3"), "nodes": (NODES, 2048)},
     "stern-gerlach": {
-        "samples": (COUNT, 100000),
+        "samples": (SAMPLES, 100000),
         "beta": (REAL, math.pi / 3),
         # bounds the O(m) Wallis product for Z_m: ~0.1 s at 1e6, ~1 s at 1e7
         "m": (_numeric(int, 0, high=10**6), 1),
@@ -137,12 +141,12 @@ SCHEMA = {
     },
     "bell-test": {
         **_PAIR,
-        "samples": (COUNT, 1000000),
+        "samples": (SAMPLES, 1000000),
         "mode": (MODE, "monte_carlo"),
     },
     "bell-delay": {
         **_PAIR,
-        "samples": (COUNT, 200000),
+        "samples": (SAMPLES, 200000),
         "tau": (POSITIVE, 1.0),
         "delays": (_list_of(_numeric(float, 0.0)), "0,0.1,0.2,0.5,1,2,5,10"),
         "mode": (MODE, "analytic"),
@@ -158,7 +162,7 @@ SCHEMA = {
         "packet_width": (POSITIVE, 1.0),
     },
     "fluctuations": {
-        "samples": (COUNT, 1000000),
+        "samples": (SAMPLES, 1000000),
         "mass": (POSITIVE, 1.0),
         "dt": (POSITIVE, 1.0),
         "dt_sequence": (_list_of(POSITIVE), "0.1,0.01,0.001"),

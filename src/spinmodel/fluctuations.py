@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orientation import ConvergenceError
-
 
 @dataclass(frozen=True)
 class TranslationParams:
@@ -102,33 +100,21 @@ def expected_angular_momentum(
 
 
 def variational_radius_solve(
-    params: RotationParams,
-    u_max: float | None = None,
-    n_nodes: int = 4096,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    params: RotationParams, u_max: float | None = None, n_nodes: int = 4096
 ):
-    """Minimize the rotational action over radius densities.
+    """The radius density that minimizes the rotational action, on a grid.
 
     A_t = (m/2) dphi int p(u) omega u^2 du + (hbar/2) dphi int p ln(p/mu) du
-    under normalization; the stationarity condition is solved per node and
-    renormalized until the iterates settle.  dphi scales the whole action,
-    so the stationary density does not depend on it.  Returns (u_grid,
+    under normalization is minimized by the half-Gaussian exp(-m omega u^2 /
+    hbar), returned normalized on the grid [0, u_max].  dphi scales the
+    whole action, so the density does not depend on it.  Returns (u_grid,
     density).
     """
     if u_max is None:
         u_max = 6.0 * params.radius_scale
     u = np.linspace(0.0, u_max, n_nodes)
-    p = np.full_like(u, 1.0 / u_max)
-    scale = params.mass * params.omega / params.hbar
-    for _ in range(max_iter):
-        target = np.exp(-scale * u**2)
-        target /= np.trapezoid(target, u)
-        residual = float(np.max(np.abs(target - p)))
-        p = target
-        if residual < tol:
-            return u, p
-    raise ConvergenceError("radius solve did not converge", residual)
+    p = np.exp(-params.mass * params.omega / params.hbar * u**2)
+    return u, p / np.trapezoid(p, u)
 
 
 def rotational_action(u, p, params: RotationParams, delta_phi: float = 1.0):

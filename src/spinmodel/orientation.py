@@ -3,11 +3,10 @@
 The polar angle theta between the angular momentum and the field axis
 carries a family of stationary densities  p_m(theta) = cos^{2m}(theta)/Z_m
 on [0, pi], indexed by a non-negative integer order m (m = 0 is the
-uniform, field-free case).  The family arises as the stationary solution
-of an action functional combining a precession energy term with a
-relative-entropy penalty (Tsallis or Renyi of order alpha = 1 + 1/(2m));
-the Kullback-Leibler variant is implemented for contrast and yields an
-exponential-of-cosine density instead.
+uniform, field-free case).  The model derives the family from an action
+functional combining a precession energy term with a relative-entropy
+penalty (Tsallis or Renyi of order alpha = 1 + 1/(2m)); the
+Kullback-Leibler variant yields an exponential-of-cosine density instead.
 
 Units: hbar = 1 throughout the package.
 """
@@ -27,7 +26,7 @@ _NORM_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solve stalls; carries the last residual."""
+    """Numerical non-convergence; `pauli.evolve` raises it on non-finite values."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual={residual:.3e})")
@@ -53,6 +52,8 @@ class GridDensity:
         values = np.asarray(self.values, dtype=float)
         if thetas.shape != values.shape or thetas.ndim != 1:
             raise ValueError("thetas and values must be matching 1-d arrays")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("density values must be finite")
         if np.any(values < 0):
             raise ValueError("density values must be non-negative")
         object.__setattr__(self, "thetas", thetas)
@@ -184,7 +185,6 @@ class ActionSpec:
     delta_phi: float = 1.0
     divergence: str = TSALLIS
     m: int = 1
-    prior: GridDensity | None = None
 
     def __post_init__(self):
         if self.delta_phi <= 0:
@@ -201,25 +201,19 @@ class ActionSpec:
         return alpha_from_m(self.m)
 
 
-def _prior_values(spec: ActionSpec, thetas: np.ndarray) -> np.ndarray:
-    if spec.prior is None:
-        return np.full_like(thetas, 1.0 / np.pi)
-    return np.interp(thetas, spec.prior.thetas, spec.prior.values)
-
-
 def divergence_term(density: GridDensity, spec: ActionSpec) -> float:
-    """Information metric I_f of the density against the prior.
+    """Information metric I_f of the density against the uniform s = 1/pi.
 
     Tsallis: ( dphi * int p^a / s^(a-1) - 1 ) / (a - 1)
     Renyi:   ln( dphi * int p^a / s^(a-1) ) / (a - 1)
     K-L:     dphi * int p ln(p / s)
     """
     thetas, p = density.thetas, density.values
-    sigma = _prior_values(spec, thetas)
+    sigma = 1.0 / np.pi
     if spec.divergence == KULLBACK_LEIBLER:
         mask = p > 0
         integrand = np.zeros_like(p)
-        integrand[mask] = p[mask] * np.log(p[mask] / sigma[mask])
+        integrand[mask] = p[mask] * np.log(p[mask] / sigma)
         return spec.delta_phi * float(np.trapezoid(integrand, thetas))
     a = spec.alpha
     if a == 1.0:
@@ -241,43 +235,19 @@ def total_action(density: GridDensity, spec: ActionSpec) -> float:
 
 
 def variational_solve(
-    spec: ActionSpec,
-    n_nodes: int = DEFAULT_GRID_NODES,
-    tol: float = 1e-10,
-    max_iter: int = 500,
+    spec: ActionSpec, n_nodes: int = DEFAULT_GRID_NODES
 ) -> GridDensity:
-    """Stationary density of the action functional under normalization.
+    """The closed-form density of the spec's divergence, normalized on the grid.
 
-    Solves the per-node Lagrange stationarity condition by fixed-point
-    iteration with renormalization after each update.  For Tsallis and
-    Renyi of order m the stationary family is cos^{2m}(theta)/Z_m (the
-    Renyi condition carries an extra p-dependent scalar factor that the
-    renormalization absorbs); for Kullback-Leibler it is the strictly
-    positive exp((g_s L_s / hbar) cos theta) family.
+    Tsallis and Renyi of order m give cos^{2m}(theta)/Z_m, the
+    `closed_form_density`; Kullback-Leibler gives the strictly positive
+    exp((g_s L_s / hbar) cos theta).  No stationarity condition is solved.
     """
+    if spec.divergence != KULLBACK_LEIBLER:
+        return closed_form_density(spec.m, n_nodes)
     thetas = theta_grid(n_nodes)
-    sigma = _prior_values(spec, thetas)
-    p = np.full_like(thetas, 1.0 / np.pi)
-
-    for _ in range(max_iter):
-        if spec.divergence == KULLBACK_LEIBLER:
-            target = sigma * np.exp(spec.g_s * spec.L_s / HBAR * np.cos(thetas))
-        else:
-            if spec.divergence == RENYI:
-                a = spec.alpha
-                scale = spec.delta_phi * float(
-                    np.trapezoid(p**a / sigma ** (a - 1.0), thetas)
-                )
-            else:
-                scale = 1.0
-            target = sigma * (scale * np.cos(thetas)) ** (2 * spec.m)
-        target = target / np.trapezoid(target, thetas)
-        residual = float(np.max(np.abs(target - p)))
-        p = target
-        if residual < tol:
-            return GridDensity(thetas, p)
-    raise ConvergenceError(
-        f"variational solve did not converge in {max_iter} iterations", residual
+    return GridDensity.from_unnormalized(
+        thetas, np.exp(spec.g_s * spec.L_s / HBAR * np.cos(thetas))
     )
 
 

@@ -209,6 +209,11 @@ MALFORMED = [
     ("variational", None, ["--nodes", "1"], "nodes"),
     ("stern-gerlach", None, ["--m", "1000001", "--samples", "10"], "m:"),
     ("fluctuations", None, ["--omega", "5"], "omega"),
+    ("variational", None, ["--orders", "1e8"], "orders"),
+    ("variational", None, ["--nodes", "1e15"], "nodes"),
+    ("stern-gerlach", None, ["--samples", "1e15"], "samples"),
+    ("fluctuations", None, ["--samples", "1e15"], "samples"),
+    ("bell-test", None, ["--mode", "monte_carlo", "--samples", "1e300"], "samples"),
 ]
 
 

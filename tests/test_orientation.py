@@ -114,6 +114,11 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             om.GridDensity(t, v)
 
+    def test_rejects_non_finite_values(self):
+        t = om.theta_grid(64)
+        with pytest.raises(ValueError, match="finite"):
+            om.GridDensity(t, np.full_like(t, np.nan))
+
     def test_from_unnormalized(self):
         t = om.theta_grid(256)
         d = om.GridDensity.from_unnormalized(t, np.cos(t) ** 2)
@@ -281,11 +286,19 @@ class TestVariationalSolve:
         assert float(np.max(np.abs(solved.values - target))) <= 1e-6
         assert np.all(solved.values > 0)
 
-    def test_raises_when_budget_exhausted(self):
-        spec = om.ActionSpec(divergence=om.TSALLIS, m=1)
-        with pytest.raises(om.ConvergenceError) as exc:
-            om.variational_solve(spec, max_iter=1)
-        assert exc.value.residual > 0
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_tsallis_and_renyi_share_the_closed_form(self, m):
+        closed = om.closed_form_density(m, n_nodes=512)
+        for div in (om.TSALLIS, om.RENYI):
+            solved = om.variational_solve(om.ActionSpec(divergence=div, m=m), 512)
+            assert np.array_equal(solved.values, closed.values)
+            assert np.array_equal(solved.thetas, closed.thetas)
+
+    def test_kl_overflow_is_rejected(self):
+        # exp(g_s L_s cos theta) overflows to inf, and inf / inf is NaN
+        spec = om.ActionSpec(divergence=om.KULLBACK_LEIBLER, g_s=1e4)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            om.variational_solve(spec)
 
 
 class TestLimitDensity:
