@@ -156,7 +156,9 @@ SCHEMA = {
         "nodes": (NODES, 256),
         "extent": (POSITIVE, 20.0),
         "dt": (POSITIVE, 0.001),
-        "steps": (COUNT, 1000),
+        # bounds the run time: 10^6 Strang steps take ~40 s at 256 nodes,
+        # and the time grows with nodes x steps
+        "steps": (_numeric(int, 1, high=10**6), 1000),
         "b_z": (REAL, 1.0),
         "stride": (COUNT, 8),
         "packet_width": (POSITIVE, 1.0),
@@ -167,7 +169,9 @@ SCHEMA = {
         "dt": (POSITIVE, 1.0),
         "dt_sequence": (_list_of(POSITIVE), "0.1,0.01,0.001"),
     },
-    "oracle-check": {"pairs": (COUNT, 100)},
+    # bounds the per-pair loop, which keeps every row: 10^5 pairs take ~5 s
+    # and 71 MiB
+    "oracle-check": {"pairs": (_numeric(int, 1, high=10**5), 100)},
 }
 # a key shared by several subcommands has the same parser in each
 PARSERS = {key: parse for keys in SCHEMA.values() for key, (parse, _) in keys.items()}

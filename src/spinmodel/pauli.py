@@ -166,30 +166,30 @@ def evolve(
     field: SpinorField, config: FieldConfig, dt: float, steps: int
 ) -> SpinorField:
     """Advance the spinor by `steps` Strang-split time steps."""
-    if abs(norm(field) - 1.0) > NORM_TOL:
+    if not abs(norm(field) - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise ValueError("input field must be normalized")
     if dt <= 0 or steps < 0:
         raise ValueError("dt must be positive and steps non-negative")
     grid = field.grid
-    v_plus, v_minus = config.potential_energy(grid)
-    half_plus = np.exp(-0.5j * dt / config.hbar * v_plus)
-    half_minus = np.exp(-0.5j * dt / config.hbar * v_minus)
+    half = np.exp(-0.5j * dt / config.hbar * np.stack(config.potential_energy(grid)))
     kinetic = np.exp(-1j * dt / config.hbar * _kinetic_energy(grid, config))
-
-    psi_p = field.psi_plus.copy()
-    psi_m = field.psi_minus.copy()
+    # fftn's axis order, last axis first, gives fftn's bits; not ifft2(out=):
+    # numpy 2.4's ifft2 drops out, which would leave psi in k-space
+    axes = range(-1, -grid.dimension - 1, -1)
+    psi = np.stack((field.psi_plus, field.psi_minus), dtype=complex)
     for step in range(steps):
-        psi_p *= half_plus
-        psi_m *= half_minus
-        psi_p = np.fft.ifftn(np.fft.fftn(psi_p) * kinetic)
-        psi_m = np.fft.ifftn(np.fft.fftn(psi_m) * kinetic)
-        psi_p *= half_plus
-        psi_m *= half_minus
-        if not (np.all(np.isfinite(psi_p.real)) and np.all(np.isfinite(psi_m.real))):
+        psi *= half
+        for axis in axes:
+            np.fft.fft(psi, axis=axis, out=psi)
+        psi *= kinetic
+        for axis in axes:
+            np.fft.ifft(psi, axis=axis, out=psi)
+        psi *= half
+        if not np.isfinite(psi).all():
             raise ConvergenceError(
                 f"non-finite amplitudes at step {step}", math.nan
             )
-    return SpinorField(grid, psi_p, psi_m)
+    return SpinorField(grid, psi[0], psi[1])
 
 
 # ---------------------------------------------------------------------------

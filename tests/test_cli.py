@@ -214,6 +214,8 @@ MALFORMED = [
     ("stern-gerlach", None, ["--samples", "1e15"], "samples"),
     ("fluctuations", None, ["--samples", "1e15"], "samples"),
     ("bell-test", None, ["--mode", "monte_carlo", "--samples", "1e300"], "samples"),
+    ("pauli", None, ["--steps", "1000001"], "steps"),
+    ("oracle-check", "pairs = 1e6", [], "pairs"),
 ]
 
 

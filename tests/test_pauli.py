@@ -13,6 +13,43 @@ def packet_state(grid=None, momentum=0.0, width=1.0):
     return pauli.SpinorField.normalized(grid, psi, psi)
 
 
+def _reference_evolve(field, config, dt, steps):
+    """Per-component Strang loop with one fftn/ifftn pair per component."""
+    v_plus, v_minus = config.potential_energy(field.grid)
+    half_plus = np.exp(-0.5j * dt / config.hbar * v_plus)
+    half_minus = np.exp(-0.5j * dt / config.hbar * v_minus)
+    energy = pauli._kinetic_energy(field.grid, config)
+    kinetic = np.exp(-1j * dt / config.hbar * energy)
+    psi_p, psi_m = field.psi_plus.copy(), field.psi_minus.copy()
+    for _ in range(steps):
+        psi_p *= half_plus
+        psi_m *= half_minus
+        psi_p = np.fft.ifftn(np.fft.fftn(psi_p) * kinetic)
+        psi_m = np.fft.ifftn(np.fft.fftn(psi_m) * kinetic)
+        psi_p *= half_plus
+        psi_m *= half_minus
+    return psi_p, psi_m
+
+
+def two_component_state(grid):
+    """Distinct, moving packets in each component, in 1-D or 2-D."""
+    coords = grid.coordinates()
+    phase = 0.5 * coords[0] - 0.3 * coords[-1]
+    return pauli.SpinorField.normalized(
+        grid,
+        np.exp(-sum(c**2 for c in coords) / 4.0 + 1j * phase),
+        np.exp(-sum((c - 1.0) ** 2 for c in coords) / 3.0 - 1j * phase),
+    )
+
+
+def non_uniform_fields(**extra):
+    return pauli.FieldConfig(
+        b_z=lambda x, *rest: 0.4 + 0.1 * x - 0.05 * sum(rest, 0.0),
+        scalar_potential=lambda *xs: -0.05 * sum(x**2 for x in xs),
+        **extra,
+    )
+
+
 def _reference_gradient(psi, grid):
     psi_hat = np.fft.fftn(psi)
     return [np.fft.ifftn(1j * k * psi_hat) for k in grid.wavenumbers()]
@@ -146,9 +183,63 @@ class TestUnitarity:
         with pytest.raises(ValueError):
             pauli.evolve(bad, pauli.FieldConfig(), 0.001, 1)
 
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_rejects_non_finite_input(self, steps):
+        grid = pauli.SpatialGrid(1, 64, 10.0)
+        psi = pauli.gaussian_packet(grid)
+        psi[3] = np.nan
+        bad = pauli.SpinorField(grid, psi, psi)
+        with pytest.raises(ValueError, match="normalized"):
+            pauli.evolve(bad, pauli.FieldConfig(), 0.001, steps)
+
     def test_non_finite_amplitudes_are_non_convergence(self):
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="step 0"):
             pauli.evolve(packet_state(), pauli.FieldConfig(b_z=1.0), 1e307, 2)
+
+
+class TestStackedSteps:
+    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
+    def test_bit_identical_to_per_component_loop(self, dimension, nodes):
+        state = two_component_state(pauli.SpatialGrid(dimension, nodes, 20.0))
+        config = non_uniform_fields(vector_potential=(0.3, -0.2))
+        before = state.psi_plus.copy(), state.psi_minus.copy()
+        evolved = pauli.evolve(state, config, 0.01, 25)
+        psi_p, psi_m = _reference_evolve(state, config, 0.01, 25)
+        assert np.array_equal(evolved.psi_plus, psi_p)
+        assert np.array_equal(evolved.psi_minus, psi_m)
+        assert np.array_equal(state.psi_plus, before[0])
+        assert np.array_equal(state.psi_minus, before[1])
+
+
+class TestTwoDimensional:
+    grid = pauli.SpatialGrid(2, 64, 20.0)
+
+    def test_norm_drift_with_non_uniform_fields(self):
+        evolved = pauli.evolve(
+            two_component_state(self.grid), non_uniform_fields(), 0.005, 400
+        )
+        assert abs(pauli.norm(evolved) - 1.0) <= 1e-10
+
+    def test_energy_conserved_at_uniform_field(self):
+        state = two_component_state(self.grid)
+        config = pauli.FieldConfig(vector_potential=(0.3, -0.2), b_z=0.8)
+        e0 = pauli.total_energy(state, config)
+        evolved = pauli.evolve(state, config, 0.005, 400)
+        assert abs(pauli.total_energy(evolved, config) - e0) <= 1e-9 * abs(e0)
+
+    def test_larmor_relative_phase(self):
+        x, y = self.grid.coordinates()
+        psi = np.exp(-(x**2 + y**2) / 4.0 + 0.5j * x)
+        state = pauli.SpinorField.normalized(self.grid, psi, psi)
+        b_z, dt, steps = 0.8, 0.005, 400
+        config = pauli.FieldConfig(
+            b_z=b_z, scalar_potential=lambda x, y: -0.05 * (x**2 + 2 * y**2)
+        )
+        delta = pauli.relative_phase(pauli.evolve(state, config, dt, steps))
+        expected = config.charge * b_z / config.mass * dt * steps
+        assert delta == pytest.approx(
+            math.atan2(math.sin(expected), math.cos(expected)), abs=1e-9
+        )
 
 
 class TestLarmor:
@@ -238,15 +329,7 @@ class TestMadelung:
     @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
     @pytest.mark.parametrize("component", ["plus", "minus"])
     def test_residuals_match_per_axis_reference(self, dimension, nodes, component):
-        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
-        coords = grid.coordinates()
-        r2 = sum(c**2 for c in coords)
-        phase = 0.5 * coords[0] - 0.3 * coords[-1]
-        state = pauli.SpinorField.normalized(
-            grid,
-            np.exp(-r2 / 4.0 + 1j * phase),
-            np.exp(-sum((c - 1.0) ** 2 for c in coords) / 3.0 - 1j * phase),
-        )
+        state = two_component_state(pauli.SpatialGrid(dimension, nodes, 20.0))
         config = pauli.FieldConfig(
             vector_potential=(0.3, -0.2), b_z=lambda x, *_: 0.4 + 0.1 * x
         )
