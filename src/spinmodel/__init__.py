@@ -27,4 +27,4 @@ from . import (  # noqa: E402,F401
     streams,
     telegraph,
 )
-from .orientation import ConvergenceError  # noqa: F401
+from .pauli import ConvergenceError  # noqa: F401

@@ -31,7 +31,7 @@ from . import __version__
 from . import entanglement, fluctuations, orientation, pauli, qm_oracle
 from . import stern_gerlach as sg
 from . import telegraph
-from .orientation import ConvergenceError
+from .pauli import ConvergenceError
 from .streams import stream
 
 ENV_OUT = "SPINMODEL_OUT"
@@ -156,8 +156,8 @@ SCHEMA = {
         "nodes": (NODES, 256),
         "extent": (POSITIVE, 20.0),
         "dt": (POSITIVE, 0.001),
-        # bounds the run time: 10^6 Strang steps take ~40 s at 256 nodes,
-        # and the time grows with nodes x steps
+        # bounds the run time: 10^6 Strang steps take ~40 s at 256 nodes;
+        # run_pauli also bounds nodes x steps by PAULI_NODE_STEPS
         "steps": (_numeric(int, 1, high=10**6), 1000),
         "b_z": (REAL, 1.0),
         "stride": (COUNT, 8),
@@ -173,6 +173,10 @@ SCHEMA = {
     # and 71 MiB
     "oracle-check": {"pairs": (_numeric(int, 1, high=10**5), 100)},
 }
+# bounds a pauli run's time: a 1-D Strang step costs ~60-370 ns per node
+# between 256 and 2^20 nodes (2-core host), so 256 x 10^6 node-steps, the
+# default grid at the steps bound, take ~15-95 s
+PAULI_NODE_STEPS = 256 * 10**6
 # a key shared by several subcommands has the same parser in each
 PARSERS = {key: parse for keys in SCHEMA.values() for key, (parse, _) in keys.items()}
 
@@ -294,8 +298,7 @@ def run_stern_gerlach(config, seed, out_dir, fmt):
     outcomes = sg.measure_many(orientation.TwoPointDensity(p_up, 1.0 - p_up), rng, n)
     up_fraction = float(np.mean(outcomes == sg.UP))
     apparatus = sg.ApparatusConfig(
-        axis_angle=beta, gradient=config["eta"], transit_time=config["transit_time"],
-        m=config["m"],
+        gradient=config["eta"], transit_time=config["transit_time"], m=config["m"]
     )
     _, edges, counts = sg.displacement_distribution(
         apparatus.m, apparatus, n, rng, bins=config["bins"]
@@ -374,6 +377,11 @@ def run_bell_delay(config, seed, out_dir, fmt):
 
 
 def run_pauli(config, seed, out_dir, fmt):
+    if config["nodes"] * config["steps"] > PAULI_NODE_STEPS:
+        raise ConfigError(
+            f"nodes x steps: must be <= {PAULI_NODE_STEPS}, got "
+            f"{config['nodes']} x {config['steps']}"
+        )
     grid = pauli.SpatialGrid(1, config["nodes"], config["extent"])
     packet = pauli.gaussian_packet(grid, width=config["packet_width"])
     init = pauli.SpinorField.normalized(grid, packet, packet)

@@ -86,9 +86,6 @@ class JointTwoPointDensity:
             raise ValueError("weights must sum to 1")
         object.__setattr__(self, "weights", w)
 
-    def as_matrix(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float).reshape(2, 2)
-
 
 def joint_density(model: BellPairModel, axis: str) -> JointTwoPointDensity:
     kind = {AXIS_Z: model.z_correlation, AXIS_Y: model.y_correlation}.get(axis)
@@ -112,15 +109,6 @@ def branch_expectation(correlation: str, alpha: float, beta: float) -> float:
 def correlation(model: BellPairModel, a: float, b: float) -> float:
     """E(a, b): sum of the z-branch and the complementary y-branch terms."""
     return _correlation(_coincidences(_outcome_table(model, a, b)))
-
-
-def time_constraint_satisfied(
-    t_alice: float, t_bob: float, tau_plus: float
-) -> bool:
-    """Whether Bob measures soon enough for Alice's inference to hold."""
-    if t_bob < t_alice:
-        raise ValueError("t_bob must not precede t_alice")
-    return (t_bob - t_alice) < tau_plus
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +158,8 @@ def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
     S_A S_B are +/-1 with mean E/2, so the estimator's standard error is
     2 sqrt((1 - (E/2)^2) / n).
     """
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"n must be a whole number >= 1, got {n!r}")
     if mode == ANALYTIC:
         cells = _coincidences(table)
         return _correlation(cells), 0.0, tuple([n * w for w in cells])
@@ -313,15 +303,3 @@ def outcome_counts(s_a: np.ndarray, s_b: np.ndarray) -> dict:
         "-+": int(np.sum((s_a < 0) & (s_b > 0))),
         "--": int(np.sum((s_a < 0) & (s_b < 0))),
     }
-
-
-def rank_one_residual(density: JointTwoPointDensity) -> float:
-    """Max-abs residual of the best rank-1 approximation of the weights.
-
-    A factorizable (product) joint density has residual 0; the Bell-state
-    densities do not factorize.
-    """
-    w = density.as_matrix()
-    u, s, vt = np.linalg.svd(w)
-    approx = s[0] * np.outer(u[:, 0], vt[0])
-    return float(np.max(np.abs(w - approx)))

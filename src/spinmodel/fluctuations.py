@@ -2,9 +2,9 @@
 
 Translational fluctuations follow a Gaussian transition kernel whose
 per-component variance hbar dt / 2m reproduces <dx dp> = hbar/2.  The
-rotational model gives the radius of random circular motion a
-half-Gaussian density, whose variational derivation and Monte Carlo
-average both land on <L_s> = hbar/2 independent of mass and frequency.
+rotational model samples the radius u of random circular motion as
+|N(0, hbar / 2 m omega)|, so the Monte Carlo average of m omega u^2 lands
+on <L_s> = hbar/2 independent of mass and frequency.
 The Kullback-Leibler metric, averaged over the shift by Gauss-Hermite
 quadrature, converges to (hbar/4m) int (grad rho)^2 / rho as dt -> 0.
 """
@@ -74,17 +74,6 @@ def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float
 # rotational model
 
 
-def radius_density(u, params: RotationParams):
-    """Half-Gaussian density (1/Z) exp(-m omega u^2 / hbar) on u >= 0."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise ValueError("radius must be non-negative")
-    scale = params.mass * params.omega / params.hbar
-    z = 0.5 * math.sqrt(math.pi / scale)
-    out = np.exp(-scale * u**2) / z
-    return out if out.ndim else float(out)
-
-
 def sample_radius(params: RotationParams, rng: np.random.Generator, size=None):
     return np.abs(rng.normal(0.0, params.radius_scale, size))
 
@@ -97,38 +86,6 @@ def expected_angular_momentum(
         raise ValueError("need at least 1e4 samples")
     u = sample_radius(params, rng, n)
     return float(np.mean(params.mass * params.omega * u**2))
-
-
-def variational_radius_solve(
-    params: RotationParams, u_max: float | None = None, n_nodes: int = 4096
-):
-    """The radius density that minimizes the rotational action, on a grid.
-
-    A_t = (m/2) dphi int p(u) omega u^2 du + (hbar/2) dphi int p ln(p/mu) du
-    under normalization is minimized by the half-Gaussian exp(-m omega u^2 /
-    hbar), returned normalized on the grid [0, u_max].  dphi scales the
-    whole action, so the density does not depend on it.  Returns (u_grid,
-    density).
-    """
-    if u_max is None:
-        u_max = 6.0 * params.radius_scale
-    u = np.linspace(0.0, u_max, n_nodes)
-    p = np.exp(-params.mass * params.omega / params.hbar * u**2)
-    return u, p / np.trapezoid(p, u)
-
-
-def rotational_action(u, p, params: RotationParams, delta_phi: float = 1.0):
-    """The functional being minimized; exposed for the test oracles."""
-    mu = 1.0 / (u[-1] - u[0])
-    mask = p > 0
-    entropy = np.zeros_like(p)
-    entropy[mask] = p[mask] * np.log(p[mask] / mu)
-    classical = 0.5 * params.mass * params.omega * np.trapezoid(p * u**2, u)
-    return delta_phi * (classical + 0.5 * params.hbar * np.trapezoid(entropy, u))
-
-
-def mean_square_radius(u, p) -> float:
-    return float(np.trapezoid(p * u**2, u))
 
 
 # ---------------------------------------------------------------------------

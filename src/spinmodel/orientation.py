@@ -3,10 +3,12 @@
 The polar angle theta between the angular momentum and the field axis
 carries a family of stationary densities  p_m(theta) = cos^{2m}(theta)/Z_m
 on [0, pi], indexed by a non-negative integer order m (m = 0 is the
-uniform, field-free case).  The model derives the family from an action
-functional combining a precession energy term with a relative-entropy
-penalty (Tsallis or Renyi of order alpha = 1 + 1/(2m)); the
-Kullback-Leibler variant yields an exponential-of-cosine density instead.
+uniform, field-free case).  `total_action` evaluates the model's action
+functional, a precession energy term plus a relative-entropy penalty
+(Tsallis or Renyi of order alpha = 1 + 1/(2m), or Kullback-Leibler);
+`variational_solve` returns the closed-form density of each divergence,
+cos^{2m}(theta)/Z_m for Tsallis and Renyi and an exponential of
+cos(theta) for Kullback-Leibler, without solving a stationarity condition.
 
 Units: hbar = 1 throughout the package.
 """
@@ -23,14 +25,6 @@ HBAR = 1.0
 
 DEFAULT_GRID_NODES = 2048
 _NORM_TOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    """Numerical non-convergence; `pauli.evolve` raises it on non-finite values."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual={residual:.3e})")
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +89,6 @@ class TwoPointDensity:
 
 def theta_grid(n_nodes: int = DEFAULT_GRID_NODES) -> np.ndarray:
     return np.linspace(0.0, np.pi, n_nodes)
-
-
-def uniform_density(n_nodes: int = DEFAULT_GRID_NODES) -> GridDensity:
-    thetas = theta_grid(n_nodes)
-    return GridDensity(thetas, np.full_like(thetas, 1.0 / np.pi))
 
 
 # ---------------------------------------------------------------------------

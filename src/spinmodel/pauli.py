@@ -16,15 +16,16 @@ extended Hamilton-Jacobi residual diagnostics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .orientation import ConvergenceError
-
 NORM_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
+
+
+class ConvergenceError(RuntimeError):
+    """Numerical non-convergence: `evolve` produced non-finite amplitudes."""
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,7 @@ def evolve(
             np.fft.ifft(psi, axis=axis, out=psi)
         psi *= half
         if not np.isfinite(psi).all():
-            raise ConvergenceError(
-                f"non-finite amplitudes at step {step}", math.nan
-            )
+            raise ConvergenceError(f"non-finite amplitudes at step {step}")
     return SpinorField(grid, psi[0], psi[1])
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .orientation import (
     GridDensity,
     TwoPointDensity,
-    eval_density,
     normalization_constant,
     sample_theta,
 )
@@ -29,9 +28,8 @@ DOWN = -1
 
 @dataclass(frozen=True)
 class ApparatusConfig:
-    """Geometry and field of one Stern-Gerlach apparatus."""
+    """Field, transit time and order of one Stern-Gerlach apparatus."""
 
-    axis_angle: float = 0.0
     gradient: float = 1.0
     transit_time: float = 1.0
     m: int | None = 1  # None means the quantized limit
@@ -44,24 +42,6 @@ class ApparatusConfig:
             raise ValueError("transit_time must be positive")
         if self.gradient < 0:
             raise ValueError("gradient must be non-negative")
-
-
-@dataclass(frozen=True)
-class SpinOutcome:
-    value: int  # +1 up, -1 down
-    axis_angle: float = 0.0
-
-    def __post_init__(self):
-        if self.value not in (UP, DOWN):
-            raise ValueError("outcome value must be +1 or -1")
-
-
-def measure(
-    density: TwoPointDensity, rng: np.random.Generator, axis_angle: float = 0.0
-) -> SpinOutcome:
-    """Draw one quantized outcome from a two-point density."""
-    value = UP if rng.random() < density.weight_up else DOWN
-    return SpinOutcome(value, axis_angle)
 
 
 def measure_many(density: TwoPointDensity, rng: np.random.Generator, n: int):
@@ -86,27 +66,9 @@ def rotated_up_probability(beta: float) -> float:
     return math.cos(beta / 2.0) ** 2
 
 
-def rotated_down_probability(beta: float) -> float:
-    return math.sin(beta / 2.0) ** 2
-
-
 def two_apparatus_up_probability(beta1: float, beta2: float) -> float:
     """Up-probability when the apparatuses are tilted by beta1, beta2."""
     return math.cos((beta2 - beta1) / 2.0) ** 2
-
-
-def y_axis_density_coefficients(beta: float, rotation_sign: int = +1):
-    """Two-point weights for measurement along the rotated y'-axis.
-
-    rotation_sign +1 corresponds to the apparatus plane rotated by +beta
-    (weights ((cos b/2 - sin b/2)^2 / 2, (cos b/2 + sin b/2)^2 / 2)),
-    -1 to the mirror rotation, which swaps the pair.
-    """
-    if rotation_sign not in (+1, -1):
-        raise ValueError("rotation_sign must be +1 or -1")
-    minus = 0.5 * (math.cos(beta / 2.0) - math.sin(beta / 2.0)) ** 2
-    plus = 0.5 * (math.cos(beta / 2.0) + math.sin(beta / 2.0)) ** 2
-    return (minus, plus) if rotation_sign == +1 else (plus, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +153,3 @@ def histogram_rows(edges: np.ndarray, counts: np.ndarray):
     for left, right, c, w in zip(edges[:-1], edges[1:], counts, widths):
         rows.append((float(left), float(right), int(c), float(c / (total * w))))
     return rows
-
-
-def order_for_field(eta: float, transit_time: float, scale: float = 1.0) -> int:
-    """User-supplied m schedule: monotone in gradient * transit time.
-
-    The physical relation between m and the field is not derived by the
-    model; this helper is a convenience default only.
-    """
-    return max(0, int(round(scale * eta * transit_time)))

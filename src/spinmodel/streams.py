@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "substream"]
+__all__ = ["stream"]
 
 
 def _key_words(seed: int, ids: tuple) -> list[int]:
@@ -37,14 +37,3 @@ def stream(seed: int, *ids) -> np.random.Generator:
     ``ids`` can mix strings (experiment names) and integers (trial indices).
     """
     return np.random.Generator(np.random.Philox(key=_key_words(seed, ids)))
-
-
-def substream(rng_or_seed, *ids) -> np.random.Generator:
-    """Derive an independent sub-stream for a trial within an ensemble."""
-    if isinstance(rng_or_seed, np.random.Generator):
-        # Pull one word from the parent to key the child; keeps the call
-        # signature uniform when a bare Generator is all the caller has.
-        seed = int(rng_or_seed.integers(0, 2**63))
-    else:
-        seed = int(rng_or_seed)
-    return stream(seed, *ids)

@@ -81,9 +81,6 @@ class TelegraphTrajectory:
         idx = np.searchsorted(self.start_times, t, side="right") - 1
         return int(self.trends[idx])
 
-    def switch_count(self) -> int:
-        return len(self.trends) - 1
-
 
 def simulate(
     model: DwellModel,
@@ -171,8 +168,3 @@ def odd_flip_probability(model: DwellModel, delay: float) -> float:
     period = model.tau_plus + model.tau_minus
     r = math.fmod(delay, period)
     return 2.0 * min(r, period - r, model.tau_plus, model.tau_minus) / period
-
-
-def trajectory_rows(traj: TelegraphTrajectory):
-    """(start_time, trend) rows for CSV export."""
-    return [(float(s), int(t)) for s, t in zip(traj.start_times, traj.trends)]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmodel import cli
-from spinmodel.orientation import ConvergenceError
+from spinmodel.pauli import ConvergenceError
 
 
 class TestConfigParsing:
@@ -67,12 +67,12 @@ class TestRun:
 
     def test_exit_code_on_non_convergence(self, tmp_path, monkeypatch, capsys):
         def broken(config, seed, out_dir, fmt):
-            raise ConvergenceError("stalled", 0.125)
+            raise ConvergenceError("stalled")
 
         monkeypatch.setitem(cli.RUNNERS, "variational", broken)
         code = cli.run(["variational", "--out", str(tmp_path)])
         assert code == cli.EXIT_NUMERIC
-        assert "residual" in capsys.readouterr().err
+        assert "stalled" in capsys.readouterr().err
 
     def test_manifest_round_trips(self, tmp_path, capsys):
         code = cli.run(["variational", "--out", str(tmp_path), "--seed", "5"])
@@ -216,6 +216,9 @@ MALFORMED = [
     ("bell-test", None, ["--mode", "monte_carlo", "--samples", "1e300"], "samples"),
     ("pauli", None, ["--steps", "1000001"], "steps"),
     ("oracle-check", "pairs = 1e6", [], "pairs"),
+    # each key within its own bound, but nodes x steps over 256 x 10^6
+    ("pauli", None, ["--nodes", "262144", "--steps", "1000"], "nodes x steps"),
+    ("pauli", "nodes = 4096", ["--steps", "1e5"], "nodes x steps"),
 ]
 
 

@@ -45,11 +45,9 @@ class TestModelEncoding:
     def test_bell_densities_do_not_factorize(self, model):
         for axis in (ent.AXIS_Z, ent.AXIS_Y):
             d = ent.joint_density(model, axis)
-            assert ent.rank_one_residual(d) > 0.4
-
-    def test_product_density_factorizes(self):
-        product = ent.JointTwoPointDensity((0.25, 0.25, 0.25, 0.25))
-        assert ent.rank_one_residual(product) == pytest.approx(0.0, abs=1e-12)
+            # a product law p_A(i) p_B(j) has determinant 0
+            det = np.linalg.det(np.reshape(d.weights, (2, 2)))
+            assert abs(det) == pytest.approx(0.25, abs=1e-12)
 
 
 class TestCorrelation:
@@ -168,6 +166,14 @@ class TestChsh:
                 e, abs=1e-12
             )
 
+    @pytest.mark.parametrize("mode", [ent.ANALYTIC, ent.MONTE_CARLO])
+    @pytest.mark.parametrize("samples", [0, 2.5])
+    def test_rejects_non_whole_sample_counts(self, mode, samples):
+        # samples = 0 is caught by the plan, 2.5 by the evaluation of a setting
+        rng = stream(21, "ent-bad-n")
+        with pytest.raises(ValueError, match="samples|whole number"):
+            ent.chsh(ent.MeasurementPlan(samples=samples), ent.PSI_MINUS, mode, rng)
+
     def test_result_rows(self):
         result = ent.chsh(ent.MeasurementPlan(), ent.PSI_MINUS)
         rows = list(result.rows())
@@ -213,6 +219,15 @@ class TestDelayedMeasurement:
             mode=ent.MONTE_CARLO, n=400000, rng=rng,
         )
         assert approx == pytest.approx(exact, abs=0.01)
+
+    @pytest.mark.parametrize("mode", [ent.ANALYTIC, ent.MONTE_CARLO])
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_rejects_non_whole_pair_counts(self, mode, n):
+        rng = stream(21, "ent-delay-bad-n")
+        with pytest.raises(ValueError, match="whole number"):
+            ent.delayed_correlation(
+                ent.PSI_MINUS, 0.0, 0.0, 0.5, DwellModel(), mode=mode, n=n, rng=rng
+            )
 
     def test_fixed_dwell_monte_carlo_runs(self):
         dwell = DwellModel(1.0, 1.0, FIXED)
@@ -296,14 +311,3 @@ class TestDelayedMeasurement:
         assert stats[0] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
         assert stats[-1] == pytest.approx(math.sqrt(2), abs=1e-3)
 
-
-class TestTimeConstraint:
-    def test_within_window(self):
-        assert ent.time_constraint_satisfied(0.0, 0.5, tau_plus=1.0)
-
-    def test_outside_window(self):
-        assert not ent.time_constraint_satisfied(0.0, 2.0, tau_plus=1.0)
-
-    def test_rejects_reversed_order(self):
-        with pytest.raises(ValueError):
-            ent.time_constraint_satisfied(1.0, 0.5, tau_plus=1.0)

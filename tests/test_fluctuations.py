@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
-from scipy import integrate
 
 from spinmodel import fluctuations as fl
 from spinmodel.streams import stream
@@ -39,52 +38,12 @@ class TestTranslation:
 
 
 class TestRotation:
-    def test_radius_density_normalizes(self):
-        params = fl.RotationParams(mass=2.0, omega=3.0)
-        total, _ = integrate.quad(lambda u: fl.radius_density(u, params), 0, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            fl.radius_density(-0.1, fl.RotationParams())
-
-    def test_mean_square_radius_closed_form(self):
-        # <u^2> = hbar / 2 m omega for the half-Gaussian density
-        params = fl.RotationParams(mass=2.0, omega=5.0)
-        value, _ = integrate.quad(
-            lambda u: u**2 * fl.radius_density(u, params), 0, np.inf
-        )
-        assert value == pytest.approx(1.0 / (2 * 2.0 * 5.0), abs=1e-9)
-
     @pytest.mark.parametrize("mass,omega", [(1.0, 1.0), (3.0, 7.0), (0.5, 2.0)])
     def test_angular_momentum_half_hbar(self, mass, omega):
         params = fl.RotationParams(mass=mass, omega=omega)
         rng = stream(31, "fl-ls", mass, omega)
         assert fl.expected_angular_momentum(params, 10**6, rng) == pytest.approx(
             0.5, abs=0.005
-        )
-
-    def test_variational_solution_is_half_gaussian(self):
-        params = fl.RotationParams(mass=1.5, omega=0.7)
-        u, p = fl.variational_radius_solve(params)
-        target = fl.radius_density(u, params)
-        assert float(np.max(np.abs(p - target))) < 1e-4
-
-    def test_variational_solution_minimizes_action(self):
-        params = fl.RotationParams()
-        u, p = fl.variational_radius_solve(params)
-        a0 = fl.rotational_action(u, p, params)
-        for eps in (0.1, -0.1):
-            pert = p * (1.0 + eps * np.cos(u))
-            pert = np.clip(pert, 0.0, None)
-            pert /= np.trapezoid(pert, u)
-            assert fl.rotational_action(u, pert, params) > a0
-
-    def test_mean_square_radius_of_solution(self):
-        params = fl.RotationParams(mass=2.0, omega=2.0)
-        u, p = fl.variational_radius_solve(params)
-        assert fl.mean_square_radius(u, p) == pytest.approx(
-            1.0 / (2 * 2.0 * 2.0), abs=1e-4
         )
 
 

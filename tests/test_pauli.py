@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinmodel import pauli
-from spinmodel.orientation import ConvergenceError
+from spinmodel.pauli import ConvergenceError
 
 
 def packet_state(grid=None, momentum=0.0, width=1.0):

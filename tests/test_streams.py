@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinmodel.streams import stream, substream
+from spinmodel.streams import stream
 
 
 def test_same_key_same_sequence():
@@ -26,15 +26,3 @@ def test_different_experiments_differ():
 @given(st.integers(min_value=0, max_value=2**63 - 1))
 def test_any_seed_builds_generator(seed):
     assert 0.0 <= stream(seed, "x").random() < 1.0
-
-
-def test_substream_from_seed_matches_stream():
-    assert np.array_equal(
-        substream(7, "trial", 3).random(8), stream(7, "trial", 3).random(8)
-    )
-
-
-def test_substream_from_generator_is_reproducible():
-    a = substream(stream(7, "parent"), "child").random(8)
-    b = substream(stream(7, "parent"), "child").random(8)
-    assert np.array_equal(a, b)

@@ -52,9 +52,6 @@ class TestTrajectory:
         assert traj.trend_at(2.5) == +1
         assert traj.trend_at(0.0) == +1
 
-    def test_switch_count(self):
-        assert self._traj().switch_count() == 2
-
     def test_rejects_non_alternating(self):
         with pytest.raises(ValueError):
             tg.TelegraphTrajectory((0.0, 1.0), (+1, +1), 2.0)
@@ -239,8 +236,3 @@ class TestParity:
     def test_zero_delay_has_no_flip(self):
         rng = stream(9, "tg-parity-zero")
         assert tg.flip_parity(tg.DwellModel(), 0.0, rng) is False
-
-
-def test_trajectory_rows_roundtrip():
-    traj = tg.TelegraphTrajectory((0.0, 1.5), (-1, +1), 3.0)
-    assert tg.trajectory_rows(traj) == [(0.0, -1), (1.5, 1)]
