@@ -3,7 +3,7 @@
 
 Evolves an equal-superposition Gaussian packet in a uniform B_z field and
 reports the relative phase between the spin components, which should grow
-linearly at the rate e B_z / m, alongside norm and population drift.
+linearly at the rate B_z, alongside norm and population drift.
 """
 
 import argparse
@@ -25,7 +25,7 @@ def main():
     packet = pauli.gaussian_packet(grid)
     state = pauli.SpinorField.normalized(grid, packet, packet)
     config = pauli.FieldConfig(b_z=args.b_z)
-    expected_rate = config.charge * args.b_z / config.mass
+    expected_rate = args.b_z
 
     print(f"expected relative-phase rate: {expected_rate:.6f}")
     print("t, relative_phase, norm_drift, population_up")

@@ -1,5 +1,7 @@
 """Simulation and variational analysis of an electron-spin orientation model.
 
+Units: natural units, e = hbar = m_e = 1, throughout the package.
+
 Modules:
 
 - ``orientation``: the cos^{2m} orientation-density family and its action

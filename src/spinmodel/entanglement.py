@@ -221,7 +221,7 @@ class MeasurementPlan:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.delay < 0:
+        if not self.delay >= 0:
             raise ValueError("delay must be non-negative")
 
 
@@ -280,19 +280,16 @@ def delayed_correlation(
     b: float,
     delay: float,
     dwell: DwellModel,
-    mode: str = ANALYTIC,
-    n: int = 10**6,
-    rng: np.random.Generator | None = None,
     degrade_y: bool = False,
 ) -> float:
-    """E(a, b) when Bob delays his measurement.
+    """Analytic E(a, b) when Bob delays his measurement; `chsh` samples it.
 
     The z-branch correlation decays by the odd-switch parity of Bob's
     telegraph trend; the y-branch is kept intact unless degrade_y.
     """
     p = odd_flip_probability(dwell, delay)
     table = _outcome_table(model, a, b, p, p if degrade_y else 0.0)
-    return _evaluate(table, mode, n, rng)[0]
+    return _correlation(_coincidences(table))
 
 
 def outcome_counts(s_a: np.ndarray, s_b: np.ndarray) -> dict:

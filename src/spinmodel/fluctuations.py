@@ -1,12 +1,12 @@
 """Vacuum-fluctuation models behind the spin magnitude and uncertainty.
 
-Translational fluctuations follow a Gaussian transition kernel whose
-per-component variance hbar dt / 2m reproduces <dx dp> = hbar/2.  The
-rotational model samples the radius u of random circular motion as
-|N(0, hbar / 2 m omega)|, so the Monte Carlo average of m omega u^2 lands
-on <L_s> = hbar/2 independent of mass and frequency.
+In natural units (hbar = 1), translational fluctuations follow a Gaussian
+transition kernel whose per-component variance dt / 2m reproduces
+<dx dp> = 1/2.  The rotational model samples the radius u of random
+circular motion as |N(0, 1 / 2 m omega)|, so the Monte Carlo average of
+m omega u^2 lands on <L_s> = 1/2 independent of mass and frequency.
 The Kullback-Leibler metric, averaged over the shift by Gauss-Hermite
-quadrature, converges to (hbar/4m) int (grad rho)^2 / rho as dt -> 0.
+quadrature, converges to (1/4m) int (grad rho)^2 / rho as dt -> 0.
 """
 
 from __future__ import annotations
@@ -21,31 +21,29 @@ import numpy as np
 class TranslationParams:
     mass: float = 1.0
     dt: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        if min(self.mass, self.dt, self.hbar) <= 0:
+        if not (self.mass > 0 and self.dt > 0):
             raise ValueError("all parameters must be positive")
 
     @property
     def component_variance(self) -> float:
-        return self.hbar * self.dt / (2.0 * self.mass)
+        return self.dt / (2.0 * self.mass)
 
 
 @dataclass(frozen=True)
 class RotationParams:
     mass: float = 1.0
     omega: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
-        if min(self.mass, self.omega, self.hbar) <= 0:
+        if not (self.mass > 0 and self.omega > 0):
             raise ValueError("all parameters must be positive")
 
     @property
     def radius_scale(self) -> float:
-        """Standard deviation scale sqrt(hbar / 2 m omega) of the radius."""
-        return math.sqrt(self.hbar / (2.0 * self.mass * self.omega))
+        """Standard deviation scale sqrt(1 / 2 m omega) of the radius."""
+        return math.sqrt(1.0 / (2.0 * self.mass * self.omega))
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +53,13 @@ class RotationParams:
 def sample_displacement(
     params: TranslationParams, rng: np.random.Generator, size=None
 ):
-    """Gaussian displacement vectors with per-component variance hbar dt/2m."""
+    """Gaussian displacement vectors with per-component variance dt/2m."""
     shape = (3,) if size is None else (int(size), 3)
     return rng.normal(0.0, math.sqrt(params.component_variance), shape)
 
 
 def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float:
-    """Estimate <dx_i dp_i> with p_i = m w_i / dt; expected hbar/2."""
+    """Estimate <dx_i dp_i> with p_i = m w_i / dt; expected 1/2."""
     w = np.asarray(samples, dtype=float)
     if w.ndim != 2 or w.shape[0] < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
@@ -81,7 +79,7 @@ def sample_radius(params: RotationParams, rng: np.random.Generator, size=None):
 def expected_angular_momentum(
     params: RotationParams, n: int, rng: np.random.Generator
 ) -> float:
-    """Monte Carlo <m omega u^2>; hbar/2 for any (m, omega)."""
+    """Monte Carlo <m omega u^2>; 1/2 for any (m, omega)."""
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
     u = sample_radius(params, rng, n)
@@ -93,14 +91,12 @@ def expected_angular_momentum(
 
 
 def fisher_functional(x, rho, params: TranslationParams) -> float:
-    """(hbar/4m) int (grad rho)^2 / rho dx, per unit time."""
+    """(1/4m) int (grad rho)^2 / rho dx, per unit time."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("density must be strictly positive")
     grad = np.gradient(rho, x)
-    return float(
-        params.hbar / (4.0 * params.mass) * np.trapezoid(grad**2 / rho, x)
-    )
+    return float(1.0 / (4.0 * params.mass) * np.trapezoid(grad**2 / rho, x))
 
 
 def kl_shift_rate(

@@ -9,8 +9,6 @@ functional, a precession energy term plus a relative-entropy penalty
 `variational_solve` returns the closed-form density of each divergence,
 cos^{2m}(theta)/Z_m for Tsallis and Renyi and an exponential of
 cos(theta) for Kullback-Leibler, without solving a stationarity condition.
-
-Units: hbar = 1 throughout the package.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-HBAR = 1.0
 
 DEFAULT_GRID_NODES = 2048
 _NORM_TOL = 1e-10
@@ -164,13 +160,13 @@ class ActionSpec:
     """Parameters of the orientation action functional.
 
     g_s is the gyromagnetic factor, L_s the angular-momentum magnitude
-    (hbar/2 by default), delta_phi the precession-angle window.  The
+    (hbar/2 = 1/2 by default), delta_phi the precession-angle window.  The
     stationary family is independent of delta_phi, which therefore
     defaults to 1.
     """
 
     g_s: float = 2.0
-    L_s: float = HBAR / 2
+    L_s: float = 0.5
     delta_phi: float = 1.0
     divergence: str = TSALLIS
     m: int = 1
@@ -214,13 +210,13 @@ def divergence_term(density: GridDensity, spec: ActionSpec) -> float:
 
 
 def total_action(density: GridDensity, spec: ActionSpec) -> float:
-    """A_t = -(1/2) g_s L_s dphi <cos theta> + (hbar/2) I_f."""
+    """A_t = -(1/2) g_s L_s dphi <cos theta> + (1/2) I_f."""
     if abs(density.integral() - 1.0) > _NORM_TOL:
         raise ValueError("density must be normalized")
     classical = (
         -0.5 * spec.g_s * spec.L_s * spec.delta_phi * density.expectation(np.cos)
     )
-    return classical + 0.5 * HBAR * divergence_term(density, spec)
+    return classical + 0.5 * divergence_term(density, spec)
 
 
 def variational_solve(
@@ -230,13 +226,13 @@ def variational_solve(
 
     Tsallis and Renyi of order m give cos^{2m}(theta)/Z_m, the
     `closed_form_density`; Kullback-Leibler gives the strictly positive
-    exp((g_s L_s / hbar) cos theta).  No stationarity condition is solved.
+    exp(g_s L_s cos theta).  No stationarity condition is solved.
     """
     if spec.divergence != KULLBACK_LEIBLER:
         return closed_form_density(spec.m, n_nodes)
     thetas = theta_grid(n_nodes)
     return GridDensity.from_unnormalized(
-        thetas, np.exp(spec.g_s * spec.L_s / HBAR * np.cos(thetas))
+        thetas, np.exp(spec.g_s * spec.L_s * np.cos(thetas))
     )
 
 

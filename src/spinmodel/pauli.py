@@ -1,15 +1,14 @@
 """Two-component Schrodinger-Pauli solver on a periodic grid.
 
-Integrates  i hbar dPsi/dt = [ (1/2m)(i hbar grad + e A)^2
-                               + (e hbar / 2m) sigma_z B_z - e phi ] Psi
-by Strang splitting: the kinetic factor acts in spectral space with the
-minimal-coupling shift, the potential and Zeeman factors are diagonal in
-real space.  Both factors are unitary, so the norm is preserved to
-round-off.  The field B_z enters only through the Zeeman term; the default
-configurations use uniform B_z with A = 0 (the same decoupling the model
-derivation adopts).
+Integrates  i dPsi/dt = [ (1/2)(i grad + A)^2 + (1/2) sigma_z B_z - phi ] Psi
+in natural units (e = hbar = m_e = 1) by Strang splitting: the kinetic
+factor acts in spectral space with the minimal-coupling shift, the
+potential and Zeeman factors are diagonal in real space.  Both factors are
+unitary, so the norm is preserved to round-off.  The field B_z enters only
+through the Zeeman term; the default configurations use uniform B_z with
+A = 0 (the same decoupling the model derivation adopts).
 
-The Madelung decomposition Psi_pm = sqrt(rho_pm) exp(i S_pm / hbar) links
+The Madelung decomposition Psi_pm = sqrt(rho_pm) exp(i S_pm) links
 the spinor to density/phase-action fields and to the continuity and
 extended Hamilton-Jacobi residual diagnostics.
 """
@@ -22,6 +21,9 @@ import numpy as np
 
 NORM_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
+# the Hamilton-Jacobi residual divides by sqrt(rho), which amplifies round-off
+# in the tails far more than the continuity residual's rho does
+HJ_FLOOR = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -41,7 +43,7 @@ class SpatialGrid:
             raise ValueError("dimension must be 1 or 2")
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two >= 16")
-        if self.extent <= 0:
+        if not self.extent > 0:
             raise ValueError("extent must be positive")
 
     @property
@@ -73,7 +75,7 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """External fields and physical constants (natural units by default).
+    """External fields of the Pauli equation.
 
     vector_potential is one uniform value per axis; the spectral
     minimal-coupling shift requires a spatially constant A, which the
@@ -84,16 +86,13 @@ class FieldConfig:
     vector_potential: tuple = (0.0,)
     scalar_potential: object = 0.0
     b_z: object = 0.0
-    charge: float = 1.0
-    mass: float = 1.0
-    hbar: float = 1.0
 
     def potential_energy(self, grid: SpatialGrid):
-        """Diagonal potential V_pm = +/- (e hbar / 2m) B_z - e phi."""
+        """Diagonal potential V_pm = +/- B_z / 2 - phi."""
         phi = self._as_field(self.scalar_potential, grid)
         bz = self._as_field(self.b_z, grid)
-        zeeman = self.charge * self.hbar / (2.0 * self.mass) * bz
-        base = -self.charge * phi
+        zeeman = 0.5 * bz
+        base = -phi
         return base + zeeman, base - zeeman
 
     @staticmethod
@@ -144,23 +143,18 @@ def spin_populations(field: SpinorField) -> tuple[float, float]:
 
 
 def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
-    """(e hbar / 2m) integral of B_z (|Psi_+|^2 - |Psi_-|^2)."""
+    """(1/2) integral of B_z (|Psi_+|^2 - |Psi_-|^2)."""
     bz = config._as_field(config.b_z, field.grid)
     dv = field.grid.cell_volume
     diff = np.abs(field.psi_plus) ** 2 - np.abs(field.psi_minus) ** 2
-    return float(
-        config.charge * config.hbar / (2.0 * config.mass) * np.sum(bz * diff) * dv
-    )
+    return float(0.5 * np.sum(bz * diff) * dv)
 
 
 def _kinetic_energy(grid: SpatialGrid, config: FieldConfig) -> np.ndarray:
-    """Spectral kinetic energy (-hbar k + e A)^2 / 2m of each plane wave."""
+    """Spectral kinetic energy (-k + A)^2 / 2 of each plane wave."""
     a = _padded_vector_potential(config, grid)
-    hbar, e, m = config.hbar, config.charge, config.mass
-    # plane wave e^{ikx}: (i hbar grad + eA) -> (-hbar k + e A)
-    return sum(
-        (-hbar * k + e * ai) ** 2 for k, ai in zip(grid.wavenumbers(), a)
-    ) / (2.0 * m)
+    # plane wave e^{ikx}: (i grad + A) -> (-k + A)
+    return sum((-k + ai) ** 2 for k, ai in zip(grid.wavenumbers(), a)) / 2.0
 
 
 def evolve(
@@ -169,11 +163,11 @@ def evolve(
     """Advance the spinor by `steps` Strang-split time steps."""
     if not abs(norm(field) - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise ValueError("input field must be normalized")
-    if dt <= 0 or steps < 0:
+    if not dt > 0 or steps < 0:
         raise ValueError("dt must be positive and steps non-negative")
     grid = field.grid
-    half = np.exp(-0.5j * dt / config.hbar * np.stack(config.potential_energy(grid)))
-    kinetic = np.exp(-1j * dt / config.hbar * _kinetic_energy(grid, config))
+    half = np.exp(-0.5j * dt * np.stack(config.potential_energy(grid)))
+    kinetic = np.exp(-1j * dt * _kinetic_energy(grid, config))
     # fftn's axis order, last axis first, gives fftn's bits; not ifft2(out=):
     # numpy 2.4's ifft2 drops out, which would leave psi in k-space
     axes = range(-1, -grid.dimension - 1, -1)
@@ -211,13 +205,13 @@ def _unwrapped_phase(psi: np.ndarray) -> np.ndarray:
     return phase
 
 
-def madelung(field: SpinorField, hbar: float = 1.0) -> MadelungDecomposition:
-    """Density/phase-action split Psi_pm = sqrt(rho_pm) exp(i S_pm / hbar)."""
+def madelung(field: SpinorField) -> MadelungDecomposition:
+    """Density/phase-action split Psi_pm = sqrt(rho_pm) exp(i S_pm)."""
     return MadelungDecomposition(
         rho_plus=np.abs(field.psi_plus) ** 2,
         rho_minus=np.abs(field.psi_minus) ** 2,
-        s_plus=hbar * _unwrapped_phase(field.psi_plus),
-        s_minus=hbar * _unwrapped_phase(field.psi_minus),
+        s_plus=_unwrapped_phase(field.psi_plus),
+        s_minus=_unwrapped_phase(field.psi_minus),
     )
 
 
@@ -237,10 +231,10 @@ def _padded_vector_potential(config: FieldConfig, grid: SpatialGrid):
 def _current(fields: list[SpinorField], config: FieldConfig, component: str):
     """Each snapshot's component, and the middle one's rho, current and k.
 
-    The per-axis probability current (hbar Im(psi* grad psi) - e A rho)/m
-    equals rho (grad S - eA)/m wherever the Madelung phase is defined, the
-    velocity of the (i hbar grad + eA)^2 / 2m kinetic term that evolve
-    propagates with, but needs no phase unwrapping.
+    The per-axis probability current Im(psi* grad psi) - A rho equals
+    rho (grad S - A) wherever the Madelung phase is defined, the velocity
+    of the (i grad + A)^2 / 2 kinetic term that evolve propagates with,
+    but needs no phase unwrapping.
     """
     if len(fields) != 3:
         raise ValueError("need three consecutive snapshots")
@@ -251,10 +245,7 @@ def _current(fields: list[SpinorField], config: FieldConfig, component: str):
     ks = grid.wavenumbers()
     psi_hat = np.fft.fftn(psi)
     current = [
-        (
-            config.hbar * np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat))
-            - config.charge * ai * rho
-        ) / config.mass
+        np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat)) - ai * rho
         for k, ai in zip(ks, _padded_vector_potential(config, grid))
     ]
     return psis, rho, current, ks
@@ -265,9 +256,8 @@ def continuity_residual(
     dt: float,
     config: FieldConfig,
     component: str = "plus",
-    floor: float = DENSITY_FLOOR,
 ) -> float:
-    """RMS of d(rho)/dt + div(rho (grad S - eA))/m over three snapshots.
+    """RMS of d(rho)/dt + div(rho (grad S - A)) over three snapshots.
 
     Evaluated at the middle snapshot with central time differencing, with
     the flux taken as the probability current.  Near-zero-density regions
@@ -278,7 +268,7 @@ def continuity_residual(
     div = sum(
         np.real(np.fft.ifftn(1j * k * np.fft.fftn(j))) for k, j in zip(ks, current)
     )
-    residual = (drho_dt + div)[rho > floor]
+    residual = (drho_dt + div)[rho > DENSITY_FLOOR]
     return float(np.sqrt(np.mean(residual**2)))
 
 
@@ -287,26 +277,25 @@ def hj_residual(
     dt: float,
     config: FieldConfig,
     component: str = "plus",
-    floor: float = 1e-6,
 ) -> float:
     """RMS residual of the extended Hamilton-Jacobi equation.
 
-    dS/dt + (grad S - eA)^2 / 2m + V - (hbar^2/2m) lap(sqrt rho)/sqrt rho,
-    with V the diagonal potential of the component.  dS/dt comes from the
-    central phase difference arg(psi_after psi_before*)/(2 dt) and
-    (grad S - eA)/m from the probability current J/rho, so no global phase
-    unwrapping is needed; masked where the density is below the floor.
+    dS/dt + (grad S - A)^2 / 2 + V - (1/2) lap(sqrt rho)/sqrt rho, with V
+    the diagonal potential of the component.  dS/dt comes from the central
+    phase difference arg(psi_after psi_before*)/(2 dt) and grad S - A from
+    the probability current J/rho, so no global phase unwrapping is needed;
+    masked where the density is below HJ_FLOOR.
     """
     psis, rho, current, ks = _current(fields, config, component)
-    mask = rho > floor
+    mask = rho > HJ_FLOOR
     rho_m = rho[mask]
-    ds_dt = config.hbar * np.angle(psis[2] * np.conj(psis[0]))[mask] / (2.0 * dt)
-    kinetic = 0.5 * config.mass * sum((j[mask] / rho_m) ** 2 for j in current)
+    ds_dt = np.angle(psis[2] * np.conj(psis[0]))[mask] / (2.0 * dt)
+    kinetic = 0.5 * sum((j[mask] / rho_m) ** 2 for j in current)
     v_plus, v_minus = config.potential_energy(fields[0].grid)
     v = (v_plus if component == "plus" else v_minus)[mask]
     sqrt_rho = np.sqrt(rho)
     lap = np.real(np.fft.ifftn(-sum(k**2 for k in ks) * np.fft.fftn(sqrt_rho)))
-    quantum = -config.hbar**2 / (2.0 * config.mass) * lap[mask] / sqrt_rho[mask]
+    quantum = -0.5 * lap[mask] / sqrt_rho[mask]
     residual = ds_dt + kinetic + v + quantum
     return float(np.sqrt(np.mean(residual**2)))
 
@@ -332,12 +321,12 @@ def relative_phase(field: SpinorField) -> float:
     return float(np.angle(overlap))
 
 
-def gaussian_packet(grid: SpatialGrid, center=0.0, width=1.0, momentum=0.0):
-    """Normalized Gaussian on the grid (1D helper for tests and demos)."""
+def gaussian_packet(grid: SpatialGrid, width=1.0, momentum=0.0):
+    """Gaussian centred at x = 0 on the grid (1D helper for tests and demos)."""
     (x,) = grid.coordinates() if grid.dimension == 1 else (None,)
     if x is None:
         raise ValueError("gaussian_packet is 1D only")
-    psi = np.exp(-((x - center) ** 2) / (4.0 * width**2) + 1j * momentum * x)
+    psi = np.exp(-(x**2) / (4.0 * width**2) + 1j * momentum * x)
     return psi.astype(complex)
 
 

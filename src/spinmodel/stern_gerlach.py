@@ -4,8 +4,6 @@ Covers the quantized two-outcome regime (strong gradient, order m -> inf),
 the rotated second-apparatus statistics, and the weak-gradient regime
 where the beam displacement stays continuous because the orientation
 density has not collapsed to the poles.
-
-Natural units: e = hbar = m_e = 1, overridable through ApparatusConfig.
 """
 
 from __future__ import annotations
@@ -32,15 +30,12 @@ class ApparatusConfig:
 
     gradient: float = 1.0
     transit_time: float = 1.0
-    m: int | None = 1  # None means the quantized limit
-    charge: float = 1.0
-    hbar: float = 1.0
-    electron_mass: float = 1.0
+    m: int = 1
 
     def __post_init__(self):
-        if self.transit_time <= 0:
+        if not self.transit_time > 0:
             raise ValueError("transit_time must be positive")
-        if self.gradient < 0:
+        if not self.gradient >= 0:
             raise ValueError("gradient must be non-negative")
 
 
@@ -75,21 +70,16 @@ def two_apparatus_up_probability(beta1: float, beta2: float) -> float:
 # weak-gradient displacement regime
 
 
-def max_displacement(m: int, eta: float, transit_time: float, config=None) -> float:
-    return abs(displacement(0.0, m, eta, transit_time, config))
+def max_displacement(m: int, eta: float, transit_time: float) -> float:
+    return abs(displacement(0.0, m, eta, transit_time))
 
 
-def displacement(theta, m: int, eta: float, transit_time: float, config=None):
-    """Screen displacement (e hbar eta / 4 m_e^2 Z_m) dT^2 cos^{2m+1}(theta)."""
-    if m is None:
-        raise ValueError("displacement requires a finite order m")
-    if eta <= 0 or transit_time <= 0:
+def displacement(theta, m: int, eta: float, transit_time: float):
+    """Screen displacement (eta / 4 Z_m) dT^2 cos^{2m+1}(theta)."""
+    if not eta > 0 or not transit_time > 0:
         raise ValueError("eta and transit_time must be positive")
-    e = config.charge if config else 1.0
-    hbar = config.hbar if config else 1.0
-    me = config.electron_mass if config else 1.0
     z_m = normalization_constant(m)
-    prefactor = e * hbar * eta / (4.0 * me**2 * z_m) * transit_time**2
+    prefactor = eta / (4.0 * z_m) * transit_time**2
     return prefactor * _odd_power(np.cos(theta), m)
 
 
@@ -106,7 +96,7 @@ def _odd_power(c, m: int):
     return out
 
 
-def displacement_density(z, m: int, eta: float, transit_time: float, config=None):
+def displacement_density(z, m: int, eta: float, transit_time: float):
     """Analytic pushforward density of the displacement under theta ~ p_m.
 
     With x = cos(theta) and dz_max the displacement scale, the map
@@ -114,7 +104,7 @@ def displacement_density(z, m: int, eta: float, transit_time: float, config=None
     change of variables; used as the independent oracle for the sampled
     histogram.
     """
-    k = displacement(0.0, m, eta, transit_time, config)
+    k = displacement(0.0, m, eta, transit_time)
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     inside = np.abs(z) < k
@@ -134,13 +124,13 @@ def displacement_distribution(
 ):
     """Sample the continuous displacement distribution of the weak regime.
 
-    Returns (samples, bin_edges, counts).
+    Returns (samples, bin_edges, counts).  m must equal config.m.
     """
-    if m is None:
-        raise ValueError("the quantized limit has no continuous distribution")
+    if m != config.m:
+        raise ValueError(f"m = {m!r} disagrees with config.m = {config.m!r}")
     thetas = sample_theta(m, rng, n_samples)
-    dz = displacement(thetas, m, config.gradient, config.transit_time, config)
-    k = max_displacement(m, config.gradient, config.transit_time, config)
+    dz = displacement(thetas, m, config.gradient, config.transit_time)
+    k = max_displacement(m, config.gradient, config.transit_time)
     counts, edges = np.histogram(dz, bins=bins, range=(-k, k))
     return dz, edges, counts
 

@@ -27,7 +27,7 @@ class DwellModel:
     distribution: str = EXPONENTIAL
 
     def __post_init__(self):
-        if self.tau_plus <= 0 or self.tau_minus <= 0:
+        if not (self.tau_plus > 0 and self.tau_minus > 0):
             raise ValueError("dwell means must be positive")
         if self.distribution not in (EXPONENTIAL, FIXED):
             raise ValueError("distribution must be 'exponential' or 'fixed'")
@@ -126,7 +126,7 @@ def flip_parity(
     next dwell of every sample whose switch epochs have not yet passed
     delay.
     """
-    if delay < 0:
+    if not delay >= 0:
         raise ValueError("delay must be non-negative")
     n = 1 if size is None else int(size)
     odd = np.zeros(n, dtype=bool)
@@ -160,7 +160,7 @@ def odd_flip_probability(model: DwellModel, delay: float) -> float:
     coincide when tau+ = tau-; for asymmetric exponential dwells
     flip_parity's mean is 2 pi+ pi- (1 - exp(-(1/tau+ + 1/tau-) delay)).
     """
-    if delay < 0:
+    if not delay >= 0:
         raise ValueError("delay must be non-negative")
     if model.distribution == EXPONENTIAL:
         rate_sum = 1.0 / model.tau_plus + 1.0 / model.tau_minus

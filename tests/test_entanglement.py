@@ -210,42 +210,18 @@ class TestDelayedMeasurement:
 
     @pytest.mark.parametrize("delay", [0.2, 1.0])
     def test_monte_carlo_matches_analytic(self, delay):
-        dwell = DwellModel()
-        a, b = 0.0, math.pi / 4
-        exact = ent.delayed_correlation(ent.PSI_MINUS, a, b, delay, dwell)
+        # the Monte Carlo check of the exponential-dwell delay law
+        plan = ent.MeasurementPlan(samples=400000, delay=delay, dwell=DwellModel())
         rng = stream(21, "ent-delay-mc", delay)
-        approx = ent.delayed_correlation(
-            ent.PSI_MINUS, a, b, delay, dwell,
-            mode=ent.MONTE_CARLO, n=400000, rng=rng,
-        )
-        assert approx == pytest.approx(exact, abs=0.01)
+        mc = ent.chsh(plan, ent.PSI_MINUS, ent.MONTE_CARLO, rng)
+        for (a, b), approx in zip(mc.settings, mc.expectations):
+            exact = ent.delayed_correlation(ent.PSI_MINUS, a, b, delay, plan.dwell)
+            assert approx == pytest.approx(exact, abs=0.01)
 
-    @pytest.mark.parametrize("mode", [ent.ANALYTIC, ent.MONTE_CARLO])
-    @pytest.mark.parametrize("n", [0, 2.5])
-    def test_rejects_non_whole_pair_counts(self, mode, n):
-        rng = stream(21, "ent-delay-bad-n")
-        with pytest.raises(ValueError, match="whole number"):
-            ent.delayed_correlation(
-                ent.PSI_MINUS, 0.0, 0.0, 0.5, DwellModel(), mode=mode, n=n, rng=rng
-            )
-
-    def test_fixed_dwell_monte_carlo_runs(self):
-        dwell = DwellModel(1.0, 1.0, FIXED)
-        rng = stream(21, "ent-delay-fixed")
-        e = ent.delayed_correlation(
-            ent.PSI_MINUS, 0.0, 0.0, 0.5, dwell,
-            mode=ent.MONTE_CARLO, n=50000, rng=rng,
-        )
-        # unit fixed dwells at delay 0.5 flip with probability 1/2, which
-        # wipes out the z-branch; the y-branch vanishes at these angles
-        assert e == pytest.approx(0.0, abs=0.05)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            ent.delayed_correlation(
-                ent.PSI_MINUS, 0.0, 0.0, 0.5, DwellModel(), mode="bogus",
-                rng=stream(21, "ent-bogus"),
-            )
+    @pytest.mark.parametrize("delay", [-0.1, math.nan])
+    def test_rejects_bad_delay(self, delay):
+        with pytest.raises(ValueError, match="delay must be non-negative"):
+            ent.MeasurementPlan(delay=delay)
 
     @pytest.mark.parametrize(
         "tau_plus, tau_minus, delays",

@@ -14,8 +14,9 @@ class TestTranslation:
         assert params.component_variance == pytest.approx(0.125)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            fl.TranslationParams(mass=-1.0)
+        for mass, dt in [(-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                fl.TranslationParams(mass=mass, dt=dt)
 
     def test_uncertainty_product(self):
         params = fl.TranslationParams()
@@ -38,6 +39,13 @@ class TestTranslation:
 
 
 class TestRotation:
+    @pytest.mark.parametrize(
+        "mass, omega", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_rejects_nonpositive(self, mass, omega):
+        with pytest.raises(ValueError):
+            fl.RotationParams(mass=mass, omega=omega)
+
     @pytest.mark.parametrize("mass,omega", [(1.0, 1.0), (3.0, 7.0), (0.5, 2.0)])
     def test_angular_momentum_half_hbar(self, mass, omega):
         params = fl.RotationParams(mass=mass, omega=omega)

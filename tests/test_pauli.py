@@ -16,10 +16,10 @@ def packet_state(grid=None, momentum=0.0, width=1.0):
 def _reference_evolve(field, config, dt, steps):
     """Per-component Strang loop with one fftn/ifftn pair per component."""
     v_plus, v_minus = config.potential_energy(field.grid)
-    half_plus = np.exp(-0.5j * dt / config.hbar * v_plus)
-    half_minus = np.exp(-0.5j * dt / config.hbar * v_minus)
+    half_plus = np.exp(-0.5j * dt * v_plus)
+    half_minus = np.exp(-0.5j * dt * v_minus)
     energy = pauli._kinetic_energy(field.grid, config)
-    kinetic = np.exp(-1j * dt / config.hbar * energy)
+    kinetic = np.exp(-1j * dt * energy)
     psi_p, psi_m = field.psi_plus.copy(), field.psi_minus.copy()
     for _ in range(steps):
         psi_p *= half_plus
@@ -70,32 +70,27 @@ def _reference_continuity_residual(fields, dt, config, component):
     div = np.zeros(grid.shape)
     grads = _reference_gradient(psis[1], grid)
     for axis, (g, ai) in enumerate(zip(grads, a)):
-        flux = (
-            config.hbar * np.imag(np.conj(psis[1]) * g)
-            - config.charge * ai * rho[1]
-        ) / config.mass
+        flux = np.imag(np.conj(psis[1]) * g) - ai * rho[1]
         k = grid.wavenumbers()[axis]
         div += np.real(np.fft.ifftn(1j * k * np.fft.fftn(flux)))
     residual = (drho_dt + div)[rho[1] > pauli.DENSITY_FLOOR]
     return float(np.sqrt(np.mean(residual**2)))
 
 
-def _reference_hj_residual(fields, dt, config, component, floor=1e-6):
-    """Per-axis Hamilton-Jacobi residual with grad S = hbar Im(psi* grad psi)/rho."""
+def _reference_hj_residual(fields, dt, config, component):
+    """Per-axis Hamilton-Jacobi residual with grad S = Im(psi* grad psi)/rho."""
     grid = fields[0].grid
     psis = [f.psi_plus if component == "plus" else f.psi_minus for f in fields]
     rho_mid = np.abs(psis[1]) ** 2
-    ds_dt = config.hbar * np.angle(psis[2] * np.conj(psis[0])) / (2.0 * dt)
+    ds_dt = np.angle(psis[2] * np.conj(psis[0])) / (2.0 * dt)
     a = _reference_vector_potential(config, grid)
-    mask = rho_mid > floor
+    mask = rho_mid > pauli.HJ_FLOOR
     kinetic = np.zeros(grid.shape)
     for g, ai in zip(_reference_gradient(psis[1], grid), a):
         grad_s = np.zeros(grid.shape)
-        grad_s[mask] = (
-            config.hbar * np.imag(np.conj(psis[1]) * g)[mask] / rho_mid[mask]
-        )
-        kinetic += (grad_s - config.charge * ai) ** 2
-    kinetic /= 2.0 * config.mass
+        grad_s[mask] = np.imag(np.conj(psis[1]) * g)[mask] / rho_mid[mask]
+        kinetic += (grad_s - ai) ** 2
+    kinetic /= 2.0
     v_plus, v_minus = config.potential_energy(grid)
     v = v_plus if component == "plus" else v_minus
     sqrt_rho = np.sqrt(rho_mid)
@@ -103,9 +98,7 @@ def _reference_hj_residual(fields, dt, config, component, floor=1e-6):
     for k in grid.wavenumbers():
         lap += np.real(np.fft.ifftn(-(k**2) * np.fft.fftn(sqrt_rho)))
     quantum = np.zeros(grid.shape)
-    quantum[mask] = (
-        -config.hbar**2 / (2.0 * config.mass) * lap[mask] / sqrt_rho[mask]
-    )
+    quantum[mask] = -0.5 * lap[mask] / sqrt_rho[mask]
     residual = (ds_dt + kinetic + v + quantum)[mask]
     return float(np.sqrt(np.mean(residual**2)))
 
@@ -124,6 +117,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             pauli.SpatialGrid(3, 64, 20.0)
 
+    @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan])
+    def test_rejects_bad_extent(self, extent):
+        with pytest.raises(ValueError, match="extent"):
+            pauli.SpatialGrid(1, 16, extent)
+
     def test_two_dimensional_shapes(self):
         grid = pauli.SpatialGrid(2, 32, 10.0)
         x, y = grid.coordinates()
@@ -135,7 +133,7 @@ class TestFieldConfig:
         grid = pauli.SpatialGrid(1, 64, 10.0)
         config = pauli.FieldConfig(b_z=2.0)
         v_plus, v_minus = config.potential_energy(grid)
-        assert np.allclose(v_plus, +1.0)  # e hbar B_z / 2m = 1
+        assert np.allclose(v_plus, +1.0)  # B_z / 2 = 1
         assert np.allclose(v_minus, -1.0)
 
     def test_callable_field(self):
@@ -182,6 +180,11 @@ class TestUnitarity:
         bad = pauli.SpinorField(grid, psi, psi)
         with pytest.raises(ValueError):
             pauli.evolve(bad, pauli.FieldConfig(), 0.001, 1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.001, math.nan])
+    def test_rejects_bad_time_step(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            pauli.evolve(packet_state(), pauli.FieldConfig(), dt, 1)
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_rejects_non_finite_input(self, steps):
@@ -236,7 +239,7 @@ class TestTwoDimensional:
             b_z=b_z, scalar_potential=lambda x, y: -0.05 * (x**2 + 2 * y**2)
         )
         delta = pauli.relative_phase(pauli.evolve(state, config, dt, steps))
-        expected = config.charge * b_z / config.mass * dt * steps
+        expected = b_z * dt * steps
         assert delta == pytest.approx(
             math.atan2(math.sin(expected), math.cos(expected)), abs=1e-9
         )
@@ -252,7 +255,7 @@ class TestLarmor:
         evolved = pauli.evolve(state, config, dt, steps)
         delta = pauli.relative_phase(evolved) - phase0
         delta = math.atan2(math.sin(delta), math.cos(delta))
-        expected = config.charge * b_z / config.mass * dt * steps
+        expected = b_z * dt * steps
         expected = math.atan2(math.sin(expected), math.cos(expected))
         assert delta == pytest.approx(expected, rel=0.01, abs=1e-9)
 
@@ -266,7 +269,7 @@ class TestFreeMotion:
         (x,) = evolved.grid.coordinates()
         rho = np.abs(evolved.psi_plus) ** 2 + np.abs(evolved.psi_minus) ** 2
         center = float(np.sum(x * rho) / np.sum(rho))
-        assert center == pytest.approx(t * 1.0 / config.mass, abs=0.01)
+        assert center == pytest.approx(t, abs=0.01)
 
     def test_packet_spreads_at_analytic_rate(self):
         state = packet_state(width=1.0)
@@ -276,7 +279,7 @@ class TestFreeMotion:
         (x,) = evolved.grid.coordinates()
         rho = np.abs(evolved.psi_plus) ** 2 + np.abs(evolved.psi_minus) ** 2
         var = float(np.sum(x**2 * rho) / np.sum(rho))
-        # sigma^2(t) = w^2 + (hbar t / 2 m w)^2 for an initial width-w packet
+        # sigma^2(t) = w^2 + (t / 2 w)^2 for an initial width-w packet
         assert var == pytest.approx(1.0 + (t / 2.0) ** 2, abs=0.01)
 
 
@@ -316,7 +319,7 @@ class TestMadelung:
     @pytest.mark.parametrize("a", [0.3, -0.3])
     @pytest.mark.parametrize("component", ["plus", "minus"])
     def test_residuals_small_with_vector_potential(self, a, component):
-        # evolve's (i hbar grad + eA)^2 term moves the packet at (grad S - eA)/m;
+        # evolve's (i grad + A)^2 term moves the packet at grad S - A;
         # with the opposite sign the residuals read ~2e-2 and ~0.5 here, against
         # ~2e-7 and ~4e-6 at A = 0
         config = pauli.FieldConfig(vector_potential=(a,))

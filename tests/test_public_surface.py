@@ -1,9 +1,13 @@
-"""Every public function, class and method of spinmodel has a consumer.
+"""Every public function, class and method of spinmodel has a consumer,
+and every settable value of them a caller that sets it.
 
 A consumer is a reference outside the name's own definition, in
 src/spinmodel, scripts/ or bench/: a name, an attribute, an imported name,
 or a string that spells a dotted name, such as the entries of the bench's
 TRACED table.  Tests are not consumers, and neither are ``__all__`` entries.
+A settable value is a defaulted parameter of a public function or method,
+or a defaulted field of a public dataclass; a call in the same trees that
+names the callee passes it by keyword or by position.
 bench/ is only parsed, never imported or written.
 """
 
@@ -25,6 +29,21 @@ KEEP = {
     "orientation.total_action",  # item 10: the stationarity residual
     "stern_gerlach.conditional_density",  # item 10: the derived field-to-order map
     "orientation.limit_density",  # item 10: the derived field-to-order map
+}
+# the CLI's own options are its config schema, not a library API
+KNOB_EXEMPT_MODULES = EXEMPT_MODULES | {"cli"}
+# settable values that no caller sets yet, each with what keeps it
+KEEP_KNOBS = {
+    "kl_shift_rate:n_shifts",  # item 1: bench selftest sets it through a lambda
+    "flip_parity:size",  # item 1: bench selftest sets it through a lambda
+    "ActionSpec:g_s",  # item 10: the coupling of the stationarity relation
+    "ActionSpec:L_s",  # item 10: the coupling of the stationarity relation
+    "ActionSpec:delta_phi",  # item 10: the coupling of the stationarity relation
+    "FieldConfig:vector_potential",  # a term of the paper's Pauli equation
+    "FieldConfig:scalar_potential",  # a term of the paper's Pauli equation; item 11
+    "continuity_residual:component",  # the minus component has its own potential
+    "hj_residual:component",  # the minus component has its own potential
+    "gaussian_packet:momentum",  # the moving packets of the Pauli tests
 }
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*\Z")
 
@@ -97,3 +116,80 @@ def test_every_public_name_has_a_consumer():
 def test_kept_names_still_lack_a_consumer():
     # a kept name that has gained a consumer leaves KEEP
     assert sorted(KEEP - _unconsumed()) == []
+
+
+def _defaulted_parameters(function, is_method):
+    """(name, position or None) of each parameter that has a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    static = any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in function.decorator_list
+    )
+    if is_method and not static:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    yield from ((a.arg, i) for i, a in enumerate(positional) if i >= first)
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _knobs():
+    """(callee, parameter or field, position or None) of the settable values."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in KNOB_EXEMPT_MODULES:
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                for param, pos in _defaulted_parameters(node, False):
+                    yield node.name, param, pos
+            if not isinstance(node, ast.ClassDef) or node.name[0] == "_":
+                continue
+            if _is_dataclass(node):
+                fields = [
+                    f for f in node.body
+                    if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                ]
+                for pos, field in enumerate(fields):
+                    if field.value is not None:
+                        yield node.name, field.target.id, pos
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name[0] != "_":
+                    for param, pos in _defaulted_parameters(method, True):
+                        yield method.name, param, pos
+
+
+def _unset_knobs():
+    knobs = list(_knobs())
+    unset = {f"{callee}:{param}" for callee, param, _ in knobs}
+    for tree in CONSUMERS:
+        for path in sorted(tree.rglob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                keywords = {k.arg for k in call.keywords}
+                for callee, param, pos in knobs:
+                    if callee == name and (
+                        param in keywords or (pos is not None and pos < len(call.args))
+                    ):
+                        unset.discard(f"{callee}:{param}")
+    return unset
+
+
+def test_every_settable_value_has_a_caller():
+    assert sorted(_unset_knobs() - KEEP_KNOBS) == []
+
+
+def test_kept_settable_values_still_lack_a_caller():
+    # a kept value that has gained a caller leaves KEEP_KNOBS
+    assert sorted(KEEP_KNOBS - _unset_knobs()) == []

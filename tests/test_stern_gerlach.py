@@ -72,8 +72,16 @@ class TestDisplacement:
         np.testing.assert_allclose(dz, expected, rtol=1e-14, atol=0)
 
     def test_requires_finite_order(self):
-        with pytest.raises(ValueError):
-            sg.displacement(0.0, None, 1.0, 1.0)
+        # the order is a whole number m >= 0
+        with pytest.raises(ValueError, match="m must be non-negative"):
+            sg.displacement(0.0, -1, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "eta, transit_time", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_rejects_bad_scale(self, eta, transit_time):
+        with pytest.raises(ValueError, match="eta and transit_time"):
+            sg.displacement(0.0, 1, eta, transit_time)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_density_normalizes(self, m):
@@ -102,6 +110,20 @@ class TestDisplacement:
         assert np.max(
             np.abs(empirical[interior] - analytic[interior])
         ) < 0.15 * np.max(analytic[interior])
+
+    @pytest.mark.parametrize(
+        "gradient, transit_time",
+        [(-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)],
+    )
+    def test_config_rejects_bad_values(self, gradient, transit_time):
+        with pytest.raises(ValueError, match="gradient|transit_time"):
+            sg.ApparatusConfig(gradient=gradient, transit_time=transit_time)
+
+    def test_distribution_rejects_order_disagreeing_with_config(self):
+        with pytest.raises(ValueError, match="config.m"):
+            sg.displacement_distribution(
+                2, sg.ApparatusConfig(m=1), 10, stream(11, "sg-disagree")
+            )
 
     def test_histogram_rows_density_normalizes(self):
         rng = stream(11, "sg-rows")

@@ -16,7 +16,9 @@ class TestDwellModel:
     def test_stationary_fraction(self):
         assert tg.DwellModel(3.0, 1.0).stationary_up_fraction() == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("tp,tm", [(0.0, 1.0), (1.0, -2.0)])
+    @pytest.mark.parametrize(
+        "tp,tm", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)]
+    )
     def test_rejects_nonpositive_means(self, tp, tm):
         with pytest.raises(ValueError):
             tg.DwellModel(tp, tm)
@@ -197,8 +199,9 @@ class TestParity:
     def test_closed_form_delay_bounds(self, distribution):
         model = tg.DwellModel(1.0, 2.0, distribution)
         assert tg.odd_flip_probability(model, 0.0) == 0.0
-        with pytest.raises(ValueError, match="delay must be non-negative"):
-            tg.odd_flip_probability(model, -0.1)
+        for delay in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="delay must be non-negative"):
+                tg.odd_flip_probability(model, delay)
 
     @pytest.mark.parametrize("delay", [0.1, 0.5, 1.5])
     def test_monte_carlo_matches_closed_form(self, delay):
@@ -236,3 +239,8 @@ class TestParity:
     def test_zero_delay_has_no_flip(self):
         rng = stream(9, "tg-parity-zero")
         assert tg.flip_parity(tg.DwellModel(), 0.0, rng) is False
+
+    @pytest.mark.parametrize("delay", [-0.1, math.nan])
+    def test_parity_rejects_bad_delay(self, delay):
+        with pytest.raises(ValueError, match="delay must be non-negative"):
+            tg.flip_parity(tg.DwellModel(), delay, stream(9, "tg-parity-bad"), size=4)
