@@ -235,10 +235,6 @@ class ChshResult:
     # the drawn counts in Monte Carlo mode, their expectations in analytic
     counts: tuple = ()
 
-    def rows(self):
-        for (a, b), e, se in zip(self.settings, self.expectations, self.stderrs):
-            yield (a, b, e, se)
-
 
 def _chsh_from_terms(es):
     return abs(es[0] - es[1] + es[2] + es[3])

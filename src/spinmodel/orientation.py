@@ -172,10 +172,12 @@ class ActionSpec:
     m: int = 1
 
     def __post_init__(self):
-        if self.delta_phi <= 0:
-            raise ValueError("delta_phi must be positive")
-        if self.L_s <= 0:
-            raise ValueError("L_s must be positive")
+        if not math.isfinite(self.g_s):
+            raise ValueError("g_s must be finite")
+        if not 0 < self.delta_phi < math.inf:
+            raise ValueError("delta_phi must be positive and finite")
+        if not 0 < self.L_s < math.inf:
+            raise ValueError("L_s must be positive and finite")
         if self.divergence not in _DIVERGENCES:
             raise ValueError(f"divergence must be one of {_DIVERGENCES}")
         if self.divergence in (TSALLIS, RENYI) and self.m < 1:

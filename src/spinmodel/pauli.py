@@ -62,15 +62,11 @@ class SpatialGrid:
         return -self.extent / 2 + self.spacing * np.arange(self.nodes)
 
     def coordinates(self):
-        if self.dimension == 1:
-            return (self.axis(),)
-        return np.meshgrid(self.axis(), self.axis(), indexing="ij")
+        return np.meshgrid(*[self.axis()] * self.dimension, indexing="ij")
 
     def wavenumbers(self):
         k = 2.0 * np.pi * np.fft.fftfreq(self.nodes, d=self.spacing)
-        if self.dimension == 1:
-            return (k,)
-        return np.meshgrid(k, k, indexing="ij")
+        return np.meshgrid(*[k] * self.dimension, indexing="ij")
 
 
 @dataclass(frozen=True)
@@ -87,13 +83,11 @@ class FieldConfig:
     scalar_potential: object = 0.0
     b_z: object = 0.0
 
-    def potential_energy(self, grid: SpatialGrid):
-        """Diagonal potential V_pm = +/- B_z / 2 - phi."""
-        phi = self._as_field(self.scalar_potential, grid)
-        bz = self._as_field(self.b_z, grid)
-        zeeman = 0.5 * bz
-        base = -phi
-        return base + zeeman, base - zeeman
+    def potential_energy(self, grid: SpatialGrid) -> np.ndarray:
+        """Diagonal potential V_pm = +/- B_z / 2 - phi, stacked (V_+, V_-)."""
+        base = -self._as_field(self.scalar_potential, grid)
+        zeeman = 0.5 * self._as_field(self.b_z, grid)
+        return np.stack((base + zeeman, base - zeeman))
 
     @staticmethod
     def _as_field(value, grid: SpatialGrid):
@@ -104,30 +98,32 @@ class FieldConfig:
             raise ValueError("field values must be finite")
         return arr
 
+    def _vector_potential(self, grid: SpatialGrid) -> tuple:
+        """One value of A per grid axis, zero-padded."""
+        a = tuple(self.vector_potential)
+        if not np.all(np.isfinite(np.asarray(a, dtype=float))):
+            raise ValueError("vector_potential must be finite")
+        return a + (0.0,) * (grid.dimension - len(a))
+
 
 @dataclass(frozen=True)
 class SpinorField:
-    """Two complex component fields on the grid."""
+    """The spinor on the grid: psi[0] is Psi_+, psi[1] is Psi_-."""
 
     grid: SpatialGrid
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
+    psi: np.ndarray
 
     def __post_init__(self):
-        for psi in (self.psi_plus, self.psi_minus):
-            if psi.shape != self.grid.shape:
-                raise ValueError("component shape does not match grid")
+        if self.psi.shape != (2, *self.grid.shape):
+            raise ValueError("spinor shape must be (2, *grid.shape)")
 
     @staticmethod
     def normalized(grid, psi_plus, psi_minus) -> "SpinorField":
-        psi_plus = np.asarray(psi_plus, dtype=complex)
-        psi_minus = np.asarray(psi_minus, dtype=complex)
-        total = (
-            np.sum(np.abs(psi_plus) ** 2 + np.abs(psi_minus) ** 2)
-            * grid.cell_volume
-        )
-        scale = 1.0 / np.sqrt(total)
-        return SpinorField(grid, psi_plus * scale, psi_minus * scale)
+        psi = np.stack((psi_plus, psi_minus), dtype=complex)
+        rho = np.abs(psi) ** 2
+        # summing the two densities first keeps the scale's rounding
+        scale = 1.0 / np.sqrt(np.sum(rho[0] + rho[1]) * grid.cell_volume)
+        return SpinorField(grid, psi * scale)
 
 
 def norm(field: SpinorField) -> float:
@@ -137,22 +133,20 @@ def norm(field: SpinorField) -> float:
 
 def spin_populations(field: SpinorField) -> tuple[float, float]:
     dv = field.grid.cell_volume
-    up = float(np.sum(np.abs(field.psi_plus) ** 2) * dv)
-    down = float(np.sum(np.abs(field.psi_minus) ** 2) * dv)
+    up, down = (float(np.sum(rho) * dv) for rho in np.abs(field.psi) ** 2)
     return up, down
 
 
 def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
     """(1/2) integral of B_z (|Psi_+|^2 - |Psi_-|^2)."""
     bz = config._as_field(config.b_z, field.grid)
-    dv = field.grid.cell_volume
-    diff = np.abs(field.psi_plus) ** 2 - np.abs(field.psi_minus) ** 2
-    return float(0.5 * np.sum(bz * diff) * dv)
+    rho = np.abs(field.psi) ** 2
+    return float(0.5 * np.sum(bz * (rho[0] - rho[1])) * field.grid.cell_volume)
 
 
 def _kinetic_energy(grid: SpatialGrid, config: FieldConfig) -> np.ndarray:
     """Spectral kinetic energy (-k + A)^2 / 2 of each plane wave."""
-    a = _padded_vector_potential(config, grid)
+    a = config._vector_potential(grid)
     # plane wave e^{ikx}: (i grad + A) -> (-k + A)
     return sum((-k + ai) ** 2 for k, ai in zip(grid.wavenumbers(), a)) / 2.0
 
@@ -166,12 +160,12 @@ def evolve(
     if not dt > 0 or steps < 0:
         raise ValueError("dt must be positive and steps non-negative")
     grid = field.grid
-    half = np.exp(-0.5j * dt * np.stack(config.potential_energy(grid)))
+    half = np.exp(-0.5j * dt * config.potential_energy(grid))
     kinetic = np.exp(-1j * dt * _kinetic_energy(grid, config))
     # fftn's axis order, last axis first, gives fftn's bits; not ifft2(out=):
     # numpy 2.4's ifft2 drops out, which would leave psi in k-space
     axes = range(-1, -grid.dimension - 1, -1)
-    psi = np.stack((field.psi_plus, field.psi_minus), dtype=complex)
+    psi = np.array(field.psi, dtype=complex)  # a copy: the input stays unchanged
     for step in range(steps):
         psi *= half
         for axis in axes:
@@ -182,50 +176,30 @@ def evolve(
         psi *= half
         if not np.isfinite(psi).all():
             raise ConvergenceError(f"non-finite amplitudes at step {step}")
-    return SpinorField(grid, psi[0], psi[1])
+    return SpinorField(grid, psi)
 
 
 # ---------------------------------------------------------------------------
 # Madelung diagnostics
 
 
-@dataclass(frozen=True)
-class MadelungDecomposition:
-    rho_plus: np.ndarray
-    rho_minus: np.ndarray
-    s_plus: np.ndarray
-    s_minus: np.ndarray
+def madelung(field: SpinorField) -> tuple[np.ndarray, np.ndarray]:
+    """Density/phase-action split Psi_pm = sqrt(rho_pm) exp(i S_pm).
+
+    Returns (rho, S), each stacked like field.psi, with S unwrapped along
+    every grid axis.
+    """
+    phase = np.angle(field.psi)
+    for axis in range(1, phase.ndim):
+        phase = np.unwrap(phase, axis=axis)
+    return np.abs(field.psi) ** 2, phase
 
 
-def _unwrapped_phase(psi: np.ndarray) -> np.ndarray:
-    phase = np.angle(psi)
-    phase = np.unwrap(phase, axis=0)
-    if phase.ndim == 2:
-        phase = np.unwrap(phase, axis=1)
-    return phase
-
-
-def madelung(field: SpinorField) -> MadelungDecomposition:
-    """Density/phase-action split Psi_pm = sqrt(rho_pm) exp(i S_pm)."""
-    return MadelungDecomposition(
-        rho_plus=np.abs(field.psi_plus) ** 2,
-        rho_minus=np.abs(field.psi_minus) ** 2,
-        s_plus=_unwrapped_phase(field.psi_plus),
-        s_minus=_unwrapped_phase(field.psi_minus),
-    )
-
-
-def _component(field: SpinorField, component: str) -> np.ndarray:
+def _component(component: str) -> int:
+    """Index of the named component in SpinorField.psi."""
     if component not in ("plus", "minus"):
         raise ValueError("component must be 'plus' or 'minus'")
-    return field.psi_plus if component == "plus" else field.psi_minus
-
-
-def _padded_vector_potential(config: FieldConfig, grid: SpatialGrid):
-    a = config.vector_potential
-    if len(a) < grid.dimension:
-        a = tuple(a) + (0.0,) * (grid.dimension - len(a))
-    return a
+    return 0 if component == "plus" else 1
 
 
 def _current(fields: list[SpinorField], config: FieldConfig, component: str):
@@ -239,14 +213,15 @@ def _current(fields: list[SpinorField], config: FieldConfig, component: str):
     if len(fields) != 3:
         raise ValueError("need three consecutive snapshots")
     grid = fields[0].grid
-    psis = [_component(f, component) for f in fields]
+    index = _component(component)
+    psis = [f.psi[index] for f in fields]
     psi = psis[1]
     rho = np.abs(psi) ** 2
     ks = grid.wavenumbers()
     psi_hat = np.fft.fftn(psi)
     current = [
         np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat)) - ai * rho
-        for k, ai in zip(ks, _padded_vector_potential(config, grid))
+        for k, ai in zip(ks, config._vector_potential(grid))
     ]
     return psis, rho, current, ks
 
@@ -291,8 +266,7 @@ def hj_residual(
     rho_m = rho[mask]
     ds_dt = np.angle(psis[2] * np.conj(psis[0]))[mask] / (2.0 * dt)
     kinetic = 0.5 * sum((j[mask] / rho_m) ** 2 for j in current)
-    v_plus, v_minus = config.potential_energy(fields[0].grid)
-    v = (v_plus if component == "plus" else v_minus)[mask]
+    v = config.potential_energy(fields[0].grid)[_component(component)][mask]
     sqrt_rho = np.sqrt(rho)
     lap = np.real(np.fft.ifftn(-sum(k**2 for k in ks) * np.fft.fftn(sqrt_rho)))
     quantum = -0.5 * lap[mask] / sqrt_rho[mask]
@@ -303,11 +277,10 @@ def hj_residual(
 def total_energy(field: SpinorField, config: FieldConfig) -> float:
     """<Psi|H|Psi>, used for the conservation diagnostic."""
     grid = field.grid
-    v_plus, v_minus = config.potential_energy(grid)
     kin = _kinetic_energy(grid, config)
     dv = grid.cell_volume
     energy = 0.0
-    for psi, v in ((field.psi_plus, v_plus), (field.psi_minus, v_minus)):
+    for psi, v in zip(field.psi, config.potential_energy(grid)):
         psi_hat = np.fft.fftn(psi)
         kin_term = np.vdot(psi_hat, kin * psi_hat) / psi.size
         energy += float(np.real(kin_term)) * dv
@@ -317,15 +290,15 @@ def total_energy(field: SpinorField, config: FieldConfig) -> float:
 
 def relative_phase(field: SpinorField) -> float:
     """arg of the overlap integral <Psi_+ | Psi_->."""
-    overlap = np.vdot(field.psi_plus, field.psi_minus)
+    overlap = np.vdot(field.psi[0], field.psi[1])
     return float(np.angle(overlap))
 
 
 def gaussian_packet(grid: SpatialGrid, width=1.0, momentum=0.0):
     """Gaussian centred at x = 0 on the grid (1D helper for tests and demos)."""
-    (x,) = grid.coordinates() if grid.dimension == 1 else (None,)
-    if x is None:
+    if grid.dimension != 1:
         raise ValueError("gaussian_packet is 1D only")
+    x = grid.axis()
     psi = np.exp(-(x**2) / (4.0 * width**2) + 1j * momentum * x)
     return psi.astype(complex)
 
@@ -334,17 +307,8 @@ def snapshot_rows(field: SpinorField, stride: int = 1):
     """(x, |psi_+|^2, |psi_-|^2, S_+, S_-) rows for export (1D)."""
     if field.grid.dimension != 1:
         raise ValueError("snapshot export is 1D only")
-    deco = madelung(field)
+    if not stride >= 1:  # a negative slice step would reverse the rows
+        raise ValueError("stride must be >= 1")
+    rho, s = madelung(field)
     x = field.grid.axis()
-    rows = []
-    for i in range(0, field.grid.nodes, stride):
-        rows.append(
-            (
-                float(x[i]),
-                float(deco.rho_plus[i]),
-                float(deco.rho_minus[i]),
-                float(deco.s_plus[i]),
-                float(deco.s_minus[i]),
-            )
-        )
-    return rows
+    return np.column_stack((x, rho[0], rho[1], s[0], s[1]))[::stride].tolist()

@@ -137,9 +137,7 @@ def displacement_distribution(
 
 def histogram_rows(edges: np.ndarray, counts: np.ndarray):
     """(bin_left, bin_right, count, density) rows for CSV export."""
-    total = counts.sum()
-    widths = np.diff(edges)
-    rows = []
-    for left, right, c, w in zip(edges[:-1], edges[1:], counts, widths):
-        rows.append((float(left), float(right), int(c), float(c / (total * w))))
-    return rows
+    density = counts / (counts.sum() * np.diff(edges))
+    return list(zip(
+        edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), density.tolist()
+    ))

@@ -174,11 +174,6 @@ class TestChsh:
         with pytest.raises(ValueError, match="samples|whole number"):
             ent.chsh(ent.MeasurementPlan(samples=samples), ent.PSI_MINUS, mode, rng)
 
-    def test_result_rows(self):
-        result = ent.chsh(ent.MeasurementPlan(), ent.PSI_MINUS)
-        rows = list(result.rows())
-        assert len(rows) == 4 and len(rows[0]) == 4
-
 
 class TestDelayedMeasurement:
     def test_zero_delay_reduces_to_plain_correlation(self):

@@ -270,6 +270,12 @@ class TestActionFunctional:
         with pytest.raises(ValueError):
             om.ActionSpec(delta_phi=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["g_s", "L_s", "delta_phi"])
+    def test_rejects_non_finite_couplings(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            om.ActionSpec(**{name: value})
+
 
 class TestVariationalSolve:
     @pytest.mark.parametrize("m", [1, 2, 3])

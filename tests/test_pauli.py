@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from spinmodel import pauli
+from spinmodel import stern_gerlach as sg
 from spinmodel.pauli import ConvergenceError
+from spinmodel.streams import stream
 
 
 def packet_state(grid=None, momentum=0.0, width=1.0):
@@ -20,7 +22,7 @@ def _reference_evolve(field, config, dt, steps):
     half_minus = np.exp(-0.5j * dt * v_minus)
     energy = pauli._kinetic_energy(field.grid, config)
     kinetic = np.exp(-1j * dt * energy)
-    psi_p, psi_m = field.psi_plus.copy(), field.psi_minus.copy()
+    psi_p, psi_m = field.psi[0].copy(), field.psi[1].copy()
     for _ in range(steps):
         psi_p *= half_plus
         psi_m *= half_minus
@@ -63,7 +65,7 @@ def _reference_vector_potential(config, grid):
 def _reference_continuity_residual(fields, dt, config, component):
     """Per-axis continuity residual, one gradient and divergence per axis."""
     grid = fields[0].grid
-    psis = [f.psi_plus if component == "plus" else f.psi_minus for f in fields]
+    psis = [f.psi[0] if component == "plus" else f.psi[1] for f in fields]
     rho = [np.abs(p) ** 2 for p in psis]
     drho_dt = (rho[2] - rho[0]) / (2.0 * dt)
     a = _reference_vector_potential(config, grid)
@@ -80,7 +82,7 @@ def _reference_continuity_residual(fields, dt, config, component):
 def _reference_hj_residual(fields, dt, config, component):
     """Per-axis Hamilton-Jacobi residual with grad S = Im(psi* grad psi)/rho."""
     grid = fields[0].grid
-    psis = [f.psi_plus if component == "plus" else f.psi_minus for f in fields]
+    psis = [f.psi[0] if component == "plus" else f.psi[1] for f in fields]
     rho_mid = np.abs(psis[1]) ** 2
     ds_dt = np.angle(psis[2] * np.conj(psis[0])) / (2.0 * dt)
     a = _reference_vector_potential(config, grid)
@@ -128,6 +130,22 @@ class TestGrid:
         assert x.shape == (32, 32) and y.shape == (32, 32)
 
 
+class TestSpinorField:
+    grid = pauli.SpatialGrid(1, 64, 10.0)
+
+    @pytest.mark.parametrize("shape", [(64,), (3, 64), (2, 32)])
+    def test_rejects_shapes_other_than_two_components(self, shape):
+        with pytest.raises(ValueError, match="spinor shape"):
+            pauli.SpinorField(self.grid, np.zeros(shape, dtype=complex))
+
+    def test_normalized_stacks_the_components(self):
+        psi = pauli.gaussian_packet(self.grid)
+        state = pauli.SpinorField.normalized(self.grid, psi, 0.5 * psi)
+        assert state.psi.shape == (2, 64)
+        assert np.array_equal(state.psi[1], 0.5 * state.psi[0])
+        assert pauli.norm(state) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestFieldConfig:
     def test_diagonal_potential_signs(self):
         grid = pauli.SpatialGrid(1, 64, 10.0)
@@ -148,6 +166,25 @@ class TestFieldConfig:
         config = pauli.FieldConfig(b_z=float("nan"))
         with pytest.raises(ValueError):
             config.potential_energy(grid)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_potential_is_stacked_per_component(self, dimension):
+        grid = pauli.SpatialGrid(dimension, 32, 10.0)
+        potential = non_uniform_fields().potential_energy(grid)
+        assert potential.shape == (2, *grid.shape)
+
+    @pytest.mark.parametrize(
+        "dimension, a", [(1, (math.nan,)), (2, (0.0, math.inf))]
+    )
+    def test_rejects_non_finite_vector_potential(self, dimension, a):
+        state = two_component_state(pauli.SpatialGrid(dimension, 32, 20.0))
+        config = pauli.FieldConfig(vector_potential=a)
+        with pytest.raises(ValueError, match="vector_potential"):
+            pauli.evolve(state, config, 0.01, 1)
+        with pytest.raises(ValueError, match="vector_potential"):
+            pauli.total_energy(state, config)
+        with pytest.raises(ValueError, match="vector_potential"):
+            pauli.continuity_residual([state] * 3, 0.01, config)
 
 
 class TestUnitarity:
@@ -177,7 +214,7 @@ class TestUnitarity:
     def test_rejects_unnormalized_input(self):
         grid = pauli.SpatialGrid(1, 64, 10.0)
         psi = pauli.gaussian_packet(grid)
-        bad = pauli.SpinorField(grid, psi, psi)
+        bad = pauli.SpinorField(grid, np.stack((psi, psi)))
         with pytest.raises(ValueError):
             pauli.evolve(bad, pauli.FieldConfig(), 0.001, 1)
 
@@ -191,7 +228,7 @@ class TestUnitarity:
         grid = pauli.SpatialGrid(1, 64, 10.0)
         psi = pauli.gaussian_packet(grid)
         psi[3] = np.nan
-        bad = pauli.SpinorField(grid, psi, psi)
+        bad = pauli.SpinorField(grid, np.stack((psi, psi)))
         with pytest.raises(ValueError, match="normalized"):
             pauli.evolve(bad, pauli.FieldConfig(), 0.001, steps)
 
@@ -205,13 +242,12 @@ class TestStackedSteps:
     def test_bit_identical_to_per_component_loop(self, dimension, nodes):
         state = two_component_state(pauli.SpatialGrid(dimension, nodes, 20.0))
         config = non_uniform_fields(vector_potential=(0.3, -0.2))
-        before = state.psi_plus.copy(), state.psi_minus.copy()
+        before = state.psi.copy()
         evolved = pauli.evolve(state, config, 0.01, 25)
         psi_p, psi_m = _reference_evolve(state, config, 0.01, 25)
-        assert np.array_equal(evolved.psi_plus, psi_p)
-        assert np.array_equal(evolved.psi_minus, psi_m)
-        assert np.array_equal(state.psi_plus, before[0])
-        assert np.array_equal(state.psi_minus, before[1])
+        assert np.array_equal(evolved.psi[0], psi_p)
+        assert np.array_equal(evolved.psi[1], psi_m)
+        assert np.array_equal(state.psi, before)
 
 
 class TestTwoDimensional:
@@ -267,7 +303,7 @@ class TestFreeMotion:
         t = 2.0
         evolved = pauli.evolve(state, config, 0.001, 2000)
         (x,) = evolved.grid.coordinates()
-        rho = np.abs(evolved.psi_plus) ** 2 + np.abs(evolved.psi_minus) ** 2
+        rho = np.sum(np.abs(evolved.psi) ** 2, axis=0)
         center = float(np.sum(x * rho) / np.sum(rho))
         assert center == pytest.approx(t, abs=0.01)
 
@@ -277,7 +313,7 @@ class TestFreeMotion:
         t = 2.0
         evolved = pauli.evolve(state, config, 0.001, 2000)
         (x,) = evolved.grid.coordinates()
-        rho = np.abs(evolved.psi_plus) ** 2 + np.abs(evolved.psi_minus) ** 2
+        rho = np.sum(np.abs(evolved.psi) ** 2, axis=0)
         var = float(np.sum(x**2 * rho) / np.sum(rho))
         # sigma^2(t) = w^2 + (t / 2 w)^2 for an initial width-w packet
         assert var == pytest.approx(1.0 + (t / 2.0) ** 2, abs=0.01)
@@ -286,9 +322,9 @@ class TestFreeMotion:
 class TestMadelung:
     def test_reconstruction(self):
         state = packet_state(momentum=0.5)
-        deco = pauli.madelung(state)
-        rebuilt = np.sqrt(deco.rho_plus) * np.exp(1j * deco.s_plus)
-        assert np.allclose(rebuilt, state.psi_plus, atol=1e-12)
+        rho, s = pauli.madelung(state)
+        rebuilt = np.sqrt(rho) * np.exp(1j * s)
+        assert np.allclose(rebuilt, state.psi, atol=1e-12)
 
     def test_continuity_residual_refines_at_scheme_order(self):
         config = pauli.FieldConfig()
@@ -351,3 +387,40 @@ class TestMadelung:
         rows = pauli.snapshot_rows(packet_state(), stride=16)
         assert len(rows) == 256 // 16
         assert len(rows[0]) == 5
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_snapshot_rows_rejects_bad_stride(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            pauli.snapshot_rows(packet_state(), stride)
+
+
+def _cells(rows):
+    return [[(type(v), repr(v)) for v in row] for row in rows]
+
+
+def test_row_builders_match_per_index_loops():
+    """The exported rows carry the same Python values as a per-index loop."""
+    grid = pauli.SpatialGrid(1, 256, 20.0)
+    state = pauli.evolve(
+        two_component_state(grid), pauli.FieldConfig(b_z=0.7), 0.01, 40
+    )
+    x = grid.axis()
+    rho = [np.abs(p) ** 2 for p in state.psi]
+    s = [np.unwrap(np.angle(p)) for p in state.psi]
+    for stride in (1, 3, 16):
+        expected = [
+            (float(x[i]), float(rho[0][i]), float(rho[1][i]),
+             float(s[0][i]), float(s[1][i]))
+            for i in range(0, grid.nodes, stride)
+        ]
+        assert _cells(pauli.snapshot_rows(state, stride)) == _cells(expected)
+    for seed in (1, 2, 3):
+        config = sg.ApparatusConfig(m=seed)
+        rng = stream(seed, "rows-reference")
+        _, edges, counts = sg.displacement_distribution(seed, config, 5000, rng)
+        total, widths = counts.sum(), np.diff(edges)
+        expected = [
+            (float(left), float(right), int(c), float(c / (total * w)))
+            for left, right, c, w in zip(edges[:-1], edges[1:], counts, widths)
+        ]
+        assert _cells(sg.histogram_rows(edges, counts)) == _cells(expected)

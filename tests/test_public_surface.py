@@ -4,7 +4,10 @@ and every settable value of them a caller that sets it.
 A consumer is a reference outside the name's own definition, in
 src/spinmodel, scripts/ or bench/: a name, an attribute, an imported name,
 or a string that spells a dotted name, such as the entries of the bench's
-TRACED table.  Tests are not consumers, and neither are ``__all__`` entries.
+TRACED table.  A method is consumed only through an attribute or a string
+with a dot in it: a bare name, such as a local variable or a dict key,
+cannot call it.  Tests are not consumers, and neither are ``__all__``
+entries.
 A settable value is a defaulted parameter of a public function or method,
 or a defaulted field of a public dataclass; a call in the same trees that
 names the callee passes it by keyword or by position.
@@ -58,29 +61,31 @@ def _assigns_all(node):
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _references(node):
-    """Counter of the identifiers a syntax tree refers to, outside __all__."""
+def _references(node, bare=True):
+    """Counter of the identifiers a syntax tree refers to, outside __all__;
+    bare names, imported names and undotted strings only if `bare`."""
     refs = Counter()
     stack = [node]
     while stack:
         sub = stack.pop()
         if _assigns_all(sub):
             continue
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and bare:
             refs[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
+        elif isinstance(sub, ast.alias) and bare:
             refs.update(sub.name.split("."))
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            if DOTTED.match(sub.value):
+            if DOTTED.match(sub.value) and (bare or "." in sub.value):
                 refs.update(sub.value.split("."))
         stack.extend(ast.iter_child_nodes(sub))
     return refs
 
 
 def _public_definitions():
-    """(qualified name, bare name, definition node) of the package's API."""
+    """(qualified name, bare name, definition node, is a method) of the
+    package's API."""
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem in EXEMPT_MODULES:
             continue
@@ -89,23 +94,28 @@ def _public_definitions():
                 continue
             if node.name.startswith("_"):
                 continue
-            yield f"{path.stem}.{node.name}", node.name, node
+            yield f"{path.stem}.{node.name}", node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, ast.FunctionDef) and method.name[0] != "_":
                         qualified = f"{path.stem}.{node.name}.{method.name}"
-                        yield qualified, method.name, method
+                        yield qualified, method.name, method, True
 
 
 def _unconsumed():
-    everywhere = Counter()
-    for tree in CONSUMERS:
-        for path in sorted(tree.rglob("*.py")):
-            everywhere += _references(ast.parse(path.read_text()))
+    trees = [
+        ast.parse(path.read_text())
+        for tree in CONSUMERS
+        for path in sorted(tree.rglob("*.py"))
+    ]
+    everywhere = {
+        bare: sum((_references(t, bare) for t in trees), Counter())
+        for bare in (True, False)
+    }
     return {
         qualified
-        for qualified, name, node in _public_definitions()
-        if everywhere[name] - _references(node)[name] <= 0
+        for qualified, name, node, is_method in _public_definitions()
+        if everywhere[not is_method][name] - _references(node, not is_method)[name] <= 0
     }
 
 
