@@ -11,8 +11,6 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from spinmodel import stern_gerlach as sg
 from spinmodel.streams import stream
 
@@ -35,12 +33,11 @@ def main():
         _, edges, counts = sg.displacement_distribution(
             m, config, args.samples, rng, bins=args.bins
         )
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        widths = np.diff(edges)
-        empirical = counts / (counts.sum() * widths)
+        rows = sg.histogram_rows(edges, counts)
+        centers = [0.5 * (left + right) for left, right, _, _ in rows]
         analytic = sg.displacement_density(centers, m, config.gradient, config.transit_time)
-        for c, e, a in zip(centers, empirical, analytic):
-            writer.writerow([m, float(c), float(e), float(a)])
+        for c, (_, _, _, e), a in zip(centers, rows, analytic.tolist()):
+            writer.writerow([m, c, e, a])
     if args.out:
         out.close()
         print(f"wrote histograms to {args.out}")

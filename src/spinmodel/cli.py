@@ -31,7 +31,6 @@ from . import __version__
 from . import entanglement, fluctuations, orientation, pauli, qm_oracle
 from . import stern_gerlach as sg
 from . import telegraph
-from .pauli import ConvergenceError
 from .streams import stream
 
 ENV_OUT = "SPINMODEL_OUT"
@@ -177,8 +176,6 @@ SCHEMA = {
 # between 256 and 2^20 nodes (2-core host), so 256 x 10^6 node-steps, the
 # default grid at the steps bound, take ~15-95 s
 PAULI_NODE_STEPS = 256 * 10**6
-# a key shared by several subcommands has the same parser in each
-PARSERS = {key: parse for keys in SCHEMA.values() for key, (parse, _) in keys.items()}
 
 
 def load_config_file(path: str) -> dict:
@@ -207,32 +204,26 @@ def load_config_file(path: str) -> dict:
     return config
 
 
-def merge_config(defaults: dict, file_config: dict, cli_overrides: dict) -> dict:
-    """Defaults, then file values, then flags; each value parsed by its key."""
-    unknown = sorted((set(file_config) | set(cli_overrides)) - set(defaults))
+def merge_config(keys: dict, file_config: dict, cli_overrides: dict) -> dict:
+    """Defaults, then file values, then flags, each parsed by its key's
+    parser in `keys`, one subcommand's ``SCHEMA`` entry."""
+    unknown = sorted((set(file_config) | set(cli_overrides)) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    defaults = {key: default for key, (_, default) in keys.items()}
     merged = {**defaults, **file_config, **cli_overrides}
-    return {key: PARSERS[key](key, value) for key, value in merged.items()}
+    return {key: keys[key][0](key, value) for key, value in merged.items()}
 
 
 # ---------------------------------------------------------------------------
 # output
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        # float() drops numpy's scalar repr, np.float64(...) under numpy 2
-        return repr(float(value))
-    return value
-
-
 def write_csv(path: str, header: list, rows: list):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_json(path: str, payload: dict):
@@ -294,7 +285,7 @@ def run_stern_gerlach(config, seed, out_dir, fmt):
     rng = stream(seed, "stern-gerlach")
     n = config["samples"]
     beta = config["beta"]
-    p_up = sg.rotated_up_probability(beta)
+    p_up = sg.two_apparatus_up_probability(0.0, beta)
     outcomes = sg.measure_many(orientation.TwoPointDensity(p_up, 1.0 - p_up), rng, n)
     up_fraction = float(np.mean(outcomes == sg.UP))
     apparatus = sg.ApparatusConfig(
@@ -427,25 +418,22 @@ def run_oracle_check(config, seed, out_dir, fmt):
     rng = stream(seed, "oracle-check")
     n = config["pairs"]
     rows = []
-    max_overlap = 0.0
-    max_singlet = 0.0
     for _ in range(n):
-        b1, b2 = rng.uniform(0, 2 * math.pi, 2)
+        # .tolist(): Python floats, the cell type of every other table
+        b1, b2 = rng.uniform(0, 2 * math.pi, 2).tolist()
         model_p = sg.two_apparatus_up_probability(b1, b2)
         oracle_p = qm_oracle.overlap_prob(b1, b2)
-        a, b = rng.uniform(0, 2 * math.pi, 2)
+        a, b = rng.uniform(0, 2 * math.pi, 2).tolist()
         model_e = entanglement.correlation(entanglement.PSI_MINUS, a, b)
         oracle_e = qm_oracle.singlet_correlation(a, b)
-        max_overlap = max(max_overlap, abs(model_p - oracle_p))
-        max_singlet = max(max_singlet, abs(model_e - oracle_e))
         rows.append((b1, b2, model_p, oracle_p, a, b, model_e, oracle_e))
     header = [
         "beta1", "beta2", "model_up_prob", "oracle_up_prob",
         "a", "b", "model_correlation", "oracle_correlation",
     ]
     summary = {
-        "max_abs_overlap_difference": max_overlap,
-        "max_abs_correlation_difference": max_singlet,
+        "max_abs_overlap_difference": max(abs(r[2] - r[3]) for r in rows),
+        "max_abs_correlation_difference": max(abs(r[6] - r[7]) for r in rows),
         "pairs": n,
     }
     files = [write_result(out_dir, "oracle_check", fmt, header, rows, summary)]
@@ -498,12 +486,11 @@ def run(argv=None) -> int:
     try:
         file_config = load_config_file(args.config) if args.config else {}
         overrides = {key: value for key, value in vars(args).items() if key in keys}
-        defaults = {key: default for key, (_, default) in keys.items()}
-        config = merge_config(defaults, file_config, overrides)
+        config = merge_config(keys, file_config, overrides)
         os.makedirs(out_dir, exist_ok=True)
         started = time.monotonic()
         files, summary = RUNNERS[name](config, args.seed, out_dir, args.format)
-    except ConvergenceError as exc:
+    except pauli.ConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -150,6 +150,11 @@ def _correlation(coincidences, total=1.0) -> float:
     return 2.0 * (pp + mm - pm - mp) / total
 
 
+def _require_count(name: str, n):
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= 1, got {n!r}")
+
+
 def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
     """(E, stderr, coincidences) of n pairs with the table's law.
 
@@ -158,8 +163,7 @@ def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
     S_A S_B are +/-1 with mean E/2, so the estimator's standard error is
     2 sqrt((1 - (E/2)^2) / n).
     """
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError(f"n must be a whole number >= 1, got {n!r}")
+    _require_count("n", n)
     if mode == ANALYTIC:
         cells = _coincidences(table)
         return _correlation(cells), 0.0, tuple([n * w for w in cells])
@@ -219,10 +223,11 @@ class MeasurementPlan:
     dwell: DwellModel = DwellModel()
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if not self.delay >= 0:
-            raise ValueError("delay must be non-negative")
+        _require_count("samples", self.samples)
+        if not 0 <= self.delay < math.inf:
+            raise ValueError("delay must be non-negative and finite")
+        if not all(map(math.isfinite, (*self.alice_angles, *self.bob_angles))):
+            raise ValueError("measurement angles must be finite")
 
 
 @dataclass(frozen=True)
@@ -233,11 +238,7 @@ class ChshResult:
     statistic: float
     # per setting, the (++, +-, -+, --) coincidences of plan.samples pairs:
     # the drawn counts in Monte Carlo mode, their expectations in analytic
-    counts: tuple = ()
-
-
-def _chsh_from_terms(es):
-    return abs(es[0] - es[1] + es[2] + es[3])
+    counts: tuple
 
 
 def chsh(
@@ -263,7 +264,7 @@ def chsh(
         )
         for sa, sb in settings
     ))
-    return ChshResult(settings, es, ses, _chsh_from_terms(es), counts)
+    return ChshResult(settings, es, ses, abs(es[0] - es[1] + es[2] + es[3]), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ class TranslationParams:
     dt: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0 and self.dt > 0):
-            raise ValueError("all parameters must be positive")
+        if not (0 < self.mass < math.inf and 0 < self.dt < math.inf):
+            raise ValueError("all parameters must be positive and finite")
 
     @property
     def component_variance(self) -> float:
@@ -37,8 +37,8 @@ class RotationParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0 and self.omega > 0):
-            raise ValueError("all parameters must be positive")
+        if not (0 < self.mass < math.inf and 0 < self.omega < math.inf):
+            raise ValueError("all parameters must be positive and finite")
 
     @property
     def radius_scale(self) -> float:

@@ -62,7 +62,6 @@ class GridDensity:
 
     @staticmethod
     def from_unnormalized(thetas, values) -> "GridDensity":
-        values = np.clip(np.asarray(values, dtype=float), 0.0, None)
         z = np.trapezoid(values, thetas)
         if z <= 0:
             raise ValueError("cannot normalize a density with zero mass")
@@ -91,16 +90,6 @@ def theta_grid(n_nodes: int = DEFAULT_GRID_NODES) -> np.ndarray:
 # the cos^{2m} family
 
 
-def alpha_from_m(m: int) -> float:
-    """Divergence order alpha = 1 + 1/(2m) for integer m >= 1."""
-    if m < 1:
-        raise ValueError(
-            "m must be >= 1; the m = 0 case is the uniform density and has "
-            "no finite divergence order"
-        )
-    return 1.0 + 1.0 / (2 * m)
-
-
 @lru_cache(maxsize=None)
 def normalization_constant(m: int) -> float:
     """Z_m = integral of cos^{2m}(theta) over [0, pi], by the Wallis product.
@@ -114,11 +103,7 @@ def normalization_constant(m: int) -> float:
 
 def eval_density(m: int, theta) -> float | np.ndarray:
     """p_m(theta) = cos^{2m}(theta) / Z_m; the uniform 1/pi for m = 0."""
-    theta = np.asarray(theta, dtype=float)
-    if m == 0:
-        out = np.full_like(theta, 1.0 / np.pi)
-    else:
-        out = np.cos(theta) ** (2 * m) / normalization_constant(m)
+    out = np.cos(np.asarray(theta, dtype=float)) ** (2 * m) / normalization_constant(m)
     return out if out.ndim else float(out)
 
 
@@ -185,7 +170,8 @@ class ActionSpec:
 
     @property
     def alpha(self) -> float:
-        return alpha_from_m(self.m)
+        """1 + 1/(2m); Tsallis and Renyi, which read it, have m >= 1."""
+        return 1.0 + 1.0 / (2 * self.m)
 
 
 def divergence_term(density: GridDensity, spec: ActionSpec) -> float:

@@ -15,6 +15,7 @@ extended Hamilton-Jacobi residual diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class SpatialGrid:
             raise ValueError("dimension must be 1 or 2")
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two >= 16")
-        if not self.extent > 0:
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < math.inf:
+            raise ValueError("extent must be positive and finite")
 
     @property
     def spacing(self) -> float:

@@ -33,10 +33,12 @@ class ApparatusConfig:
     m: int = 1
 
     def __post_init__(self):
-        if not self.transit_time > 0:
-            raise ValueError("transit_time must be positive")
-        if not self.gradient >= 0:
-            raise ValueError("gradient must be non-negative")
+        if not 0 < self.gradient < math.inf:
+            raise ValueError("gradient must be positive and finite")
+        if not 0 < self.transit_time < math.inf:
+            raise ValueError("transit_time must be positive and finite")
+        if not (self.m >= 0 and float(self.m).is_integer()):
+            raise ValueError(f"m must be a whole number >= 0, got {self.m!r}")
 
 
 def measure_many(density: TwoPointDensity, rng: np.random.Generator, n: int):
@@ -56,11 +58,6 @@ def conditional_density(prior: GridDensity, m: int) -> GridDensity:
     return GridDensity.from_unnormalized(prior.thetas, weights)
 
 
-def rotated_up_probability(beta: float) -> float:
-    """Up-probability cos^2(beta/2) after a second apparatus tilted by beta."""
-    return math.cos(beta / 2.0) ** 2
-
-
 def two_apparatus_up_probability(beta1: float, beta2: float) -> float:
     """Up-probability when the apparatuses are tilted by beta1, beta2."""
     return math.cos((beta2 - beta1) / 2.0) ** 2
@@ -70,14 +67,10 @@ def two_apparatus_up_probability(beta1: float, beta2: float) -> float:
 # weak-gradient displacement regime
 
 
-def max_displacement(m: int, eta: float, transit_time: float) -> float:
-    return abs(displacement(0.0, m, eta, transit_time))
-
-
 def displacement(theta, m: int, eta: float, transit_time: float):
     """Screen displacement (eta / 4 Z_m) dT^2 cos^{2m+1}(theta)."""
-    if not eta > 0 or not transit_time > 0:
-        raise ValueError("eta and transit_time must be positive")
+    if not (0 < eta < math.inf and 0 < transit_time < math.inf):
+        raise ValueError("eta and transit_time must be positive and finite")
     z_m = normalization_constant(m)
     prefactor = eta / (4.0 * z_m) * transit_time**2
     return prefactor * _odd_power(np.cos(theta), m)
@@ -130,7 +123,7 @@ def displacement_distribution(
         raise ValueError(f"m = {m!r} disagrees with config.m = {config.m!r}")
     thetas = sample_theta(m, rng, n_samples)
     dz = displacement(thetas, m, config.gradient, config.transit_time)
-    k = max_displacement(m, config.gradient, config.transit_time)
+    k = displacement(0.0, m, config.gradient, config.transit_time)
     counts, edges = np.histogram(dz, bins=bins, range=(-k, k))
     return dz, edges, counts
 

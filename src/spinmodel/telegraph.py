@@ -27,8 +27,8 @@ class DwellModel:
     distribution: str = EXPONENTIAL
 
     def __post_init__(self):
-        if not (self.tau_plus > 0 and self.tau_minus > 0):
-            raise ValueError("dwell means must be positive")
+        if not (0 < self.tau_plus < math.inf and 0 < self.tau_minus < math.inf):
+            raise ValueError("dwell means must be positive and finite")
         if self.distribution not in (EXPONENTIAL, FIXED):
             raise ValueError("distribution must be 'exponential' or 'fixed'")
 

@@ -44,7 +44,7 @@ def test_criterion_01_quantization_limit_pole_mass():
 
 def test_criterion_02_rotated_apparatus_up_fraction():
     beta = math.pi / 3
-    p_up = sg.rotated_up_probability(beta)
+    p_up = sg.two_apparatus_up_probability(0.0, beta)
     rng = stream(42, "acceptance-rotated")
     outcomes = sg.measure_many(om.TwoPointDensity(p_up, 1.0 - p_up), rng, 10**6)
     fraction = float(np.mean(outcomes == sg.UP))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from spinmodel import cli
 from spinmodel.pauli import ConvergenceError
+
+SG_KEYS = cli.SCHEMA["stern-gerlach"]
 
 
 class TestConfigParsing:
@@ -42,19 +45,41 @@ class TestConfigParsing:
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(cli.ConfigError, match="unknown config keys: gamma"):
-            cli.merge_config({"beta": 1.0}, {"gamma": 2.0}, {})
+            cli.merge_config(SG_KEYS, {"gamma": 2.0}, {})
 
     def test_flag_overrides_file(self):
-        merged = cli.merge_config({"beta": 1.0}, {"beta": 2.0}, {"beta": 3.0})
+        merged = cli.merge_config(SG_KEYS, {"beta": 2.0}, {"beta": 3.0})
         assert merged["beta"] == 3.0
 
     def test_physically_invalid_values_rejected(self):
         with pytest.raises(cli.ConfigError):
-            cli.merge_config({"samples": 100}, {"samples": 0}, {})
+            cli.merge_config(SG_KEYS, {"samples": 0}, {})
         with pytest.raises(cli.ConfigError):
-            cli.merge_config({"tau": 1.0}, {"tau": -2.0}, {})
+            cli.merge_config(cli.SCHEMA["bell-delay"], {"tau": -2.0}, {})
         with pytest.raises(cli.ConfigError):
-            cli.merge_config({"m": 1}, {"m": -1}, {})
+            cli.merge_config(SG_KEYS, {"m": -1}, {})
+
+
+# every subcommand at small sizes, and the other mode of each Bell run
+SMALL_RUNS = [
+    ["variational", "--orders", "1,2", "--nodes", "64"],
+    ["stern-gerlach", "--samples", "2000", "--bins", "11"],
+    ["bell-test", "--samples", "2000"],
+    ["bell-test", "--mode", "analytic"],
+    ["bell-delay", "--delays", "0,0.5"],
+    ["bell-delay", "--mode", "monte_carlo", "--samples", "2000", "--delays", "0,0.5"],
+    ["pauli", "--nodes", "64", "--steps", "10", "--stride", "4"],
+    ["fluctuations", "--samples", "10000"],
+    ["oracle-check", "--pairs", "5"],
+]
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 class TestRun:
@@ -155,6 +180,30 @@ class TestRun:
             for cell in row:
                 float(cell)
 
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=" ".join)
+    def test_csv_cells_are_numbers_or_words(self, tmp_path, capsys, monkeypatch, argv):
+        # write_csv passes cells to csv as they are: each must be a Python
+        # int, float or str; csv writes a numpy scalar by str(), which hides it
+        cells_written = []
+        write_csv = cli.write_csv
+
+        def recording_write_csv(path, header, rows):
+            cells_written.extend(cell for row in rows for cell in row)
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+        assert cli.run([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+        assert {type(cell) for cell in cells_written} <= {int, float, str}
+        tables = sorted(tmp_path.glob("*.csv"))
+        assert tables
+        for table in tables:
+            with open(table, newline="") as fh:
+                cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
+            assert cells
+            for cell in cells:
+                assert "np.float64(" not in cell
+                assert _is_number(cell) or re.fullmatch(r"[A-Za-z][\w.]*", cell)
+
     def test_bell_test_counts_carry_the_reported_expectation(self, tmp_path, capsys):
         args = ["bell-test", "--samples", "20000", "--seed", "3"]
         for out in ("r1", "r2"):
@@ -254,12 +303,6 @@ class TestMalformedInput:
         assert configs[0] == configs[1] == {"orders": [1], "nodes": 512}
 
 
-def test_shared_keys_have_one_parser():
-    for keys in cli.SCHEMA.values():
-        for key, (parse, _) in keys.items():
-            assert cli.PARSERS[key] is parse
-
-
 _NUMBERS = st.integers(0, 4) | st.floats(0.5, 4.0) | st.sampled_from(["1,2", "1e6"])
 _SCALARS = (
     _NUMBERS
@@ -277,12 +320,11 @@ _VALUES = _NUMBERS | _SCALARS | st.lists(_SCALARS, max_size=3)
 @given(sub=st.sampled_from(sorted(cli.SCHEMA)), data=st.data())
 def test_merge_config_returns_declared_types_or_config_error(sub, data):
     keys = cli.SCHEMA[sub]
-    defaults = {key: default for key, (_, default) in keys.items()}
-    typed = cli.merge_config(defaults, {}, {})
+    typed = cli.merge_config(keys, {}, {})
     entries = st.dictionaries(st.sampled_from([*keys, "bogus"]), _VALUES, max_size=2)
     file_config, overrides = data.draw(entries), data.draw(entries)
     try:
-        merged = cli.merge_config(defaults, file_config, overrides)
+        merged = cli.merge_config(keys, file_config, overrides)
     except cli.ConfigError:
         return
     assert merged.keys() == typed.keys()

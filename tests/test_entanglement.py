@@ -169,10 +169,26 @@ class TestChsh:
     @pytest.mark.parametrize("mode", [ent.ANALYTIC, ent.MONTE_CARLO])
     @pytest.mark.parametrize("samples", [0, 2.5])
     def test_rejects_non_whole_sample_counts(self, mode, samples):
-        # samples = 0 is caught by the plan, 2.5 by the evaluation of a setting
+        # the plan catches both, by the count rule it shares with the evaluation
         rng = stream(21, "ent-bad-n")
         with pytest.raises(ValueError, match="samples|whole number"):
             ent.chsh(ent.MeasurementPlan(samples=samples), ent.PSI_MINUS, mode, rng)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alice_angles", (math.nan, 0.0)),
+            ("alice_angles", (0.0, math.inf)),
+            ("bob_angles", (-math.inf, 0.0)),
+            ("bob_angles", (0.0, math.nan)),
+            ("delay", math.inf),
+            ("samples", math.nan),
+            ("samples", 2.5),
+        ],
+    )
+    def test_plan_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match="angles|delay|samples"):
+            ent.MeasurementPlan(**{field: value})
 
 
 class TestDelayedMeasurement:

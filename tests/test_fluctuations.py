@@ -5,7 +5,9 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from spinmodel import fluctuations as fl
+from spinmodel import pauli
 from spinmodel.streams import stream
+from spinmodel.telegraph import DwellModel
 
 
 class TestTranslation:
@@ -136,3 +138,21 @@ def test_uncertainty_product_matches_momentum_form():
     w = fl.sample_displacement(params, stream(31, "fl-ur-eq"), 50000)
     expected = float(np.mean(w * (params.mass * w / params.dt)))
     assert fl.uncertainty_product(w, params) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config, kwargs",
+    [
+        (fl.TranslationParams, {"mass": math.inf}),
+        (fl.TranslationParams, {"dt": math.inf}),
+        (fl.RotationParams, {"mass": math.inf}),
+        (fl.RotationParams, {"omega": math.inf}),
+        (DwellModel, {"tau_plus": math.inf}),
+        (DwellModel, {"tau_minus": math.inf}),
+        (pauli.SpatialGrid, {"extent": math.inf}),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else next(iter(v)),
+)
+def test_library_configs_reject_infinity(config, kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        config(**kwargs)

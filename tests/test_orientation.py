@@ -57,16 +57,16 @@ def test_cli_import_leaves_scipy_unloaded():
 
 class TestAlpha:
     def test_values(self):
-        assert om.alpha_from_m(1) == 1.5
-        assert om.alpha_from_m(2) == 1.25
+        assert om.ActionSpec(m=1).alpha == 1.5
+        assert om.ActionSpec(m=2).alpha == 1.25
 
     def test_m_zero_has_no_order(self):
         with pytest.raises(ValueError):
-            om.alpha_from_m(0)
+            om.ActionSpec(m=0)
 
     @given(st.integers(min_value=1, max_value=10**6))
     def test_approaches_one_from_above(self, m):
-        assert 1.0 < om.alpha_from_m(m) <= 1.5
+        assert 1.0 < om.ActionSpec(m=m).alpha <= 1.5
 
 
 class TestDensityFamily:
@@ -98,7 +98,10 @@ class TestDensityFamily:
         assert om.eval_density(5, math.pi / 2) == pytest.approx(0.0, abs=1e-30)
 
     def test_uniform_density_value(self):
-        assert om.eval_density(0, 1.234) == pytest.approx(1.0 / math.pi)
+        # bit for bit: cos^0 / Z_0 with Z_0 = pi is the uniform 1/pi
+        thetas = np.append(np.linspace(-10.0, 10.0, 14101), math.nan)
+        assert np.all(om.eval_density(0, thetas) == 1.0 / math.pi)
+        assert om.eval_density(0, 1.234) == 1.0 / math.pi
 
 
 class TestGridDensity:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -19,7 +19,16 @@ DZ_MAX_M1 = 0.15915494309189535  # = 1 / (2 pi)
 
 class TestRotatedProbabilities:
     def test_third_turn(self):
-        assert sg.rotated_up_probability(math.pi / 3) == pytest.approx(0.75)
+        assert sg.two_apparatus_up_probability(0.0, math.pi / 3) == pytest.approx(0.75)
+
+    @given(angles)
+    @example(0.0)
+    @example(-0.0)
+    @example(math.pi)
+    @example(1e300)
+    def test_untilted_first_apparatus_is_cos_squared(self, beta):
+        # bit for bit: the one copy of the rotated-apparatus law
+        assert sg.two_apparatus_up_probability(0.0, beta) == math.cos(beta / 2) ** 2
 
     @given(angles, angles)
     def test_two_apparatus_matches_oracle(self, b1, b2):
@@ -56,7 +65,13 @@ class TestDisplacement:
         assert sg.displacement(0.0, 1, 1.0, 1.0) == pytest.approx(
             DZ_MAX_M1, abs=1e-12
         )
-        assert sg.max_displacement(1, 1.0, 1.0) == pytest.approx(DZ_MAX_M1)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 40, 1000])
+    @pytest.mark.parametrize("eta, transit_time", [(1.0, 1.0), (0.3, 2.5), (7.0, 0.1)])
+    def test_scale_is_exact(self, m, eta, transit_time):
+        # the displacement at theta = 0 is the histogram's range, eta T^2 / (4 Z_m)
+        scale = eta / (4.0 * om.normalization_constant(m)) * transit_time**2
+        assert sg.displacement(0.0, m, eta, transit_time) == scale
 
     def test_odd_symmetry(self):
         thetas = np.linspace(0, math.pi, 101)
@@ -77,7 +92,11 @@ class TestDisplacement:
             sg.displacement(0.0, -1, 1.0, 1.0)
 
     @pytest.mark.parametrize(
-        "eta, transit_time", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)]
+        "eta, transit_time",
+        [
+            (0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+            (math.inf, 1.0), (1.0, math.inf),
+        ],
     )
     def test_rejects_bad_scale(self, eta, transit_time):
         with pytest.raises(ValueError, match="eta and transit_time"):
@@ -85,7 +104,7 @@ class TestDisplacement:
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_density_normalizes(self, m):
-        k = sg.max_displacement(m, 1.0, 1.0)
+        k = sg.displacement(0.0, m, 1.0, 1.0)
         total, _ = integrate.quad(
             lambda z: sg.displacement_density(z, m, 1.0, 1.0),
             -k,
@@ -113,11 +132,20 @@ class TestDisplacement:
 
     @pytest.mark.parametrize(
         "gradient, transit_time",
-        [(-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)],
+        [
+            (-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan),
+            # displacement, which every distribution call runs, rejects these
+            (0.0, 1.0), (math.inf, 1.0), (1.0, math.inf),
+        ],
     )
     def test_config_rejects_bad_values(self, gradient, transit_time):
         with pytest.raises(ValueError, match="gradient|transit_time"):
             sg.ApparatusConfig(gradient=gradient, transit_time=transit_time)
+
+    @pytest.mark.parametrize("m", [math.nan, -1, 1.5])
+    def test_config_rejects_non_whole_order(self, m):
+        with pytest.raises(ValueError, match="whole number"):
+            sg.ApparatusConfig(m=m)
 
     def test_distribution_rejects_order_disagreeing_with_config(self):
         with pytest.raises(ValueError, match="config.m"):
@@ -140,4 +168,4 @@ def test_displacement_magnitude_bounded(m):
     rng = stream(5, "sg-bound", m)
     thetas = rng.uniform(0.0, math.pi, 100)
     dz = sg.displacement(thetas, m, 1.0, 1.0)
-    assert np.all(np.abs(dz) <= sg.max_displacement(m, 1.0, 1.0) + 1e-15)
+    assert np.all(np.abs(dz) <= sg.displacement(0.0, m, 1.0, 1.0) + 1e-15)
