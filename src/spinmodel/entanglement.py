@@ -119,21 +119,21 @@ def _outcome_table(
     model: BellPairModel,
     a: float,
     b: float,
-    p_flip_z: float = 0.0,
-    p_flip_y: float = 0.0,
+    p_flip: float = 0.0,
+    degrade_y: bool = False,
 ) -> tuple:
     """Joint law P(branch, S_A, S_B) = (1 + S_A S_B c_branch) / 8.
 
     Each branch is taken with probability 1/2 and carries the conditional
-    expectation c_branch; flipping Bob's sub-state with probability p
-    scales it by 1 - 2p.  Every Bell quantity, analytic or sampled,
-    derives from this table.  Cells run over (S_A, S_B) = ++, +-, -+, --
-    on the z-branch, then the same on the y-branch.
+    expectation c_branch; flipping Bob's sub-state with probability p_flip
+    scales it by 1 - 2 p_flip, on the y-branch only if degrade_y.  Every
+    Bell quantity, analytic or sampled, derives from this table.  Cells run
+    over (S_A, S_B) = ++, +-, -+, -- on the z-branch, then on the y-branch.
     """
-    c_z = branch_expectation(model.z_correlation, a, b) * (1.0 - 2.0 * p_flip_z)
+    c_z = branch_expectation(model.z_correlation, a, b) * (1.0 - 2.0 * p_flip)
     c_y = branch_expectation(
         model.y_correlation, math.pi / 2 - a, math.pi / 2 - b
-    ) * (1.0 - 2.0 * p_flip_y)
+    ) * (1.0 - 2.0 * (p_flip if degrade_y else 0.0))
     same_z, diff_z = (1.0 + c_z) / 8.0, (1.0 - c_z) / 8.0
     same_y, diff_y = (1.0 + c_y) / 8.0, (1.0 - c_y) / 8.0
     return (same_z, diff_z, diff_z, same_z, same_y, diff_y, diff_y, same_y)
@@ -151,8 +151,9 @@ def _correlation(coincidences, total=1.0) -> float:
 
 
 def _require_count(name: str, n):
-    if not (n >= 1 and float(n).is_integer()):
-        raise ValueError(f"{name} must be a whole number >= 1, got {n!r}")
+    # n % 1, unlike float(n), takes any int; rng.multinomial takes an int64 n
+    if not (1 <= n < 2**63 and n % 1 == 0):
+        raise ValueError(f"{name} must be a whole number in [1, 2**63), got {n!r}")
 
 
 def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
@@ -259,7 +260,7 @@ def chsh(
     settings = ((a, b), (a, bp), (ap, b), (ap, bp))
     es, ses, counts = zip(*(
         _evaluate(
-            _outcome_table(model, sa, sb, p, p if degrade_y else 0.0),
+            _outcome_table(model, sa, sb, p, degrade_y),
             mode, plan.samples, rng,
         )
         for sa, sb in settings
@@ -285,7 +286,7 @@ def delayed_correlation(
     telegraph trend; the y-branch is kept intact unless degrade_y.
     """
     p = odd_flip_probability(dwell, delay)
-    table = _outcome_table(model, a, b, p, p if degrade_y else 0.0)
+    table = _outcome_table(model, a, b, p, degrade_y)
     return _correlation(_coincidences(table))
 
 

@@ -50,12 +50,10 @@ class RotationParams:
 # translational kernel
 
 
-def sample_displacement(
-    params: TranslationParams, rng: np.random.Generator, size=None
-):
-    """Gaussian displacement vectors with per-component variance dt/2m."""
-    shape = (3,) if size is None else (int(size), 3)
-    return rng.normal(0.0, math.sqrt(params.component_variance), shape)
+def sample_displacement(params: TranslationParams, rng: np.random.Generator, size):
+    """`size` Gaussian displacement vectors, an array of shape (size, 3), with
+    per-component variance dt/2m."""
+    return rng.normal(0.0, math.sqrt(params.component_variance), (int(size), 3))
 
 
 def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float:
@@ -72,17 +70,13 @@ def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float
 # rotational model
 
 
-def sample_radius(params: RotationParams, rng: np.random.Generator, size=None):
-    return np.abs(rng.normal(0.0, params.radius_scale, size))
-
-
 def expected_angular_momentum(
     params: RotationParams, n: int, rng: np.random.Generator
 ) -> float:
     """Monte Carlo <m omega u^2>; 1/2 for any (m, omega)."""
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
-    u = sample_radius(params, rng, n)
+    u = np.abs(rng.normal(0.0, params.radius_scale, n))
     return float(np.mean(params.mass * params.omega * u**2))
 
 
@@ -113,8 +107,10 @@ def kl_shift_rate(
     so it is deterministic; 32 nodes reach the grid's interpolation error.
     rng is unused, kept for callers that pass one.
     """
-    if n_shifts < 1 or n_shifts != int(n_shifts):
-        raise ValueError("n_shifts must be a whole number >= 1")
+    if not (1 <= n_shifts < 2**63 and n_shifts % 1 == 0):  # int(inf) overflows
+        raise ValueError(
+            f"n_shifts must be a whole number in [1, 2**63), got {n_shifts!r}"
+        )
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("density must be strictly positive")

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_GRID_NODES = 2048
 _NORM_TOL = 1e-10
 
 
@@ -82,12 +82,21 @@ class TwoPointDensity:
             raise ValueError("weights must sum to 1")
 
 
-def theta_grid(n_nodes: int = DEFAULT_GRID_NODES) -> np.ndarray:
+def theta_grid(n_nodes: int) -> np.ndarray:
     return np.linspace(0.0, np.pi, n_nodes)
 
 
 # ---------------------------------------------------------------------------
 # the cos^{2m} family
+
+
+def _require_order(m) -> None:
+    """The order m of the family is a whole number >= 0, and small enough
+    that the Gamma shape m + 1/2 of `sample_theta` is exact in a float."""
+    if not (isinstance(m, numbers.Integral) and 0 <= m < 2**52):
+        raise ValueError(
+            f"m must be non-negative and a whole number below 2**52, got {m!r}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -96,23 +105,22 @@ def normalization_constant(m: int) -> float:
 
     Z_m = pi * prod_{k=1}^{m} (2k - 1) / (2k).
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _require_order(m)
     return math.pi * math.prod((2 * k - 1) / (2 * k) for k in range(1, m + 1))
 
 
-def eval_density(m: int, theta) -> float | np.ndarray:
+def eval_density(m: int, theta) -> np.ndarray:
     """p_m(theta) = cos^{2m}(theta) / Z_m; the uniform 1/pi for m = 0."""
-    out = np.cos(np.asarray(theta, dtype=float)) ** (2 * m) / normalization_constant(m)
-    return out if out.ndim else float(out)
+    z_m = normalization_constant(m)
+    return np.cos(np.asarray(theta, dtype=float)) ** (2 * m) / z_m
 
 
-def closed_form_density(m: int, n_nodes: int = DEFAULT_GRID_NODES) -> GridDensity:
+def closed_form_density(m: int, n_nodes: int) -> GridDensity:
     thetas = theta_grid(n_nodes)
     return GridDensity.from_unnormalized(thetas, eval_density(m, thetas))
 
 
-def sample_theta(m: int, rng: np.random.Generator, size=None):
+def sample_theta(m: int, rng: np.random.Generator, size):
     """Draw theta ~ p_m exactly, for any order m >= 0.
 
     x = cos(theta) has density x^{2m} / (Z_m sqrt(1 - x^2)) on [-1, 1], so
@@ -122,8 +130,7 @@ def sample_theta(m: int, rng: np.random.Generator, size=None):
     picks the hemisphere.  arctan2 keeps the angle's full resolution near
     the poles, where the mass sits at large m.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _require_order(m)
     g = rng.standard_gamma(m + 0.5, size)
     z = rng.standard_normal(size)
     return np.arctan2(np.abs(z), np.copysign(np.sqrt(2.0 * g), z))
@@ -165,8 +172,9 @@ class ActionSpec:
             raise ValueError("L_s must be positive and finite")
         if self.divergence not in _DIVERGENCES:
             raise ValueError(f"divergence must be one of {_DIVERGENCES}")
-        if self.divergence in (TSALLIS, RENYI) and self.m < 1:
-            raise ValueError("Tsallis/Renyi require order m >= 1")
+        _require_order(self.m)
+        if self.m < 1:
+            raise ValueError(f"the action's order m must be >= 1, got {self.m!r}")
 
     @property
     def alpha(self) -> float:
@@ -207,9 +215,7 @@ def total_action(density: GridDensity, spec: ActionSpec) -> float:
     return classical + 0.5 * divergence_term(density, spec)
 
 
-def variational_solve(
-    spec: ActionSpec, n_nodes: int = DEFAULT_GRID_NODES
-) -> GridDensity:
+def variational_solve(spec: ActionSpec, n_nodes: int) -> GridDensity:
     """The closed-form density of the spec's divergence, normalized on the grid.
 
     Tsallis and Renyi of order m give cos^{2m}(theta)/Z_m, the

@@ -35,9 +35,9 @@ class ConvergenceError(RuntimeError):
 class SpatialGrid:
     """Uniform periodic grid in 1 or 2 dimensions."""
 
-    dimension: int = 1
-    nodes: int = 256
-    extent: float = 20.0
+    dimension: int
+    nodes: int
+    extent: float
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -92,8 +92,6 @@ class FieldConfig:
 
     @staticmethod
     def _as_field(value, grid: SpatialGrid):
-        if callable(value):
-            value = value(*grid.coordinates())
         arr = np.broadcast_to(np.asarray(value, dtype=float), grid.shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")

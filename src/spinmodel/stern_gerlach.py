@@ -16,6 +16,7 @@ import numpy as np
 from .orientation import (
     GridDensity,
     TwoPointDensity,
+    _require_order,
     normalization_constant,
     sample_theta,
 )
@@ -37,8 +38,7 @@ class ApparatusConfig:
             raise ValueError("gradient must be positive and finite")
         if not 0 < self.transit_time < math.inf:
             raise ValueError("transit_time must be positive and finite")
-        if not (self.m >= 0 and float(self.m).is_integer()):
-            raise ValueError(f"m must be a whole number >= 0, got {self.m!r}")
+        _require_order(self.m)
 
 
 def measure_many(density: TwoPointDensity, rng: np.random.Generator, n: int):
@@ -52,8 +52,7 @@ def conditional_density(prior: GridDensity, m: int) -> GridDensity:
     The prior is expressed in the apparatus frame; any tilt between the
     first and second apparatus is the caller's frame shift.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _require_order(m)
     weights = prior.values * np.cos(prior.thetas) ** (2 * m)
     return GridDensity.from_unnormalized(prior.thetas, weights)
 
@@ -105,7 +104,7 @@ def displacement_density(z, m: int, eta: float, transit_time: float):
     x = np.sign(z[inside]) * frac ** (1.0 / (2 * m + 1))
     z_m = normalization_constant(m)
     out[inside] = 1.0 / (z_m * k * (2 * m + 1) * np.sqrt(1.0 - x**2))
-    return out if out.ndim else float(out)
+    return out
 
 
 def displacement_distribution(

@@ -32,14 +32,14 @@ class DwellModel:
         if self.distribution not in (EXPONENTIAL, FIXED):
             raise ValueError("distribution must be 'exponential' or 'fixed'")
 
-    def draw(self, trend, rng: np.random.Generator):
-        """Dwell of a segment with trend +1 / -1; an array of trends gives
-        one independent dwell per element, drawn in order."""
+    def draw(self, trend, rng: np.random.Generator) -> np.ndarray:
+        """Dwells of segments with trends +1 / -1: an array shaped like
+        `trend`, one independent dwell per element, drawn in order."""
         up = np.asarray(trend) > 0
         tau = np.where(up, float(self.tau_plus), float(self.tau_minus))
         if self.distribution == EXPONENTIAL:
             tau = rng.exponential(tau)
-        return tau if np.ndim(tau) else float(tau)
+        return tau
 
     def stationary_up_fraction(self) -> float:
         return self.tau_plus / (self.tau_plus + self.tau_minus)
@@ -116,19 +116,17 @@ def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
     return up, 1.0 - up
 
 
-def flip_parity(
-    model: DwellModel, delay: float, rng: np.random.Generator, size=None
-):
+def flip_parity(model: DwellModel, delay: float, rng: np.random.Generator, size):
     """Whether the trend has switched an odd number of times within delay.
 
-    Vectorized over size for Monte Carlo ensembles; exact for both dwell
+    A bool array of `size` Monte Carlo samples; exact for both dwell
     distributions by simulating switch epochs only.  Each round draws the
     next dwell of every sample whose switch epochs have not yet passed
     delay.
     """
     if not delay >= 0:
         raise ValueError("delay must be non-negative")
-    n = 1 if size is None else int(size)
+    n = int(size)
     odd = np.zeros(n, dtype=bool)
     if delay > 0:
         trend = np.where(rng.random(n) < model.stationary_up_fraction(), 1, -1)
@@ -143,7 +141,7 @@ def flip_parity(
             trend[active] *= -1
             t[active] += model.draw(trend[active], rng)
             active = active[t[active] < delay]
-    return bool(odd[0]) if size is None else odd
+    return odd
 
 
 def odd_flip_probability(model: DwellModel, delay: float) -> float:

@@ -134,10 +134,10 @@ def test_criterion_07_variational_solver():
     worst = 0.0
     for m in (1, 2, 3):
         for div in (om.TSALLIS, om.RENYI):
-            solved = om.variational_solve(om.ActionSpec(divergence=div, m=m))
+            solved = om.variational_solve(om.ActionSpec(divergence=div, m=m), 2048)
             target = np.asarray(om.eval_density(m, solved.thetas))
             worst = max(worst, float(np.max(np.abs(solved.values - target))))
-    kl = om.variational_solve(om.ActionSpec(divergence=om.KULLBACK_LEIBLER))
+    kl = om.variational_solve(om.ActionSpec(divergence=om.KULLBACK_LEIBLER), 2048)
     c = float(np.trapezoid(np.exp(np.cos(kl.thetas)), kl.thetas))
     kl_err = float(np.max(np.abs(kl.values - np.exp(np.cos(kl.thetas)) / c)))
     positive = bool(np.all(kl.values > 0))

@@ -184,6 +184,7 @@ class TestChsh:
             ("delay", math.inf),
             ("samples", math.nan),
             ("samples", 2.5),
+            pytest.param("samples", 10**400, id="samples-10**400"),
         ],
     )
     def test_plan_rejects_bad_values(self, field, value):

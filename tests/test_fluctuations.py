@@ -126,7 +126,9 @@ class TestFisherLimit:
         for key in ("fl-kl-a", "fl-kl-b"):
             assert fl.kl_shift_rate(x, rho, params, stream(31, key)) == rate
 
-    @pytest.mark.parametrize("n_shifts", [0, -3, 2.5])
+    @pytest.mark.parametrize(
+        "n_shifts", [0, -3, 2.5, math.inf, pytest.param(10**400, id="10**400")]
+    )
     def test_kl_rate_rejects_bad_node_count(self, n_shifts):
         x, rho = self._gaussian()
         with pytest.raises(ValueError, match="n_shifts"):
@@ -149,7 +151,7 @@ def test_uncertainty_product_matches_momentum_form():
         (fl.RotationParams, {"omega": math.inf}),
         (DwellModel, {"tau_plus": math.inf}),
         (DwellModel, {"tau_minus": math.inf}),
-        (pauli.SpatialGrid, {"extent": math.inf}),
+        (pauli.SpatialGrid, {"extent": math.inf, "dimension": 1, "nodes": 16}),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else next(iter(v)),
 )

@@ -11,6 +11,7 @@ from scipy import integrate, special
 
 import spinmodel
 from spinmodel import orientation as om
+from spinmodel import stern_gerlach as sg
 from spinmodel.streams import stream
 
 # independently computed by adaptive quadrature (see docstrings for the
@@ -55,6 +56,35 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == b"False"
 
 
+ORDER_USERS = {
+    "normalization_constant": om.normalization_constant,
+    "eval_density": lambda m: om.eval_density(m, 0.3),
+    "sample_theta": lambda m: om.sample_theta(m, stream(7, "orientation-order"), 3),
+    "conditional_density":
+        lambda m: sg.conditional_density(om.closed_form_density(0, 64), m),
+    "ApparatusConfig": lambda m: sg.ApparatusConfig(m=m),
+    **{
+        f"ActionSpec-{divergence}": lambda m, d=divergence: om.ActionSpec(
+            divergence=d, m=m
+        )
+        for divergence in (om.TSALLIS, om.RENYI, om.KULLBACK_LEIBLER)
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "m",
+    [math.nan, math.inf, -math.inf, 1.5, -1, 10**400],
+    ids=["nan", "inf", "-inf", "1.5", "-1", "10**400"],
+)
+@pytest.mark.parametrize("use", ORDER_USERS.values(), ids=list(ORDER_USERS))
+def test_order_is_a_whole_number(use, m):
+    # one rule for every reader of the order, so none fails with a TypeError,
+    # an OverflowError or a silent NaN
+    with pytest.raises(ValueError, match="m must be non-negative and a whole"):
+        use(m)
+
+
 class TestAlpha:
     def test_values(self):
         assert om.ActionSpec(m=1).alpha == 1.5
@@ -64,6 +94,11 @@ class TestAlpha:
         with pytest.raises(ValueError):
             om.ActionSpec(m=0)
 
+    def test_kl_order_is_at_least_one(self):
+        # alpha = 1 + 1/(2m) divides by m for every divergence
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            om.ActionSpec(divergence=om.KULLBACK_LEIBLER, m=0)
+
     @given(st.integers(min_value=1, max_value=10**6))
     def test_approaches_one_from_above(self, m):
         assert 1.0 < om.ActionSpec(m=m).alpha <= 1.5
@@ -72,7 +107,7 @@ class TestAlpha:
 class TestDensityFamily:
     @pytest.mark.parametrize("m", range(0, 11))
     def test_normalized(self, m):
-        d = om.closed_form_density(m)
+        d = om.closed_form_density(m, 2048)
         assert d.integral() == pytest.approx(1.0, abs=1e-10)
 
     @given(
@@ -285,7 +320,7 @@ class TestVariationalSolve:
     @pytest.mark.parametrize("div", [om.TSALLIS, om.RENYI])
     def test_matches_closed_form(self, m, div):
         spec = om.ActionSpec(divergence=div, m=m)
-        solved = om.variational_solve(spec)
+        solved = om.variational_solve(spec, 2048)
         target = np.asarray(om.eval_density(m, solved.thetas))
         assert float(np.max(np.abs(solved.values - target))) <= 1e-6
 
@@ -308,12 +343,12 @@ class TestVariationalSolve:
         # exp(g_s L_s cos theta) overflows to inf, and inf / inf is NaN
         spec = om.ActionSpec(divergence=om.KULLBACK_LEIBLER, g_s=1e4)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
-            om.variational_solve(spec)
+            om.variational_solve(spec, 2048)
 
 
 class TestLimitDensity:
     def test_symmetric_density_splits_evenly(self):
-        two = om.limit_density(om.closed_form_density(1))
+        two = om.limit_density(om.closed_form_density(1, 2048))
         assert two.weight_up == pytest.approx(0.5, abs=1e-9)
 
     def test_tilted_density(self):
@@ -330,6 +365,6 @@ class TestLimitDensity:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=8))
 def test_solver_output_is_normalized_density(m):
-    solved = om.variational_solve(om.ActionSpec(m=m))
+    solved = om.variational_solve(om.ActionSpec(m=m), 2048)
     assert solved.integral() == pytest.approx(1.0, abs=1e-10)
     assert np.all(solved.values >= 0)

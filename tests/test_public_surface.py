@@ -10,7 +10,10 @@ cannot call it.  Tests are not consumers, and neither are ``__all__``
 entries.
 A settable value is a defaulted parameter of a public function or method,
 or a defaulted field of a public dataclass; a call in the same trees that
-names the callee passes it by keyword or by position.
+names the callee passes it by keyword or by position.  Every settable value
+also has a call that leaves it out, so that its default is used.  In an
+entry ``"module.name": lambda f: f(...)`` of a dict, such as the bench
+selftest's sample_calls, a call of the lambda's parameter is a call of name.
 bench/ is only parsed, never imported or written.
 """
 
@@ -37,8 +40,6 @@ KEEP = {
 KNOB_EXEMPT_MODULES = EXEMPT_MODULES | {"cli"}
 # settable values that no caller sets yet, each with what keeps it
 KEEP_KNOBS = {
-    "kl_shift_rate:n_shifts",  # item 1: bench selftest sets it through a lambda
-    "flip_parity:size",  # item 1: bench selftest sets it through a lambda
     "ActionSpec:g_s",  # item 10: the coupling of the stationarity relation
     "ActionSpec:L_s",  # item 10: the coupling of the stationarity relation
     "ActionSpec:delta_phi",  # item 10: the coupling of the stationarity relation
@@ -178,28 +179,71 @@ def _knobs():
                         yield method.name, param, pos
 
 
-def _unset_knobs():
+def _lambda_callees(tree):
+    """{call node: name} for the calls of f in {"module.name": lambda f: ...}."""
+    callees = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Dict):
+            continue
+        for key, value in zip(node.keys, node.values):
+            if not (
+                isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(value, ast.Lambda) and len(value.args.args) == 1
+            ):
+                continue
+            f = value.args.args[0].arg
+            for call in ast.walk(value.body):
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == f:
+                    callees[call] = key.value.rsplit(".", 1)[-1]
+    return callees
+
+
+def _knob_uses():
+    """(callee:parameter, whether the call passes it) for each call of a
+    settable value's callee in the consumer trees.  A call with *args or
+    **kwargs that does not name the value may or may not pass it, so it
+    counts for neither."""
     knobs = list(_knobs())
-    unset = {f"{callee}:{param}" for callee, param, _ in knobs}
     for tree in CONSUMERS:
         for path in sorted(tree.rglob("*.py")):
-            for call in ast.walk(ast.parse(path.read_text())):
+            syntax = ast.parse(path.read_text())
+            callees = _lambda_callees(syntax)
+            for call in ast.walk(syntax):
                 if not isinstance(call, ast.Call):
                     continue
                 name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                name = callees.get(call, name)
                 keywords = {k.arg for k in call.keywords}
+                unpacked = None in keywords or any(
+                    isinstance(a, ast.Starred) for a in call.args
+                )
                 for callee, param, pos in knobs:
-                    if callee == name and (
-                        param in keywords or (pos is not None and pos < len(call.args))
-                    ):
-                        unset.discard(f"{callee}:{param}")
-    return unset
+                    if callee != name:
+                        continue
+                    if param in keywords or (pos is not None and pos < len(call.args)):
+                        yield f"{callee}:{param}", True
+                    elif not unpacked:
+                        yield f"{callee}:{param}", False
+
+
+def _knobs_never(passed):
+    """The settable values that no call passes (passed=True) or that no call
+    leaves out (passed=False)."""
+    knobs = {f"{callee}:{param}" for callee, param, _ in _knobs()}
+    return knobs - {knob for knob, p in _knob_uses() if p == passed}
 
 
 def test_every_settable_value_has_a_caller():
-    assert sorted(_unset_knobs() - KEEP_KNOBS) == []
+    assert sorted(_knobs_never(passed=True) - KEEP_KNOBS) == []
 
 
 def test_kept_settable_values_still_lack_a_caller():
     # a kept value that has gained a caller leaves KEEP_KNOBS
-    assert sorted(KEEP_KNOBS - _unset_knobs()) == []
+    assert sorted(KEEP_KNOBS - _knobs_never(passed=True)) == []
+
+
+def test_every_default_is_used():
+    # a default that every caller overrides is a second statement of a value
+    # the callers already give, so the parameter is required instead; no
+    # default is kept
+    assert sorted(_knobs_never(passed=False)) == []
