@@ -131,7 +131,8 @@ SCHEMA = {
     "stern-gerlach": {
         "samples": (SAMPLES, 100000),
         "beta": (REAL, math.pi / 3),
-        # bounds the O(m) Wallis product for Z_m: ~0.1 s at 1e6, ~1 s at 1e7
+        # not a cost bound: Z_m and the sampler are O(1) in m; kept with the
+        # `orders` bound until the order limits are revisited together
         "m": (_numeric(int, 0, high=10**6), 1),
         "eta": (POSITIVE, 1.0),
         "transit_time": (POSITIVE, 1.0),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,7 +77,9 @@ def expected_angular_momentum(
     """Monte Carlo <m omega u^2>; 1/2 for any (m, omega)."""
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
-    u = np.abs(rng.normal(0.0, params.radius_scale, n))
+    # u = |N(0, 1/2 m omega)|, but only u**2 enters and the sign does not
+    # change it, so the draws are squared as they come: same bits, one pass less
+    u = rng.normal(0.0, params.radius_scale, n)
     return float(np.mean(params.mass * params.omega * u**2))
 
 
@@ -93,6 +96,67 @@ def fisher_functional(x, rho, params: TranslationParams) -> float:
     return float(1.0 / (4.0 * params.mass) * np.trapezoid(grad**2 / rho, x))
 
 
+def _he_ratios(x, n: int):
+    """The orthonormal He recurrence sqrt(i+1) p_{i+1} = x p_i - sqrt(i) p_{i-1}
+    at each x > 0, carried as ratios r_i = p_i / p_{i-1} so that nothing
+    overflows.  Returns (count, r_n, log|p_{n-1}|): count is the number of
+    roots of He_n below x, the Sturm count of its Jacobi matrix (diagonal 0,
+    off-diagonal sqrt(i)), whose sequence is -sqrt(i) r_i.  A ratio of +0 (x a
+    root of p_i; x > 0 rules out -0) counts once, the -inf after it not."""
+    count = np.zeros(x.shape, dtype=np.intp)
+    log_p = np.zeros_like(x)
+    r = x.copy()
+    for i in range(1, n):
+        count += r >= 0.0
+        log_p += np.log(np.abs(r))
+        r = (x - math.sqrt(i) / r) / math.sqrt(i + 1)
+    count += r >= 0.0
+    return count, r, log_p
+
+
+@lru_cache(maxsize=None)
+def _gauss_hermite(n: int):
+    """Nodes and weights of the n-node probabilists' Gauss-Hermite rule for the
+    unit-mass weight e^{-x^2/2} / sqrt(2 pi), as read-only arrays.
+
+    The nodes are the roots of He_n, symmetric about 0, so only the h = n // 2
+    positive ones are found: bisection on the Sturm count brackets root k
+    alone in [0, 2 sqrt(n - 1)] (Gershgorin), then Newton steps
+    x -= p_n / p_n' = r_n / sqrt(n) finish it, each kept inside its bracket.
+    A node's weight is 1 / (n p_{n-1}(x)^2), taken through log|p_{n-1}| so
+    that it underflows to 0 rather than overflowing; for odd n the node 0
+    has the exact weight 2^{n-1} / (n C(n-1, (n-1)/2)).  No LAPACK call: its
+    eigensolver maps ~1.3 MiB on first use.
+    """
+    h = n // 2
+    k = np.arange(n - h, n)  # index of each positive root among all n
+    lo, count_lo = np.zeros(h), np.full(h, n - h)
+    hi, count_hi = np.full(h, 2.0 * math.sqrt(n - 1)), np.full(h, n)
+    x = 0.5 * hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            count, r = _he_ratios(x, n)[:2]
+            step = r / math.sqrt(n)
+            below = count > k  # root k lies below x
+            hi, count_hi = np.where(below, x, hi), np.where(below, count, count_hi)
+            lo, count_lo = np.where(below, lo, x), np.where(below, count_lo, count)
+            alone = count_hi - count_lo == 1  # count_lo <= k < count_hi
+            if alone.all() and np.all(np.abs(step) <= 1e-12 * x):
+                break
+            newton = x - step
+            inside = alone & (lo <= newton) & (newton <= hi)
+            x = np.where(inside, newton, 0.5 * (lo + hi))
+        else:
+            raise RuntimeError(f"Gauss-Hermite nodes for n = {n} did not converge")
+        x = x - step  # quadratically small: x is now exact to rounding
+        weights = np.exp(-2.0 * _he_ratios(x, n)[2]) / n
+    middle = [] if n % 2 == 0 else [2 ** (n - 1) / (n * math.comb(n - 1, n // 2))]
+    nodes = np.concatenate((-x[::-1], [0.0] * len(middle), x))
+    weights = np.concatenate((weights[::-1], middle, weights))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def kl_shift_rate(
     x,
     rho,
@@ -103,8 +167,9 @@ def kl_shift_rate(
     """Average KL divergence between rho and its fluctuation-shifted copy,
     per unit time: <D_KL(rho(x) || rho(x+w))>_w / dt with w ~ the
     translational kernel (1D).  Converges to fisher_functional as dt -> 0.
-    The average over w is an n_shifts-node probabilists' Gauss-Hermite rule,
-    so it is deterministic; 32 nodes reach the grid's interpolation error.
+    The average over w is an n_shifts-node probabilists' Gauss-Hermite rule
+    (`_gauss_hermite`, built once per n_shifts), so it is deterministic;
+    32 nodes reach the grid's interpolation error.
     rng is unused, kept for callers that pass one.
     """
     if not (1 <= n_shifts < 2**63 and n_shifts % 1 == 0):  # int(inf) overflows
@@ -115,11 +180,7 @@ def kl_shift_rate(
     if np.any(rho <= 0):
         raise ValueError("density must be strictly positive")
     x = np.asarray(x, dtype=float)
-    # Golub & Welsch (Math. Comp. 23, 1969): nodes are the eigenvalues of the
-    # He_n Jacobi matrix, weights the squared first eigenvector components
-    k = np.sqrt(np.arange(1.0, n_shifts))
-    nodes, vectors = np.linalg.eigh(np.diag(k, 1) + np.diag(k, -1))
-    weights = vectors[0] ** 2
+    nodes, weights = _gauss_hermite(int(n_shifts))
     w = math.sqrt(params.component_variance) * nodes
     s = np.interp(x + w[:, None], x, rho, left=rho[0], right=rho[-1])
     # log rho(x) - log rho(x + w) per element, before the weighted sum, so two

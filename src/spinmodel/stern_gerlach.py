@@ -18,7 +18,7 @@ from .orientation import (
     TwoPointDensity,
     _require_order,
     normalization_constant,
-    sample_theta,
+    sample_cos_theta,
 )
 
 UP = +1
@@ -76,8 +76,9 @@ def displacement(theta, m: int, eta: float, transit_time: float):
 
 
 def _odd_power(c, m: int):
-    """c**(2m+1) by repeated squaring; a float power call costs ~10x more."""
-    out = np.array(c, dtype=float)
+    """c**(2m+1) by repeated squaring, in place on the fresh float array c;
+    a float power call costs ~10x more."""
+    out = np.asarray(c, dtype=float)
     square = out * out
     while m:
         if m & 1:
@@ -120,9 +121,10 @@ def displacement_distribution(
     """
     if m != config.m:
         raise ValueError(f"m = {m!r} disagrees with config.m = {config.m!r}")
-    thetas = sample_theta(m, rng, n_samples)
-    dz = displacement(thetas, m, config.gradient, config.transit_time)
     k = displacement(0.0, m, config.gradient, config.transit_time)
+    # k * cos^{2m+1}(theta), the product `displacement` forms, without its cos
+    dz = _odd_power(sample_cos_theta(m, rng, n_samples), m)
+    dz *= k
     counts, edges = np.histogram(dz, bins=bins, range=(-k, k))
     return dz, edges, counts
 

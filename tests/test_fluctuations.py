@@ -56,6 +56,57 @@ class TestRotation:
             0.5, abs=0.005
         )
 
+    def test_same_bits_as_the_absolute_radius(self):
+        # only u**2 enters, so dropping |.| from u = |N(0, 1/2 m omega)|
+        # leaves every bit of the estimate as it was
+        params = fl.RotationParams(mass=3.0, omega=7.0)
+        u = np.abs(stream(31, "fl-ls-bits").normal(0.0, params.radius_scale, 10**5))
+        expected = float(np.mean(params.mass * params.omega * u**2))
+        got = fl.expected_angular_momentum(params, 10**5, stream(31, "fl-ls-bits"))
+        assert got == expected
+
+
+class TestGaussHermiteRule:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_numpy_rule(self, n):
+        nodes, weights = fl._gauss_hermite(n)
+        ref_nodes, ref_weights = hermegauss(n)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+        np.testing.assert_allclose(weights, ref_weights / math.sqrt(2 * math.pi),
+                                   rtol=2e-13, atol=0)
+
+    def test_large_rule_is_finite_symmetric_and_exact(self):
+        # 500 nodes: numpy's own rule overflows to NaN beyond ~370
+        nodes, weights = fl._gauss_hermite(500)
+        assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))
+        assert np.all(np.diff(nodes) > 0) and np.all(weights >= 0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert weights.sum() == pytest.approx(1.0, rel=1e-14)
+        # E[x^{2k}] = (2k - 1)!! for the unit-mass weight e^{-x^2/2}/sqrt(2 pi)
+        for k in range(1, 11):
+            moment = float(np.sum(weights * nodes ** (2 * k)))
+            assert moment == pytest.approx(math.prod(range(1, 2 * k, 2)), rel=1e-12)
+
+    def test_rule_is_cached_read_only(self):
+        nodes, weights = fl._gauss_hermite(32)
+        assert fl._gauss_hermite(32)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+
+    def test_kl_rate_calls_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        fl._gauss_hermite.cache_clear()
+        x = np.linspace(-12, 12, 4001)
+        rho = np.exp(-(x**2) / 2.0) / math.sqrt(2 * math.pi)
+        rate = fl.kl_shift_rate(x, rho, fl.TranslationParams(dt=0.01))
+        assert rate == pytest.approx(0.25, rel=1e-4)
+
 
 class TestFisherLimit:
     def _gaussian(self, sigma=1.0):

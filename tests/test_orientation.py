@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -38,6 +39,26 @@ class TestNormalizationConstant:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             om.normalization_constant(-1)
+
+    @pytest.mark.parametrize(
+        "m", [*range(0, 130), 150, 199, 200, 500, 1000, 2047, 3000, 5000, 10**4]
+    )
+    def test_matches_exact_central_binomial(self, m):
+        # Z_m = pi C(2m, m) / 4^m, the rational rounded once: the Wallis
+        # product below m = 100 and the asymptotic series from 100 up
+        exact = math.pi * float(Fraction(math.comb(2 * m, m), 4**m))
+        assert om.normalization_constant(m) == pytest.approx(exact, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("m", range(90, 111))
+    def test_recurrence_across_series_switch(self, m):
+        ratio = om.normalization_constant(m + 1) / om.normalization_constant(m)
+        assert ratio == pytest.approx((2 * m + 1) / (2 * m + 2), rel=2e-15, abs=0)
+
+    def test_largest_order_costs_one_series(self):
+        m = 2**52 - 1
+        assert om.normalization_constant(m) == pytest.approx(
+            math.sqrt(math.pi / m), rel=1e-15
+        )
 
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 40, 300])
     def test_matches_quadrature(self, m):
@@ -223,6 +244,27 @@ class TestSampling:
         assert abs(np.mean(np.cos(thetas) ** 2) - cos_mean) < 5 * se
         assert abs(np.mean(np.sin(thetas) ** 2) - 1.0 / (2 * m + 2)) < 5 * se
         assert abs(np.mean(np.cos(thetas))) < 5 * math.sqrt(cos_mean / n)
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 10, 10**3, 10**6])
+    def test_cos_theta_is_cos_of_theta_from_equal_streams(self, m):
+        key = ("orientation-cos", m)
+        cos_theta = om.sample_cos_theta(m, stream(7, *key), 100000)
+        rng = stream(7, *key)
+        thetas = om.sample_theta(m, rng, 100000)
+        assert np.max(np.abs(cos_theta - np.cos(thetas))) <= 1e-15
+        # the same draws, in the same order: both streams end in one place
+        after = stream(7, *key)
+        om.sample_cos_theta(m, after, 100000)
+        assert after.random() == rng.random()
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 10, 10**3, 10**6])
+    def test_cos_theta_second_moment(self, m):
+        # cos^2 theta ~ Beta(m + 1/2, 1/2), as in test_moments_match_beta_law
+        n = 400000
+        c = om.sample_cos_theta(m, stream(7, "orientation-cos-moment", m), n)
+        se = math.sqrt((m + 0.5) / 2.0 / ((m + 1) ** 2 * (m + 2)) / n)
+        assert abs(np.mean(c * c) - (2 * m + 1) / (2 * m + 2)) < 5 * se
+        assert np.all(np.abs(c) <= 1.0)
 
     @pytest.mark.parametrize("m", [0, 1, 10])
     def test_bin_counts_match_density_quadrature(self, m):

@@ -246,6 +246,27 @@ class TestStackedSteps:
         assert np.array_equal(state.psi, before)
 
 
+class TestReductions:
+    """total_energy and relative_phase against the per-component np.vdot
+    loop they replaced (tests may call BLAS; the package does not)."""
+
+    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
+    def test_match_vdot_reference(self, dimension, nodes):
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        state = two_component_state(grid)
+        config = non_uniform_fields(grid, vector_potential=(0.3, -0.2))
+        kin = pauli._kinetic_energy(grid, config)
+        energy = 0.0
+        for psi, v in zip(state.psi, config.potential_energy(grid)):
+            psi_hat = np.fft.fftn(psi)
+            energy += np.real(np.vdot(psi_hat, kin * psi_hat)) / psi.size
+            energy += np.real(np.vdot(psi, v * psi))
+        energy *= grid.cell_volume
+        assert pauli.total_energy(state, config) == pytest.approx(energy, rel=1e-13)
+        overlap = np.vdot(state.psi[0], state.psi[1])
+        assert pauli.relative_phase(state) == pytest.approx(np.angle(overlap), abs=1e-14)
+
+
 class TestTwoDimensional:
     grid = pauli.SpatialGrid(2, 64, 20.0)
 

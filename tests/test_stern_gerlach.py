@@ -153,6 +153,17 @@ class TestDisplacement:
                 2, sg.ApparatusConfig(m=1), 10, stream(11, "sg-disagree")
             )
 
+    @pytest.mark.parametrize("m", [0, 1, 3, 10])
+    def test_distribution_is_displacement_of_sampled_theta(self, m):
+        # cos theta drawn directly equals cos of the sampled angle from the
+        # same stream, to rounding
+        config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
+        dz, _, _ = sg.displacement_distribution(m, config, 50000, stream(11, "sg-cos", m))
+        thetas = om.sample_theta(m, stream(11, "sg-cos", m), 50000)
+        expected = sg.displacement(thetas, m, 2.0, 1.5)
+        k = sg.displacement(0.0, m, 2.0, 1.5)
+        assert np.max(np.abs(dz - expected)) <= 4e-15 * (2 * m + 1) * k
+
     def test_histogram_rows_density_normalizes(self):
         rng = stream(11, "sg-rows")
         config = sg.ApparatusConfig(m=1)
