@@ -14,7 +14,8 @@ Modules:
   Madelung (density/phase) diagnostics.
 - ``fluctuations``: translational and rotational vacuum-fluctuation models.
 - ``qm_oracle``: independent textbook quantum-mechanics reference values.
-- ``streams``: reproducible counter-based random number streams.
+- ``streams``: reproducible random number streams, SFC64 seeded through
+  SeedSequence.
 """
 
 __version__ = "0.1.0"

@@ -78,9 +78,12 @@ def expected_angular_momentum(
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
     # u = |N(0, 1/2 m omega)|, but only u**2 enters and the sign does not
-    # change it, so the draws are squared as they come: same bits, one pass less
+    # change it, so the draws are squared and scaled in place as they come:
+    # one pass less and no n-sized temporary
     u = rng.normal(0.0, params.radius_scale, n)
-    return float(np.mean(params.mass * params.omega * u**2))
+    u *= u
+    u *= params.mass * params.omega
+    return float(np.mean(u))
 
 
 # ---------------------------------------------------------------------------
