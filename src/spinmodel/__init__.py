@@ -15,7 +15,7 @@ Modules:
 - ``fluctuations``: translational and rotational vacuum-fluctuation models.
 - ``qm_oracle``: independent textbook quantum-mechanics reference values.
 - ``streams``: reproducible random number streams, SFC64 seeded through
-  SeedSequence.
+  SeedSequence, and the samplers' one count rule and block size.
 """
 
 __version__ = "0.1.0"

@@ -111,8 +111,11 @@ def _flag(key, value):
 COUNT = _numeric(int, 1)
 REAL = _numeric(float, -math.inf)
 POSITIVE = _numeric(float, 0.0, strict=True)
-# bounds the arrays of a draw or a grid: 1e7 float64 values take 80 MB each,
-# and a run at 1e7 peaks at 0.4-0.65 GiB RSS (1.7 GiB for pauli at 2^23 nodes)
+# bounds the arrays of a draw or a grid: 1e7 float64 values take 80 MB each.
+# The samplers keep their outputs and a few blocks of scratch, so a run at
+# 1e7 samples peaks at ~0.12 GiB RSS (stern-gerlach) to ~0.26 GiB
+# (fluctuations, whose 1e7 x 3 displacements take 240 MB); a variational grid
+# of 1e7 nodes peaks at ~0.65 GiB and pauli at 2^23 nodes at ~1.7 GiB
 SAMPLES = _numeric(int, 1, high=10**7)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
 ORDER = _numeric(int, 1, high=10**6)  # the bound on m below, for orders >= 1
@@ -287,8 +290,10 @@ def run_stern_gerlach(config, seed, out_dir, fmt):
     n = config["samples"]
     beta = config["beta"]
     p_up = sg.two_apparatus_up_probability(0.0, beta)
-    outcomes = sg.measure_many(orientation.TwoPointDensity(p_up, 1.0 - p_up), rng, n)
-    up_fraction = float(np.mean(outcomes == sg.UP))
+    density = orientation.TwoPointDensity(p_up, 1.0 - p_up)
+    # reduced to the up fraction at once: the n outcomes are freed before
+    # the displacements are drawn
+    up_fraction = float(np.mean(sg.measure_many(density, rng, n) == sg.UP))
     apparatus = sg.ApparatusConfig(
         gradient=config["eta"], transit_time=config["transit_time"], m=config["m"]
     )

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import _require_count
 from .telegraph import DwellModel, odd_flip_probability
 
 ANTI = "anti"
@@ -150,12 +151,6 @@ def _correlation(coincidences, total=1.0) -> float:
     return 2.0 * (pp + mm - pm - mp) / total
 
 
-def _require_count(name: str, n):
-    # n % 1, unlike float(n), takes any int; rng.multinomial takes an int64 n
-    if not (1 <= n < 2**63 and n % 1 == 0):
-        raise ValueError(f"{name} must be a whole number in [1, 2**63), got {n!r}")
-
-
 def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
     """(E, stderr, coincidences) of n pairs with the table's law.
 
@@ -193,6 +188,7 @@ def sample_pair_outcomes(
     branch is 0 for z, 1 for y.  Each pair is one categorical draw from
     the outcome table.
     """
+    n = _require_count("n", n)
     cell = rng.choice(8, size=n, p=_outcome_table(model, a, b))
     s_a = 1 - 2 * ((cell >> 1) & 1)
     s_b = 1 - 2 * (cell & 1)

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .streams import BLOCK, _require_count
+
 
 @dataclass(frozen=True)
 class TranslationParams:
@@ -54,7 +56,8 @@ class RotationParams:
 def sample_displacement(params: TranslationParams, rng: np.random.Generator, size):
     """`size` Gaussian displacement vectors, an array of shape (size, 3), with
     per-component variance dt/2m."""
-    return rng.normal(0.0, math.sqrt(params.component_variance), (int(size), 3))
+    shape = (_require_count("size", size), 3)
+    return rng.normal(0.0, math.sqrt(params.component_variance), shape)
 
 
 def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float:
@@ -75,15 +78,34 @@ def expected_angular_momentum(
     params: RotationParams, n: int, rng: np.random.Generator
 ) -> float:
     """Monte Carlo <m omega u^2>; 1/2 for any (m, omega)."""
+    n = _require_count("n", n)
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
     # u = |N(0, 1/2 m omega)|, but only u**2 enters and the sign does not
-    # change it, so the draws are squared and scaled in place as they come:
-    # one pass less and no n-sized temporary
-    u = rng.normal(0.0, params.radius_scale, n)
-    u *= u
-    u *= params.mass * params.omega
-    return float(np.mean(u))
+    # change it, so the draws are scaled and squared in place as they come,
+    # one block at a time into one reused array
+    u = np.empty(min(BLOCK, n))
+
+    def block_sum(k):
+        v = rng.standard_normal(out=u[:k])
+        v *= params.radius_scale
+        v *= v
+        v *= params.mass * params.omega
+        return np.sum(v)
+
+    return float(_pairwise_sum(n, block_sum) / n)
+
+
+def _pairwise_sum(n: int, block_sum):
+    """The sum of n values, block_sum(k) summing the next k of them, added
+    along numpy's pairwise-summation tree: like np.sum, a run of more than
+    128 values is split at n // 2 - (n // 2) % 8, and so runs above `BLOCK`
+    are split here until block_sum takes over.  The total has the bits of
+    np.sum over all n values at once, without an n-sized array."""
+    if n <= BLOCK:
+        return block_sum(n)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(half, block_sum) + _pairwise_sum(n - half, block_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +197,25 @@ def kl_shift_rate(
     32 nodes reach the grid's interpolation error.
     rng is unused, kept for callers that pass one.
     """
-    if not (1 <= n_shifts < 2**63 and n_shifts % 1 == 0):  # int(inf) overflows
-        raise ValueError(
-            f"n_shifts must be a whole number in [1, 2**63), got {n_shifts!r}"
-        )
+    n_shifts = _require_count("n_shifts", n_shifts)
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("density must be strictly positive")
     x = np.asarray(x, dtype=float)
-    nodes, weights = _gauss_hermite(int(n_shifts))
+    nodes, weights = _gauss_hermite(n_shifts)
     w = math.sqrt(params.component_variance) * nodes
-    s = np.interp(x + w[:, None], x, rho, left=rho[0], right=rho[-1])
-    # log rho(x) - log rho(x + w) per element, before the weighted sum, so two
-    # summed totals never cancel; einsum, not BLAS, as in uncertainty_product
-    np.log(s, out=s)
-    np.subtract(np.log(rho), s, out=s)
-    return float(np.trapezoid(rho * np.einsum("i,ij->j", weights, s), x)) / params.dt
+    left, right, log_rho = rho[0], rho[-1], np.log(rho)
+    # per node, sum_i weight_i (log rho(x) - log rho(x + w_i)): the difference
+    # is taken per element, before the weighted sum, so two summed totals
+    # never cancel.  The nodes go in blocks of about `BLOCK` shifted values,
+    # so no n_shifts x nodes scratch is held; einsum, not BLAS, as in
+    # uncertainty_product
+    divergence = np.empty_like(x)
+    columns = max(1, BLOCK // n_shifts)
+    for start in range(0, x.size, columns):
+        part = slice(start, start + columns)
+        s = np.interp(x[part] + w[:, None], x, rho, left=left, right=right)
+        np.log(s, out=s)
+        np.subtract(log_rho[part], s, out=s)
+        np.einsum("i,ij->j", weights, s, out=divergence[part])
+    return float(np.trapezoid(rho * divergence, x)) / params.dt

@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .streams import BLOCK
+
 _NORM_TOL = 1e-10
 
 
@@ -134,34 +136,58 @@ def _gamma_normal(m: int, rng: np.random.Generator, size):
     cos^2(theta) = G / (G + Z^2 / 2) ~ Beta(m + 1/2, 1/2), the law of
     cos^2(theta) under p_m, since B(m + 1/2, 1/2) = Z_m (Devroye 1986,
     ch. IX); the sign of Z, independent of Z^2, picks the hemisphere.
+
+    Returns (out, blocks).  out holds all of G, drawn by one call, and is
+    the buffer the caller turns into its result in place; out[()] is that
+    result, a scalar when size is None.  Iterating blocks draws Z one block
+    of `BLOCK` at a time into one reused array and yields (g, z), g the
+    matching view of out: the stream is used as by one standard_normal call.
     """
     _require_order(m)
-    return rng.standard_gamma(m + 0.5, size), rng.standard_normal(size)
+    out = np.asarray(rng.standard_gamma(m + 0.5, size))
+    return out, _normal_blocks(out.reshape(-1), rng)
+
+
+def _normal_blocks(flat: np.ndarray, rng: np.random.Generator):
+    z = np.empty(min(BLOCK, flat.size))
+    for start in range(0, flat.size, BLOCK):
+        g = flat[start:start + BLOCK]
+        yield g, rng.standard_normal(out=z[:g.size])
 
 
 def sample_theta(m: int, rng: np.random.Generator, size):
     """Draw theta ~ p_m exactly, for any order m >= 0.
 
-    arctan2 keeps the angle's full resolution near the poles, where the
-    mass sits at large m.
+    arctan2(|Z|, sign(Z) sqrt(2 G)), computed in place one block at a time;
+    arctan2 keeps the angle's full resolution near the poles, where the mass
+    sits at large m.
     """
-    g, z = _gamma_normal(m, rng, size)
-    return np.arctan2(np.abs(z), np.copysign(np.sqrt(2.0 * g), z))
+    theta, blocks = _gamma_normal(m, rng, size)
+    for g, z in blocks:
+        g *= 2.0
+        np.sqrt(g, out=g)
+        np.copysign(g, z, out=g)
+        np.abs(z, out=z)
+        np.arctan2(z, g, out=g)
+    return theta[()]
 
 
 def sample_cos_theta(m: int, rng: np.random.Generator, size):
     """cos(theta) for theta ~ p_m, from the same draws as `sample_theta`.
 
-    sign(Z) sqrt(G / (G + Z^2 / 2)), computed in place on the draws, so
-    neither arctan2 nor cos is evaluated.
+    sign(Z) sqrt(G / (G + Z^2 / 2)), computed in place one block at a time
+    with one block of scratch, so neither arctan2 nor cos is evaluated.
     """
-    g, z = _gamma_normal(m, rng, size)
-    t = z * z
-    t *= 0.5
-    t += g
-    g /= t
-    np.sqrt(g, out=g)
-    return np.copysign(g, z, out=g)
+    cos_theta, blocks = _gamma_normal(m, rng, size)
+    scratch = np.empty(min(BLOCK, cos_theta.size))
+    for g, z in blocks:
+        t = np.multiply(z, z, out=scratch[:g.size])
+        t *= 0.5
+        t += g
+        g /= t
+        np.sqrt(g, out=g)
+        np.copysign(g, z, out=g)
+    return cos_theta[()]
 
 
 # ---------------------------------------------------------------------------

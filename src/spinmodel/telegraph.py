@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import _require_count
+
 EXPONENTIAL = "exponential"
 FIXED = "fixed"
 
@@ -126,7 +128,7 @@ def flip_parity(model: DwellModel, delay: float, rng: np.random.Generator, size)
     """
     if not delay >= 0:
         raise ValueError("delay must be non-negative")
-    n = int(size)
+    n = _require_count("size", size)
     odd = np.zeros(n, dtype=bool)
     if delay > 0:
         trend = np.where(rng.random(n) < model.stationary_up_fraction(), 1, -1)

@@ -6,7 +6,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from spinmodel import fluctuations as fl
 from spinmodel import pauli
-from spinmodel.streams import stream
+from spinmodel.streams import BLOCK, stream
 from spinmodel.telegraph import DwellModel
 
 
@@ -64,6 +64,22 @@ class TestRotation:
         expected = float(np.mean(params.mass * params.omega * u**2))
         got = fl.expected_angular_momentum(params, 10**5, stream(31, "fl-ls-bits"))
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "n", [10**4, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 10**6 + 3, 2**20 + 17]
+    )
+    def test_same_bits_as_one_mean(self, n):
+        # the blocks' sums are added along numpy's pairwise-summation tree,
+        # so the mean is np.mean's over all n draws at once; at 2**20 + 17 a
+        # split at n // 2, without numpy's rounding down to a multiple of 8,
+        # changes the last bit
+        params = fl.RotationParams(mass=3.0, omega=7.0)
+        ref = stream(31, "fl-ls-blocks", n)
+        u = ref.normal(0.0, params.radius_scale, n)
+        expected = float(np.mean(params.mass * params.omega * u**2))
+        rng = stream(31, "fl-ls-blocks", n)
+        assert fl.expected_angular_momentum(params, n, rng) == expected
+        assert rng.random() == ref.random()
 
 
 class TestGaussHermiteRule:
@@ -169,6 +185,22 @@ class TestFisherLimit:
         for n_shifts in (8, 32, 500):
             rate = fl.kl_shift_rate(x, rho, params, n_shifts=n_shifts)
             assert rate == pytest.approx(expected, rel=1e-4, abs=0)
+
+    @pytest.mark.parametrize("nodes", [2, BLOCK // 32 - 1, BLOCK // 32 + 1, 4001])
+    @pytest.mark.parametrize("n_shifts", [1, 7, 32, 64])
+    def test_kl_rate_same_bits_as_one_call(self, nodes, n_shifts):
+        # the grid goes in blocks of about BLOCK shifted values; one call on
+        # the whole (n_shifts, nodes) array gives every bit
+        params = fl.TranslationParams(mass=2.0, dt=0.05)
+        x = 3.0 * np.sinh(np.linspace(-2.5, 2.5, nodes))
+        rho = np.exp(-((x - 1.0) ** 2) / 8.0) + 0.5 * np.exp(-((x + 2.0) ** 2))
+        nodes_, weights = fl._gauss_hermite(n_shifts)
+        w = math.sqrt(params.component_variance) * nodes_
+        s = np.interp(x + w[:, None], x, rho, left=rho[0], right=rho[-1])
+        s = np.log(rho) - np.log(s)
+        expected = float(np.trapezoid(rho * np.einsum("i,ij->j", weights, s), x))
+        rate = fl.kl_shift_rate(x, rho, params, n_shifts=n_shifts)
+        assert rate == expected / params.dt
 
     def test_kl_rate_does_not_depend_on_rng(self):
         params = fl.TranslationParams(dt=0.01)

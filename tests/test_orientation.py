@@ -13,7 +13,7 @@ from scipy import integrate, special
 import spinmodel
 from spinmodel import orientation as om
 from spinmodel import stern_gerlach as sg
-from spinmodel.streams import stream
+from spinmodel.streams import BLOCK, stream
 
 # independently computed by adaptive quadrature (see docstrings for the
 # closed forms being integrated)
@@ -294,6 +294,33 @@ class TestSampling:
             counts, _ = np.histogram(sin2[hemisphere], bins=edges)
             sigma = np.sqrt(n * probs * (1.0 - probs))
             assert np.all(np.abs(counts - n * probs) <= 5 * sigma + 1e-9)
+
+
+# around the block edges, and the scalar and 2-d shapes
+BLOCK_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, None, (3, 5)]
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("m", [0, 1, 10**3])
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_same_bits_as_one_call(self, m, size):
+        # the samplers work one block at a time; the one-call formulas on
+        # the same draws give every bit, and the stream ends in one place
+        key = ("orientation-blocks", m)
+        ref = stream(7, *key)
+        g = ref.standard_gamma(m + 0.5, size)
+        z = ref.standard_normal(size)
+        theta_rng, cos_rng = stream(7, *key), stream(7, *key)
+        theta = om.sample_theta(m, theta_rng, size)
+        cos_theta = om.sample_cos_theta(m, cos_rng, size)
+        assert np.array_equal(
+            theta, np.arctan2(np.abs(z), np.copysign(np.sqrt(2.0 * g), z))
+        )
+        assert np.array_equal(cos_theta, np.copysign(np.sqrt(g / (g + z * z * 0.5)), z))
+        assert np.shape(theta) == np.shape(cos_theta) == np.shape(g)
+        if size is None:
+            assert isinstance(theta, float) and isinstance(cos_theta, float)
+        assert theta_rng.random() == cos_rng.random() == ref.random()
 
 
 class TestActionFunctional:

@@ -9,7 +9,7 @@ from scipy import integrate
 from spinmodel import orientation as om
 from spinmodel import qm_oracle as qm
 from spinmodel import stern_gerlach as sg
-from spinmodel.streams import stream
+from spinmodel.streams import BLOCK, stream
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -58,6 +58,18 @@ class TestConditionalDensity:
         twice = sg.conditional_density(once, m=1)
         target = np.asarray(om.eval_density(2, twice.thetas))
         assert float(np.max(np.abs(twice.values - target))) < 1e-9
+
+
+def _odd_power_one_call(c, m):
+    """c**(2m+1) by repeated squaring over the whole array at once."""
+    out, square = c.copy(), c * c
+    while m:
+        if m & 1:
+            out *= square
+        m >>= 1
+        if m:
+            square *= square
+    return out
 
 
 class TestDisplacement:
@@ -163,6 +175,32 @@ class TestDisplacement:
         expected = sg.displacement(thetas, m, 2.0, 1.5)
         k = sg.displacement(0.0, m, 2.0, 1.5)
         assert np.max(np.abs(dz - expected)) <= 4e-15 * (2 * m + 1) * k
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_distribution_same_bits_as_one_call(self, m, n):
+        # the odd power is taken one block at a time; over the whole array
+        # at once the same squarings give every bit
+        config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
+        rng = stream(11, "sg-blocks", m, n)
+        dz, edges, counts = sg.displacement_distribution(m, config, n, rng, bins=17)
+        ref = stream(11, "sg-blocks", m, n)
+        k = sg.displacement(0.0, m, 2.0, 1.5)
+        expected = k * _odd_power_one_call(om.sample_cos_theta(m, ref, n), m)
+        assert np.array_equal(dz, expected)
+        expected_counts, expected_edges = np.histogram(expected, 17, range=(-k, k))
+        assert np.array_equal(counts, expected_counts)
+        assert np.array_equal(edges, expected_edges)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_displacement_of_any_layout(self, m):
+        # a transposed theta gives a Fortran-ordered cos, which the blocks
+        # must still cover in place
+        thetas = np.linspace(0.0, math.pi, 2 * (BLOCK + 3)).reshape(2, -1).T
+        prefactor = sg.displacement(0.0, m, 1.0, 1.0)
+        expected = prefactor * _odd_power_one_call(np.cos(thetas), m)
+        assert np.array_equal(sg.displacement(thetas, m, 1.0, 1.0), expected)
 
     def test_histogram_rows_density_normalizes(self):
         rng = stream(11, "sg-rows")

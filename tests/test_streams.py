@@ -1,8 +1,16 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinmodel import entanglement as ent
+from spinmodel import fluctuations as fl
+from spinmodel import orientation as om
+from spinmodel import stern_gerlach as sg
+from spinmodel import telegraph as tg
 from spinmodel.streams import stream
 
 
@@ -56,3 +64,40 @@ def test_neighbouring_trials_are_uncorrelated(i):
     a = stream(7, "x", i).standard_normal(n)
     b = stream(7, "x", i + 1).standard_normal(n)
     assert abs(np.corrcoef(a, b)[0, 1]) <= 5 / np.sqrt(n)
+
+
+# every sampler that takes a count of draws, called with the count n
+COUNTED = {
+    "sample_displacement": lambda rng, n: fl.sample_displacement(
+        fl.TranslationParams(), rng, n
+    ),
+    "expected_angular_momentum": lambda rng, n: fl.expected_angular_momentum(
+        fl.RotationParams(), n, rng
+    ),
+    "measure_many": lambda rng, n: sg.measure_many(
+        om.TwoPointDensity(0.75, 0.25), rng, n
+    ),
+    "displacement_distribution": lambda rng, n: sg.displacement_distribution(
+        1, sg.ApparatusConfig(), n, rng
+    ),
+    "flip_parity": lambda rng, n: tg.flip_parity(tg.DwellModel(1.0, 3.0), 2.0, rng, n),
+    "sample_pair_outcomes": lambda rng, n: ent.sample_pair_outcomes(
+        ent.PSI_MINUS, 0.1, 0.7, n, rng
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_whole_float_count_draws_as_the_int(name):
+    got = COUNTED[name](stream(5, "count", name), 1e4)
+    expected = COUNTED[name](stream(5, "count", name), 10**4)
+    for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, expected))):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", COUNTED)
+@pytest.mark.parametrize("n", [10000.7, 10000.5, math.nan, math.inf, 0, 2**63])
+def test_non_count_raises_naming_the_value(name, n):
+    # int(10000.7) would silently draw 10000
+    with pytest.raises(ValueError, match=re.escape(repr(n))):
+        COUNTED[name](stream(5, "count", name), n)
