@@ -176,9 +176,10 @@ SCHEMA = {
     # and 71 MiB
     "oracle-check": {"pairs": (_numeric(int, 1, high=10**5), 100)},
 }
-# bounds a pauli run's time: a 1-D Strang step costs ~60-370 ns per node
-# between 256 and 2^20 nodes (2-core host), so 256 x 10^6 node-steps, the
-# default grid at the steps bound, take ~15-95 s
+# bounds a pauli run's time: a 1-D Strang step costs ~25-105 ns per node
+# between 256 and 2^20 nodes (2-core host, two threads from 2^14 nodes on;
+# up to ~2.5x more in slow host phases), so 256 x 10^6 node-steps, the
+# default grid at the steps bound, take ~6-27 s
 PAULI_NODE_STEPS = 256 * 10**6
 
 

@@ -15,7 +15,9 @@ extended Hamilton-Jacobi residual diagnostics.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,10 @@ DENSITY_FLOOR = 1e-12
 # the Hamilton-Jacobi residual divides by sqrt(rho), which amplifies round-off
 # in the tails far more than the continuity residual's rho does
 HJ_FLOOR = 1e-6
+# from this many nodes per component evolve advances Psi_- on a second
+# thread: numpy's FFT and ufunc loops release the GIL, and on smaller grids
+# the GIL handoffs cost more than the second core saves
+_PARALLEL_NODES = 2**14
 
 
 class ConvergenceError(RuntimeError):
@@ -156,8 +162,11 @@ def evolve(
     """Advance the spinor by `steps` Strang-split time steps."""
     if not abs(norm(field) - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise ValueError("input field must be normalized")
-    if not dt > 0 or steps < 0:
-        raise ValueError("dt must be positive and steps non-negative")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (steps >= 0 and steps % 1 == 0):  # also rejects NaN and inf
+        raise ValueError(f"steps must be a whole number >= 0, got {steps!r}")
+    steps = int(steps)
     grid = field.grid
     half = np.exp(-0.5j * dt * config.potential_energy(grid))
     kinetic = np.exp(-1j * dt * _kinetic_energy(grid, config))
@@ -165,6 +174,20 @@ def evolve(
     # numpy 2.4's ifft2 drops out, which would leave psi in k-space
     axes = range(-1, -grid.dimension - 1, -1)
     psi = np.array(field.psi, dtype=complex)  # a copy: the input stays unchanged
+    if psi[0].size < _PARALLEL_NODES:
+        failed = _strang_steps(psi, half, kinetic, axes, steps)
+    else:
+        failed = _strang_steps_split(psi, half, kinetic, axes, steps)
+    if failed < steps:
+        raise ConvergenceError(f"non-finite amplitudes at step {failed}")
+    return SpinorField(grid, psi)
+
+
+def _strang_steps(psi, half, kinetic, axes, steps: int) -> int:
+    """Advance psi by up to `steps` Strang steps in place.
+
+    Returns the first step after which psi is not finite, or `steps`.
+    """
     for step in range(steps):
         psi *= half
         for axis in axes:
@@ -174,8 +197,38 @@ def evolve(
             np.fft.ifft(psi, axis=axis, out=psi)
         psi *= half
         if not np.isfinite(psi).all():
-            raise ConvergenceError(f"non-finite amplitudes at step {step}")
-    return SpinorField(grid, psi)
+            return step
+    return steps
+
+
+def _strang_steps_split(psi, half, kinetic, axes, steps: int) -> int:
+    """_strang_steps with Psi_- advanced on a second thread.
+
+    sigma_z B_z never mixes the components, so each one is stepped on its
+    own, with the same bits as the stacked array.  The worker runs in a
+    copy of the caller's context, so the caller's np.errstate holds in it;
+    its exception, if any, is raised here once both threads are done.
+    """
+    outcome = {}
+
+    def advance_minus():
+        try:
+            outcome["failed"] = _strang_steps(psi[1], half[1], kinetic, axes, steps)
+        except BaseException as exc:  # re-raised in the caller
+            outcome["error"] = exc
+
+    worker = threading.Thread(
+        target=contextvars.copy_context().run, args=(advance_minus,)
+    )
+    worker.start()
+    try:
+        failed = _strang_steps(psi[0], half[0], kinetic, axes, steps)
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    # the first step at which the stacked array is not finite
+    return min(failed, outcome["failed"])
 
 
 # ---------------------------------------------------------------------------

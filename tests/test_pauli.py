@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -213,10 +215,22 @@ class TestUnitarity:
         with pytest.raises(ValueError):
             pauli.evolve(bad, pauli.FieldConfig(), 0.001, 1)
 
-    @pytest.mark.parametrize("dt", [0.0, -0.001, math.nan])
+    @pytest.mark.parametrize("dt", [0.0, -0.001, math.nan, math.inf])
     def test_rejects_bad_time_step(self, dt):
-        with pytest.raises(ValueError, match="dt must be positive"):
-            pauli.evolve(packet_state(), pauli.FieldConfig(), dt, 1)
+        for steps in (0, 1):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                pauli.evolve(packet_state(), pauli.FieldConfig(), dt, steps)
+
+    @pytest.mark.parametrize("steps", [-1, 1.5, math.nan, math.inf])
+    def test_rejects_bad_step_count(self, steps):
+        with pytest.raises(ValueError, match="steps must be a whole number"):
+            pauli.evolve(packet_state(), pauli.FieldConfig(), 0.001, steps)
+
+    def test_whole_float_step_count(self):
+        state = packet_state()
+        config = pauli.FieldConfig(b_z=1.0)
+        evolved = pauli.evolve(state, config, 0.001, 3.0)
+        assert np.array_equal(evolved.psi, pauli.evolve(state, config, 0.001, 3).psi)
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_rejects_non_finite_input(self, steps):
@@ -233,7 +247,10 @@ class TestUnitarity:
 
 
 class TestStackedSteps:
-    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
+    # from 2-D 128^2 and 1-D 2^14 on, each component is stepped on its own thread
+    @pytest.mark.parametrize(
+        "dimension, nodes", [(1, 256), (2, 64), (2, 128), (1, 2**14)]
+    )
     def test_bit_identical_to_per_component_loop(self, dimension, nodes):
         grid = pauli.SpatialGrid(dimension, nodes, 20.0)
         state = two_component_state(grid)
@@ -244,6 +261,79 @@ class TestStackedSteps:
         assert np.array_equal(evolved.psi[0], psi_p)
         assert np.array_equal(evolved.psi[1], psi_m)
         assert np.array_equal(state.psi, before)
+
+
+class TestThreadedSteps:
+    """The split path: Psi_- on a worker thread from _PARALLEL_NODES on."""
+
+    def test_threshold_splits_the_pinned_grids(self):
+        # TestStackedSteps pins 4096-node components on one thread, 2^14 on two
+        assert 4096 < pauli._PARALLEL_NODES <= 2**14
+
+    def test_non_finite_amplitudes_are_non_convergence(self):
+        grid = pauli.SpatialGrid(2, 128, 20.0)
+        state = two_component_state(grid)
+        before = state.psi.copy()
+        threads = threading.active_count()
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="step 0"):
+            pauli.evolve(state, pauli.FieldConfig(b_z=1.0), 1e307, 2)
+        assert threading.active_count() == threads
+        assert np.array_equal(state.psi, before)
+
+    def test_no_thread_outlives_the_call(self):
+        grid = pauli.SpatialGrid(2, 128, 20.0)
+        threads = threading.active_count()
+        pauli.evolve(two_component_state(grid), non_uniform_fields(grid), 0.01, 3)
+        assert threading.active_count() == threads
+
+    def test_concurrent_callers_keep_the_bits(self):
+        # more stepping threads than cores, switching as often as possible
+        grid = pauli.SpatialGrid(2, 128, 20.0)
+        state = two_component_state(grid)
+        config = non_uniform_fields(grid)
+        expected = pauli.evolve(state, config, 0.01, 3).psi
+        results = [None] * 4
+
+        def call(i):
+            results[i] = pauli.evolve(state, config, 0.01, 3).psi
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(np.array_equal(psi, expected) for psi in results)
+
+    @staticmethod
+    def _worker_only_overflow():
+        """Arrays on which only Psi_-'s first half-step computes 0 * inf."""
+        shape = (128, 128)
+        psi = np.zeros((2, *shape), dtype=complex)
+        psi[0] = 1.0
+        half = np.ones((2, *shape), dtype=complex)
+        half[1] = np.inf
+        return psi, half, np.ones(shape, dtype=complex), range(-1, -3, -1)
+
+    def test_worker_keeps_the_callers_errstate(self):
+        # a plain thread starts with numpy's default errstate, which warns
+        psi, half, kinetic, axes = self._worker_only_overflow()
+        with np.errstate(all="ignore"):
+            assert pauli._strang_steps_split(psi, half, kinetic, axes, 3) == 0
+        assert np.isfinite(psi[0]).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_worker_exception_reaches_the_caller(self):
+        psi, half, kinetic, axes = self._worker_only_overflow()
+        threads = threading.active_count()
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            pauli._strang_steps_split(psi, half, kinetic, axes, 3)
+        assert threading.active_count() == threads
 
 
 class TestReductions:
