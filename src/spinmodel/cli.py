@@ -1,9 +1,10 @@
 """Experiment runner: subcommand dispatch, seeding, and result emission.
 
-Every run writes its result files (CSV or JSON) plus a ``manifest.json``
-into the output directory.  Reruns with the same configuration and seed
-produce byte-identical result files; the manifest additionally records
-the wall-clock duration and is therefore not byte-stable.
+Runners compute and ``run`` writes.  A runner maps ``(config, seed)`` to a
+list of ``(name, header, rows)`` tables and a JSON summary; ``run`` writes
+the tables, two subcommands' summary files and a ``manifest.json``.  Reruns
+with the same configuration and seed produce byte-identical result files;
+the manifest also records the wall-clock duration, so it is not byte-stable.
 
 Configuration may come from a file (``key = value`` lines or a JSON
 document) with command-line flags taking precedence.  ``SCHEMA`` gives each
@@ -11,8 +12,9 @@ subcommand its keys, each with one parser and one default, and a flag per
 key.  Flag and ``key = value`` values are read as JSON literals, then parsed
 like JSON file values: counts integral (``1e6`` is one), numbers finite,
 lists ``1,2,3`` or a JSON list.  Unknown keys are rejected.  Exit codes:
-0 success; 2 malformed configuration, naming the key, or a value a model's
-constructor rejects with ``ValueError``; 3 numerical non-convergence.
+0 success; 2 malformed configuration, naming the key, a value a model's
+constructor rejects with ``ValueError``, or an unusable output directory;
+3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -239,14 +241,11 @@ def write_json(path: str, payload: dict):
 
 def write_result(out_dir, name, fmt, header, rows, summary):
     """Emit one result table in the requested format; returns the filename."""
+    path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "csv":
-        path = os.path.join(out_dir, f"{name}.csv")
         write_csv(path, header, rows)
     else:
-        path = os.path.join(out_dir, f"{name}.json")
-        payload = dict(summary)
-        payload["rows"] = [dict(zip(header, row)) for row in rows]
-        write_json(path, payload)
+        write_json(path, {**summary, "rows": [dict(zip(header, r)) for r in rows]})
     return os.path.basename(path)
 
 
@@ -267,7 +266,7 @@ def write_manifest(out_dir, subcommand, config, seed, files, started, summary):
 # experiments
 
 
-def run_variational(config, seed, out_dir, fmt):
+def run_variational(config, seed):
     rows = []
     for m in config["orders"]:
         for divergence in (orientation.TSALLIS, orientation.RENYI):
@@ -281,12 +280,10 @@ def run_variational(config, seed, out_dir, fmt):
     min_value = float(np.min(kl.values))
     rows.append((kl_spec.m, orientation.KULLBACK_LEIBLER, min_value))
     header = ["order_m", "divergence", "linf_error_or_min_density"]
-    summary = {"kl_min_density": min_value}
-    files = [write_result(out_dir, "variational", fmt, header, rows, summary)]
-    return files, summary
+    return [("variational", header, rows)], {"kl_min_density": min_value}
 
 
-def run_stern_gerlach(config, seed, out_dir, fmt):
+def run_stern_gerlach(config, seed):
     rng = stream(seed, "stern-gerlach")
     n = config["samples"]
     beta = config["beta"]
@@ -309,12 +306,7 @@ def run_stern_gerlach(config, seed, out_dir, fmt):
         "samples": n,
     }
     rows = sg.histogram_rows(edges, counts)
-    name = "displacement_histogram"
-    files = [write_result(out_dir, name, fmt, header, rows, summary)]
-    if fmt == "csv":
-        files.append("measurement_summary.json")
-        write_json(os.path.join(out_dir, files[-1]), summary)
-    return files, summary
+    return [("displacement_histogram", header, rows)], summary
 
 
 def _bell_plan(config, **timing):
@@ -326,7 +318,7 @@ def _bell_plan(config, **timing):
     )
 
 
-def run_bell_test(config, seed, out_dir, fmt):
+def run_bell_test(config, seed):
     model = entanglement.BELL_MODELS[config["state"]]
     plan = _bell_plan(config)
     rng = stream(seed, "bell-test")
@@ -344,13 +336,10 @@ def run_bell_test(config, seed, out_dir, fmt):
         "S": result.statistic,
         "samples": plan.samples,
     }
-    files = [write_result(out_dir, "bell_test", fmt, header, rows, summary)]
-    files.append("bell_test_summary.json")
-    write_json(os.path.join(out_dir, files[-1]), summary)
-    return files, summary
+    return [("bell_test", header, rows)], summary
 
 
-def run_bell_delay(config, seed, out_dir, fmt):
+def run_bell_delay(config, seed):
     model = entanglement.BELL_MODELS[config["state"]]
     dwell = telegraph.DwellModel(config["tau"], config["tau"])
     rows = []
@@ -361,7 +350,6 @@ def run_bell_delay(config, seed, out_dir, fmt):
             plan, model, mode=config["mode"], rng=rng, degrade_y=config["degrade_y"]
         )
         rows.append((delay, result.statistic))
-    header = ["delay", "S"]
     summary = {
         "state": config["state"],
         "mode": config["mode"],
@@ -370,11 +358,10 @@ def run_bell_delay(config, seed, out_dir, fmt):
         "S_first": rows[0][1],
         "S_last": rows[-1][1],
     }
-    files = [write_result(out_dir, "bell_delay", fmt, header, rows, summary)]
-    return files, summary
+    return [("bell_delay", ["delay", "S"], rows)], summary
 
 
-def run_pauli(config, seed, out_dir, fmt):
+def run_pauli(config, seed):
     if config["nodes"] * config["steps"] > PAULI_NODE_STEPS:
         raise ConfigError(
             f"nodes x steps: must be <= {PAULI_NODE_STEPS}, got "
@@ -393,11 +380,10 @@ def run_pauli(config, seed, out_dir, fmt):
         "zeeman_energy": pauli.zeeman_energy(final, field_config),
         "grid": {"nodes": grid.nodes, "extent": grid.extent, "dt": config["dt"]},
     }
-    files = [write_result(out_dir, "pauli_snapshot", fmt, header, rows, summary)]
-    return files, summary
+    return [("pauli_snapshot", header, rows)], summary
 
 
-def run_fluctuations(config, seed, out_dir, fmt):
+def run_fluctuations(config, seed):
     rng = stream(seed, "fluctuations")
     n = config["samples"]
     trans = fluctuations.TranslationParams(config["mass"], config["dt"])
@@ -415,13 +401,11 @@ def run_fluctuations(config, seed, out_dir, fmt):
         rate = fluctuations.kl_shift_rate(x, rho, p)
         fisher = fluctuations.fisher_functional(x, rho, p)
         rows.append((f"kl_over_fisher_dt{dt}", rate / fisher, 1.0))
-    header = ["quantity", "estimate", "expected"]
     summary = {"uncertainty_product": product, "samples": n}
-    files = [write_result(out_dir, "fluctuations", fmt, header, rows, summary)]
-    return files, summary
+    return [("fluctuations", ["quantity", "estimate", "expected"], rows)], summary
 
 
-def run_oracle_check(config, seed, out_dir, fmt):
+def run_oracle_check(config, seed):
     rng = stream(seed, "oracle-check")
     n = config["pairs"]
     rows = []
@@ -443,8 +427,7 @@ def run_oracle_check(config, seed, out_dir, fmt):
         "max_abs_correlation_difference": max(abs(r[6] - r[7]) for r in rows),
         "pairs": n,
     }
-    files = [write_result(out_dir, "oracle_check", fmt, header, rows, summary)]
-    return files, summary
+    return [("oracle_check", header, rows)], summary
 
 
 RUNNERS = {
@@ -455,6 +438,11 @@ RUNNERS = {
     "pauli": run_pauli,
     "fluctuations": run_fluctuations,
     "oracle-check": run_oracle_check,
+}
+# the summary alone, in either format, under a name its readers open directly
+_SUMMARY_FILES = {
+    "stern-gerlach": "measurement_summary.json",
+    "bell-test": "bell_test_summary.json",
 }
 
 
@@ -494,9 +482,8 @@ def run(argv=None) -> int:
         file_config = load_config_file(args.config) if args.config else {}
         overrides = {key: value for key, value in vars(args).items() if key in keys}
         config = merge_config(keys, file_config, overrides)
-        os.makedirs(out_dir, exist_ok=True)
         started = time.monotonic()
-        files, summary = RUNNERS[name](config, args.seed, out_dir, args.format)
+        tables, summary = RUNNERS[name](config, args.seed)
     except pauli.ConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -504,8 +491,20 @@ def run(argv=None) -> int:
         # a ConfigError, or a model's own rule such as power-of-two grid nodes
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    write_manifest(out_dir, name, config, args.seed, files, started, summary)
-    print(json.dumps({"subcommand": name, "out": out_dir, **summary}, default=str))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        files = [
+            write_result(out_dir, table, args.format, header, rows, summary)
+            for table, header, rows in tables
+        ]
+        if name in _SUMMARY_FILES:
+            files.append(_SUMMARY_FILES[name])
+            write_json(os.path.join(out_dir, files[-1]), summary)
+        write_manifest(out_dir, name, config, args.seed, files, started, summary)
+    except OSError as exc:
+        print(f"error: out: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(json.dumps({"subcommand": name, "out": out_dir, **summary}))
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ density has not collapsed to the poles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,12 @@ def displacement(theta, m: int, eta: float, transit_time: float):
     if not (0 < eta < math.inf and 0 < transit_time < math.inf):
         raise ValueError("eta and transit_time must be positive and finite")
     z_m = normalization_constant(m)
-    prefactor = eta / (4.0 * z_m) * transit_time**2
+    try:
+        prefactor = eta / (4.0 * z_m) * transit_time**2
+    except OverflowError:  # transit_time**2 beyond the float range
+        prefactor = math.inf
+    if prefactor == math.inf:
+        raise ValueError("eta and transit_time: displacement scale overflows")
     return _odd_power(np.cos(theta), m, prefactor)
 
 
@@ -127,12 +133,22 @@ def displacement_distribution(
 ):
     """Sample the continuous displacement distribution of the weak regime.
 
-    Returns (samples, bin_edges, counts).  m must equal config.m.
+    Returns (samples, bin_edges, counts).  m must equal config.m, and the
+    bin width 2k/bins, with k the displacement scale, a normal float.
     """
     if m != config.m:
         raise ValueError(f"m = {m!r} disagrees with config.m = {config.m!r}")
     n_samples = _require_count("n_samples", n_samples)
+    bins = _require_count("bins", bins)
     k = displacement(0.0, m, config.gradient, config.transit_time)
+    # numpy widens a zero range, rejects an infinite one and gives bins of
+    # subnormal width infinite densities; k itself is finite
+    width = 2.0 * float(k) / bins
+    if not sys.float_info.min <= width <= sys.float_info.max:
+        raise ValueError(
+            f"eta and transit_time: displacement scale {k:g} gives bins of "
+            f"width {width:g}, not a normal float"
+        )
     # k * cos^{2m+1}(theta), the product `displacement` forms, without its cos
     dz = _odd_power(sample_cos_theta(m, rng, n_samples), m, k)
     counts, edges = np.histogram(dz, bins=bins, range=(-k, k))

@@ -74,6 +74,14 @@ SMALL_RUNS = [
 ]
 
 
+def _small_config(argv):
+    """(subcommand, merged config) of one SMALL_RUNS entry, parsed as run does."""
+    args = cli.build_parser().parse_args(argv)
+    keys = cli.SCHEMA[args.subcommand]
+    overrides = {key: value for key, value in vars(args).items() if key in keys}
+    return args.subcommand, cli.merge_config(keys, {}, overrides)
+
+
 def _is_number(cell):
     try:
         float(cell)
@@ -91,7 +99,7 @@ class TestRun:
         assert "no_such_key" in capsys.readouterr().err
 
     def test_exit_code_on_non_convergence(self, tmp_path, monkeypatch, capsys):
-        def broken(config, seed, out_dir, fmt):
+        def broken(config, seed):
             raise ConvergenceError("stalled")
 
         monkeypatch.setitem(cli.RUNNERS, "variational", broken)
@@ -125,13 +133,51 @@ class TestRun:
         assert code == cli.EXIT_OK
         assert (tmp_path / "envout" / "manifest.json").exists()
 
-    def test_reruns_are_byte_identical(self, tmp_path, capsys):
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        args = ["stern-gerlach", "--samples", "20000", "--seed", "9"]
-        assert cli.run(args + ["--out", str(out1)]) == cli.EXIT_OK
-        assert cli.run(args + ["--out", str(out2)]) == cli.EXIT_OK
-        name = "displacement_histogram.csv"
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=" ".join)
+    def test_reruns_are_byte_identical(self, tmp_path, capsys, argv, fmt):
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert cli.run([*argv, "--format", fmt, "--out", str(out)]) == cli.EXIT_OK
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+        for manifest in manifests:
+            del manifest["duration_seconds"]
+        assert manifests[0] == manifests[1]
+        files = manifests[0]["result_files"]
+        for out in outs:
+            written = sorted(p.name for p in out.iterdir())
+            assert written == sorted([*files, "manifest.json"])
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "sub, name",
+        [
+            ("stern-gerlach", "measurement_summary.json"),
+            ("bell-test", "bell_test_summary.json"),
+        ],
+    )
+    def test_summary_file_in_either_format(self, tmp_path, capsys, sub, name, fmt):
+        argv = [sub, "--samples", "2000", "--format", fmt, "--out", str(tmp_path)]
+        assert cli.run(argv) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["result_files"][-1] == name
+        assert json.loads((tmp_path / name).read_text()) == manifest["summary"]
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=" ".join)
+    def test_runner_returns_plain_tables_and_summary(self, argv):
+        # a runner touches no file, so it runs here with no directory at all
+        sub, config = _small_config(argv)
+        tables, summary = cli.RUNNERS[sub](config, 42)
+        assert json.loads(json.dumps(summary, allow_nan=False)) == summary
+        assert tables
+        for _, header, rows in tables:
+            assert rows
+            for row in rows:
+                assert len(row) == len(header)
+                # csv writes a numpy scalar by str(), which hides it
+                assert all(type(cell) in (int, float, str) for cell in row)
 
     def test_fluctuations_kl_rows_do_not_depend_on_seed(self, tmp_path, capsys):
         tables = {}
@@ -181,19 +227,8 @@ class TestRun:
                 float(cell)
 
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=" ".join)
-    def test_csv_cells_are_numbers_or_words(self, tmp_path, capsys, monkeypatch, argv):
-        # write_csv passes cells to csv as they are: each must be a Python
-        # int, float or str; csv writes a numpy scalar by str(), which hides it
-        cells_written = []
-        write_csv = cli.write_csv
-
-        def recording_write_csv(path, header, rows):
-            cells_written.extend(cell for row in rows for cell in row)
-            write_csv(path, header, rows)
-
-        monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+    def test_csv_cells_are_numbers_or_words(self, tmp_path, capsys, argv):
         assert cli.run([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
-        assert {type(cell) for cell in cells_written} <= {int, float, str}
         tables = sorted(tmp_path.glob("*.csv"))
         assert tables
         for table in tables:
@@ -237,6 +272,7 @@ def _exit_code(argv):
         return exc.code
 
 
+_SCALE = "eta and transit_time"
 # (subcommand, config file line or None, flags, key the error must name)
 MALFORMED = [
     ("stern-gerlach", "samples = abc", [], "samples"),
@@ -268,6 +304,12 @@ MALFORMED = [
     # each key within its own bound, but nodes x steps over 256 x 10^6
     ("pauli", None, ["--nodes", "262144", "--steps", "1000"], "nodes x steps"),
     ("pauli", "nodes = 4096", ["--steps", "1e5"], "nodes x steps"),
+    # the displacement scale eta T^2 / (4 Z_m) overflows, or over 200 bins
+    # it gives bins of zero or subnormal width
+    ("stern-gerlach", "eta = 1e308", ["--transit-time", "1e308"], _SCALE),
+    ("stern-gerlach", "eta = 1e300", ["--transit-time", "1e10"], _SCALE),
+    ("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-200"], _SCALE),
+    ("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-10"], _SCALE),
 ]
 
 
@@ -283,7 +325,17 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unusable_out_is_a_config_error(self, tmp_path, capsys, out):
+        (tmp_path / "afile").write_text("")
+        argv = ["variational", "--nodes", "64", "--out", str(tmp_path / out)]
+        assert _exit_code(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: ")
+        assert "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == ""
 
     def test_non_finite_field_is_non_convergence(self, tmp_path, capsys):
         argv = ["pauli", "--dt", "1e307", "--steps", "2", "--out", str(tmp_path)]

@@ -114,6 +114,12 @@ class TestDisplacement:
         with pytest.raises(ValueError, match="eta and transit_time"):
             sg.displacement(0.0, 1, eta, transit_time)
 
+    @pytest.mark.parametrize("eta, transit_time", [(1e308, 1e308), (1e300, 1e10)])
+    def test_rejects_scale_beyond_the_float_range(self, eta, transit_time):
+        # transit_time**2 overflows, then the product does
+        with pytest.raises(ValueError, match="eta and transit_time"):
+            sg.displacement(np.linspace(0.0, math.pi, 5), 1, eta, transit_time)
+
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_density_normalizes(self, m):
         k = sg.displacement(0.0, m, 1.0, 1.0)
@@ -164,6 +170,30 @@ class TestDisplacement:
             sg.displacement_distribution(
                 2, sg.ApparatusConfig(m=1), 10, stream(11, "sg-disagree")
             )
+
+    @pytest.mark.parametrize(
+        "gradient, transit_time, bins",
+        [
+            (1e308, 1e308, 200),  # T^2 overflows
+            (1e300, 1e10, 200),  # k overflows
+            (10.0, 1e154, 1),  # k is finite, 2k is not
+            (1e-300, 1e-200, 200),  # k underflows to zero
+            (1e-300, 1e-10, 200),  # k is subnormal
+            (1e-300, 1e-3, 200),  # k is normal, 2k/bins is not
+        ],
+    )
+    def test_distribution_rejects_bins_of_no_normal_width(
+        self, gradient, transit_time, bins
+    ):
+        config = sg.ApparatusConfig(gradient=gradient, transit_time=transit_time)
+        with pytest.raises(ValueError, match="eta and transit_time"):
+            sg.displacement_distribution(1, config, 10, stream(11, "sg-scale"), bins)
+
+    @pytest.mark.parametrize("bins", [0, -3, 2.5])
+    def test_distribution_rejects_bins_that_are_not_a_count(self, bins):
+        config = sg.ApparatusConfig()
+        with pytest.raises(ValueError, match="bins"):
+            sg.displacement_distribution(1, config, 10, stream(11, "sg-bins"), bins)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 10])
     def test_distribution_is_displacement_of_sampled_theta(self, m):
