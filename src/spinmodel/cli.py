@@ -14,7 +14,8 @@ like JSON file values: counts integral (``1e6`` is one), numbers finite,
 lists ``1,2,3`` or a JSON list.  Unknown keys are rejected.  Exit codes:
 0 success; 2 malformed configuration, naming the key, a value a model's
 constructor rejects with ``ValueError``, or an unusable output directory;
-3 numerical non-convergence.
+3 numerical non-convergence: the phase factors of ``dt`` and the field are
+not finite.
 """
 
 from __future__ import annotations

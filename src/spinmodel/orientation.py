@@ -251,8 +251,6 @@ def divergence_term(density: GridDensity, spec: ActionSpec) -> float:
         integrand[mask] = p[mask] * np.log(p[mask] / sigma)
         return spec.delta_phi * float(np.trapezoid(integrand, thetas))
     a = spec.alpha
-    if a == 1.0:
-        raise ValueError("alpha = 1 is not valid for Tsallis/Renyi")
     f = spec.delta_phi * float(np.trapezoid(p**a / sigma ** (a - 1.0), thetas))
     if spec.divergence == TSALLIS:
         return (f - 1.0) / (a - 1.0)
@@ -261,8 +259,6 @@ def divergence_term(density: GridDensity, spec: ActionSpec) -> float:
 
 def total_action(density: GridDensity, spec: ActionSpec) -> float:
     """A_t = -(1/2) g_s L_s dphi <cos theta> + (1/2) I_f."""
-    if abs(density.integral() - 1.0) > _NORM_TOL:
-        raise ValueError("density must be normalized")
     classical = (
         -0.5 * spec.g_s * spec.L_s * spec.delta_phi * density.expectation(np.cos)
     )

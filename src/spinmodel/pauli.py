@@ -34,7 +34,8 @@ _PARALLEL_NODES = 2**14
 
 
 class ConvergenceError(RuntimeError):
-    """Numerical non-convergence: `evolve` produced non-finite amplitudes."""
+    """Numerical non-convergence: the phase factors of `dt` and the field
+    are not finite, so `evolve` cannot step the spinor."""
 
 
 @dataclass(frozen=True)
@@ -168,27 +169,28 @@ def evolve(
         raise ValueError(f"steps must be a whole number >= 0, got {steps!r}")
     steps = int(steps)
     grid = field.grid
-    half = np.exp(-0.5j * dt * config.potential_energy(grid))
-    kinetic = np.exp(-1j * dt * _kinetic_energy(grid, config))
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.exp(-0.5j * dt * config.potential_energy(grid))
+        kinetic = np.exp(-1j * dt * _kinetic_energy(grid, config))
+    # finite unit-modulus factors keep a finite spinor finite at every step
+    if not (np.isfinite(half).all() and np.isfinite(kinetic).all()):
+        raise ConvergenceError(f"non-finite phase factors of dt={dt!r} and the field")
     # fftn's axis order, last axis first, gives fftn's bits; not ifft2(out=):
     # numpy 2.4's ifft2 drops out, which would leave psi in k-space
     axes = range(-1, -grid.dimension - 1, -1)
     psi = np.array(field.psi, dtype=complex)  # a copy: the input stays unchanged
     if psi[0].size < _PARALLEL_NODES:
-        failed = _strang_steps(psi, half, kinetic, axes, steps)
+        _strang_steps(psi, half, kinetic, axes, steps)
     else:
-        failed = _strang_steps_split(psi, half, kinetic, axes, steps)
-    if failed < steps:
-        raise ConvergenceError(f"non-finite amplitudes at step {failed}")
+        _strang_steps_split(psi, half, kinetic, axes, steps)
+    if not np.isfinite(psi).all():
+        raise ConvergenceError("non-finite amplitudes after the last step")
     return SpinorField(grid, psi)
 
 
-def _strang_steps(psi, half, kinetic, axes, steps: int) -> int:
-    """Advance psi by up to `steps` Strang steps in place.
-
-    Returns the first step after which psi is not finite, or `steps`.
-    """
-    for step in range(steps):
+def _strang_steps(psi, half, kinetic, axes, steps: int) -> None:
+    """Advance psi by `steps` Strang steps in place."""
+    for _ in range(steps):
         psi *= half
         for axis in axes:
             np.fft.fft(psi, axis=axis, out=psi)
@@ -196,12 +198,9 @@ def _strang_steps(psi, half, kinetic, axes, steps: int) -> int:
         for axis in axes:
             np.fft.ifft(psi, axis=axis, out=psi)
         psi *= half
-        if not np.isfinite(psi).all():
-            return step
-    return steps
 
 
-def _strang_steps_split(psi, half, kinetic, axes, steps: int) -> int:
+def _strang_steps_split(psi, half, kinetic, axes, steps: int) -> None:
     """_strang_steps with Psi_- advanced on a second thread.
 
     sigma_z B_z never mixes the components, so each one is stepped on its
@@ -213,7 +212,7 @@ def _strang_steps_split(psi, half, kinetic, axes, steps: int) -> int:
 
     def advance_minus():
         try:
-            outcome["failed"] = _strang_steps(psi[1], half[1], kinetic, axes, steps)
+            _strang_steps(psi[1], half[1], kinetic, axes, steps)
         except BaseException as exc:  # re-raised in the caller
             outcome["error"] = exc
 
@@ -222,13 +221,11 @@ def _strang_steps_split(psi, half, kinetic, axes, steps: int) -> int:
     )
     worker.start()
     try:
-        failed = _strang_steps(psi[0], half[0], kinetic, axes, steps)
+        _strang_steps(psi[0], half[0], kinetic, axes, steps)
     finally:
         worker.join()
     if "error" in outcome:
         raise outcome["error"]
-    # the first step at which the stacked array is not finite
-    return min(failed, outcome["failed"])
 
 
 # ---------------------------------------------------------------------------

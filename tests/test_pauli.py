@@ -242,8 +242,35 @@ class TestUnitarity:
             pauli.evolve(bad, pauli.FieldConfig(), 0.001, steps)
 
     def test_non_finite_amplitudes_are_non_convergence(self):
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="step 0"):
+        with pytest.raises(ConvergenceError):
             pauli.evolve(packet_state(), pauli.FieldConfig(b_z=1.0), 1e307, 2)
+
+    # 2-D 128^2 is on the threaded path
+    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 128)])
+    @pytest.mark.parametrize("b_z, dt", [(1.0, 1e307), (1e308, 10.0)])
+    def test_non_finite_phases_raise_before_stepping(
+        self, monkeypatch, dimension, nodes, b_z, dt
+    ):
+        def no_steps(*args):
+            raise AssertionError("stepped with non-finite phase factors")
+
+        monkeypatch.setattr(pauli, "_strang_steps", no_steps)
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        state = two_component_state(grid)
+        before = state.psi.copy()
+        threads = threading.active_count()
+        with pytest.raises(ConvergenceError, match="phase factors of dt="):
+            pauli.evolve(state, pauli.FieldConfig(b_z=b_z), dt, 10**6)
+        assert threading.active_count() == threads
+        assert np.array_equal(state.psi, before)
+
+    def test_non_finite_amplitudes_after_the_last_step(self, monkeypatch):
+        def nan_steps(psi, *args):
+            psi[...] = np.nan
+
+        monkeypatch.setattr(pauli, "_strang_steps", nan_steps)
+        with pytest.raises(ConvergenceError, match="non-finite amplitudes"):
+            pauli.evolve(packet_state(), pauli.FieldConfig(), 0.001, 1)
 
 
 class TestStackedSteps:
@@ -275,7 +302,7 @@ class TestThreadedSteps:
         state = two_component_state(grid)
         before = state.psi.copy()
         threads = threading.active_count()
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="step 0"):
+        with pytest.raises(ConvergenceError):
             pauli.evolve(state, pauli.FieldConfig(b_z=1.0), 1e307, 2)
         assert threading.active_count() == threads
         assert np.array_equal(state.psi, before)
@@ -324,8 +351,9 @@ class TestThreadedSteps:
         # a plain thread starts with numpy's default errstate, which warns
         psi, half, kinetic, axes = self._worker_only_overflow()
         with np.errstate(all="ignore"):
-            assert pauli._strang_steps_split(psi, half, kinetic, axes, 3) == 0
+            pauli._strang_steps_split(psi, half, kinetic, axes, 3)
         assert np.isfinite(psi[0]).all()
+        assert np.isnan(psi[1]).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_worker_exception_reaches_the_caller(self):
