@@ -30,8 +30,8 @@ def main():
     for m in (int(v) for v in args.orders.split(",")):
         config = sg.ApparatusConfig(m=m)
         rng = stream(args.seed, "displacement-scan", m)
-        _, edges, counts = sg.displacement_distribution(
-            m, config, args.samples, rng, bins=args.bins
+        edges, counts = sg.displacement_histogram(
+            config, args.samples, rng, args.bins
         )
         rows = sg.histogram_rows(edges, counts)
         centers = [0.5 * (left + right) for left, right, _, _ in rows]

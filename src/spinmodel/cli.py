@@ -114,11 +114,12 @@ def _flag(key, value):
 COUNT = _numeric(int, 1)
 REAL = _numeric(float, -math.inf)
 POSITIVE = _numeric(float, 0.0, strict=True)
-# bounds the arrays of a draw or a grid: 1e7 float64 values take 80 MB each.
-# The samplers keep their outputs and a few blocks of scratch, so a run at
-# 1e7 samples peaks at ~0.12 GiB RSS (stern-gerlach) to ~0.26 GiB
-# (fluctuations, whose 1e7 x 3 displacements take 240 MB); a variational grid
-# of 1e7 nodes peaks at ~0.65 GiB and pauli at 2^23 nodes at ~1.7 GiB
+# bounds the run time of a draw: the Monte Carlo runs reduce their draws one
+# block at a time and hold no n-sized array, so at 1e7 samples they peak at
+# ~36 MiB RSS, as at the defaults, but stern-gerlach and fluctuations take
+# ~1.2-1.4 s (2-core host), linear in samples.  NODES bounds the arrays of a
+# grid: a variational grid of 1e7 nodes peaks at ~0.65 GiB and pauli at 2^23
+# nodes at ~1.7 GiB
 SAMPLES = _numeric(int, 1, high=10**7)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
 ORDER = _numeric(int, 1, high=10**6)  # the bound on m below, for orders >= 1
@@ -290,15 +291,11 @@ def run_stern_gerlach(config, seed):
     beta = config["beta"]
     p_up = sg.two_apparatus_up_probability(0.0, beta)
     density = orientation.TwoPointDensity(p_up, 1.0 - p_up)
-    # reduced to the up fraction at once: the n outcomes are freed before
-    # the displacements are drawn
-    up_fraction = float(np.mean(sg.measure_many(density, rng, n) == sg.UP))
+    up_fraction = sg.up_count(density, rng, n) / n
     apparatus = sg.ApparatusConfig(
         gradient=config["eta"], transit_time=config["transit_time"], m=config["m"]
     )
-    _, edges, counts = sg.displacement_distribution(
-        apparatus.m, apparatus, n, rng, bins=config["bins"]
-    )
+    edges, counts = sg.displacement_histogram(apparatus, n, rng, config["bins"])
     header = ["bin_left", "bin_right", "count", "density"]
     summary = {
         "beta": beta,
@@ -388,8 +385,7 @@ def run_fluctuations(config, seed):
     rng = stream(seed, "fluctuations")
     n = config["samples"]
     trans = fluctuations.TranslationParams(config["mass"], config["dt"])
-    w = fluctuations.sample_displacement(trans, rng, n)
-    product = fluctuations.uncertainty_product(w, trans)
+    product = fluctuations.expected_uncertainty_product(trans, n, rng)
     rows = [("uncertainty_product", product, 0.5)]
     for i, (mass, omega) in enumerate([(1.0, 1.0), (3.0, 7.0), (0.5, 2.0)]):
         rot = fluctuations.RotationParams(mass, omega)

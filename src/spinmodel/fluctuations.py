@@ -65,9 +65,44 @@ def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float
     w = np.asarray(samples, dtype=float)
     if w.ndim != 2 or w.shape[0] < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
-    # sum of w_i^2 without the two n x 3 temporaries of w * (m w / dt); einsum
-    # rather than a BLAS dot, whose threads keep spinning after the call
-    return params.mass / params.dt * float(np.einsum("ij,ij->", w, w)) / w.size
+    flat = w.reshape(-1)
+    return _uncertainty_product(params, flat.size, lambda start, stop: flat[start:stop])
+
+
+def expected_uncertainty_product(
+    params: TranslationParams, n: int, rng: np.random.Generator
+) -> float:
+    """Monte Carlo <dx_i dp_i> over n displacement vectors, expected 1/2.
+
+    The vectors are drawn as `sample_displacement` draws them, one block of
+    `BLOCK` values at a time into one reused array, so the estimate has the
+    bits of `uncertainty_product(sample_displacement(params, rng, n), params)`
+    on the same stream, without the (n, 3) array."""
+    n = _require_count("n", n)
+    if n < 10**4:
+        raise ValueError("need at least 1e4 displacement samples")
+    sd = math.sqrt(params.component_variance)
+    w = np.empty(min(BLOCK, 3 * n))
+
+    def block(start, stop):
+        # rng.normal(0, sd) is 0 + sd * z, z the stream's next standard normal
+        v = rng.standard_normal(out=w[:stop - start])
+        v *= sd
+        return v
+
+    return _uncertainty_product(params, 3 * n, block)
+
+
+def _uncertainty_product(params: TranslationParams, size: int, block) -> float:
+    """m / dt times the mean of the squares of `size` displacement components,
+    block(start, stop) giving those in [start, stop)."""
+    # sum of w_i^2 without the temporaries of w * (m w / dt); einsum rather
+    # than a BLAS dot, whose threads keep spinning after the call
+    def block_sum(start, stop):
+        v = block(start, stop)
+        return np.einsum("i,i->", v, v)
+
+    return params.mass / params.dt * float(_sum_blocks(size, block_sum)) / size
 
 
 # ---------------------------------------------------------------------------
@@ -86,26 +121,26 @@ def expected_angular_momentum(
     # one block at a time into one reused array
     u = np.empty(min(BLOCK, n))
 
-    def block_sum(k):
-        v = rng.standard_normal(out=u[:k])
+    def block_sum(start, stop):
+        v = rng.standard_normal(out=u[:stop - start])
         v *= params.radius_scale
         v *= v
         v *= params.mass * params.omega
         return np.sum(v)
 
-    return float(_pairwise_sum(n, block_sum) / n)
+    return float(_sum_blocks(n, block_sum) / n)
 
 
-def _pairwise_sum(n: int, block_sum):
-    """The sum of n values, block_sum(k) summing the next k of them, added
-    along numpy's pairwise-summation tree: like np.sum, a run of more than
-    128 values is split at n // 2 - (n // 2) % 8, and so runs above `BLOCK`
-    are split here until block_sum takes over.  The total has the bits of
-    np.sum over all n values at once, without an n-sized array."""
-    if n <= BLOCK:
-        return block_sum(n)
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(half, block_sum) + _pairwise_sum(n - half, block_sum)
+def _sum_blocks(n: int, block_sum):
+    """The sum of n values, block_sum(start, stop) summing those in
+    [start, stop), over consecutive blocks of at most `BLOCK` values, the
+    block sums added in block order: the one float-sum rule of the blocked
+    estimates, so that a streamed estimate and its array form agree to the
+    bit."""
+    total = 0.0
+    for start in range(0, n, BLOCK):
+        total += block_sum(start, min(start + BLOCK, n))
+    return total
 
 
 # ---------------------------------------------------------------------------

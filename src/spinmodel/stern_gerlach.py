@@ -49,6 +49,14 @@ def measure_many(density: TwoPointDensity, rng: np.random.Generator, n: int):
     return np.where(rng.random(n) < density.weight_up, UP, DOWN)
 
 
+def up_count(density: TwoPointDensity, rng: np.random.Generator, n: int) -> int:
+    """The number of UP outcomes among n independent measurements, drawn as
+    one binomial variate: the exact law of the count of `measure_many`'s
+    UPs, with no n-sized array."""
+    n = _require_count("n", n)
+    return int(rng.binomial(n, density.weight_up))
+
+
 def conditional_density(prior: GridDensity, m: int) -> GridDensity:
     """Post-apparatus density proportional to prior(theta) * cos^{2m}(theta).
 
@@ -153,6 +161,25 @@ def displacement_distribution(
     dz = _odd_power(sample_cos_theta(m, rng, n_samples), m, k)
     counts, edges = np.histogram(dz, bins=bins, range=(-k, k))
     return dz, edges, counts
+
+
+def displacement_histogram(
+    config: ApparatusConfig, n_samples: int, rng: np.random.Generator, bins: int
+):
+    """(bin_edges, counts) of n_samples displacements of the weak regime at
+    order config.m, without an n-sized array: the added counts of consecutive
+    `displacement_distribution` calls of max(`BLOCK`, bins) samples each (the
+    last one shorter), each call's samples discarded.  A call's histogram
+    makes a few passes over its bins, so a call of at least bins samples
+    keeps that work below a few passes per sample at any bins."""
+    n_samples = _require_count("n_samples", n_samples)
+    chunk = max(BLOCK, _require_count("bins", bins))
+    counts = 0
+    for start in range(0, n_samples, chunk):
+        size = min(chunk, n_samples - start)
+        _, edges, part = displacement_distribution(config.m, config, size, rng, bins)
+        counts = counts + part
+    return edges, counts
 
 
 def histogram_rows(edges: np.ndarray, counts: np.ndarray):

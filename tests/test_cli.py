@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmodel import cli
+from spinmodel import fluctuations as fl
+from spinmodel import orientation as om
+from spinmodel import stern_gerlach as sg
 from spinmodel.pauli import ConvergenceError
+from spinmodel.streams import stream
 
 SG_KEYS = cli.SCHEMA["stern-gerlach"]
 
@@ -177,6 +181,23 @@ class TestRun:
                 assert len(row) == len(header)
                 # csv writes a numpy scalar by str(), which hides it
                 assert all(type(cell) in (int, float, str) for cell in row)
+
+    def test_stern_gerlach_draws_up_count_then_histogram(self):
+        _, config = _small_config(SMALL_RUNS[1])
+        [(_, _, rows)], summary = cli.run_stern_gerlach(config, 7)
+        rng = stream(7, "stern-gerlach")
+        p_up = sg.two_apparatus_up_probability(0.0, config["beta"])
+        up = sg.up_count(om.TwoPointDensity(p_up, 1.0 - p_up), rng, 2000)
+        assert summary["empirical_up_fraction"] == up / 2000
+        edges, counts = sg.displacement_histogram(sg.ApparatusConfig(), 2000, rng, 11)
+        assert rows == sg.histogram_rows(edges, counts)
+
+    def test_fluctuations_product_is_the_array_form(self):
+        _, config = _small_config(SMALL_RUNS[7])
+        summary = cli.run_fluctuations(config, 7)[1]
+        params = fl.TranslationParams()
+        w = fl.sample_displacement(params, stream(7, "fluctuations"), 10000)
+        assert summary["uncertainty_product"] == fl.uncertainty_product(w, params)
 
     def test_fluctuations_kl_rows_do_not_depend_on_seed(self, tmp_path, capsys):
         tables = {}

@@ -61,7 +61,7 @@ class TestRotation:
         # leaves every bit of the estimate as it was
         params = fl.RotationParams(mass=3.0, omega=7.0)
         u = np.abs(stream(31, "fl-ls-bits").normal(0.0, params.radius_scale, 10**5))
-        expected = float(np.mean(params.mass * params.omega * u**2))
+        expected = _block_mean(params.mass * params.omega * u**2)
         got = fl.expected_angular_momentum(params, 10**5, stream(31, "fl-ls-bits"))
         assert got == expected
 
@@ -69,17 +69,69 @@ class TestRotation:
         "n", [10**4, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 10**6 + 3, 2**20 + 17]
     )
     def test_same_bits_as_one_mean(self, n):
-        # the blocks' sums are added along numpy's pairwise-summation tree,
-        # so the mean is np.mean's over all n draws at once; at 2**20 + 17 a
-        # split at n // 2, without numpy's rounding down to a multiple of 8,
-        # changes the last bit
+        # the blocks' sums are added in block order, so the mean is that of
+        # the whole array summed block by block
         params = fl.RotationParams(mass=3.0, omega=7.0)
         ref = stream(31, "fl-ls-blocks", n)
         u = ref.normal(0.0, params.radius_scale, n)
-        expected = float(np.mean(params.mass * params.omega * u**2))
+        expected = _block_mean(params.mass * params.omega * u**2)
         rng = stream(31, "fl-ls-blocks", n)
         assert fl.expected_angular_momentum(params, n, rng) == expected
         assert rng.random() == ref.random()
+
+
+def _block_mean(values):
+    """The mean of values by the blocked estimates' sum rule: np.sum of each
+    block of BLOCK values, the block sums added in block order."""
+    total = 0.0
+    for start in range(0, values.size, BLOCK):
+        total += np.sum(values[start:start + BLOCK])
+    return float(total / values.size)
+
+
+class TestStreamedUncertaintyProduct:
+    @pytest.mark.parametrize(
+        # 3n = 2 BLOCK - 2 and 2 BLOCK + 1 end either side of a block's end
+        "n",
+        [10**4, 2 * BLOCK // 3, 2 * BLOCK // 3 + 1, BLOCK, 3 * BLOCK + 5, 10**6 + 3],
+    )
+    @pytest.mark.parametrize("mass, dt", [(1.0, 1.0), (3.0, 0.2)])
+    def test_same_bits_as_the_array_form(self, n, mass, dt):
+        # the same normals, squared and summed over the same blocks of the
+        # flat (n, 3) sequence, in the same order
+        params = fl.TranslationParams(mass=mass, dt=dt)
+        rng = stream(31, "fl-ur-stream", n)
+        ref = stream(31, "fl-ur-stream", n)
+        w = fl.sample_displacement(params, ref, n)
+        got = fl.expected_uncertainty_product(params, n, rng)
+        assert got == fl.uncertainty_product(w, params)
+        assert rng.random() == ref.random()
+
+    def test_array_form_sums_squares_block_by_block(self):
+        params = fl.TranslationParams(mass=3.0, dt=0.2)
+        w = fl.sample_displacement(params, stream(31, "fl-ur-rule"), 3 * BLOCK + 5)
+        flat = w.reshape(-1)
+        total = 0.0
+        for start in range(0, flat.size, BLOCK):
+            block = flat[start:start + BLOCK]
+            total += np.einsum("i,i->", block, block)
+        expected = params.mass / params.dt * float(total) / flat.size
+        assert fl.uncertainty_product(w, params) == expected
+
+    @pytest.mark.parametrize("mass, dt", [(1.0, 1.0), (3.0, 0.2), (0.5, 4.0)])
+    def test_within_five_sigma_of_one_half(self, mass, dt):
+        # (m / dt) w^2 is chi-square(1) / 2: variance 1/2 per component, so
+        # the mean of 3n of them has sd (1/2) sqrt(2 / 3n)
+        n = 10**6
+        params = fl.TranslationParams(mass=mass, dt=dt)
+        got = fl.expected_uncertainty_product(params, n, stream(31, "fl-ur-law", mass))
+        assert abs(got - 0.5) <= 5 * 0.5 * math.sqrt(2.0 / (3 * n))
+
+    def test_requires_enough_samples(self):
+        with pytest.raises(ValueError, match="1e4"):
+            fl.expected_uncertainty_product(
+                fl.TranslationParams(), 9999, stream(31, "fl-ur-few")
+            )
 
 
 class TestGaussHermiteRule:

@@ -5,7 +5,9 @@ at 10**6 draws it holds its output and a few blocks of scratch: at most
 ~1 MiB besides the output, or ~2.5 MiB for `displacement_distribution`, whose
 histogram works in blocks of its own.  A sampler that allocates an n-sized
 scratch array (8 MB at this n) fails.  `kl_shift_rate` on the CLI's 4001-node
-grid holds no 32 x 4001 array (1 MB) either.
+grid holds no 32 x 4001 array (1 MB) either.  The streamed reductions,
+`displacement_histogram` and `expected_uncertainty_product`, hold no n-sized
+array at all: ~1 MiB besides their output at 10**6 and at 4 * 10**6 draws.
 """
 
 import math
@@ -45,9 +47,19 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("name", KERNELS)
-def test_peak_is_the_output_and_a_few_blocks(name):
-    call, allowed = KERNELS[name]
+# the streamed reductions, called with a count of draws: their output does
+# not grow with it, and neither may their peak
+STREAMED = {
+    "displacement_histogram": lambda rng, n: sg.displacement_histogram(
+        sg.ApparatusConfig(), n, rng, 200
+    ),
+    "expected_uncertainty_product": lambda rng, n: fl.expected_uncertainty_product(
+        fl.TranslationParams(), n, rng
+    ),
+}
+
+
+def _peak_beyond_output(call, name):
     call(stream(5, "memory-warm-up", name))  # one-off first-call allocations
     rng = stream(5, "memory", name)
     tracemalloc.start()
@@ -57,5 +69,16 @@ def test_peak_is_the_output_and_a_few_blocks(name):
     finally:
         tracemalloc.stop()
     parts = result if isinstance(result, tuple) else (result,)
-    output = sum(np.asarray(part).nbytes for part in parts)
-    assert peak - output <= allowed
+    return peak - sum(np.asarray(part).nbytes for part in parts)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_peak_is_the_output_and_a_few_blocks(name):
+    call, allowed = KERNELS[name]
+    assert _peak_beyond_output(call, name) <= allowed
+
+
+@pytest.mark.parametrize("n", [N, 4 * N])
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_peak_does_not_grow_with_n(name, n):
+    assert _peak_beyond_output(lambda rng: STREAMED[name](rng, n), name) <= MIB

@@ -43,6 +43,26 @@ class TestMeasurement:
         outcomes = sg.measure_many(density, rng, 100000)
         assert np.mean(outcomes == sg.UP) == pytest.approx(0.75, abs=0.005)
 
+    @pytest.mark.parametrize("p_up", [0.75, 0.5, 0.01])
+    def test_up_count_within_five_sigma(self, p_up):
+        n = 10**6
+        density = om.TwoPointDensity(p_up, 1.0 - p_up)
+        count = sg.up_count(density, stream(3, "sg-up-count", p_up), n)
+        assert abs(count - n * p_up) <= 5 * math.sqrt(n * p_up * (1.0 - p_up))
+
+    def test_up_count_is_one_binomial_draw(self):
+        density = om.TwoPointDensity(0.75, 0.25)
+        rng, ref = stream(3, "sg-binomial"), stream(3, "sg-binomial")
+        count = sg.up_count(density, rng, 12345)
+        assert type(count) is int
+        assert count == ref.binomial(12345, 0.75)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("p_up, expected", [(1.0, 1000), (0.0, 0)])
+    def test_up_count_of_a_certain_outcome(self, p_up, expected):
+        density = om.TwoPointDensity(p_up, 1.0 - p_up)
+        assert sg.up_count(density, stream(3, "sg-certain"), 1000) == expected
+
 def _uniform_prior(n):
     return om.GridDensity.from_unnormalized(om.theta_grid(n), np.ones(n))
 
@@ -222,6 +242,52 @@ class TestDisplacement:
         assert np.array_equal(counts, expected_counts)
         assert np.array_equal(edges, expected_edges)
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_histogram_is_the_sum_of_block_calls(self, m, n):
+        config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
+        rng = stream(11, "sg-stream", m, n)
+        edges, counts = sg.displacement_histogram(config, n, rng, 17)
+        ref = stream(11, "sg-stream", m, n)
+        expected = np.zeros(17, dtype=counts.dtype)
+        for start in range(0, n, BLOCK):
+            size = min(BLOCK, n - start)
+            _, expected_edges, part = sg.displacement_distribution(
+                m, config, size, ref, 17
+            )
+            expected += part
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(edges, expected_edges)
+        assert int(counts.sum()) == n
+        assert rng.random() == ref.random()
+
+    def test_histogram_of_many_bins_draws_bins_per_call(self):
+        # a call of fewer samples than bins would spend most of its time on
+        # the bins, so calls grow to one sample per bin
+        bins, n = BLOCK + 7, 3 * (BLOCK + 7) + 2
+        config = sg.ApparatusConfig(m=2)
+        rng = stream(11, "sg-stream-bins")
+        edges, counts = sg.displacement_histogram(config, n, rng, bins)
+        ref = stream(11, "sg-stream-bins")
+        expected = sum(
+            sg.displacement_distribution(2, config, size, ref, bins)[2]
+            for size in (bins, bins, bins, 2)
+        )
+        assert np.array_equal(counts, expected)
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("bins", [0, 2.5, math.nan, 1e300])
+    def test_histogram_rejects_bins_that_are_not_a_count(self, bins):
+        with pytest.raises(ValueError, match="bins"):
+            sg.displacement_histogram(
+                sg.ApparatusConfig(), 10, stream(11, "sg-stream-bad"), bins
+            )
+
+    def test_histogram_rejects_a_bad_scale(self):
+        config = sg.ApparatusConfig(gradient=1e-300, transit_time=1e-200)
+        with pytest.raises(ValueError, match="eta and transit_time"):
+            sg.displacement_histogram(config, 10, stream(11, "sg-stream-scale"), 200)
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_displacement_of_any_layout(self, m):

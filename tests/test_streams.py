@@ -80,6 +80,13 @@ COUNTED = {
     "displacement_distribution": lambda rng, n: sg.displacement_distribution(
         1, sg.ApparatusConfig(), n, rng
     ),
+    "expected_uncertainty_product": lambda rng, n: fl.expected_uncertainty_product(
+        fl.TranslationParams(), n, rng
+    ),
+    "up_count": lambda rng, n: sg.up_count(om.TwoPointDensity(0.75, 0.25), rng, n),
+    "displacement_histogram": lambda rng, n: sg.displacement_histogram(
+        sg.ApparatusConfig(), n, rng, 200
+    ),
     "flip_parity": lambda rng, n: tg.flip_parity(tg.DwellModel(1.0, 3.0), 2.0, rng, n),
     "sample_pair_outcomes": lambda rng, n: ent.sample_pair_outcomes(
         ent.PSI_MINUS, 0.1, 0.7, n, rng
