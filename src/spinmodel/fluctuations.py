@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .streams import BLOCK, _require_count
+from .streams import BLOCK, _blocks, _normal_blocks, _require_count, _spans
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float
     w = np.asarray(samples, dtype=float)
     if w.ndim != 2 or w.shape[0] < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
-    flat = w.reshape(-1)
-    return _uncertainty_product(params, flat.size, lambda start, stop: flat[start:stop])
+    return _uncertainty_product(params, _blocks(w.reshape(-1)))
 
 
 def expected_uncertainty_product(
@@ -74,35 +73,29 @@ def expected_uncertainty_product(
 ) -> float:
     """Monte Carlo <dx_i dp_i> over n displacement vectors, expected 1/2.
 
-    The vectors are drawn as `sample_displacement` draws them, one block of
-    `BLOCK` values at a time into one reused array, so the estimate has the
-    bits of `uncertainty_product(sample_displacement(params, rng, n), params)`
-    on the same stream, without the (n, 3) array."""
+    The vectors are drawn as `sample_displacement` draws them, but block by
+    block, so the estimate has the bits of
+    `uncertainty_product(sample_displacement(params, rng, n), params)` on the
+    same stream, without the (n, 3) array."""
     n = _require_count("n", n)
     if n < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
     sd = math.sqrt(params.component_variance)
-    w = np.empty(min(BLOCK, 3 * n))
-
-    def block(start, stop):
-        # rng.normal(0, sd) is 0 + sd * z, z the stream's next standard normal
-        v = rng.standard_normal(out=w[:stop - start])
-        v *= sd
-        return v
-
-    return _uncertainty_product(params, 3 * n, block)
+    # rng.normal(0, sd) is 0 + sd * z, z the stream's next standard normal
+    blocks = (np.multiply(z, sd, out=z) for z in _normal_blocks(rng, 3 * n))
+    return _uncertainty_product(params, blocks)
 
 
-def _uncertainty_product(params: TranslationParams, size: int, block) -> float:
-    """m / dt times the mean of the squares of `size` displacement components,
-    block(start, stop) giving those in [start, stop)."""
+def _uncertainty_product(params: TranslationParams, blocks) -> float:
+    """m / dt times the mean of the squares of the displacement components
+    in blocks, an iterable of flat arrays."""
     # sum of w_i^2 without the temporaries of w * (m w / dt); einsum rather
     # than a BLAS dot, whose threads keep spinning after the call
-    def block_sum(start, stop):
-        v = block(start, stop)
-        return np.einsum("i,i->", v, v)
-
-    return params.mass / params.dt * float(_sum_blocks(size, block_sum)) / size
+    total, size = 0.0, 0
+    for v in blocks:
+        total += np.einsum("i,i->", v, v)
+        size += v.size
+    return params.mass / params.dt * float(total) / size
 
 
 # ---------------------------------------------------------------------------
@@ -117,30 +110,14 @@ def expected_angular_momentum(
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
     # u = |N(0, 1/2 m omega)|, but only u**2 enters and the sign does not
-    # change it, so the draws are scaled and squared in place as they come,
-    # one block at a time into one reused array
-    u = np.empty(min(BLOCK, n))
-
-    def block_sum(start, stop):
-        v = rng.standard_normal(out=u[:stop - start])
+    # change it, so the draws are scaled and squared in place as they come
+    total = 0.0
+    for v in _normal_blocks(rng, n):
         v *= params.radius_scale
         v *= v
         v *= params.mass * params.omega
-        return np.sum(v)
-
-    return float(_sum_blocks(n, block_sum) / n)
-
-
-def _sum_blocks(n: int, block_sum):
-    """The sum of n values, block_sum(start, stop) summing those in
-    [start, stop), over consecutive blocks of at most `BLOCK` values, the
-    block sums added in block order: the one float-sum rule of the blocked
-    estimates, so that a streamed estimate and its array form agree to the
-    bit."""
-    total = 0.0
-    for start in range(0, n, BLOCK):
-        total += block_sum(start, min(start + BLOCK, n))
-    return total
+        total += np.sum(v)
+    return float(total / n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +223,8 @@ def kl_shift_rate(
     # so no n_shifts x nodes scratch is held; einsum, not BLAS, as in
     # uncertainty_product
     divergence = np.empty_like(x)
-    columns = max(1, BLOCK // n_shifts)
-    for start in range(0, x.size, columns):
-        part = slice(start, start + columns)
+    for start, stop in _spans(x.size, max(1, BLOCK // n_shifts)):
+        part = slice(start, stop)
         s = np.interp(x[part] + w[:, None], x, rho, left=left, right=right)
         np.log(s, out=s)
         np.subtract(log_rho[part], s, out=s)

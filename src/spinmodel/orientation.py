@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .streams import BLOCK
+from .streams import BLOCK, _blocks, _normal_blocks
 
 _NORM_TOL = 1e-10
 
@@ -139,20 +139,13 @@ def _gamma_normal(m: int, rng: np.random.Generator, size):
 
     Returns (out, blocks).  out holds all of G, drawn by one call, and is
     the buffer the caller turns into its result in place; out[()] is that
-    result, a scalar when size is None.  Iterating blocks draws Z one block
-    of `BLOCK` at a time into one reused array and yields (g, z), g the
-    matching view of out: the stream is used as by one standard_normal call.
+    result, a scalar when size is None.  blocks yields (g, z): a block of
+    out and the matching block of Z, drawn as the blocks are taken.
     """
     _require_order(m)
     out = np.asarray(rng.standard_gamma(m + 0.5, size))
-    return out, _normal_blocks(out.reshape(-1), rng)
-
-
-def _normal_blocks(flat: np.ndarray, rng: np.random.Generator):
-    z = np.empty(min(BLOCK, flat.size))
-    for start in range(0, flat.size, BLOCK):
-        g = flat[start:start + BLOCK]
-        yield g, rng.standard_normal(out=z[:g.size])
+    flat = out.reshape(-1)
+    return out, zip(_blocks(flat), _normal_blocks(rng, flat.size))
 
 
 def sample_theta(m: int, rng: np.random.Generator, size):

@@ -21,7 +21,7 @@ from .orientation import (
     normalization_constant,
     sample_cos_theta,
 )
-from .streams import BLOCK, _require_count
+from .streams import BLOCK, _blocks, _require_count, _spans
 
 UP = +1
 DOWN = -1
@@ -97,10 +97,8 @@ def _odd_power(c, m: int, scale: float):
     a time, each squared into one reused block of scratch; a float power
     call costs ~10x more."""
     out = np.asarray(c, dtype=float, order="C")
-    flat = out.reshape(-1)
-    scratch = np.empty(min(BLOCK, flat.size))
-    for start in range(0, flat.size, BLOCK):
-        block = flat[start:start + BLOCK]
+    scratch = np.empty(min(BLOCK, out.size))
+    for block in _blocks(out.reshape(-1)):
         square = np.multiply(block, block, out=scratch[:block.size])
         k = m
         while k:
@@ -175,9 +173,10 @@ def displacement_histogram(
     n_samples = _require_count("n_samples", n_samples)
     chunk = max(BLOCK, _require_count("bins", bins))
     counts = 0
-    for start in range(0, n_samples, chunk):
-        size = min(chunk, n_samples - start)
-        _, edges, part = displacement_distribution(config.m, config, size, rng, bins)
+    for start, stop in _spans(n_samples, chunk):
+        _, edges, part = displacement_distribution(
+            config.m, config, stop - start, rng, bins
+        )
         counts = counts + part
     return edges, counts
 

@@ -8,9 +8,12 @@ yield statistically independent streams.  The key is the ``repr`` of
 ``(seed, *ids)``, so ``"1"`` and ``1`` are distinct keys; SeedSequence
 hashes its bytes into the SFC64 state.
 
-The samplers share two rules of their draws here: `_require_count`, the one
-check of a count of draws, and `BLOCK`, the number of draws they transform
-at a time, so that no sampler holds an n-sized scratch array.
+The samplers share the rules of their draws here: `_require_count`, the one
+check of a count of draws, and one block-traversal rule, so that no sampler
+holds an n-sized scratch array.  Values go in consecutive blocks of `BLOCK`,
+the last one shorter (`_spans`, `_blocks`); normals are drawn block by block
+into one reused array (`_normal_blocks`); a float sum adds the block sums in
+block order, so a streamed estimate and its array form agree to the bit.
 """
 
 from __future__ import annotations
@@ -39,3 +42,25 @@ def _require_count(name: str, n) -> int:
     if not (1 <= n < 2**63 and n % 1 == 0):
         raise ValueError(f"{name} must be a whole number in [1, 2**63), got {n!r}")
     return int(n)
+
+
+def _spans(n: int, size: int = BLOCK):
+    """The (start, stop) spans of range(n), in order, each of `size` values
+    but the last."""
+    for start in range(0, n, size):
+        yield start, min(start + size, n)
+
+
+def _blocks(values: np.ndarray):
+    """Consecutive views of at most `BLOCK` values of the flat array values."""
+    for start, stop in _spans(values.size):
+        yield values[start:stop]
+
+
+def _normal_blocks(rng: np.random.Generator, n: int):
+    """The next n standard normals of rng, in the blocks of `_spans(n)`, each
+    drawn into one reused array over the last: the stream is used as by one
+    rng.standard_normal(n) call."""
+    z = np.empty(min(BLOCK, n))
+    for start, stop in _spans(n):
+        yield rng.standard_normal(out=z[:stop - start])

@@ -91,8 +91,8 @@ def simulate(
     rng: np.random.Generator,
 ) -> TelegraphTrajectory:
     """Generate alternating dwell segments until the window is covered."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if initial_trend not in (+1, -1):
         raise ValueError("initial_trend must be +1 or -1")
     # segment i has trend initial_trend * (-1)**i; batches of whole pairs
@@ -126,8 +126,8 @@ def flip_parity(model: DwellModel, delay: float, rng: np.random.Generator, size)
     next dwell of every sample whose switch epochs have not yet passed
     delay.
     """
-    if not delay >= 0:
-        raise ValueError("delay must be non-negative")
+    if not 0 <= delay < math.inf:
+        raise ValueError(f"delay must be non-negative and finite, got {delay!r}")
     n = _require_count("size", size)
     odd = np.zeros(n, dtype=bool)
     if delay > 0:
@@ -160,8 +160,8 @@ def odd_flip_probability(model: DwellModel, delay: float) -> float:
     coincide when tau+ = tau-; for asymmetric exponential dwells
     flip_parity's mean is 2 pi+ pi- (1 - exp(-(1/tau+ + 1/tau-) delay)).
     """
-    if not delay >= 0:
-        raise ValueError("delay must be non-negative")
+    if not 0 <= delay < math.inf:
+        raise ValueError(f"delay must be non-negative and finite, got {delay!r}")
     if model.distribution == EXPONENTIAL:
         rate_sum = 1.0 / model.tau_plus + 1.0 / model.tau_minus
         return 0.5 * (1.0 - math.exp(-rate_sum * delay))

@@ -6,8 +6,9 @@ at 10**6 draws it holds its output and a few blocks of scratch: at most
 histogram works in blocks of its own.  A sampler that allocates an n-sized
 scratch array (8 MB at this n) fails.  `kl_shift_rate` on the CLI's 4001-node
 grid holds no 32 x 4001 array (1 MB) either.  The streamed reductions,
-`displacement_histogram` and `expected_uncertainty_product`, hold no n-sized
-array at all: ~1 MiB besides their output at 10**6 and at 4 * 10**6 draws.
+`displacement_histogram`, `expected_uncertainty_product` and
+`expected_angular_momentum`, hold no n-sized array at all: ~1 MiB besides
+their output at 10**6 and at 4 * 10**6 draws.
 """
 
 import math
@@ -55,6 +56,9 @@ STREAMED = {
     ),
     "expected_uncertainty_product": lambda rng, n: fl.expected_uncertainty_product(
         fl.TranslationParams(), n, rng
+    ),
+    "expected_angular_momentum": lambda rng, n: fl.expected_angular_momentum(
+        fl.RotationParams(3.0, 7.0), n, rng
     ),
 }
 

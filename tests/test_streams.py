@@ -11,7 +11,7 @@ from spinmodel import fluctuations as fl
 from spinmodel import orientation as om
 from spinmodel import stern_gerlach as sg
 from spinmodel import telegraph as tg
-from spinmodel.streams import stream
+from spinmodel.streams import BLOCK, _normal_blocks, _spans, stream
 
 
 def test_same_key_same_sequence():
@@ -64,6 +64,33 @@ def test_neighbouring_trials_are_uncorrelated(i):
     a = stream(7, "x", i).standard_normal(n)
     b = stream(7, "x", i + 1).standard_normal(n)
     assert abs(np.corrcoef(a, b)[0, 1]) <= 5 / np.sqrt(n)
+
+
+SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+@pytest.mark.parametrize("size", [BLOCK, 7])
+@pytest.mark.parametrize("n", SIZES)
+def test_spans_tile_the_range_in_order(n, size):
+    spans = list(_spans(n) if size == BLOCK else _spans(n, size))
+    assert [i for start, stop in spans for i in range(start, stop)] == list(range(n))
+    assert all(stop - start == size for start, stop in spans[:-1])
+    assert 1 <= spans[-1][1] - spans[-1][0] <= size
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_normal_blocks_use_the_stream_as_one_call(n):
+    rng, ref = stream(3, "normal-blocks", n), stream(3, "normal-blocks", n)
+    # each block is overwritten by the next, so it is copied as it comes
+    got = np.concatenate([block.copy() for block in _normal_blocks(rng, n)])
+    assert np.array_equal(got, ref.standard_normal(n))
+    assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
+
+
+def test_normal_blocks_share_one_buffer():
+    blocks = list(_normal_blocks(stream(3, "normal-buffer"), 3 * BLOCK + 5))
+    assert [b.size for b in blocks] == [BLOCK] * 3 + [5]
+    assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
 
 
 # every sampler that takes a count of draws, called with the count n

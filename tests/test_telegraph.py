@@ -117,6 +117,12 @@ class TestSimulate:
         up, _ = tg.empirical_fractions(traj)
         assert up == pytest.approx(model.stationary_up_fraction(), abs=0.01)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_duration(self, duration):
+        # inf overflowed the pair count and nan failed to convert to an int
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            tg.simulate(tg.DwellModel(), duration, +1, stream(9, "tg-bad-duration"))
+
     def test_fixed_dwells_are_periodic(self):
         model = tg.DwellModel(1.0, 2.0, tg.FIXED)
         rng = stream(9, "tg-periodic")
@@ -243,3 +249,13 @@ class TestParity:
     def test_parity_rejects_bad_delay(self, delay):
         with pytest.raises(ValueError, match="delay must be non-negative"):
             tg.flip_parity(tg.DwellModel(), delay, stream(9, "tg-parity-bad"), size=4)
+
+    @pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
+    def test_infinite_delay_rejected(self, distribution):
+        # flip_parity looped forever on it; the fixed-dwell closed form hit a
+        # math domain error in fmod
+        model = tg.DwellModel(1.0, 2.0, distribution)
+        with pytest.raises(ValueError, match="delay must be non-negative and finite"):
+            tg.odd_flip_probability(model, math.inf)
+        with pytest.raises(ValueError, match="delay must be non-negative and finite"):
+            tg.flip_parity(model, math.inf, stream(9, "tg-parity-inf"), size=4)
