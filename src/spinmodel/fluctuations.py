@@ -124,11 +124,22 @@ def expected_angular_momentum(
 # Fisher-functional limit
 
 
+def _require_grid(x, rho):
+    """x and rho as float arrays, if they are a 1-D grid and a density on it."""
+    x, rho = np.asarray(x, dtype=float), np.asarray(rho, dtype=float)
+    if x.ndim != 1 or x.size < 2 or rho.shape != x.shape:
+        raise ValueError(f"x, rho must be 1-D, one length >= 2: {x.shape}, {rho.shape}")
+    # a NaN fails every comparison, and an inf inside a rising x fails one
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1]) and (x[1:] > x[:-1]).all()):
+        raise ValueError("x must be finite and strictly increasing")
+    if not 0 < rho.min() <= rho.max() < math.inf:
+        raise ValueError("rho must be finite and strictly positive")
+    return x, rho
+
+
 def fisher_functional(x, rho, params: TranslationParams) -> float:
     """(1/4m) int (grad rho)^2 / rho dx, per unit time."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("density must be strictly positive")
+    x, rho = _require_grid(x, rho)
     grad = np.gradient(rho, x)
     return float(1.0 / (4.0 * params.mass) * np.trapezoid(grad**2 / rho, x))
 
@@ -210,10 +221,7 @@ def kl_shift_rate(
     rng is unused, kept for callers that pass one.
     """
     n_shifts = _require_count("n_shifts", n_shifts)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise ValueError("density must be strictly positive")
-    x = np.asarray(x, dtype=float)
+    x, rho = _require_grid(x, rho)
     nodes, weights = _gauss_hermite(n_shifts)
     w = math.sqrt(params.component_variance) * nodes
     left, right, log_rho = rho[0], rho[-1], np.log(rho)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 import numbers
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,13 +94,12 @@ def theta_grid(n_nodes: int) -> np.ndarray:
 def _require_order(m) -> None:
     """The order m of the family is a whole number >= 0, and small enough
     that the Gamma shape m + 1/2 of `sample_theta` is exact in a float."""
-    if not (isinstance(m, numbers.Integral) and 0 <= m < 2**52):
+    if isinstance(m, bool) or not (isinstance(m, numbers.Integral) and 0 <= m < 2**52):
         raise ValueError(
             f"m must be non-negative and a whole number below 2**52, got {m!r}"
         )
 
 
-@lru_cache(maxsize=None)
 def normalization_constant(m: int) -> float:
     """Z_m = integral of cos^{2m}(theta) over [0, pi] = sqrt(pi) Gamma(m + 1/2) / m!.
 

@@ -38,8 +38,8 @@ def stream(seed: int, *ids) -> np.random.Generator:
 
 def _require_count(name: str, n) -> int:
     """n as an int, if it is a whole number in [1, 2**63): a count of draws."""
-    # n % 1, unlike float(n), takes any int; numpy takes an int64 count
-    if not (1 <= n < 2**63 and n % 1 == 0):
+    # n % 1, unlike float(n), takes any int; numpy takes an int64 count, no bool
+    if isinstance(n, (bool, np.bool_)) or not (1 <= n < 2**63 and n % 1 == 0):
         raise ValueError(f"{name} must be a whole number in [1, 2**63), got {n!r}")
     return int(n)
 

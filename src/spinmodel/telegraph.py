@@ -118,53 +118,45 @@ def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
     return up, 1.0 - up
 
 
-def flip_parity(model: DwellModel, delay: float, rng: np.random.Generator, size):
-    """Whether the trend has switched an odd number of times within delay.
-
-    A bool array of `size` Monte Carlo samples; exact for both dwell
-    distributions by simulating switch epochs only.  Each round draws the
-    next dwell of every sample whose switch epochs have not yet passed
-    delay.
-    """
+def _odd_flip_by_start(model: DwellModel, delay: float) -> tuple[float, float]:
+    """(p+, p-): P(odd number of trend switches within delay | initial trend
+    +1 / -1), read by odd_flip_probability and flip_parity.  Exponential
+    dwells, with rate sum L = 1/tau+ + 1/tau-: the Markov transition
+    (1/tau_s) / L (1 - exp(-L delay)).  Fixed dwells, the first segment seen
+    at a uniform point: a shift r = delay mod T, T = tau+ + tau-, moves
+    phases of measure min(r, T - r, tau+, tau-) from either trend into the other."""
     if not 0 <= delay < math.inf:
         raise ValueError(f"delay must be non-negative and finite, got {delay!r}")
+    period = model.tau_plus + model.tau_minus
+    if model.distribution == EXPONENTIAL:
+        odd = 1.0 - math.exp(-(1.0 / model.tau_plus + 1.0 / model.tau_minus) * delay)
+        # tau-/T = (1/tau+) / (1/tau+ + 1/tau-); 1 - it keeps p+ + p- = odd to an ulp
+        share = model.tau_minus / period
+        return share * odd, (1.0 - share) * odd
+    r = math.fmod(delay, period)
+    shared = min(r, period - r, model.tau_plus, model.tau_minus)
+    return shared / model.tau_plus, shared / model.tau_minus
+
+
+def flip_parity(model: DwellModel, delay: float, rng: np.random.Generator, size):
+    """Whether the trend has switched an odd number of times within delay:
+    `size` exact Monte Carlo samples, each a stationary initial trend, +1 with
+    probability tau+/(tau+ + tau-), and one uniform against its
+    `_odd_flip_by_start` entry, so the cost does not depend on delay."""
+    p_plus, p_minus = _odd_flip_by_start(model, delay)
     n = _require_count("size", size)
-    odd = np.zeros(n, dtype=bool)
-    if delay > 0:
-        trend = np.where(rng.random(n) < model.stationary_up_fraction(), 1, -1)
-        # residual life of the first segment: exponential is memoryless; a
-        # fixed-duration segment observed at a uniform time has uniform residual
-        t = model.draw(trend, rng)
-        if model.distribution == FIXED:
-            t *= rng.random(n)
-        active = np.flatnonzero(t < delay)
-        while active.size:
-            odd[active] ^= True
-            trend[active] *= -1
-            t[active] += model.draw(trend[active], rng)
-            active = active[t[active] < delay]
-    return odd
+    p = np.where(rng.random(n) < model.stationary_up_fraction(), p_plus, p_minus)
+    return rng.random(n) < p
 
 
 def odd_flip_probability(model: DwellModel, delay: float) -> float:
-    """P(odd number of trend switches within delay), in closed form.
-
-    Odd parity is the event that the trend at the delay differs from the
-    initial one.  For exponential dwells this is the two-state Markov
-    transition probability averaged equally over the two initial trends:
-    1/2 (1 - exp(-(1/tau+ + 1/tau-) delay)).  Fixed dwells observed at a
-    uniform phase of their period T = tau+ + tau- differ over a shift
-    r = delay mod T on a set of phases of measure 2 min(r, T - r, tau+,
-    tau-); this branch, like flip_parity for both laws, starts from the
-    stationary trend law tau+-/(tau+ + tau-).  The two conventions
-    coincide when tau+ = tau-; for asymmetric exponential dwells
-    flip_parity's mean is 2 pi+ pi- (1 - exp(-(1/tau+ + 1/tau-) delay)).
-    """
-    if not 0 <= delay < math.inf:
-        raise ValueError(f"delay must be non-negative and finite, got {delay!r}")
+    """P(odd number of trend switches within delay), in closed form: the mean
+    of `_odd_flip_by_start` over equally weighted initial trends for
+    exponential dwells, 1/2 (1 - exp(-(1/tau+ + 1/tau-) delay)), and over
+    flip_parity's stationary law tau+-/T for fixed dwells.  If tau+ != tau-,
+    exponential flip_parity has mean 2 pi+ pi- (1 - exp(-(1/tau+ + 1/tau-) delay))."""
+    p_plus, p_minus = _odd_flip_by_start(model, delay)
     if model.distribution == EXPONENTIAL:
-        rate_sum = 1.0 / model.tau_plus + 1.0 / model.tau_minus
-        return 0.5 * (1.0 - math.exp(-rate_sum * delay))
+        return 0.5 * (p_plus + p_minus)
     period = model.tau_plus + model.tau_minus
-    r = math.fmod(delay, period)
-    return 2.0 * min(r, period - r, model.tau_plus, model.tau_minus) / period
+    return model.tau_plus / period * p_plus + model.tau_minus / period * p_minus

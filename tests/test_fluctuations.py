@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,3 +294,39 @@ def test_uncertainty_product_matches_momentum_form():
 def test_library_configs_reject_infinity(config, kwargs):
     with pytest.raises(ValueError, match="finite"):
         config(**kwargs)
+
+
+def _bad_grids():
+    # the 401-node Gaussian grid, broken one way per case
+    x = np.linspace(-10.0, 10.0, 401)
+    rho = np.exp(-(x**2) / 2.0) / math.sqrt(2.0 * math.pi)
+    swapped = x.copy()
+    swapped[[200, 201]] = swapped[[201, 200]]
+    with_nan, with_inf, x_nan = rho.copy(), rho.copy(), x.copy()
+    with_nan[100], with_inf[100], x_nan[100] = math.nan, math.inf, math.nan
+    return {
+        "reversed": (x[::-1], rho[::-1], "x must be finite and strictly increasing"),
+        "swapped": (swapped, rho, "x must be finite and strictly increasing"),
+        "x-nan": (x_nan, rho, "x must be finite and strictly increasing"),
+        "x-inf": (np.append(x, math.inf), np.append(rho, 1.0), "x must be finite"),
+        "rho-nan": (x, with_nan, "rho must be finite and strictly positive"),
+        "rho-inf": (x, with_inf, "rho must be finite and strictly positive"),
+        "rho-zero": (x, np.where(x > 9.0, 0.0, rho), "rho must be finite and strictly"),
+        "lengths": (x, rho[:-1], "x, rho must be 1-D, one length >= 2"),
+        "2-d": (x.reshape(1, -1), rho.reshape(1, -1), "x, rho must be 1-D"),
+        "one-node": (x[:1], rho[:1], "x, rho must be 1-D, one length >= 2"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_grids()))
+@pytest.mark.parametrize(
+    "functional",
+    [fl.kl_shift_rate, fl.fisher_functional],
+    ids=["kl_shift_rate", "fisher_functional"],
+)
+def test_grid_functionals_reject_a_bad_grid(functional, case):
+    # a reversed grid gave -4950 and -0.25, two swapped nodes a plausible
+    # 0.2517, and a NaN or inf gave nan
+    x, rho, message = _bad_grids()[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        functional(x, rho, fl.TranslationParams(dt=0.01))

@@ -95,8 +95,8 @@ ORDER_USERS = {
 
 @pytest.mark.parametrize(
     "m",
-    [math.nan, math.inf, -math.inf, 1.5, -1, 10**400],
-    ids=["nan", "inf", "-inf", "1.5", "-1", "10**400"],
+    [math.nan, math.inf, -math.inf, 1.5, -1, 10**400, True, False, np.True_],
+    ids=["nan", "inf", "-inf", "1.5", "-1", "10**400", "True", "False", "np.True_"],
 )
 @pytest.mark.parametrize("use", ORDER_USERS.values(), ids=list(ORDER_USERS))
 def test_order_is_a_whole_number(use, m):

@@ -259,3 +259,86 @@ class TestParity:
             tg.odd_flip_probability(model, math.inf)
         with pytest.raises(ValueError, match="delay must be non-negative and finite"):
             tg.flip_parity(model, math.inf, stream(9, "tg-parity-inf"), size=4)
+
+
+ASYMMETRIC = [(1.0, 3.0), (2.5, 0.4), (1.0, 2.5)]
+
+
+@pytest.mark.parametrize("tau_plus, tau_minus", ASYMMETRIC)
+@pytest.mark.parametrize("delay", [0.0, 0.2, 1.0, 3.0, 7.5])
+def test_table_exponential_matches_matrix_exponential(tau_plus, tau_minus, delay):
+    # the off-diagonal entries of exp(Q delay) for the two-state generator Q
+    rates = np.array([[-1.0 / tau_plus, 1.0 / tau_plus],
+                      [1.0 / tau_minus, -1.0 / tau_minus]])
+    transition = expm(rates * delay)
+    table = tg._odd_flip_by_start(tg.DwellModel(tau_plus, tau_minus), delay)
+    assert table == pytest.approx((transition[0, 1], transition[1, 0]), abs=1e-12)
+
+
+@pytest.mark.parametrize("tau_plus, tau_minus", ASYMMETRIC)
+@pytest.mark.parametrize("delay", [0.2, 0.5, 1.5, 2.9, 4.0, 9.3])
+def test_table_fixed_matches_phase_grid_by_initial_trend(tau_plus, tau_minus, delay):
+    # midpoint phases of the period, split by the trend they start in
+    period = tau_plus + tau_minus
+    n = 200000
+    phase = (np.arange(n) + 0.5) * period / n
+    up = phase < tau_plus
+    up_later = np.mod(phase + delay, period) < tau_plus
+    want = (float(np.mean(~up_later[up])), float(np.mean(up_later[~up])))
+    table = tg._odd_flip_by_start(tg.DwellModel(tau_plus, tau_minus, tg.FIXED), delay)
+    assert table == pytest.approx(want, abs=1e-4)
+
+
+@pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
+@pytest.mark.parametrize(
+    "tau_plus, tau_minus, delay", [(1.0, 2.5, 0.6), (2.5, 0.4, 1.9)]
+)
+def test_table_matches_simulated_trajectories(distribution, tau_plus, tau_minus, delay):
+    # event level: the trend at the delay differs from the initial one; a
+    # fixed-dwell delay starts at a uniform point of the first segment, an
+    # exponential one at its start (the dwell is memoryless)
+    model = tg.DwellModel(tau_plus, tau_minus, distribution)
+    table = tg._odd_flip_by_start(model, delay)
+    n = 2000
+    for trend, tau, p in zip((+1, -1), (tau_plus, tau_minus), table):
+        rng = stream(9, "tg-table-events", distribution, tau_plus, trend)
+        odd = 0
+        for _ in range(n):
+            start = tau * rng.random() if distribution == tg.FIXED else 0.0
+            traj = tg.simulate(model, start + delay, trend, rng)
+            odd += traj.trend_at(start + delay) != trend
+        assert abs(odd / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
+
+
+@pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
+@pytest.mark.parametrize("delay", [0.5, 50.0, 1e9])
+def test_parity_draws_two_uniforms_per_sample_at_any_delay(distribution, delay):
+    # the per-dwell loop drew more as the delay grew, and at 1e9 never returned
+    size = 1000
+    rng = stream(9, "tg-parity-draws", distribution, delay)
+    tg.flip_parity(tg.DwellModel(1.0, 3.0, distribution), delay, rng, size)
+    reference = stream(9, "tg-parity-draws", distribution, delay)
+    reference.random(2 * size)
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("tau", [0.05, 1.0 / 3.0, 0.7, 1.0, 2.5])
+@pytest.mark.parametrize("delay", [0.1, 0.77, 2.9, 50.0, 1e9])
+def test_symmetric_closed_forms_keep_their_bits(tau, delay):
+    # the closed forms that odd_flip_probability stated before it read the
+    # per-start table; the CLI's bell-test and bell-delay use tau+ = tau-
+    period = tau + tau
+    r = math.fmod(delay, period)
+    exponential = 0.5 * (1.0 - math.exp(-(1.0 / tau + 1.0 / tau) * delay))
+    fixed = 2.0 * min(r, period - r, tau, tau) / period
+    assert tg.odd_flip_probability(tg.DwellModel(tau, tau), delay) == exponential
+    assert tg.odd_flip_probability(tg.DwellModel(tau, tau, tg.FIXED), delay) == fixed
+
+
+@pytest.mark.parametrize("tau_plus, tau_minus", ASYMMETRIC)
+@pytest.mark.parametrize("delay", [0.2, 1.0, 3.0, 7.5, 50.0])
+def test_asymmetric_exponential_mean_within_an_ulp(tau_plus, tau_minus, delay):
+    # the mean of the table against the equal-weight closed form
+    want = 0.5 * (1.0 - math.exp(-(1.0 / tau_plus + 1.0 / tau_minus) * delay))
+    got = tg.odd_flip_probability(tg.DwellModel(tau_plus, tau_minus), delay)
+    assert abs(got - want) <= math.ulp(want)
