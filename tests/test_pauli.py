@@ -364,6 +364,26 @@ class TestThreadedSteps:
         assert threading.active_count() == threads
 
 
+class TestGauge:
+    """A uniform A has curl A = 0: evolving with it is the gauge e^{iAx}."""
+
+    # A on the grid's k-lattice (multiples of 2 pi / extent), and off it
+    @pytest.mark.parametrize("lattice", [True, False])
+    @pytest.mark.parametrize("dimension, nodes", [(1, 512), (2, 128)])
+    def test_uniform_vector_potential_is_a_gauge(self, dimension, nodes, lattice):
+        grid = pauli.SpatialGrid(dimension, nodes, 40.0)
+        dk = 2 * math.pi / grid.extent
+        a = ((3 * dk, -2 * dk) if lattice else (0.37, -0.21))[:dimension]
+        gauge = np.exp(1j * sum(ai * c for ai, c in zip(a, grid.coordinates())))
+        state = two_component_state(grid)
+        with_a = pauli.evolve(
+            state, non_uniform_fields(grid, vector_potential=a), 0.01, 300
+        )
+        shifted = pauli.SpinorField(grid, state.psi / gauge)
+        without_a = pauli.evolve(shifted, non_uniform_fields(grid), 0.01, 300)
+        assert np.max(np.abs(with_a.psi - gauge * without_a.psi)) < 1e-13
+
+
 class TestReductions:
     """total_energy and relative_phase against the per-component np.vdot
     loop they replaced (tests may call BLAS; the package does not)."""
