@@ -34,7 +34,7 @@ from . import __version__
 from . import entanglement, fluctuations, orientation, pauli, qm_oracle
 from . import stern_gerlach as sg
 from . import telegraph
-from .streams import stream
+from .streams import BLOCK, stream
 
 ENV_OUT = "SPINMODEL_OUT"
 
@@ -143,11 +143,10 @@ SCHEMA = {
         "m": (_numeric(int, 0, high=10**6), 1),
         "eta": (POSITIVE, 1.0),
         "transit_time": (POSITIVE, 1.0),
-        # bounds the output's cost: at 10**6 bins, `--samples 1e7` peaks at
-        # ~266 MiB RSS in ~7 s as csv (~412 MiB in ~15 s as json) on a 2-core
-        # host, most of it in histogram_rows' 10**6 tuples and the writers;
-        # the streamed histogram itself takes ~1.9 s
-        "bins": (_numeric(int, 1, high=10**6), 200),
+        # bounds the output's cost: at 2**14 bins, `--samples 1e7` peaks at
+        # ~40 MiB RSS as csv (~36 MiB at 200 bins) and takes ~0.2 s longer,
+        # 1.1-1.6 s on a 2-core host
+        "bins": (_numeric(int, 1, high=BLOCK), 200),
     },
     "bell-test": {
         **_PAIR,

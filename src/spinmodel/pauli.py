@@ -1,12 +1,12 @@
 """Two-component Schrodinger-Pauli solver on a periodic grid.
 
-Integrates  i dPsi/dt = [ (1/2)(i grad + A)^2 + (1/2) sigma_z B_z - phi ] Psi
+Integrates  i dPsi/dt = [ -(1/2) lap + (1/2) sigma_z B_z - phi ] Psi
 in natural units (e = hbar = m_e = 1) by Strang splitting: the kinetic
-factor acts in spectral space with the minimal-coupling shift, the
-potential and Zeeman factors are diagonal in real space.  Both factors are
-unitary, so the norm is preserved to round-off.  The field B_z enters only
-through the Zeeman term; the default configurations use uniform B_z with
-A = 0 (the same decoupling the model derivation adopts).
+factor acts in spectral space, the potential and Zeeman factors are
+diagonal in real space.  Both factors are unitary, so the norm is preserved
+to round-off.  The fields couple only through sigma_z B_z and phi.  There
+is no vector potential: a uniform A has curl A = 0, so it is the gauge
+e^{iAx}, not a field.
 
 The Madelung decomposition Psi_pm = sqrt(rho_pm) exp(i S_pm) links
 the spinor to density/phase-action fields and to the continuity and
@@ -79,15 +79,11 @@ class SpatialGrid:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """External fields of the Pauli equation.
-
-    vector_potential is one uniform value per axis; the spectral
-    minimal-coupling shift requires a spatially constant A, which the
-    model's test configurations (A = 0) satisfy.  scalar_potential and
-    b_z may be scalars or grid arrays.
+    """External fields of the Pauli equation: the solver couples sigma_z B_z
+    and phi.  A uniform vector potential would be the gauge e^{iAx}, so
+    there is none.  scalar_potential and b_z may be scalars or grid arrays.
     """
 
-    vector_potential: tuple = (0.0,)
     scalar_potential: object = 0.0
     b_z: object = 0.0
 
@@ -103,13 +99,6 @@ class FieldConfig:
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
         return arr
-
-    def _vector_potential(self, grid: SpatialGrid) -> tuple:
-        """One value of A per grid axis, zero-padded."""
-        a = tuple(self.vector_potential)
-        if not np.all(np.isfinite(np.asarray(a, dtype=float))):
-            raise ValueError("vector_potential must be finite")
-        return a + (0.0,) * (grid.dimension - len(a))
 
 
 @dataclass(frozen=True)
@@ -150,11 +139,9 @@ def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
     return float(0.5 * np.sum(bz * (rho[0] - rho[1])) * field.grid.cell_volume)
 
 
-def _kinetic_energy(grid: SpatialGrid, config: FieldConfig) -> np.ndarray:
-    """Spectral kinetic energy (-k + A)^2 / 2 of each plane wave."""
-    a = config._vector_potential(grid)
-    # plane wave e^{ikx}: (i grad + A) -> (-k + A)
-    return sum((-k + ai) ** 2 for k, ai in zip(grid.wavenumbers(), a)) / 2.0
+def _kinetic_energy(grid: SpatialGrid) -> np.ndarray:
+    """Spectral kinetic energy k^2 / 2 of each plane wave."""
+    return sum(k**2 for k in grid.wavenumbers()) / 2.0
 
 
 def evolve(
@@ -171,7 +158,7 @@ def evolve(
     grid = field.grid
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.exp(-0.5j * dt * config.potential_energy(grid))
-        kinetic = np.exp(-1j * dt * _kinetic_energy(grid, config))
+        kinetic = np.exp(-1j * dt * _kinetic_energy(grid))
     # finite unit-modulus factors keep a finite spinor finite at every step
     if not (np.isfinite(half).all() and np.isfinite(kinetic).all()):
         raise ConvergenceError(f"non-finite phase factors of dt={dt!r} and the field")
@@ -251,13 +238,11 @@ def _component(component: str) -> int:
     return 0 if component == "plus" else 1
 
 
-def _current(fields: list[SpinorField], config: FieldConfig, component: str):
+def _current(fields: list[SpinorField], component: str):
     """Each snapshot's component, and the middle one's rho, current and k.
 
-    The per-axis probability current Im(psi* grad psi) - A rho equals
-    rho (grad S - A) wherever the Madelung phase is defined, the velocity
-    of the (i grad + A)^2 / 2 kinetic term that evolve propagates with,
-    but needs no phase unwrapping.
+    The per-axis probability current Im(psi* grad psi) equals rho grad S
+    wherever the Madelung phase is defined, but needs no phase unwrapping.
     """
     if len(fields) != 3:
         raise ValueError("need three consecutive snapshots")
@@ -268,10 +253,7 @@ def _current(fields: list[SpinorField], config: FieldConfig, component: str):
     rho = np.abs(psi) ** 2
     ks = grid.wavenumbers()
     psi_hat = np.fft.fftn(psi)
-    current = [
-        np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat)) - ai * rho
-        for k, ai in zip(ks, config._vector_potential(grid))
-    ]
+    current = [np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat)) for k in ks]
     return psis, rho, current, ks
 
 
@@ -281,13 +263,15 @@ def continuity_residual(
     config: FieldConfig,
     component: str = "plus",
 ) -> float:
-    """RMS of d(rho)/dt + div(rho (grad S - A)) over three snapshots.
+    """RMS of d(rho)/dt + div(rho grad S) over three snapshots.
 
     Evaluated at the middle snapshot with central time differencing, with
     the flux taken as the probability current.  Near-zero-density regions
-    are masked out.
+    are masked out.  `config` is read by nothing: the continuity equation
+    holds for any sigma_z B_z and phi.  It stays until ROADMAP item 1 drops
+    it together with the bench's positional calls.
     """
-    psis, rho, current, ks = _current(fields, config, component)
+    psis, rho, current, ks = _current(fields, component)
     drho_dt = (np.abs(psis[2]) ** 2 - np.abs(psis[0]) ** 2) / (2.0 * dt)
     div = sum(
         np.real(np.fft.ifftn(1j * k * np.fft.fftn(j))) for k, j in zip(ks, current)
@@ -304,20 +288,21 @@ def hj_residual(
 ) -> float:
     """RMS residual of the extended Hamilton-Jacobi equation.
 
-    dS/dt + (grad S - A)^2 / 2 + V - (1/2) lap(sqrt rho)/sqrt rho, with V
-    the diagonal potential of the component.  dS/dt comes from the central
-    phase difference arg(psi_after psi_before*)/(2 dt) and grad S - A from
-    the probability current J/rho, so no global phase unwrapping is needed;
+    dS/dt + (grad S)^2 / 2 + V - (1/2) lap(sqrt rho)/sqrt rho, with V the
+    diagonal potential of the component.  dS/dt comes from the central
+    phase difference arg(psi_after psi_before*)/(2 dt) and grad S from the
+    probability current J/rho, so no global phase unwrapping is needed;
     masked where the density is below HJ_FLOOR.
     """
-    psis, rho, current, ks = _current(fields, config, component)
+    psis, rho, current, ks = _current(fields, component)
     mask = rho > HJ_FLOOR
     rho_m = rho[mask]
     ds_dt = np.angle(psis[2] * np.conj(psis[0]))[mask] / (2.0 * dt)
     kinetic = 0.5 * sum((j[mask] / rho_m) ** 2 for j in current)
-    v = config.potential_energy(fields[0].grid)[_component(component)][mask]
+    grid = fields[0].grid
+    v = config.potential_energy(grid)[_component(component)][mask]
     sqrt_rho = np.sqrt(rho)
-    lap = np.real(np.fft.ifftn(-sum(k**2 for k in ks) * np.fft.fftn(sqrt_rho)))
+    lap = np.real(np.fft.ifftn(-2.0 * _kinetic_energy(grid) * np.fft.fftn(sqrt_rho)))
     quantum = -0.5 * lap[mask] / sqrt_rho[mask]
     residual = ds_dt + kinetic + v + quantum
     return float(np.sqrt(np.mean(residual**2)))
@@ -332,7 +317,7 @@ def total_energy(field: SpinorField, config: FieldConfig) -> float:
     grid = field.grid
     psi = field.psi
     psi_hat = np.fft.fftn(psi, axes=tuple(range(1, psi.ndim)))
-    kinetic = np.sum(_kinetic_energy(grid, config) * np.abs(psi_hat) ** 2)
+    kinetic = np.sum(_kinetic_energy(grid) * np.abs(psi_hat) ** 2)
     kinetic /= psi[0].size
     potential = np.sum(config.potential_energy(grid) * np.abs(psi) ** 2)
     return float(kinetic + potential) * grid.cell_volume

@@ -166,14 +166,11 @@ def displacement_histogram(
 ):
     """(bin_edges, counts) of n_samples displacements of the weak regime at
     order config.m, without an n-sized array: the added counts of consecutive
-    `displacement_distribution` calls of max(`BLOCK`, bins) samples each (the
-    last one shorter), each call's samples discarded.  A call's histogram
-    makes a few passes over its bins, so a call of at least bins samples
-    keeps that work below a few passes per sample at any bins."""
+    `displacement_distribution` calls of `BLOCK` samples each (the last one
+    shorter), each call's samples discarded."""
     n_samples = _require_count("n_samples", n_samples)
-    chunk = max(BLOCK, _require_count("bins", bins))
     counts = 0
-    for start, stop in _spans(n_samples, chunk):
+    for start, stop in _spans(n_samples):
         _, edges, part = displacement_distribution(
             config.m, config, stop - start, rng, bins
         )

@@ -330,6 +330,8 @@ MALFORMED = [
     ("stern-gerlach", "eta = 1e300", ["--transit-time", "1e10"], _SCALE),
     ("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-200"], _SCALE),
     ("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-10"], _SCALE),
+    # one over the bound, streams.BLOCK = 2**14
+    ("stern-gerlach", None, ["--bins", "16385"], "bins"),
 ]
 
 

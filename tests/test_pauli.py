@@ -22,7 +22,7 @@ def _reference_evolve(field, config, dt, steps):
     v_plus, v_minus = config.potential_energy(field.grid)
     half_plus = np.exp(-0.5j * dt * v_plus)
     half_minus = np.exp(-0.5j * dt * v_minus)
-    energy = pauli._kinetic_energy(field.grid, config)
+    energy = pauli._kinetic_energy(field.grid)
     kinetic = np.exp(-1j * dt * energy)
     psi_p, psi_m = field.psi[0].copy(), field.psi[1].copy()
     for _ in range(steps):
@@ -46,12 +46,11 @@ def two_component_state(grid):
     )
 
 
-def non_uniform_fields(grid, **extra):
+def non_uniform_fields(grid):
     x, *rest = coords = grid.coordinates()
     return pauli.FieldConfig(
         b_z=0.4 + 0.1 * x - 0.05 * sum(rest, 0.0),
         scalar_potential=-0.05 * sum(c**2 for c in coords),
-        **extra,
     )
 
 
@@ -60,22 +59,15 @@ def _reference_gradient(psi, grid):
     return [np.fft.ifftn(1j * k * psi_hat) for k in grid.wavenumbers()]
 
 
-def _reference_vector_potential(config, grid):
-    a = tuple(config.vector_potential)
-    return a + (0.0,) * (grid.dimension - len(a))
-
-
 def _reference_continuity_residual(fields, dt, config, component):
     """Per-axis continuity residual, one gradient and divergence per axis."""
     grid = fields[0].grid
     psis = [f.psi[0] if component == "plus" else f.psi[1] for f in fields]
     rho = [np.abs(p) ** 2 for p in psis]
     drho_dt = (rho[2] - rho[0]) / (2.0 * dt)
-    a = _reference_vector_potential(config, grid)
     div = np.zeros(grid.shape)
-    grads = _reference_gradient(psis[1], grid)
-    for axis, (g, ai) in enumerate(zip(grads, a)):
-        flux = np.imag(np.conj(psis[1]) * g) - ai * rho[1]
+    for axis, g in enumerate(_reference_gradient(psis[1], grid)):
+        flux = np.imag(np.conj(psis[1]) * g)
         k = grid.wavenumbers()[axis]
         div += np.real(np.fft.ifftn(1j * k * np.fft.fftn(flux)))
     residual = (drho_dt + div)[rho[1] > pauli.DENSITY_FLOOR]
@@ -88,13 +80,12 @@ def _reference_hj_residual(fields, dt, config, component):
     psis = [f.psi[0] if component == "plus" else f.psi[1] for f in fields]
     rho_mid = np.abs(psis[1]) ** 2
     ds_dt = np.angle(psis[2] * np.conj(psis[0])) / (2.0 * dt)
-    a = _reference_vector_potential(config, grid)
     mask = rho_mid > pauli.HJ_FLOOR
     kinetic = np.zeros(grid.shape)
-    for g, ai in zip(_reference_gradient(psis[1], grid), a):
+    for g in _reference_gradient(psis[1], grid):
         grad_s = np.zeros(grid.shape)
         grad_s[mask] = np.imag(np.conj(psis[1]) * g)[mask] / rho_mid[mask]
-        kinetic += (grad_s - ai) ** 2
+        kinetic += grad_s**2
     kinetic /= 2.0
     v_plus, v_minus = config.potential_energy(grid)
     v = v_plus if component == "plus" else v_minus
@@ -168,19 +159,6 @@ class TestFieldConfig:
         grid = pauli.SpatialGrid(dimension, 32, 10.0)
         potential = non_uniform_fields(grid).potential_energy(grid)
         assert potential.shape == (2, *grid.shape)
-
-    @pytest.mark.parametrize(
-        "dimension, a", [(1, (math.nan,)), (2, (0.0, math.inf))]
-    )
-    def test_rejects_non_finite_vector_potential(self, dimension, a):
-        state = two_component_state(pauli.SpatialGrid(dimension, 32, 20.0))
-        config = pauli.FieldConfig(vector_potential=a)
-        with pytest.raises(ValueError, match="vector_potential"):
-            pauli.evolve(state, config, 0.01, 1)
-        with pytest.raises(ValueError, match="vector_potential"):
-            pauli.total_energy(state, config)
-        with pytest.raises(ValueError, match="vector_potential"):
-            pauli.continuity_residual([state] * 3, 0.01, config)
 
 
 class TestUnitarity:
@@ -281,7 +259,7 @@ class TestStackedSteps:
     def test_bit_identical_to_per_component_loop(self, dimension, nodes):
         grid = pauli.SpatialGrid(dimension, nodes, 20.0)
         state = two_component_state(grid)
-        config = non_uniform_fields(grid, vector_potential=(0.3, -0.2))
+        config = non_uniform_fields(grid)
         before = state.psi.copy()
         evolved = pauli.evolve(state, config, 0.01, 25)
         psi_p, psi_m = _reference_evolve(state, config, 0.01, 25)
@@ -364,26 +342,6 @@ class TestThreadedSteps:
         assert threading.active_count() == threads
 
 
-class TestGauge:
-    """A uniform A has curl A = 0: evolving with it is the gauge e^{iAx}."""
-
-    # A on the grid's k-lattice (multiples of 2 pi / extent), and off it
-    @pytest.mark.parametrize("lattice", [True, False])
-    @pytest.mark.parametrize("dimension, nodes", [(1, 512), (2, 128)])
-    def test_uniform_vector_potential_is_a_gauge(self, dimension, nodes, lattice):
-        grid = pauli.SpatialGrid(dimension, nodes, 40.0)
-        dk = 2 * math.pi / grid.extent
-        a = ((3 * dk, -2 * dk) if lattice else (0.37, -0.21))[:dimension]
-        gauge = np.exp(1j * sum(ai * c for ai, c in zip(a, grid.coordinates())))
-        state = two_component_state(grid)
-        with_a = pauli.evolve(
-            state, non_uniform_fields(grid, vector_potential=a), 0.01, 300
-        )
-        shifted = pauli.SpinorField(grid, state.psi / gauge)
-        without_a = pauli.evolve(shifted, non_uniform_fields(grid), 0.01, 300)
-        assert np.max(np.abs(with_a.psi - gauge * without_a.psi)) < 1e-13
-
-
 class TestReductions:
     """total_energy and relative_phase against the per-component np.vdot
     loop they replaced (tests may call BLAS; the package does not)."""
@@ -392,8 +350,8 @@ class TestReductions:
     def test_match_vdot_reference(self, dimension, nodes):
         grid = pauli.SpatialGrid(dimension, nodes, 20.0)
         state = two_component_state(grid)
-        config = non_uniform_fields(grid, vector_potential=(0.3, -0.2))
-        kin = pauli._kinetic_energy(grid, config)
+        config = non_uniform_fields(grid)
+        kin = pauli._kinetic_energy(grid)
         energy = 0.0
         for psi, v in zip(state.psi, config.potential_energy(grid)):
             psi_hat = np.fft.fftn(psi)
@@ -416,7 +374,7 @@ class TestTwoDimensional:
 
     def test_energy_conserved_at_uniform_field(self):
         state = two_component_state(self.grid)
-        config = pauli.FieldConfig(vector_potential=(0.3, -0.2), b_z=0.8)
+        config = pauli.FieldConfig(b_z=0.8)
         e0 = pauli.total_energy(state, config)
         evolved = pauli.evolve(state, config, 0.005, 400)
         assert abs(pauli.total_energy(evolved, config) - e0) <= 1e-9 * abs(e0)
@@ -507,13 +465,11 @@ class TestMadelung:
         scale = abs(pauli.total_energy(mid, config)) + 1.0
         assert res < 0.01 * scale
 
-    @pytest.mark.parametrize("a", [0.3, -0.3])
     @pytest.mark.parametrize("component", ["plus", "minus"])
-    def test_residuals_small_with_vector_potential(self, a, component):
-        # evolve's (i grad + A)^2 term moves the packet at grad S - A;
-        # with the opposite sign the residuals read ~2e-2 and ~0.5 here, against
-        # ~2e-7 and ~4e-6 at A = 0
-        config = pauli.FieldConfig(vector_potential=(a,))
+    def test_residuals_small_per_component(self, component):
+        # B_z gives each component its own potential +/- B_z / 2; the other
+        # component's potential would leave an HJ residual of B_z = 1
+        config = pauli.FieldConfig(b_z=1.0)
         dt = 0.005
         state = packet_state(momentum=0.5)
         snaps = [pauli.evolve(state, config, dt, n) for n in (199, 200, 201)]
@@ -525,9 +481,7 @@ class TestMadelung:
     def test_residuals_match_per_axis_reference(self, dimension, nodes, component):
         grid = pauli.SpatialGrid(dimension, nodes, 20.0)
         state = two_component_state(grid)
-        config = pauli.FieldConfig(
-            vector_potential=(0.3, -0.2), b_z=0.4 + 0.1 * grid.coordinates()[0]
-        )
+        config = pauli.FieldConfig(b_z=0.4 + 0.1 * grid.coordinates()[0])
         dt = 0.01
         snaps = [pauli.evolve(state, config, dt, n) for n in (19, 20, 21)]
         assert pauli.continuity_residual(

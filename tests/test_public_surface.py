@@ -43,7 +43,6 @@ KEEP_KNOBS = {
     "ActionSpec:g_s",  # item 10: the coupling of the stationarity relation
     "ActionSpec:L_s",  # item 10: the coupling of the stationarity relation
     "ActionSpec:delta_phi",  # item 10: the coupling of the stationarity relation
-    "FieldConfig:vector_potential",  # a term of the paper's Pauli equation
     "FieldConfig:scalar_potential",  # a term of the paper's Pauli equation; item 11
     "continuity_residual:component",  # the minus component has its own potential
     "hj_residual:component",  # the minus component has its own potential

@@ -262,17 +262,17 @@ class TestDisplacement:
         assert int(counts.sum()) == n
         assert rng.random() == ref.random()
 
-    def test_histogram_of_many_bins_draws_bins_per_call(self):
-        # a call of fewer samples than bins would spend most of its time on
-        # the bins, so calls grow to one sample per bin
-        bins, n = BLOCK + 7, 3 * (BLOCK + 7) + 2
+    def test_histogram_of_many_bins_draws_blocks(self):
+        # more bins than the CLI allows are slower, not wrong: calls stay
+        # BLOCK samples long
+        bins, n = BLOCK + 7, 2 * BLOCK + 2
         config = sg.ApparatusConfig(m=2)
         rng = stream(11, "sg-stream-bins")
         edges, counts = sg.displacement_histogram(config, n, rng, bins)
         ref = stream(11, "sg-stream-bins")
         expected = sum(
             sg.displacement_distribution(2, config, size, ref, bins)[2]
-            for size in (bins, bins, bins, 2)
+            for size in (BLOCK, BLOCK, 2)
         )
         assert np.array_equal(counts, expected)
         assert rng.random() == ref.random()
