@@ -122,7 +122,10 @@ POSITIVE = _numeric(float, 0.0, strict=True)
 # nodes at ~1.7 GiB
 SAMPLES = _numeric(int, 1, high=10**7)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
-ORDER = _numeric(int, 1, high=10**6)  # the bound on m below, for orders >= 1
+# a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),
+# with its node spacing pi/(nodes - 1): at m = 10^6 the peak is ~1e-3 wide
+# and the default 2048 nodes are ~1.5e-3 apart
+ORDER = _numeric(int, 1, high=10**6)
 MODE = _choice(entanglement.ANALYTIC, entanglement.MONTE_CARLO)
 _PAIR = {  # the Bell state and the CHSH angles
     "state": (_choice(*entanglement.BELL_MODELS), "psi_minus"),
@@ -138,9 +141,9 @@ SCHEMA = {
     "stern-gerlach": {
         "samples": (SAMPLES, 100000),
         "beta": (REAL, math.pi / 3),
-        # not a cost bound: Z_m and the sampler are O(1) in m; kept with the
-        # `orders` bound until the order limits are revisited together
-        "m": (_numeric(int, 0, high=10**6), 1),
+        # ApparatusConfig takes any whole m below 2**52; the sampler and Z_m
+        # cost O(1) in m
+        "m": (_numeric(int, 0), 1),
         "eta": (POSITIVE, 1.0),
         "transit_time": (POSITIVE, 1.0),
         # bounds the output's cost: at 2**14 bins, `--samples 1e7` peaks at

@@ -43,9 +43,6 @@ class DwellModel:
             tau = rng.exponential(tau)
         return tau
 
-    def stationary_up_fraction(self) -> float:
-        return self.tau_plus / (self.tau_plus + self.tau_minus)
-
 
 @dataclass(frozen=True, eq=False)
 class TelegraphTrajectory:
@@ -120,7 +117,7 @@ def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
 
 def _odd_flip_by_start(model: DwellModel, delay: float) -> tuple[float, float]:
     """(p+, p-): P(odd number of trend switches within delay | initial trend
-    +1 / -1), read by odd_flip_probability and flip_parity.  Exponential
+    +1 / -1), averaged by odd_flip_probability.  Exponential
     dwells, with rate sum L = 1/tau+ + 1/tau-: the Markov transition
     (1/tau_s) / L (1 - exp(-L delay)).  Fixed dwells, the first segment seen
     at a uniform point: a shift r = delay mod T, T = tau+ + tau-, moves
@@ -140,23 +137,19 @@ def _odd_flip_by_start(model: DwellModel, delay: float) -> tuple[float, float]:
 
 def flip_parity(model: DwellModel, delay: float, rng: np.random.Generator, size):
     """Whether the trend has switched an odd number of times within delay:
-    `size` exact Monte Carlo samples, each a stationary initial trend, +1 with
-    probability tau+/(tau+ + tau-), and one uniform against its
-    `_odd_flip_by_start` entry, so the cost does not depend on delay."""
-    p_plus, p_minus = _odd_flip_by_start(model, delay)
-    n = _require_count("size", size)
-    p = np.where(rng.random(n) < model.stationary_up_fraction(), p_plus, p_minus)
-    return rng.random(n) < p
+    `size` exact Monte Carlo samples, each from an equally weighted initial
+    trend.  An equal mixture of Bernoulli(p+) and Bernoulli(p-) is
+    Bernoulli((p+ + p-) / 2), so each sample is one uniform against
+    odd_flip_probability, and the cost does not depend on delay."""
+    p = odd_flip_probability(model, delay)
+    return rng.random(_require_count("size", size)) < p
 
 
 def odd_flip_probability(model: DwellModel, delay: float) -> float:
     """P(odd number of trend switches within delay), in closed form: the mean
-    of `_odd_flip_by_start` over equally weighted initial trends for
-    exponential dwells, 1/2 (1 - exp(-(1/tau+ + 1/tau-) delay)), and over
-    flip_parity's stationary law tau+-/T for fixed dwells.  If tau+ != tau-,
-    exponential flip_parity has mean 2 pi+ pi- (1 - exp(-(1/tau+ + 1/tau-) delay))."""
+    of `_odd_flip_by_start` over equally weighted initial trends, since the
+    Bell corner weights put Bob's sub-state at +1 or -1 with probability 1/2:
+    1/2 (1 - exp(-(1/tau+ + 1/tau-) delay)) for exponential dwells and
+    1/2 min(r, T - r, tau+, tau-) (1/tau+ + 1/tau-) for fixed ones."""
     p_plus, p_minus = _odd_flip_by_start(model, delay)
-    if model.distribution == EXPONENTIAL:
-        return 0.5 * (p_plus + p_minus)
-    period = model.tau_plus + model.tau_minus
-    return model.tau_plus / period * p_plus + model.tau_minus / period * p_minus
+    return 0.5 * (p_plus + p_minus)

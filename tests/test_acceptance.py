@@ -227,7 +227,7 @@ def test_criterion_10_telegraph_fractions():
         rng = stream(42, "acceptance-telegraph", tau_plus, tau_minus)
         traj = tg.simulate(model, 1e5 * min(tau_plus, tau_minus), +1, rng)
         up, _ = tg.empirical_fractions(traj)
-        target = model.stationary_up_fraction()
+        target = tau_plus / (tau_plus + tau_minus)
         ok = ok and abs(up - target) <= 0.01
         details.append(f"({tau_plus},{tau_minus}): {up:.4f} vs {target:.4f}")
     report(10, ok, "empirical up-fractions " + "; ".join(details))

@@ -312,7 +312,7 @@ MALFORMED = [
     ("stern-gerlach", None, ["--bins", "1e300"], "bins"),
     ("stern-gerlach", "bins = 1000001", [], "bins"),
     ("variational", None, ["--nodes", "1"], "nodes"),
-    ("stern-gerlach", None, ["--m", "1000001", "--samples", "10"], "m:"),
+    ("stern-gerlach", None, ["--m", "4503599627370496", "--samples", "10"], "m must"),
     ("fluctuations", None, ["--omega", "5"], "omega"),
     ("variational", None, ["--orders", "1e8"], "orders"),
     ("variational", None, ["--nodes", "1e15"], "nodes"),

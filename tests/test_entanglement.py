@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from spinmodel import entanglement as ent
 from spinmodel import qm_oracle as qm
 from spinmodel.streams import stream
-from spinmodel.telegraph import FIXED, DwellModel, flip_parity, odd_flip_probability
+from spinmodel.telegraph import (
+    EXPONENTIAL, FIXED, DwellModel, flip_parity, odd_flip_probability, simulate,
+)
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -192,7 +194,56 @@ class TestChsh:
             ent.MeasurementPlan(**{field: value})
 
 
+# the (theta_A, theta_B) poles of the joint_density corners, in their order
+CORNERS = ((0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi))
+
+
+def _event_level_correlation(model, a, b, delay, dwell, rng, n):
+    """Reference E = 2 mean(S_A S_B) of n pairs drawn one event at a time:
+    a branch with probability 1/2, a corner from its joint_density weights,
+    Bob's z-branch start trend run through a telegraph trajectory over the
+    delay (a fixed-dwell delay starts at a uniform point of the first
+    segment), and each outcome +1 with probability cos^2(angle/2) from its
+    pole.  It reads neither the outcome table nor the odd-flip table."""
+    total = 0
+    for _ in range(n):
+        axis = ent.AXIS_Z if rng.random() < 0.5 else ent.AXIS_Y
+        weights = ent.joint_density(model, axis).weights
+        theta_a, theta_b = CORNERS[rng.choice(4, p=weights)]
+        if axis == ent.AXIS_Z:
+            alpha, beta = a, b
+            trend = +1 if theta_b == 0.0 else -1
+            tau = dwell.tau_plus if trend > 0 else dwell.tau_minus
+            start = tau * rng.random() if dwell.distribution == FIXED else 0.0
+            traj = simulate(dwell, start + delay, trend, rng)
+            if traj.trend_at(start + delay) != trend:
+                theta_b = math.pi - theta_b
+        else:
+            alpha, beta = math.pi / 2 - a, math.pi / 2 - b
+        s_a = 1 if rng.random() < math.cos((alpha - theta_a) / 2) ** 2 else -1
+        s_b = 1 if rng.random() < math.cos((beta - theta_b) / 2) ** 2 else -1
+        total += s_a * s_b
+    return 2.0 * total / n
+
+
 class TestDelayedMeasurement:
+    @pytest.mark.parametrize("b", [0.0, math.pi / 4])
+    @pytest.mark.parametrize(
+        "tau_plus, tau_minus, distribution, delay",
+        [(0.2, 5.0, FIXED, 0.1), (1.0, 2.5, FIXED, 0.4), (1.0, 3.0, EXPONENTIAL, 0.7)],
+    )
+    def test_matches_event_level_reference(
+        self, tau_plus, tau_minus, distribution, delay, b
+    ):
+        # Bob's start trend is +1 or -1 with probability 1/2 on each branch,
+        # so asymmetric dwells must weight the two starts equally
+        dwell = DwellModel(tau_plus, tau_minus, distribution)
+        n = 4000
+        rng = stream(21, "ent-delay-events", tau_plus, tau_minus, delay, b)
+        got = _event_level_correlation(ent.PSI_MINUS, 0.0, b, delay, dwell, rng, n)
+        want = ent.delayed_correlation(ent.PSI_MINUS, 0.0, b, delay, dwell)
+        assert abs(got - want) < 5 * 2 * math.sqrt((1 - (want / 2) ** 2) / n)
+
     def test_zero_delay_reduces_to_plain_correlation(self):
         dwell = DwellModel()
         e = ent.delayed_correlation(ent.PSI_MINUS, 0.1, 0.9, 0.0, dwell)

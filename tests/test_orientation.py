@@ -266,6 +266,17 @@ class TestSampling:
         assert abs(np.mean(c * c) - (2 * m + 1) / (2 * m + 2)) < 5 * se
         assert np.all(np.abs(c) <= 1.0)
 
+    @pytest.mark.parametrize("m", [1, 10, 10**3, 10**6, 10**9])
+    def test_quantization_rate_is_exact(self, m):
+        # the paper's quantization limit as a rate: cos^2 theta ~ Beta(m +
+        # 1/2, 1/2) gives E[sin^2 theta] = 1/(2m + 2) exactly, so the mass
+        # off the poles falls as 1/m; checked against the sample's own SE
+        n = 10**6
+        c = om.sample_cos_theta(m, stream(7, "orientation-rate", m), n)
+        sin2 = 1.0 - c * c
+        se = float(np.std(sin2)) / math.sqrt(n)
+        assert abs(float(np.mean(sin2)) - 1.0 / (2 * m + 2)) < 5 * se
+
     @pytest.mark.parametrize("m", [0, 1, 10])
     def test_bin_counts_match_density_quadrature(self, m):
         n = 200000

@@ -13,9 +13,6 @@ taus = st.floats(min_value=0.05, max_value=5.0)
 
 
 class TestDwellModel:
-    def test_stationary_fraction(self):
-        assert tg.DwellModel(3.0, 1.0).stationary_up_fraction() == pytest.approx(0.75)
-
     @pytest.mark.parametrize(
         "tp,tm", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)]
     )
@@ -115,7 +112,7 @@ class TestSimulate:
         rng = stream(9, "tg-fraction", tp, tm)
         traj = tg.simulate(model, 1e5 * min(tp, tm), +1, rng)
         up, _ = tg.empirical_fractions(traj)
-        assert up == pytest.approx(model.stationary_up_fraction(), abs=0.01)
+        assert up == pytest.approx(tp / (tp + tm), abs=0.01)
 
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_duration(self, duration):
@@ -179,7 +176,7 @@ class TestParity:
 
     def test_exponential_convention_pinned(self):
         # equal initial-trend weights: 1/2 (1 - e^-4), not the stationary
-        # 2 pi+ pi- (1 - e^-4) that flip_parity samples
+        # 2 pi+ pi- (1 - e^-4)
         model = tg.DwellModel(1.0, 3.0)
         assert tg.odd_flip_probability(model, 3.0) == pytest.approx(
             0.4908421805556329, abs=1e-12
@@ -190,14 +187,14 @@ class TestParity:
     )
     @pytest.mark.parametrize("delay", [0.5, 1.5, 2.9, 4.0, 9.3])
     def test_closed_form_fixed_dwells(self, tau_plus, tau_minus, delay):
-        # fraction of the period's phases whose trend differs after delay,
-        # on a grid of midpoint phases
+        # on a grid of midpoint phases, the fraction of each trend's phases
+        # whose trend differs after delay; the two trends weighted equally
         period = tau_plus + tau_minus
         n = 200000
         phase = (np.arange(n) + 0.5) * period / n
         up = phase < tau_plus
         up_later = np.mod(phase + delay, period) < tau_plus
-        want = float(np.mean(up != up_later))
+        want = 0.5 * float(np.mean(~up_later[up]) + np.mean(up_later[~up]))
         model = tg.DwellModel(tau_plus, tau_minus, tg.FIXED)
         assert tg.odd_flip_probability(model, delay) == pytest.approx(want, abs=1e-4)
 
@@ -227,13 +224,12 @@ class TestParity:
         assert np.mean(parities) == pytest.approx(0.5, abs=0.01)
 
     def test_asymmetric_exponential_parity(self):
-        # stationary two-state chain: P(trend differs after delay) =
-        # 2 pi_up pi_down (1 - exp(-(1/tau+ + 1/tau-) delay))
+        # two-state chain from an equally weighted initial trend:
+        # P(trend differs after delay) = 1/2 (1 - exp(-(1/tau+ + 1/tau-) delay))
         model = tg.DwellModel(1.0, 3.0)
         delay, n = 3.0, 20000
         parities = tg.flip_parity(model, delay, stream(9, "tg-parity-asym"), size=n)
-        p_up = model.stationary_up_fraction()
-        p = 2.0 * p_up * (1.0 - p_up) * (1.0 - math.exp(-(1.0 + 1.0 / 3.0) * delay))
+        p = 0.5 * (1.0 - math.exp(-(1.0 + 1.0 / 3.0) * delay))
         assert abs(np.mean(parities) - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
 
     def test_single_draw_is_a_bool(self):
@@ -313,12 +309,13 @@ def test_table_matches_simulated_trajectories(distribution, tau_plus, tau_minus,
 @pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
 @pytest.mark.parametrize("delay", [0.5, 50.0, 1e9])
 def test_parity_draws_two_uniforms_per_sample_at_any_delay(distribution, delay):
-    # the per-dwell loop drew more as the delay grew, and at 1e9 never returned
+    # the per-dwell loop drew more as the delay grew, and at 1e9 never
+    # returned; each sample is one uniform
     size = 1000
     rng = stream(9, "tg-parity-draws", distribution, delay)
     tg.flip_parity(tg.DwellModel(1.0, 3.0, distribution), delay, rng, size)
     reference = stream(9, "tg-parity-draws", distribution, delay)
-    reference.random(2 * size)
+    reference.random(size)
     assert rng.random() == reference.random()
 
 
