@@ -116,10 +116,10 @@ REAL = _numeric(float, -math.inf)
 POSITIVE = _numeric(float, 0.0, strict=True)
 # bounds the run time of a draw: the Monte Carlo runs reduce their draws one
 # block at a time and hold no n-sized array, so at 1e7 samples they peak at
-# ~36 MiB RSS, as at the defaults, but stern-gerlach and fluctuations take
-# ~1.2-1.4 s (2-core host), linear in samples.  NODES bounds the arrays of a
-# grid: a variational grid of 1e7 nodes peaks at ~0.65 GiB and pauli at 2^23
-# nodes at ~1.7 GiB
+# ~37 MiB RSS, as at the defaults, but stern-gerlach and fluctuations take
+# ~0.8 s each (2-core host, the fluctuations draws on both cores), linear in
+# samples.  NODES bounds the arrays of a grid: a variational grid of 1e7 nodes
+# peaks at ~0.65 GiB and pauli at 2^23 nodes at ~1.7 GiB
 SAMPLES = _numeric(int, 1, high=10**7)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
 # a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),

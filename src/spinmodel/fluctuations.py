@@ -17,7 +17,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .streams import BLOCK, _blocks, _normal_blocks, _require_count, _spans
+from .streams import (
+    BLOCK,
+    _blocks,
+    _normal_blocks,
+    _require_count,
+    _run_blocks,
+    _spans,
+)
 
 
 @dataclass(frozen=True)
@@ -55,9 +62,20 @@ class RotationParams:
 
 def sample_displacement(params: TranslationParams, rng: np.random.Generator, size):
     """`size` Gaussian displacement vectors, an array of shape (size, 3), with
-    per-component variance dt/2m."""
-    shape = (_require_count("size", size), 3)
-    return rng.normal(0.0, math.sqrt(params.component_variance), shape)
+    per-component variance dt/2m.  Its flat 3 size components are drawn by
+    the block rule of `streams`."""
+    out = np.empty((_require_count("size", size), 3))
+    flat = out.reshape(-1)
+    sd = math.sqrt(params.component_variance)
+
+    def kernel(blocks):
+        for child, start, stop in blocks:
+            w = child.standard_normal(out=flat[start:stop])
+            w *= sd
+            yield
+
+    _run_blocks(rng, flat.size, kernel)
+    return out
 
 
 def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float:
@@ -65,7 +83,8 @@ def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float
     w = np.asarray(samples, dtype=float)
     if w.ndim != 2 or w.shape[0] < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
-    return _uncertainty_product(params, _blocks(w.reshape(-1)))
+    sums = (_square_sum(v) for v in _blocks(w.reshape(-1)))
+    return _uncertainty_product(params, sums, w.size)
 
 
 def expected_uncertainty_product(
@@ -81,21 +100,36 @@ def expected_uncertainty_product(
     if n < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
     sd = math.sqrt(params.component_variance)
-    # rng.normal(0, sd) is 0 + sd * z, z the stream's next standard normal
-    blocks = (np.multiply(z, sd, out=z) for z in _normal_blocks(rng, 3 * n))
-    return _uncertainty_product(params, blocks)
+
+    def kernel(blocks):
+        for w in _normal_blocks(blocks):
+            w *= sd
+            yield _square_sum(w)
+
+    sums = _run_blocks(rng, 3 * n, kernel)
+    return _uncertainty_product(params, sums, 3 * n)
 
 
-def _uncertainty_product(params: TranslationParams, blocks) -> float:
-    """m / dt times the mean of the squares of the displacement components
-    in blocks, an iterable of flat arrays."""
-    # sum of w_i^2 without the temporaries of w * (m w / dt); einsum rather
-    # than a BLAS dot, whose threads keep spinning after the call
-    total, size = 0.0, 0
-    for v in blocks:
-        total += np.einsum("i,i->", v, v)
-        size += v.size
-    return params.mass / params.dt * float(total) / size
+def _square_sum(v):
+    """The sum of the squares of the flat array v: einsum rather than a BLAS
+    dot, whose threads keep spinning after the call, and without the
+    temporaries of v * v."""
+    return np.einsum("i,i->", v, v)
+
+
+def _uncertainty_product(params: TranslationParams, sums, size: int) -> float:
+    """m / dt times the mean of the squares of `size` displacement
+    components, from the sums of squares of their blocks in block order."""
+    return params.mass / params.dt * float(_ordered_sum(sums)) / size
+
+
+def _ordered_sum(values):
+    """The sum of values, added one at a time in order: a blocked estimate
+    adds its block sums so, whichever thread computed them."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +143,18 @@ def expected_angular_momentum(
     n = _require_count("n", n)
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
+    scale, weight = params.radius_scale, params.mass * params.omega
+
     # u = |N(0, 1/2 m omega)|, but only u**2 enters and the sign does not
     # change it, so the draws are scaled and squared in place as they come
-    total = 0.0
-    for v in _normal_blocks(rng, n):
-        v *= params.radius_scale
-        v *= v
-        v *= params.mass * params.omega
-        total += np.sum(v)
-    return float(total / n)
+    def kernel(blocks):
+        for v in _normal_blocks(blocks):
+            v *= scale
+            v *= v
+            v *= weight
+            yield np.sum(v)
+
+    return float(_ordered_sum(_run_blocks(rng, n, kernel)) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numbers
 
 import numpy as np
 
-from .streams import BLOCK, _blocks, _normal_blocks
+from .streams import BLOCK, _run_blocks
 
 _NORM_TOL = 1e-10
 
@@ -128,22 +128,55 @@ def closed_form_density(m: int, n_nodes: int) -> GridDensity:
     return GridDensity.from_unnormalized(thetas, eval_density(m, thetas))
 
 
-def _gamma_normal(m: int, rng: np.random.Generator, size):
-    """G ~ Gamma(m + 1/2) and Z ~ N(0, 1), drawn in that order.
+def _gamma_normal(m: int, rng: np.random.Generator, size, transform):
+    """An array of the given size (a scalar if None) turned in place, block
+    by block, by transform(g, z): g holds the block's G ~ Gamma(m + 1/2) and
+    z its Z ~ N(0, 1), drawn from the block's child in that order, z into
+    one reused array on each thread.
 
     cos^2(theta) = G / (G + Z^2 / 2) ~ Beta(m + 1/2, 1/2), the law of
     cos^2(theta) under p_m, since B(m + 1/2, 1/2) = Z_m (Devroye 1986,
     ch. IX); the sign of Z, independent of Z^2, picks the hemisphere.
-
-    Returns (out, blocks).  out holds all of G, drawn by one call, and is
-    the buffer the caller turns into its result in place; out[()] is that
-    result, a scalar when size is None.  blocks yields (g, z): a block of
-    out and the matching block of Z, drawn as the blocks are taken.
     """
     _require_order(m)
-    out = np.asarray(rng.standard_gamma(m + 0.5, size))
+    out = np.empty(() if size is None else size)
     flat = out.reshape(-1)
-    return out, zip(_blocks(flat), _normal_blocks(rng, flat.size))
+
+    def kernel(blocks):
+        z = np.empty(min(BLOCK, flat.size))
+        for child, start, stop in blocks:
+            g = flat[start:stop]
+            child.standard_gamma(m + 0.5, out=g)
+            yield transform(g, child.standard_normal(out=z[:stop - start]))
+
+    _run_blocks(rng, flat.size, kernel)
+    return out[()]
+
+
+def _theta(g, z) -> None:
+    """theta = arctan2(|Z|, sign(Z) sqrt(2 G)), into g; z is overwritten."""
+    g *= 2.0
+    np.sqrt(g, out=g)
+    np.copysign(g, z, out=g)
+    np.abs(z, out=z)
+    np.arctan2(z, g, out=g)
+
+
+def _cos_theta(g, z) -> None:
+    """cos(theta) = sign(Z) sqrt(G / (G + Z^2 / 2)), into g; z is overwritten.
+
+    The sign of Z is kept in g while z turns into sign(Z) (G + Z^2 / 2), so
+    no third array is needed; rounding is symmetric in sign, so every bit is
+    that of the formula.
+    """
+    np.copysign(g, z, out=g)
+    z *= z
+    z *= 0.5
+    np.copysign(z, g, out=z)
+    z += g
+    g /= z
+    np.sqrt(g, out=g)
+    np.copysign(g, z, out=g)
 
 
 def sample_theta(m: int, rng: np.random.Generator, size):
@@ -153,32 +186,16 @@ def sample_theta(m: int, rng: np.random.Generator, size):
     arctan2 keeps the angle's full resolution near the poles, where the mass
     sits at large m.
     """
-    theta, blocks = _gamma_normal(m, rng, size)
-    for g, z in blocks:
-        g *= 2.0
-        np.sqrt(g, out=g)
-        np.copysign(g, z, out=g)
-        np.abs(z, out=z)
-        np.arctan2(z, g, out=g)
-    return theta[()]
+    return _gamma_normal(m, rng, size, _theta)
 
 
 def sample_cos_theta(m: int, rng: np.random.Generator, size):
     """cos(theta) for theta ~ p_m, from the same draws as `sample_theta`.
 
     sign(Z) sqrt(G / (G + Z^2 / 2)), computed in place one block at a time
-    with one block of scratch, so neither arctan2 nor cos is evaluated.
+    with no scratch beyond Z, so neither arctan2 nor cos is evaluated.
     """
-    cos_theta, blocks = _gamma_normal(m, rng, size)
-    scratch = np.empty(min(BLOCK, cos_theta.size))
-    for g, z in blocks:
-        t = np.multiply(z, z, out=scratch[:g.size])
-        t *= 0.5
-        t += g
-        g /= t
-        np.sqrt(g, out=g)
-        np.copysign(g, z, out=g)
-    return cos_theta[()]
+    return _gamma_normal(m, rng, size, _cos_theta)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ extended Hamilton-Jacobi residual diagnostics.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .streams import _two_threads
 
 NORM_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
@@ -191,28 +191,15 @@ def _strang_steps_split(psi, half, kinetic, axes, steps: int) -> None:
     """_strang_steps with Psi_- advanced on a second thread.
 
     sigma_z B_z never mixes the components, so each one is stepped on its
-    own, with the same bits as the stacked array.  The worker runs in a
-    copy of the caller's context, so the caller's np.errstate holds in it;
-    its exception, if any, is raised here once both threads are done.
+    own, with the same bits as the stacked array.  `_two_threads` runs the
+    worker in a copy of the caller's context, so the caller's np.errstate
+    holds in it; its exception, if any, is raised here once both threads
+    are done.
     """
-    outcome = {}
-
-    def advance_minus():
-        try:
-            _strang_steps(psi[1], half[1], kinetic, axes, steps)
-        except BaseException as exc:  # re-raised in the caller
-            outcome["error"] = exc
-
-    worker = threading.Thread(
-        target=contextvars.copy_context().run, args=(advance_minus,)
+    _two_threads(
+        lambda: _strang_steps(psi[0], half[0], kinetic, axes, steps),
+        lambda: _strang_steps(psi[1], half[1], kinetic, axes, steps),
     )
-    worker.start()
-    try:
-        _strang_steps(psi[0], half[0], kinetic, axes, steps)
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
 
 
 # ---------------------------------------------------------------------------

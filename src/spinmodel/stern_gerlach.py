@@ -21,7 +21,7 @@ from .orientation import (
     normalization_constant,
     sample_cos_theta,
 )
-from .streams import BLOCK, _blocks, _require_count, _spans
+from .streams import BLOCK, _blocks, _require_count, _spans, _split
 
 UP = +1
 DOWN = -1
@@ -92,23 +92,29 @@ def displacement(theta, m: int, eta: float, transit_time: float):
 
 
 def _odd_power(c, m: int, scale: float):
-    """scale * c**(2m+1) by repeated squaring, in place on the fresh float
-    array c (returned, a scalar if c is one), one block of `BLOCK` values at
-    a time, each squared into one reused block of scratch; a float power
-    call costs ~10x more."""
+    """scale * c**(2m+1), in place on the fresh float array c (returned, a
+    scalar if c is one), one block of `BLOCK` values at a time, each squared
+    into one reused block of scratch."""
     out = np.asarray(c, dtype=float, order="C")
     scratch = np.empty(min(BLOCK, out.size))
     for block in _blocks(out.reshape(-1)):
-        square = np.multiply(block, block, out=scratch[:block.size])
-        k = m
-        while k:
-            if k & 1:
-                block *= square
-            k >>= 1
-            if k:
-                square *= square
-        block *= scale
+        _odd_power_block(block, m, scale, scratch)
     return out[()]
+
+
+def _odd_power_block(block, m: int, scale: float, scratch) -> None:
+    """block = scale * block**(2m+1) by repeated squaring, the square taken
+    in scratch, an array at least as long; a float power call costs ~10x
+    more."""
+    square = np.multiply(block, block, out=scratch[:block.size])
+    k = m
+    while k:
+        if k & 1:
+            block *= square
+        k >>= 1
+        if k:
+            square *= square
+    block *= scale
 
 
 def displacement_density(z, m: int, eta: float, transit_time: float):
@@ -155,10 +161,45 @@ def displacement_distribution(
             f"eta and transit_time: displacement scale {k:g} gives bins of "
             f"width {width:g}, not a normal float"
         )
-    # k * cos^{2m+1}(theta), the product `displacement` forms, without its cos
-    dz = _odd_power(sample_cos_theta(m, rng, n_samples), m, k)
-    counts, edges = np.histogram(dz, bins=bins, range=(-k, k))
-    return dz, edges, counts
+    dz = sample_cos_theta(m, rng, n_samples)
+    edges = np.linspace(-k, k, bins + 1)  # np.histogram's edges
+
+    # k * cos^{2m+1}(theta), the product `displacement` forms, and its bins,
+    # block by block on two threads
+    def kernel(blocks):
+        scratch = np.empty(min(BLOCK, n_samples))
+        index = np.empty(scratch.size, dtype=np.intp)
+        for block in blocks:
+            n = block.size
+            _odd_power_block(block, m, k, scratch)
+            yield _bin_counts(block, edges, scratch[:n], index[:n])
+
+    return dz, edges, sum(_split(list(_blocks(dz)), kernel))
+
+
+def _bin_counts(x, edges, scratch, index):
+    """Counts of the values x, all within [edges[0], edges[-1]], in the bins
+    of the evenly spaced edges, by np.histogram's rule: bin i holds
+    edges[i] <= x < edges[i + 1], and the last bin its right edge too.
+
+    As np.histogram does, the bin is estimated from the bin width and then
+    moved by one where x falls on the wrong side of an edge, but in scratch
+    and index, a float and an intp array of x's size, where np.histogram
+    holds ~34 bytes of temporaries per value.
+    """
+    bins = edges.size - 1
+    f = np.subtract(x, edges[0], out=scratch)
+    f /= edges[-1] - edges[0]
+    f *= bins
+    np.copyto(index, f, casting="unsafe")  # truncated, as by astype
+    np.minimum(index, bins - 1, out=index)  # x = edges[-1]
+    # mode="clip", though every index is in range: "raise" buffers out
+    index -= x < np.take(edges, index, out=f, mode="clip")
+    index += 1  # to the right edge of x's bin and back, in place
+    right = np.take(edges, index, out=f, mode="clip")
+    index -= 1
+    index += (x >= right) & (index != bins - 1)
+    return np.bincount(index, minlength=bins)
 
 
 def displacement_histogram(
@@ -167,13 +208,15 @@ def displacement_histogram(
     """(bin_edges, counts) of n_samples displacements of the weak regime at
     order config.m, without an n-sized array: the added counts of consecutive
     `displacement_distribution` calls of `BLOCK` samples each (the last one
-    shorter), each call's samples discarded."""
+    shorter), each call's samples discarded.  Each call spawns the next
+    child of rng, so the counts are those of one call on the same stream."""
     n_samples = _require_count("n_samples", n_samples)
     counts = 0
     for start, stop in _spans(n_samples):
-        _, edges, part = displacement_distribution(
+        # no name keeps the samples, so each call's go before the next
+        edges, part = displacement_distribution(
             config.m, config, stop - start, rng, bins
-        )
+        )[1:]
         counts = counts + part
     return edges, counts
 

@@ -7,7 +7,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from spinmodel import fluctuations as fl
 from spinmodel import pauli
-from spinmodel.streams import BLOCK, stream
+from spinmodel.streams import BLOCK, _spans, stream
 from spinmodel.telegraph import DwellModel
 
 
@@ -61,7 +61,7 @@ class TestRotation:
         # only u**2 enters, so dropping |.| from u = |N(0, 1/2 m omega)|
         # leaves every bit of the estimate as it was
         params = fl.RotationParams(mass=3.0, omega=7.0)
-        u = np.abs(stream(31, "fl-ls-bits").normal(0.0, params.radius_scale, 10**5))
+        u = np.abs(_radii(stream(31, "fl-ls-bits"), params, 10**5))
         expected = _block_mean(params.mass * params.omega * u**2)
         got = fl.expected_angular_momentum(params, 10**5, stream(31, "fl-ls-bits"))
         assert got == expected
@@ -74,11 +74,21 @@ class TestRotation:
         # the whole array summed block by block
         params = fl.RotationParams(mass=3.0, omega=7.0)
         ref = stream(31, "fl-ls-blocks", n)
-        u = ref.normal(0.0, params.radius_scale, n)
+        u = _radii(ref, params, n)
         expected = _block_mean(params.mass * params.omega * u**2)
         rng = stream(31, "fl-ls-blocks", n)
         assert fl.expected_angular_momentum(params, n, rng) == expected
         assert rng.random() == ref.random()
+
+
+def _radii(rng, params, n):
+    """n draws of N(0, 1/2 m omega), block b drawn from child b of rng by one
+    call: the block rule of the samplers."""
+    children = rng.spawn(-(-n // BLOCK))
+    return np.concatenate([
+        child.normal(0.0, params.radius_scale, stop - start)
+        for child, (start, stop) in zip(children, _spans(n))
+    ])
 
 
 def _block_mean(values):
@@ -107,6 +117,20 @@ class TestStreamedUncertaintyProduct:
         got = fl.expected_uncertainty_product(params, n, rng)
         assert got == fl.uncertainty_product(w, params)
         assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [1, BLOCK // 3, BLOCK // 3 + 1, 3 * BLOCK + 5])
+    def test_components_follow_the_block_rule(self, n):
+        # block b of the flat 3n components is sd times the normals drawn
+        # from child b of the stream by one call
+        params = fl.TranslationParams(mass=3.0, dt=0.2)
+        sd = math.sqrt(params.component_variance)
+        children = stream(31, "fl-ur-blocks", n).spawn(-(-3 * n // BLOCK))
+        expected = np.concatenate([
+            child.standard_normal(stop - start) * sd
+            for child, (start, stop) in zip(children, _spans(3 * n))
+        ]).reshape(n, 3)
+        w = fl.sample_displacement(params, stream(31, "fl-ur-blocks", n), n)
+        assert np.array_equal(w, expected)
 
     def test_array_form_sums_squares_block_by_block(self):
         params = fl.TranslationParams(mass=3.0, dt=0.2)

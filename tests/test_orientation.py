@@ -13,7 +13,7 @@ from scipy import integrate, special
 import spinmodel
 from spinmodel import orientation as om
 from spinmodel import stern_gerlach as sg
-from spinmodel.streams import BLOCK, stream
+from spinmodel.streams import BLOCK, _spans, stream
 
 # independently computed by adaptive quadrature (see docstrings for the
 # closed forms being integrated)
@@ -315,12 +315,20 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("m", [0, 1, 10**3])
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     def test_same_bits_as_one_call(self, m, size):
-        # the samplers work one block at a time; the one-call formulas on
-        # the same draws give every bit, and the stream ends in one place
+        # block b holds G and then Z drawn from child b of the stream, each
+        # by one call; the one-call formulas on those draws give every bit,
+        # and the stream is left where one spawn of all blocks leaves it
         key = ("orientation-blocks", m)
+        shape = () if size is None else size
+        n = np.empty(shape).size
         ref = stream(7, *key)
-        g = ref.standard_gamma(m + 0.5, size)
-        z = ref.standard_normal(size)
+        draws = [
+            (child.standard_gamma(m + 0.5, stop - start),
+             child.standard_normal(stop - start))
+            for child, (start, stop) in zip(ref.spawn(-(-n // BLOCK)), _spans(n))
+        ]
+        g = np.concatenate([d[0] for d in draws]).reshape(shape)
+        z = np.concatenate([d[1] for d in draws]).reshape(shape)
         theta_rng, cos_rng = stream(7, *key), stream(7, *key)
         theta = om.sample_theta(m, theta_rng, size)
         cos_theta = om.sample_cos_theta(m, cos_rng, size)
@@ -332,6 +340,8 @@ class TestBlockedSampling:
         if size is None:
             assert isinstance(theta, float) and isinstance(cos_theta, float)
         assert theta_rng.random() == cos_rng.random() == ref.random()
+        next_draws = [r.spawn(1)[0].random() for r in (theta_rng, cos_rng, ref)]
+        assert next_draws[0] == next_draws[1] == next_draws[2]
 
 
 class TestActionFunctional:

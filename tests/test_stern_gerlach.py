@@ -246,6 +246,9 @@ class TestDisplacement:
     @pytest.mark.parametrize("m", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_histogram_is_the_sum_of_block_calls(self, m, n):
+        # each call spawns the next children of the stream, so the counts of
+        # consecutive calls, of one block each or of any whole number of
+        # blocks, are those of one call on the same key
         config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
         rng = stream(11, "sg-stream", m, n)
         edges, counts = sg.displacement_histogram(config, n, rng, 17)
@@ -257,25 +260,41 @@ class TestDisplacement:
                 m, config, size, ref, 17
             )
             expected += part
+        _, one_edges, one_call = sg.displacement_distribution(
+            m, config, n, stream(11, "sg-stream", m, n), 17
+        )
         assert np.array_equal(counts, expected)
+        assert np.array_equal(counts, one_call)
         assert np.array_equal(edges, expected_edges)
+        assert np.array_equal(edges, one_edges)
         assert int(counts.sum()) == n
         assert rng.random() == ref.random()
 
     def test_histogram_of_many_bins_draws_blocks(self):
-        # more bins than the CLI allows are slower, not wrong: calls stay
-        # BLOCK samples long
+        # more bins than the CLI allows are slower, not wrong: the counts are
+        # those of one displacement_distribution call on the same key
         bins, n = BLOCK + 7, 2 * BLOCK + 2
         config = sg.ApparatusConfig(m=2)
         rng = stream(11, "sg-stream-bins")
         edges, counts = sg.displacement_histogram(config, n, rng, bins)
         ref = stream(11, "sg-stream-bins")
-        expected = sum(
-            sg.displacement_distribution(2, config, size, ref, bins)[2]
-            for size in (BLOCK, BLOCK, 2)
-        )
+        _, expected_edges, expected = sg.displacement_distribution(2, config, n, ref, bins)
         assert np.array_equal(counts, expected)
-        assert rng.random() == ref.random()
+        assert np.array_equal(edges, expected_edges)
+        assert rng.spawn(1)[0].random() == ref.spawn(1)[0].random()
+
+    @pytest.mark.parametrize("bins", [1, 17, 200, 16384])
+    @pytest.mark.parametrize("k", [1.0, 0.1234567, 1e-290, 1e300])
+    def test_bin_counts_are_those_of_np_histogram(self, bins, k):
+        # every edge and its two neighbouring floats, and a uniform spread
+        edges = np.histogram_bin_edges([], bins, range=(-k, k))
+        x = np.concatenate([
+            edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf),
+            stream(11, "sg-bin-counts").uniform(-k, k, 5000),
+        ]).clip(-k, k)
+        n = x.size
+        got = sg._bin_counts(x, edges, np.empty(n), np.empty(n, dtype=np.intp))
+        assert np.array_equal(got, np.histogram(x, bins, range=(-k, k))[0])
 
     @pytest.mark.parametrize("bins", [0, 2.5, math.nan, 1e300])
     def test_histogram_rejects_bins_that_are_not_a_count(self, bins):

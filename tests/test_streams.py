@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ from spinmodel import entanglement as ent
 from spinmodel import fluctuations as fl
 from spinmodel import orientation as om
 from spinmodel import stern_gerlach as sg
+from spinmodel import streams
 from spinmodel import telegraph as tg
-from spinmodel.streams import BLOCK, _normal_blocks, _spans, stream
+from spinmodel.streams import BLOCK, _WINDOW, _normal_blocks, _run_blocks, _spans, stream
 
 
 def test_same_key_same_sequence():
@@ -78,19 +82,40 @@ def test_spans_tile_the_range_in_order(n, size):
     assert 1 <= spans[-1][1] - spans[-1][0] <= size
 
 
+def _blocks_of(rng, n):
+    """(child, start, stop) of each block of range(n), child b of rng.spawn."""
+    return [(child, *span) for child, span in zip(rng.spawn(-(-n // BLOCK)), _spans(n))]
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_normal_blocks_use_the_stream_as_one_call(n):
-    rng, ref = stream(3, "normal-blocks", n), stream(3, "normal-blocks", n)
-    # each block is overwritten by the next, so it is copied as it comes
-    got = np.concatenate([block.copy() for block in _normal_blocks(rng, n)])
-    assert np.array_equal(got, ref.standard_normal(n))
-    assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
+    # block b is drawn from child b by one standard_normal call; each block
+    # is overwritten by the next, so it is copied as it comes
+    blocks = _blocks_of(stream(3, "normal-blocks", n), n)
+    got = np.concatenate([block.copy() for block in _normal_blocks(blocks)])
+    ref = _blocks_of(stream(3, "normal-blocks", n), n)
+    expected = np.concatenate([c.standard_normal(stop - start) for c, start, stop in ref])
+    assert np.array_equal(got, expected)
+    assert np.array_equal(blocks[-1][0].standard_normal(4), ref[-1][0].standard_normal(4))
 
 
 def test_normal_blocks_share_one_buffer():
-    blocks = list(_normal_blocks(stream(3, "normal-buffer"), 3 * BLOCK + 5))
+    n = 3 * BLOCK + 5
+    blocks = list(_normal_blocks(_blocks_of(stream(3, "normal-buffer"), n)))
     assert [b.size for b in blocks] == [BLOCK] * 3 + [5]
     assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
+
+
+def test_windows_spawn_the_children_of_one_spawn():
+    # the blocks go in windows of _WINDOW, each with its own spawn; block b
+    # still gets child b of one rng.spawn of all the blocks
+    n = 2 * _WINDOW * BLOCK + 5
+    got = _run_blocks(
+        stream(3, "windows"), n,
+        lambda blocks: ((child.random(), start, stop) for child, start, stop in blocks),
+    )
+    expected = [(c.random(), start, stop) for c, start, stop in _blocks_of(stream(3, "windows"), n)]
+    assert got == expected
 
 
 # every sampler that takes a count of draws, called with the count n
@@ -138,3 +163,146 @@ def test_non_count_raises_naming_the_value(name, n):
     # np.True_ raised an OverflowError
     with pytest.raises(ValueError, match=re.escape(repr(n))):
         COUNTED[name](stream(5, "count", name), n)
+
+
+# every blocked sampler, called with a count n; the two reductions take
+# n >= 10**4, so they draw 10**4 for n = 1
+BLOCKED = {
+    "sample_theta": lambda rng, n: om.sample_theta(3, rng, n),
+    "sample_cos_theta": lambda rng, n: om.sample_cos_theta(3, rng, n),
+    "displacement_distribution": lambda rng, n: sg.displacement_distribution(
+        1, sg.ApparatusConfig(), n, rng
+    ),
+    "displacement_histogram": lambda rng, n: sg.displacement_histogram(
+        sg.ApparatusConfig(m=2), n, rng, 200
+    ),
+    "sample_displacement": lambda rng, n: fl.sample_displacement(
+        fl.TranslationParams(), rng, n
+    ),
+    "expected_uncertainty_product": lambda rng, n: fl.expected_uncertainty_product(
+        fl.TranslationParams(3.0, 0.2), max(n, 10**4), rng
+    ),
+    "expected_angular_momentum": lambda rng, n: fl.expected_angular_momentum(
+        fl.RotationParams(3.0, 7.0), max(n, 10**4), rng
+    ),
+}
+
+
+def _bits(result):
+    """The bytes of each part of a sampler's result."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return [np.asarray(part).tobytes() for part in parts]
+
+
+def _one_after_the_other(first, second):
+    return first(), second()
+
+
+class TestThreadedBlocks:
+    """The samplers split their blocks over two threads; no result depends
+    on it."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("name", BLOCKED)
+    def test_same_bits_on_one_thread(self, name, n, monkeypatch):
+        two = BLOCKED[name](stream(9, "threads", name, n), n)
+        monkeypatch.setattr(streams, "_two_threads", _one_after_the_other)
+        one = BLOCKED[name](stream(9, "threads", name, n), n)
+        assert _bits(two) == _bits(one)
+
+    @pytest.mark.parametrize("size", [None, (3, 5), (3, BLOCK + 1)])
+    @pytest.mark.parametrize("name", ["sample_theta", "sample_cos_theta"])
+    def test_same_bits_on_one_thread_in_any_shape(self, name, size, monkeypatch):
+        sampler = getattr(om, name)
+        two = sampler(1, stream(9, "threads-shape", name), size)
+        monkeypatch.setattr(streams, "_two_threads", _one_after_the_other)
+        one = sampler(1, stream(9, "threads-shape", name), size)
+        assert np.shape(two) == np.shape(one) == (() if size is None else size)
+        assert _bits(two) == _bits(one)
+
+    @pytest.mark.parametrize("n, threads", [(BLOCK, 0), (BLOCK + 1, 1)])
+    def test_one_block_starts_no_thread(self, n, threads, monkeypatch):
+        calls = []
+
+        def counted(first, second):
+            calls.append(1)
+            return _one_after_the_other(first, second)
+
+        monkeypatch.setattr(streams, "_two_threads", counted)
+        om.sample_theta(1, stream(9, "threads-count"), n)
+        assert len(calls) == threads
+
+    @pytest.mark.parametrize("name", BLOCKED)
+    def test_no_thread_outlives_the_call(self, name):
+        threads = threading.active_count()
+        BLOCKED[name](stream(9, "threads-alive", name), 3 * BLOCK + 5)
+        assert threading.active_count() == threads
+
+    def test_worker_exception_reaches_the_caller(self):
+        def fail():
+            raise ZeroDivisionError("worker")
+
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="worker"):
+            streams._two_threads(lambda: None, fail)
+        assert threading.active_count() == threads
+
+    def test_kernel_exception_reaches_the_caller(self):
+        def kernel(items):
+            for item in items:
+                if item == 2:
+                    raise ZeroDivisionError("kernel")
+                yield item
+
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="kernel"):
+            streams._split([0, 1, 2, 3], kernel)
+        assert threading.active_count() == threads
+
+    def test_worker_keeps_the_callers_errstate(self):
+        # a plain thread starts with numpy's default errstate, which warns
+        def invalid():
+            return np.geterr()["invalid"]
+
+        with np.errstate(all="raise"):
+            assert streams._two_threads(invalid, invalid) == ("raise", "raise")
+
+    def test_a_slow_thread_takes_fewer_items(self):
+        # items go to whichever thread is free; results stay in item order
+        caller, taken = threading.current_thread(), []
+
+        def kernel(items):
+            for item in items:
+                if threading.current_thread() is not caller:
+                    time.sleep(0.2)
+                taken.append(threading.current_thread() is caller)
+                yield item
+
+        assert streams._split(list(range(20)), kernel) == list(range(20))
+        assert sum(taken) >= 18
+
+    def test_concurrent_callers_keep_the_bits(self):
+        # more sampling threads than cores, switching as often as possible
+        n = 3 * BLOCK + 5
+        names = ["sample_cos_theta", "displacement_histogram",
+                 "expected_angular_momentum"]
+        expected = [_bits(BLOCKED[name](stream(9, "threads-race", name), n))
+                    for name in names]
+        results = [None] * 4
+
+        def call(i):
+            results[i] = [_bits(BLOCKED[name](stream(9, "threads-race", name), n))
+                          for name in names]
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(result == expected for result in results)
