@@ -147,8 +147,8 @@ SCHEMA = {
         "eta": (POSITIVE, 1.0),
         "transit_time": (POSITIVE, 1.0),
         # bounds the output's cost: at 2**14 bins, `--samples 1e7` peaks at
-        # ~40 MiB RSS as csv (~36 MiB at 200 bins) and takes ~0.2 s longer,
-        # 1.1-1.6 s on a 2-core host
+        # ~41 MiB RSS as csv (~37 MiB at 200 bins) and takes ~0.15 s longer,
+        # 0.6-0.7 s on a 2-core host
         "bins": (_numeric(int, 1, high=BLOCK), 200),
     },
     "bell-test": {

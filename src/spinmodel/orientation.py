@@ -93,7 +93,8 @@ def theta_grid(n_nodes: int) -> np.ndarray:
 
 def _require_order(m) -> None:
     """The order m of the family is a whole number >= 0, and small enough
-    that the Gamma shape m + 1/2 of `sample_theta` is exact in a float."""
+    that m + 1/2, the power of cos^2(theta) in a displacement, is exact in a
+    float."""
     if isinstance(m, bool) or not (isinstance(m, numbers.Integral) and 0 <= m < 2**52):
         raise ValueError(
             f"m must be non-negative and a whole number below 2**52, got {m!r}"
@@ -128,74 +129,78 @@ def closed_form_density(m: int, n_nodes: int) -> GridDensity:
     return GridDensity.from_unnormalized(thetas, eval_density(m, thetas))
 
 
-def _gamma_normal(m: int, rng: np.random.Generator, size, transform):
-    """An array of the given size (a scalar if None) turned in place, block
-    by block, by transform(g, z): g holds the block's G ~ Gamma(m + 1/2) and
-    z its Z ~ N(0, 1), drawn from the block's child in that order, z into
-    one reused array on each thread.
+def _sin2_block(m: int, child: np.random.Generator, s, c, cos2=None) -> None:
+    """One block of theta ~ p_m from child, two uniforms per value: V into
+    c, then U into s (none at m = 0).  Turned in place into
+    s = -sign(t) sin^2(theta), a signed zero where sin^2(theta) = 0, and
+    c = 1 + t^2, and, if given, cos2 = cos^2(theta); s, c and cos2 are of
+    one size.
 
-    cos^2(theta) = G / (G + Z^2 / 2) ~ Beta(m + 1/2, 1/2), the law of
-    cos^2(theta) under p_m, since B(m + 1/2, 1/2) = Z_m (Devroye 1986,
-    ch. IX); the sign of Z, independent of Z^2, picks the hemisphere.
+    sin^2(theta) ~ Beta(1/2, m + 1/2) = Beta(1/2, 1/2) Beta(1, m), the law
+    of sin^2(theta) under p_m (Devroye 1986, ch. IX): with
+    t = tan(pi (1 - 2V) / 2), A = t^2 / (1 + t^2) is the arcsine factor, and
+    W = 1 - (1 - U)^{1/m} = -expm1(log1p(-U) / m) the Beta(1, m) one (W = 1
+    at m = 0).  cos^2(theta) = 1 / (1 + t^2) + A (1 - U)^{1/m} adds
+    non-negative terms, so neither square loses its small values to
+    cancellation.  The sign of -t, that of 2V - 1 since 1 - 2V is exact and
+    tan is odd, is independent of |t| and picks the hemisphere.
+    """
+    child.random(out=c)
+    c *= -2.0
+    c += 1.0
+    c *= np.pi / 2
+    np.tan(c, out=c)
+    if m:
+        child.random(out=s)
+        np.negative(s, out=s)
+        np.log1p(s, out=s)
+        s /= m
+        if cos2 is not None:
+            np.exp(s, out=cos2)
+        np.expm1(s, out=s)  # -W
+    else:
+        s.fill(-1.0)
+        if cos2 is not None:
+            cos2.fill(0.0)
+    s *= c  # -W t
+    np.abs(c, out=c)
+    s *= c
+    c *= c
+    if cos2 is not None:
+        cos2 *= c
+    c += 1.0
+    s /= c
+    if cos2 is not None:
+        cos2 += 1.0
+        cos2 /= c
+
+
+def sample_theta(m: int, rng: np.random.Generator, size):
+    """Draw theta ~ p_m exactly, for any order m >= 0.
+
+    arctan2(|sin(theta)|, cos(theta)) of the roots of `_sin2_block`'s
+    squares, computed in place one block at a time; arctan2 keeps the
+    angle's full resolution near the poles, where the mass sits at large m.
     """
     _require_order(m)
     out = np.empty(() if size is None else size)
     flat = out.reshape(-1)
 
     def kernel(blocks):
-        z = np.empty(min(BLOCK, flat.size))
+        scratch = np.empty((2, min(BLOCK, flat.size)))
         for child, start, stop in blocks:
-            g = flat[start:stop]
-            child.standard_gamma(m + 0.5, out=g)
-            yield transform(g, child.standard_normal(out=z[:stop - start]))
+            s, c = scratch[:, :stop - start]
+            theta = flat[start:stop]
+            _sin2_block(m, child, s, c, theta)
+            np.sqrt(theta, out=theta)
+            np.copysign(theta, s, out=theta)
+            np.abs(s, out=s)
+            np.sqrt(s, out=s)
+            np.arctan2(s, theta, out=theta)
+            yield
 
     _run_blocks(rng, flat.size, kernel)
     return out[()]
-
-
-def _theta(g, z) -> None:
-    """theta = arctan2(|Z|, sign(Z) sqrt(2 G)), into g; z is overwritten."""
-    g *= 2.0
-    np.sqrt(g, out=g)
-    np.copysign(g, z, out=g)
-    np.abs(z, out=z)
-    np.arctan2(z, g, out=g)
-
-
-def _cos_theta(g, z) -> None:
-    """cos(theta) = sign(Z) sqrt(G / (G + Z^2 / 2)), into g; z is overwritten.
-
-    The sign of Z is kept in g while z turns into sign(Z) (G + Z^2 / 2), so
-    no third array is needed; rounding is symmetric in sign, so every bit is
-    that of the formula.
-    """
-    np.copysign(g, z, out=g)
-    z *= z
-    z *= 0.5
-    np.copysign(z, g, out=z)
-    z += g
-    g /= z
-    np.sqrt(g, out=g)
-    np.copysign(g, z, out=g)
-
-
-def sample_theta(m: int, rng: np.random.Generator, size):
-    """Draw theta ~ p_m exactly, for any order m >= 0.
-
-    arctan2(|Z|, sign(Z) sqrt(2 G)), computed in place one block at a time;
-    arctan2 keeps the angle's full resolution near the poles, where the mass
-    sits at large m.
-    """
-    return _gamma_normal(m, rng, size, _theta)
-
-
-def sample_cos_theta(m: int, rng: np.random.Generator, size):
-    """cos(theta) for theta ~ p_m, from the same draws as `sample_theta`.
-
-    sign(Z) sqrt(G / (G + Z^2 / 2)), computed in place one block at a time
-    with no scratch beyond Z, so neither arctan2 nor cos is evaluated.
-    """
-    return _gamma_normal(m, rng, size, _cos_theta)
 
 
 # ---------------------------------------------------------------------------

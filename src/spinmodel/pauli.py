@@ -320,7 +320,11 @@ def gaussian_packet(grid: SpatialGrid, width=1.0, momentum=0.0):
     if grid.dimension != 1:
         raise ValueError("gaussian_packet is 1D only")
     x = grid.axis()
-    psi = np.exp(-(x**2) / (4.0 * width**2) + 1j * momentum * x)
+    # (x / 2w)^2 rather than x^2 / 4w^2, whose 4w^2 underflows to 0 below
+    # w ~ 1e-162; it overflows to inf instead, where the packet is 0
+    with np.errstate(over="ignore"):
+        exponent = -((x / (2.0 * width)) ** 2)
+    psi = np.exp(exponent + 1j * momentum * x)
     return psi.astype(complex)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +19,10 @@ from .orientation import (
     GridDensity,
     TwoPointDensity,
     _require_order,
+    _sin2_block,
     normalization_constant,
-    sample_cos_theta,
 )
-from .streams import BLOCK, _blocks, _require_count, _spans, _split
+from .streams import BLOCK, _blocks, _require_count, _run_blocks
 
 UP = +1
 DOWN = -1
@@ -93,28 +94,22 @@ def displacement(theta, m: int, eta: float, transit_time: float):
 
 def _odd_power(c, m: int, scale: float):
     """scale * c**(2m+1), in place on the fresh float array c (returned, a
-    scalar if c is one), one block of `BLOCK` values at a time, each squared
-    into one reused block of scratch."""
+    scalar if c is one), one block of `BLOCK` values at a time by repeated
+    squaring, each square taken in one reused block of scratch; a float
+    power call costs ~10x more."""
     out = np.asarray(c, dtype=float, order="C")
     scratch = np.empty(min(BLOCK, out.size))
     for block in _blocks(out.reshape(-1)):
-        _odd_power_block(block, m, scale, scratch)
+        square = np.multiply(block, block, out=scratch[:block.size])
+        k = m
+        while k:
+            if k & 1:
+                block *= square
+            k >>= 1
+            if k:
+                square *= square
+        block *= scale
     return out[()]
-
-
-def _odd_power_block(block, m: int, scale: float, scratch) -> None:
-    """block = scale * block**(2m+1) by repeated squaring, the square taken
-    in scratch, an array at least as long; a float power call costs ~10x
-    more."""
-    square = np.multiply(block, block, out=scratch[:block.size])
-    k = m
-    while k:
-        if k & 1:
-            block *= square
-        k >>= 1
-        if k:
-            square *= square
-    block *= scale
 
 
 def displacement_density(z, m: int, eta: float, transit_time: float):
@@ -123,36 +118,27 @@ def displacement_density(z, m: int, eta: float, transit_time: float):
     With x = cos(theta) and dz_max the displacement scale, the map
     z = dz_max * x^{2m+1} is monotone, so the density follows from a
     change of variables; used as the independent oracle for the sampled
-    histogram.
+    histogram.  1 - x^2 is taken as -expm1(2 log|z / dz_max| / (2m + 1)),
+    which keeps its small values where x^2 rounds to 1 at large m.
     """
     k = displacement(0.0, m, eta, transit_time)
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     inside = np.abs(z) < k
-    frac = np.clip(np.abs(z[inside]) / k, 0.0, 1.0)
-    x = np.sign(z[inside]) * frac ** (1.0 / (2 * m + 1))
+    with np.errstate(divide="ignore"):  # log(0) = -inf at z = 0, where x = 0
+        log_frac = np.log(np.abs(z[inside]) / k)
     z_m = normalization_constant(m)
-    out[inside] = 1.0 / (z_m * k * (2 * m + 1) * np.sqrt(1.0 - x**2))
+    sin2 = -np.expm1(2.0 * log_frac / (2 * m + 1))
+    out[inside] = 1.0 / (z_m * k * (2 * m + 1) * np.sqrt(sin2))
     return out
 
 
-def displacement_distribution(
-    m: int,
-    config: ApparatusConfig,
-    n_samples: int,
-    rng: np.random.Generator,
-    bins: int = 200,
-):
-    """Sample the continuous displacement distribution of the weak regime.
-
-    Returns (samples, bin_edges, counts).  m must equal config.m, and the
-    bin width 2k/bins, with k the displacement scale, a normal float.
-    """
-    if m != config.m:
-        raise ValueError(f"m = {m!r} disagrees with config.m = {config.m!r}")
-    n_samples = _require_count("n_samples", n_samples)
+def _scale_and_edges(config: ApparatusConfig, bins):
+    """(k, edges): the displacement scale k of config and np.histogram's
+    bins + 1 evenly spaced edges of [-k, k], if the bin width 2k/bins is a
+    normal float."""
     bins = _require_count("bins", bins)
-    k = displacement(0.0, m, config.gradient, config.transit_time)
+    k = displacement(0.0, config.m, config.gradient, config.transit_time)
     # numpy widens a zero range, rejects an infinite one and gives bins of
     # subnormal width infinite densities; k itself is finite
     width = 2.0 * float(k) / bins
@@ -161,20 +147,72 @@ def displacement_distribution(
             f"eta and transit_time: displacement scale {k:g} gives bins of "
             f"width {width:g}, not a normal float"
         )
-    dz = sample_cos_theta(m, rng, n_samples)
-    edges = np.linspace(-k, k, bins + 1)  # np.histogram's edges
+    return k, np.linspace(-k, k, bins + 1)
 
-    # k * cos^{2m+1}(theta), the product `displacement` forms, and its bins,
-    # block by block on two threads
+
+def _displacement_counts(m: int, k: float, edges, rng, n: int, out=None):
+    """The counts, in the bins of edges, of n displacements
+    k cos^{2m+1}(theta) for theta ~ p_m, each block drawn by `_sin2_block`
+    and binned where it is drawn, on two threads by the `streams` rule.
+    Block b's displacements go into out[start:stop] if out is given, else
+    into a block of scratch.
+
+    k |cos(theta)|^{2m+1} = k exp((m + 1/2) log1p(-sin^2(theta))) keeps the
+    displacement's precision at every order m >= 1: cos(theta) lies within
+    ~1/m of 1, where float64 has too few bits for its power 2m + 1 from
+    m ~ 1e11.  At m = 0, where 1 - sin^2(theta) would cancel near pi/2,
+    |cos(theta)| is 1 / sqrt(1 + t^2).
+    """
+    counts = np.zeros(edges.size - 1, dtype=np.intp)
+    lock = threading.Lock()
+
     def kernel(blocks):
-        scratch = np.empty(min(BLOCK, n_samples))
-        index = np.empty(scratch.size, dtype=np.intp)
-        for block in blocks:
-            n = block.size
-            _odd_power_block(block, m, k, scratch)
-            yield _bin_counts(block, edges, scratch[:n], index[:n])
+        size = min(BLOCK, n)
+        s, index = np.empty(size), np.empty(size, dtype=np.intp)
+        scratch = np.empty(size) if out is None else None
+        for child, start, stop in blocks:
+            sin2 = s[:stop - start]
+            dz = scratch[:sin2.size] if out is None else out[start:stop]
+            _sin2_block(m, child, sin2, dz)
+            if m:
+                np.abs(sin2, out=dz)
+                np.negative(dz, out=dz)
+                with np.errstate(divide="ignore"):  # -inf if sin^2 rounds to 1
+                    np.log1p(dz, out=dz)
+                dz *= m + 0.5
+                np.exp(dz, out=dz)
+                dz *= k
+            else:  # k / sqrt(1 + t^2), which keeps the small |cos(theta)|
+                np.sqrt(dz, out=dz)
+                np.divide(k, dz, out=dz)
+            np.copysign(dz, sin2, out=dz)
+            part = _bin_counts(dz, edges, sin2, index[:sin2.size])
+            with lock:
+                np.add(counts, part, out=counts)
+            yield
 
-    return dz, edges, sum(_split(list(_blocks(dz)), kernel))
+    _run_blocks(rng, n, kernel)
+    return counts
+
+
+def displacement_distribution(
+    m: int,
+    config: ApparatusConfig,
+    n_samples: int,
+    rng: np.random.Generator,
+):
+    """Sample the continuous displacement distribution of the weak regime.
+
+    Returns (samples, bin_edges, counts), in 200 bins.  m must equal
+    config.m, and the bin width 2k/200, with k the displacement scale, a
+    normal float.
+    """
+    if m != config.m:
+        raise ValueError(f"m = {m!r} disagrees with config.m = {config.m!r}")
+    n_samples = _require_count("n_samples", n_samples)
+    k, edges = _scale_and_edges(config, 200)
+    dz = np.empty(n_samples)
+    return dz, edges, _displacement_counts(m, k, edges, rng, n_samples, dz)
 
 
 def _bin_counts(x, edges, scratch, index):
@@ -192,13 +230,15 @@ def _bin_counts(x, edges, scratch, index):
     f /= edges[-1] - edges[0]
     f *= bins
     np.copyto(index, f, casting="unsafe")  # truncated, as by astype
-    np.minimum(index, bins - 1, out=index)  # x = edges[-1]
-    # mode="clip", though every index is in range: "raise" buffers out
-    index -= x < np.take(edges, index, out=f, mode="clip")
-    index += 1  # to the right edge of x's bin and back, in place
-    right = np.take(edges, index, out=f, mode="clip")
-    index -= 1
-    index += (x >= right) & (index != bins - 1)
+    # mode="clip", though every index is in range: "raise" buffers out;
+    # the few moved indices are set through the mask, since adding the mask
+    # would cast it to intp through a 64 KiB buffer
+    wrong = x < np.take(edges, index, out=f, mode="clip")
+    index[wrong] -= 1
+    right = np.take(edges[1:], index, out=f, mode="clip")
+    np.greater_equal(x, right, out=wrong)
+    index[wrong] += 1
+    np.minimum(index, bins - 1, out=index)  # x = edges[-1], in the last bin
     return np.bincount(index, minlength=bins)
 
 
@@ -206,19 +246,12 @@ def displacement_histogram(
     config: ApparatusConfig, n_samples: int, rng: np.random.Generator, bins: int
 ):
     """(bin_edges, counts) of n_samples displacements of the weak regime at
-    order config.m, without an n-sized array: the added counts of consecutive
-    `displacement_distribution` calls of `BLOCK` samples each (the last one
-    shorter), each call's samples discarded.  Each call spawns the next
-    child of rng, so the counts are those of one call on the same stream."""
+    order config.m, without an n-sized array: each block's displacements
+    are binned where they are drawn, in a block of scratch.  At 200 bins the
+    counts are those of `displacement_distribution` on the same stream."""
     n_samples = _require_count("n_samples", n_samples)
-    counts = 0
-    for start, stop in _spans(n_samples):
-        # no name keeps the samples, so each call's go before the next
-        edges, part = displacement_distribution(
-            config.m, config, stop - start, rng, bins
-        )[1:]
-        counts = counts + part
-    return edges, counts
+    k, edges = _scale_and_edges(config, bins)
+    return edges, _displacement_counts(config.m, k, edges, rng, n_samples)
 
 
 def histogram_rows(edges: np.ndarray, counts: np.ndarray):

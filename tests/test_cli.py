@@ -365,6 +365,16 @@ class TestMalformedInput:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("width", ["1e-300", "1e-6"])
+    def test_narrow_packet_is_one_node(self, tmp_path, capsys, width):
+        # 4 w^2 underflowed to 0 at 1e-300: a warning, then an unnormalized
+        # field; now both widths give the packet of the one node at x = 0
+        argv = ["pauli", "--packet-width", width, "--out", str(tmp_path)]
+        assert cli.run(argv) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+        assert summary["norm"] == pytest.approx(1.0, abs=1e-12)
+
     def test_flags_and_file_values_parse_alike(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("orders = [1]\nnodes = 5.12e2\n")

@@ -247,33 +247,35 @@ class TestSampling:
 
     @pytest.mark.parametrize("m", [0, 1, 3, 10, 10**3, 10**6])
     def test_cos_theta_is_cos_of_theta_from_equal_streams(self, m):
+        # sample_theta is arctan2 of the roots of the shared draw's squares
         key = ("orientation-cos", m)
-        cos_theta = om.sample_cos_theta(m, stream(7, *key), 100000)
+        s, cos2 = _shared_draw(m, stream(7, *key), 100000)
         rng = stream(7, *key)
         thetas = om.sample_theta(m, rng, 100000)
-        assert np.max(np.abs(cos_theta - np.cos(thetas))) <= 1e-15
+        assert np.max(np.abs(np.copysign(np.sqrt(cos2), s) - np.cos(thetas))) <= 1e-15
         # the same draws, in the same order: both streams end in one place
         after = stream(7, *key)
-        om.sample_cos_theta(m, after, 100000)
+        _shared_draw(m, after, 100000)
         assert after.random() == rng.random()
 
     @pytest.mark.parametrize("m", [0, 1, 3, 10, 10**3, 10**6])
     def test_cos_theta_second_moment(self, m):
-        # cos^2 theta ~ Beta(m + 1/2, 1/2), as in test_moments_match_beta_law
+        # cos^2 theta ~ Beta(m + 1/2, 1/2), as in test_moments_match_beta_law;
+        # the two squares, each formed without cancellation, add up to 1
         n = 400000
-        c = om.sample_cos_theta(m, stream(7, "orientation-cos-moment", m), n)
+        s, cos2 = _shared_draw(m, stream(7, "orientation-cos-moment", m), n)
         se = math.sqrt((m + 0.5) / 2.0 / ((m + 1) ** 2 * (m + 2)) / n)
-        assert abs(np.mean(c * c) - (2 * m + 1) / (2 * m + 2)) < 5 * se
-        assert np.all(np.abs(c) <= 1.0)
+        assert abs(np.mean(cos2) - (2 * m + 1) / (2 * m + 2)) < 5 * se
+        assert np.all((0.0 <= cos2) & (cos2 <= 1.0))
+        assert np.max(np.abs(np.abs(s) + cos2 - 1.0)) <= 4.5e-16
 
     @pytest.mark.parametrize("m", [1, 10, 10**3, 10**6, 10**9])
     def test_quantization_rate_is_exact(self, m):
-        # the paper's quantization limit as a rate: cos^2 theta ~ Beta(m +
-        # 1/2, 1/2) gives E[sin^2 theta] = 1/(2m + 2) exactly, so the mass
+        # the paper's quantization limit as a rate: sin^2 theta ~ Beta(1/2,
+        # m + 1/2) gives E[sin^2 theta] = 1/(2m + 2) exactly, so the mass
         # off the poles falls as 1/m; checked against the sample's own SE
         n = 10**6
-        c = om.sample_cos_theta(m, stream(7, "orientation-rate", m), n)
-        sin2 = 1.0 - c * c
+        sin2 = np.abs(_shared_draw(m, stream(7, "orientation-rate", m), n)[0])
         se = float(np.std(sin2)) / math.sqrt(n)
         assert abs(float(np.mean(sin2)) - 1.0 / (2 * m + 2)) < 5 * se
 
@@ -307,6 +309,17 @@ class TestSampling:
             assert np.all(np.abs(counts - n * probs) <= 5 * sigma + 1e-9)
 
 
+def _shared_draw(m, rng, n):
+    """(sin^2 theta signed by its hemisphere, cos^2 theta) of n values of
+    the shared orientation draw, block b from child b of one spawn, as the
+    samplers take them."""
+    s, cos2 = np.empty(n), np.empty(n)
+    for child, (start, stop) in zip(rng.spawn(-(-n // BLOCK)), _spans(n)):
+        scratch = np.empty(stop - start)
+        om._sin2_block(m, child, s[start:stop], scratch, cos2[start:stop])
+    return s, cos2
+
+
 # around the block edges, and the scalar and 2-d shapes
 BLOCK_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, None, (3, 5)]
 
@@ -315,33 +328,40 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("m", [0, 1, 10**3])
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     def test_same_bits_as_one_call(self, m, size):
-        # block b holds G and then Z drawn from child b of the stream, each
-        # by one call; the one-call formulas on those draws give every bit,
-        # and the stream is left where one spawn of all blocks leaves it
+        # block b holds V and then U drawn from child b of the stream, each
+        # by one call (no U at m = 0); the one-call formulas on those draws
+        # give every bit, and the stream is left where one spawn of all
+        # blocks leaves it
         key = ("orientation-blocks", m)
         shape = () if size is None else size
         n = np.empty(shape).size
         ref = stream(7, *key)
         draws = [
-            (child.standard_gamma(m + 0.5, stop - start),
-             child.standard_normal(stop - start))
+            (child.random(stop - start),
+             child.random(stop - start) if m else np.zeros(stop - start))
             for child, (start, stop) in zip(ref.spawn(-(-n // BLOCK)), _spans(n))
         ]
-        g = np.concatenate([d[0] for d in draws]).reshape(shape)
-        z = np.concatenate([d[1] for d in draws]).reshape(shape)
-        theta_rng, cos_rng = stream(7, *key), stream(7, *key)
+        v = np.concatenate([d[0] for d in draws]).reshape(shape)
+        u = np.concatenate([d[1] for d in draws]).reshape(shape)
+        t = np.tan((v * -2.0 + 1.0) * (np.pi / 2))
+        a = np.abs(t)
+        if m:
+            y = np.log1p(-u) / m
+            minus_w, e = np.expm1(y), np.exp(y)
+        else:
+            minus_w, e = np.full(shape, -1.0), np.zeros(shape)
+        s = minus_w * t * a / (a * a + 1.0)
+        cos2 = (e * (a * a) + 1.0) / (a * a + 1.0)
+        theta_rng = stream(7, *key)
         theta = om.sample_theta(m, theta_rng, size)
-        cos_theta = om.sample_cos_theta(m, cos_rng, size)
         assert np.array_equal(
-            theta, np.arctan2(np.abs(z), np.copysign(np.sqrt(2.0 * g), z))
+            theta, np.arctan2(np.sqrt(np.abs(s)), np.copysign(np.sqrt(cos2), s))
         )
-        assert np.array_equal(cos_theta, np.copysign(np.sqrt(g / (g + z * z * 0.5)), z))
-        assert np.shape(theta) == np.shape(cos_theta) == np.shape(g)
+        assert np.shape(theta) == v.shape
         if size is None:
-            assert isinstance(theta, float) and isinstance(cos_theta, float)
-        assert theta_rng.random() == cos_rng.random() == ref.random()
-        next_draws = [r.spawn(1)[0].random() for r in (theta_rng, cos_rng, ref)]
-        assert next_draws[0] == next_draws[1] == next_draws[2]
+            assert isinstance(theta, float)
+        assert theta_rng.random() == ref.random()
+        assert theta_rng.spawn(1)[0].random() == ref.spawn(1)[0].random()
 
 
 class TestActionFunctional:

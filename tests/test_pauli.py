@@ -186,6 +186,16 @@ class TestUnitarity:
         evolved = pauli.evolve(state, config, 0.001, 3000)
         assert pauli.total_energy(evolved, config) == pytest.approx(e0, abs=1e-6)
 
+    @pytest.mark.parametrize("width", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("momentum", [0.0, 1.5])
+    def test_packet_bits_at_power_of_two_widths(self, width, momentum):
+        # -(x / 2w)^2 is -x^2 / 4w^2 to the bit when w is a power of two
+        grid = pauli.SpatialGrid(1, 256, 20.0)
+        x = grid.axis()
+        expected = np.exp(-(x**2) / (4.0 * width**2) + 1j * momentum * x)
+        psi = pauli.gaussian_packet(grid, width=width, momentum=momentum)
+        assert np.array_equal(psi, expected)
+
     def test_rejects_unnormalized_input(self):
         grid = pauli.SpatialGrid(1, 64, 10.0)
         psi = pauli.gaussian_packet(grid)

@@ -2,8 +2,7 @@
 
 Each sampler transforms its draws one block of `streams.BLOCK` at a time, so
 at 10**6 draws it holds its output and a few blocks of scratch: at most
-~1 MiB besides the output, or ~2.5 MiB for `displacement_distribution`, whose
-histogram works in blocks of its own.  A sampler that allocates an n-sized
+~1 MiB besides the output.  A sampler that allocates an n-sized
 scratch array (8 MB at this n) fails.  `kl_shift_rate` on the CLI's 4001-node
 grid holds no 32 x 4001 array (1 MB) either.  The streamed reductions,
 `displacement_histogram`, `expected_uncertainty_product` and
@@ -32,10 +31,9 @@ RHO = np.exp(-(X**2) / 2.0) / math.sqrt(2.0 * math.pi)
 # name -> (call on a stream, bytes allowed beyond the output)
 KERNELS = {
     "sample_theta": (lambda rng: om.sample_theta(1, rng, N), MIB),
-    "sample_cos_theta": (lambda rng: om.sample_cos_theta(1, rng, N), MIB),
     "displacement_distribution": (
         lambda rng: sg.displacement_distribution(1, sg.ApparatusConfig(), N, rng),
-        2.5 * MIB,
+        MIB,
     ),
     "expected_angular_momentum": (
         lambda rng: fl.expected_angular_momentum(fl.RotationParams(3.0, 7.0), N, rng),

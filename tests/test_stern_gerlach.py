@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special, stats
 
 from spinmodel import orientation as om
 from spinmodel import qm_oracle as qm
 from spinmodel import stern_gerlach as sg
-from spinmodel.streams import BLOCK, stream
+from spinmodel.streams import BLOCK, _spans, stream
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -156,7 +156,7 @@ class TestDisplacement:
         m = 1
         config = sg.ApparatusConfig(m=m)
         rng = stream(11, "sg-histogram")
-        _, edges, counts = sg.displacement_distribution(m, config, 400000, rng, bins=41)
+        edges, counts = sg.displacement_histogram(config, 400000, rng, 41)
         centers = 0.5 * (edges[:-1] + edges[1:])
         widths = np.diff(edges)
         empirical = counts / (counts.sum() * widths)
@@ -207,13 +207,16 @@ class TestDisplacement:
     ):
         config = sg.ApparatusConfig(gradient=gradient, transit_time=transit_time)
         with pytest.raises(ValueError, match="eta and transit_time"):
-            sg.displacement_distribution(1, config, 10, stream(11, "sg-scale"), bins)
+            sg.displacement_histogram(config, 10, stream(11, "sg-scale"), bins)
+        if bins == 200:  # displacement_distribution's own bins
+            with pytest.raises(ValueError, match="eta and transit_time"):
+                sg.displacement_distribution(1, config, 10, stream(11, "sg-scale"))
 
     @pytest.mark.parametrize("bins", [0, -3, 2.5])
     def test_distribution_rejects_bins_that_are_not_a_count(self, bins):
         config = sg.ApparatusConfig()
         with pytest.raises(ValueError, match="bins"):
-            sg.displacement_distribution(1, config, 10, stream(11, "sg-bins"), bins)
+            sg.displacement_histogram(config, 10, stream(11, "sg-bins"), bins)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 10])
     def test_distribution_is_displacement_of_sampled_theta(self, m):
@@ -229,16 +232,23 @@ class TestDisplacement:
     @pytest.mark.parametrize("m", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_distribution_same_bits_as_one_call(self, m, n):
-        # the odd power is taken one block at a time; over the whole array
-        # at once the same squarings give every bit
+        # block b's sin^2 theta comes from child b of one spawn; the
+        # displacement formula over the whole array at once gives every bit
         config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
         rng = stream(11, "sg-blocks", m, n)
-        dz, edges, counts = sg.displacement_distribution(m, config, n, rng, bins=17)
+        dz, edges, counts = sg.displacement_distribution(m, config, n, rng)
         ref = stream(11, "sg-blocks", m, n)
+        s, c = np.empty(n), np.empty(n)
+        for child, (start, stop) in zip(ref.spawn(-(-n // BLOCK)), _spans(n)):
+            om._sin2_block(m, child, s[start:stop], c[start:stop])
         k = sg.displacement(0.0, m, 2.0, 1.5)
-        expected = k * _odd_power_one_call(om.sample_cos_theta(m, ref, n), m)
+        if m:
+            expected = k * np.exp((m + 0.5) * np.log1p(-np.abs(s)))
+        else:
+            expected = k / np.sqrt(c)
+        expected = np.copysign(expected, s)
         assert np.array_equal(dz, expected)
-        expected_counts, expected_edges = np.histogram(expected, 17, range=(-k, k))
+        expected_counts, expected_edges = np.histogram(expected, 200, range=(-k, k))
         assert np.array_equal(counts, expected_counts)
         assert np.array_equal(edges, expected_edges)
         assert rng.random() == ref.random()
@@ -251,17 +261,17 @@ class TestDisplacement:
         # blocks, are those of one call on the same key
         config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
         rng = stream(11, "sg-stream", m, n)
-        edges, counts = sg.displacement_histogram(config, n, rng, 17)
+        edges, counts = sg.displacement_histogram(config, n, rng, 200)
         ref = stream(11, "sg-stream", m, n)
-        expected = np.zeros(17, dtype=counts.dtype)
+        expected = np.zeros(200, dtype=counts.dtype)
         for start in range(0, n, BLOCK):
             size = min(BLOCK, n - start)
             _, expected_edges, part = sg.displacement_distribution(
-                m, config, size, ref, 17
+                m, config, size, ref
             )
             expected += part
         _, one_edges, one_call = sg.displacement_distribution(
-            m, config, n, stream(11, "sg-stream", m, n), 17
+            m, config, n, stream(11, "sg-stream", m, n)
         )
         assert np.array_equal(counts, expected)
         assert np.array_equal(counts, one_call)
@@ -272,13 +282,15 @@ class TestDisplacement:
 
     def test_histogram_of_many_bins_draws_blocks(self):
         # more bins than the CLI allows are slower, not wrong: the counts are
-        # those of one displacement_distribution call on the same key
+        # np.histogram's of one displacement_distribution call on the same key
         bins, n = BLOCK + 7, 2 * BLOCK + 2
         config = sg.ApparatusConfig(m=2)
         rng = stream(11, "sg-stream-bins")
         edges, counts = sg.displacement_histogram(config, n, rng, bins)
         ref = stream(11, "sg-stream-bins")
-        _, expected_edges, expected = sg.displacement_distribution(2, config, n, ref, bins)
+        dz, _, _ = sg.displacement_distribution(2, config, n, ref)
+        k = sg.displacement(0.0, 2, config.gradient, config.transit_time)
+        expected, expected_edges = np.histogram(dz, bins, range=(-k, k))
         assert np.array_equal(counts, expected)
         assert np.array_equal(edges, expected_edges)
         assert rng.spawn(1)[0].random() == ref.spawn(1)[0].random()
@@ -324,6 +336,63 @@ class TestDisplacement:
         rows = sg.histogram_rows(edges, counts)
         mass = sum(d * (r - l) for l, r, _, d in rows)
         assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+# every admitted order, up to the largest, m = 2**52 - 1, which the CLI admits
+LAW_ORDERS = [0, 1, 10, 10**6, 10**12, 2**52 - 1]
+
+
+def _bin_law(m, edges):
+    """The exact probability of each bin of [-k, k] under theta ~ p_m:
+    |z|/k = |cos theta|^{2m+1} and cos^2 theta ~ Beta(m + 1/2, 1/2), so
+    P(|z|/k >= t) = I_y(1/2, m + 1/2) with y = 1 - t^{2/(2m+1)}, split
+    evenly between the signs."""
+    t = np.abs(edges) / edges[-1]
+    with np.errstate(divide="ignore"):  # t = 0 at the centre edge, y = 1
+        y = -np.expm1(2.0 * np.log(t) / (2 * m + 1))
+    tail = special.betainc(0.5, m + 0.5, y)
+    cdf = np.where(edges < 0, 0.5 * tail, 1.0 - 0.5 * tail)
+    return np.diff(cdf)
+
+
+class TestDisplacementLaw:
+    """The sampled histogram against its exact bin law, at every order the
+    CLI admits; cos theta itself has too few bits for the power 2m + 1 from
+    m ~ 1e11, and filled 12 of 200 bins at m = 2**52 - 1."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bins", [200, BLOCK])
+    @pytest.mark.parametrize("m", LAW_ORDERS)
+    def test_histogram_matches_bin_law(self, m, bins):
+        n = 2 * 10**6
+        config = sg.ApparatusConfig(m=m)
+        edges, counts = sg.displacement_histogram(config, n, stream(13, "sg-law", m), bins)
+        expected = n * _bin_law(m, edges)
+        assert expected.min() >= 5  # Pearson's statistic is chi^2 distributed
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        assert stats.chi2.sf(chi2, bins - 1) > 1e-6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", LAW_ORDERS)
+    def test_density_is_finite_at_every_order(self, m):
+        k = sg.displacement(0.0, m, 1.0, 1.0)
+        z = np.linspace(-k, k, 2001)
+        density = sg.displacement_density(z, m, 1.0, 1.0)
+        assert np.all(np.isfinite(density))
+        assert np.all(density[1:-1] > 0)
+        assert density[0] == density[-1] == 0.0
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_density_keeps_its_values(self, m):
+        # 1 - x^2 by expm1 of the log, against the power form it replaced
+        k = sg.displacement(0.0, m, 1.0, 1.0)
+        z = np.linspace(-k, k, 2001)[1:-1]
+        x = np.sign(z) * (np.abs(z) / k) ** (1.0 / (2 * m + 1))
+        z_m = om.normalization_constant(m)
+        expected = 1.0 / (z_m * k * (2 * m + 1) * np.sqrt(1.0 - x**2))
+        np.testing.assert_allclose(
+            sg.displacement_density(z, m, 1.0, 1.0), expected, rtol=1e-12, atol=0
+        )
 
 
 @settings(max_examples=25, deadline=None)

@@ -169,7 +169,6 @@ def test_non_count_raises_naming_the_value(name, n):
 # n >= 10**4, so they draw 10**4 for n = 1
 BLOCKED = {
     "sample_theta": lambda rng, n: om.sample_theta(3, rng, n),
-    "sample_cos_theta": lambda rng, n: om.sample_cos_theta(3, rng, n),
     "displacement_distribution": lambda rng, n: sg.displacement_distribution(
         1, sg.ApparatusConfig(), n, rng
     ),
@@ -211,7 +210,7 @@ class TestThreadedBlocks:
         assert _bits(two) == _bits(one)
 
     @pytest.mark.parametrize("size", [None, (3, 5), (3, BLOCK + 1)])
-    @pytest.mark.parametrize("name", ["sample_theta", "sample_cos_theta"])
+    @pytest.mark.parametrize("name", ["sample_theta"])
     def test_same_bits_on_one_thread_in_any_shape(self, name, size, monkeypatch):
         sampler = getattr(om, name)
         two = sampler(1, stream(9, "threads-shape", name), size)
@@ -284,7 +283,7 @@ class TestThreadedBlocks:
     def test_concurrent_callers_keep_the_bits(self):
         # more sampling threads than cores, switching as often as possible
         n = 3 * BLOCK + 5
-        names = ["sample_cos_theta", "displacement_histogram",
+        names = ["sample_theta", "displacement_histogram",
                  "expected_angular_momentum"]
         expected = [_bits(BLOCKED[name](stream(9, "threads-race", name), n))
                     for name in names]
