@@ -114,12 +114,12 @@ def _flag(key, value):
 COUNT = _numeric(int, 1)
 REAL = _numeric(float, -math.inf)
 POSITIVE = _numeric(float, 0.0, strict=True)
-# bounds the run time of a draw: the Monte Carlo runs reduce their draws one
-# block at a time and hold no n-sized array, so at 1e7 samples they peak at
-# ~37 MiB RSS, as at the defaults, but stern-gerlach and fluctuations take
-# ~0.8 s each (2-core host, the fluctuations draws on both cores), linear in
-# samples.  NODES bounds the arrays of a grid: a variational grid of 1e7 nodes
-# peaks at ~0.65 GiB and pauli at 2^23 nodes at ~1.7 GiB
+# bounds the run time of a draw: fluctuations reduces its draws one block at
+# a time, on both cores, and holds no n-sized array, so at 1e7 samples it
+# peaks at ~36 MiB RSS, as at the defaults, but takes ~0.9 s (2-core host),
+# linear in samples; stern-gerlach draws one binomial and one multinomial,
+# ~0.25 s at any samples.  NODES bounds the arrays of a grid: a variational
+# grid of 1e7 nodes peaks at ~0.65 GiB and pauli at 2^23 nodes at ~1.7 GiB
 SAMPLES = _numeric(int, 1, high=10**7)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
 # a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),
@@ -141,14 +141,14 @@ SCHEMA = {
     "stern-gerlach": {
         "samples": (SAMPLES, 100000),
         "beta": (REAL, math.pi / 3),
-        # ApparatusConfig takes any whole m below 2**52; the sampler and Z_m
+        # ApparatusConfig takes any whole m below 2**52; the bin law and Z_m
         # cost O(1) in m
         "m": (_numeric(int, 0), 1),
         "eta": (POSITIVE, 1.0),
         "transit_time": (POSITIVE, 1.0),
-        # bounds the output's cost: at 2**14 bins, `--samples 1e7` peaks at
-        # ~41 MiB RSS as csv (~37 MiB at 200 bins) and takes ~0.15 s longer,
-        # 0.6-0.7 s on a 2-core host
+        # bounds the output's cost: at 2**14 bins a run peaks at ~40 MiB RSS
+        # as csv (~36 MiB at 200 bins), its bin law takes ~6 ms and the run
+        # ~0.25 s on a 2-core host, as at 200 bins
         "bins": (_numeric(int, 1, high=BLOCK), 200),
     },
     "bell-test": {

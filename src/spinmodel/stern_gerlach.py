@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .orientation import (
     _sin2_block,
     normalization_constant,
 )
-from .streams import BLOCK, _blocks, _require_count, _run_blocks
+from .streams import BLOCK, _require_count, _run_blocks, _spans
 
 UP = +1
 DOWN = -1
@@ -89,27 +89,16 @@ def displacement(theta, m: int, eta: float, transit_time: float):
         prefactor = math.inf
     if prefactor == math.inf:
         raise ValueError("eta and transit_time: displacement scale overflows")
-    return _odd_power(np.cos(theta), m, prefactor)
+    return prefactor * np.cos(theta) ** (2 * m + 1)
 
 
-def _odd_power(c, m: int, scale: float):
-    """scale * c**(2m+1), in place on the fresh float array c (returned, a
-    scalar if c is one), one block of `BLOCK` values at a time by repeated
-    squaring, each square taken in one reused block of scratch; a float
-    power call costs ~10x more."""
-    out = np.asarray(c, dtype=float, order="C")
-    scratch = np.empty(min(BLOCK, out.size))
-    for block in _blocks(out.reshape(-1)):
-        square = np.multiply(block, block, out=scratch[:block.size])
-        k = m
-        while k:
-            if k & 1:
-                block *= square
-            k >>= 1
-            if k:
-                square *= square
-        block *= scale
-    return out[()]
+def _log_fraction(z, k: float):
+    """log(|z| / k) for |z| <= k, -inf at z = 0.  From k/2 up it is
+    log1p((|z| - k) / k), since |z| - k is exact there (Sterbenz) and a
+    rounded |z| / k would lose the distance from the edge k."""
+    a = np.abs(z)
+    with np.errstate(divide="ignore"):  # log(0) = log1p(-1) = -inf
+        return np.where(a >= 0.5 * k, np.log1p((a - k) / k), np.log(a / k))
 
 
 def displacement_density(z, m: int, eta: float, transit_time: float):
@@ -125,10 +114,8 @@ def displacement_density(z, m: int, eta: float, transit_time: float):
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     inside = np.abs(z) < k
-    with np.errstate(divide="ignore"):  # log(0) = -inf at z = 0, where x = 0
-        log_frac = np.log(np.abs(z[inside]) / k)
     z_m = normalization_constant(m)
-    sin2 = -np.expm1(2.0 * log_frac / (2 * m + 1))
+    sin2 = -np.expm1(2.0 * _log_fraction(z[inside], k) / (2 * m + 1))
     out[inside] = 1.0 / (z_m * k * (2 * m + 1) * np.sqrt(sin2))
     return out
 
@@ -150,51 +137,6 @@ def _scale_and_edges(config: ApparatusConfig, bins):
     return k, np.linspace(-k, k, bins + 1)
 
 
-def _displacement_counts(m: int, k: float, edges, rng, n: int, out=None):
-    """The counts, in the bins of edges, of n displacements
-    k cos^{2m+1}(theta) for theta ~ p_m, each block drawn by `_sin2_block`
-    and binned where it is drawn, on two threads by the `streams` rule.
-    Block b's displacements go into out[start:stop] if out is given, else
-    into a block of scratch.
-
-    k |cos(theta)|^{2m+1} = k exp((m + 1/2) log1p(-sin^2(theta))) keeps the
-    displacement's precision at every order m >= 1: cos(theta) lies within
-    ~1/m of 1, where float64 has too few bits for its power 2m + 1 from
-    m ~ 1e11.  At m = 0, where 1 - sin^2(theta) would cancel near pi/2,
-    |cos(theta)| is 1 / sqrt(1 + t^2).
-    """
-    counts = np.zeros(edges.size - 1, dtype=np.intp)
-    lock = threading.Lock()
-
-    def kernel(blocks):
-        size = min(BLOCK, n)
-        s, index = np.empty(size), np.empty(size, dtype=np.intp)
-        scratch = np.empty(size) if out is None else None
-        for child, start, stop in blocks:
-            sin2 = s[:stop - start]
-            dz = scratch[:sin2.size] if out is None else out[start:stop]
-            _sin2_block(m, child, sin2, dz)
-            if m:
-                np.abs(sin2, out=dz)
-                np.negative(dz, out=dz)
-                with np.errstate(divide="ignore"):  # -inf if sin^2 rounds to 1
-                    np.log1p(dz, out=dz)
-                dz *= m + 0.5
-                np.exp(dz, out=dz)
-                dz *= k
-            else:  # k / sqrt(1 + t^2), which keeps the small |cos(theta)|
-                np.sqrt(dz, out=dz)
-                np.divide(k, dz, out=dz)
-            np.copysign(dz, sin2, out=dz)
-            part = _bin_counts(dz, edges, sin2, index[:sin2.size])
-            with lock:
-                np.add(counts, part, out=counts)
-            yield
-
-    _run_blocks(rng, n, kernel)
-    return counts
-
-
 def displacement_distribution(
     m: int,
     config: ApparatusConfig,
@@ -203,55 +145,105 @@ def displacement_distribution(
 ):
     """Sample the continuous displacement distribution of the weak regime.
 
-    Returns (samples, bin_edges, counts), in 200 bins.  m must equal
-    config.m, and the bin width 2k/200, with k the displacement scale, a
-    normal float.
+    Returns (samples, bin_edges, counts), in 200 bins: the counts are
+    np.histogram's of the samples.  m must equal config.m, and the bin
+    width 2k/200, with k the displacement scale, a normal float.  Each
+    block is drawn by `_sin2_block`, on two threads by the `streams` rule,
+    and binned where it is drawn.  k |cos(theta)|^{2m+1}
+    = k exp((m + 1/2) log1p(-sin^2(theta))) keeps the displacement's
+    precision at every order m >= 1: cos(theta) lies within ~1/m of 1,
+    where float64 has too few bits for its power 2m + 1 from m ~ 1e11.  At
+    m = 0, where 1 - sin^2(theta) would cancel near pi/2, |cos(theta)| is
+    1 / sqrt(1 + t^2).
     """
     if m != config.m:
         raise ValueError(f"m = {m!r} disagrees with config.m = {config.m!r}")
     n_samples = _require_count("n_samples", n_samples)
     k, edges = _scale_and_edges(config, 200)
     dz = np.empty(n_samples)
-    return dz, edges, _displacement_counts(m, k, edges, rng, n_samples, dz)
+
+    def kernel(blocks):
+        s = np.empty(min(BLOCK, n_samples))
+        for child, start, stop in blocks:
+            sin2, out = s[:stop - start], dz[start:stop]
+            _sin2_block(m, child, sin2, out)
+            if m:
+                np.abs(sin2, out=out)
+                np.negative(out, out=out)
+                with np.errstate(divide="ignore"):  # -inf if sin^2 rounds to 1
+                    np.log1p(out, out=out)
+                out *= m + 0.5
+                np.exp(out, out=out)
+                out *= k
+            else:  # k / sqrt(1 + t^2), which keeps the small |cos(theta)|
+                np.sqrt(out, out=out)
+                np.divide(k, out, out=out)
+            np.copysign(out, sin2, out=out)
+            yield np.histogram(out, edges)[0]
+
+    return dz, edges, sum(_run_blocks(rng, n_samples, kernel))
 
 
-def _bin_counts(x, edges, scratch, index):
-    """Counts of the values x, all within [edges[0], edges[-1]], in the bins
-    of the evenly spaced edges, by np.histogram's rule: bin i holds
-    edges[i] <= x < edges[i + 1], and the last bin its right edge too.
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-node Gauss-Legendre rule on [0, 1], as
+    read-only arrays: the roots x of P_n by Newton steps on the Legendre
+    recurrence from their estimates cos(pi (i + 3/4) / (n + 1/2)), and the
+    weights 1 / ((1 - x^2) P_n'(x)^2).  No LAPACK call, as in
+    `fluctuations._gauss_hermite`."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):  # quadratic from these estimates: rounding in ~4 steps
+        p_before, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_before, p = p, ((2 * j - 1) * x * p - (j - 1) * p_before) / j
+        slope = n * (x * p - p_before) / (x * x - 1.0)
+        x = x - p / slope
+    nodes, weights = 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * slope**2)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    As np.histogram does, the bin is estimated from the bin width and then
-    moved by one where x falls on the wrong side of an edge, but in scratch
-    and index, a float and an intp array of x's size, where np.histogram
-    holds ~34 bytes of temporaries per value.
+
+def _bin_law(m: int, edges):
+    """The probability of each bin of the evenly spaced edges of [-k, k]
+    under theta ~ p_m: the exact law of the bin of one displacement.
+
+    In v = sqrt(-log(|z| / k)) the displacements of either sign have the
+    density f(v) = 2 v e^{-v^2} / ((2m + 1) Z_m sqrt(-expm1(-2 v^2 / (2m + 1)))),
+    smooth and finite at every order, of mass 1/2 over v >= 0.  So
+    P(z <= edge) is f's outer mass from v = 0 to the edge's v below 0, 1/2
+    at 0, and one minus that above 0.  Each gap between two edges of one
+    sign takes a 24-node `_gauss_legendre` rule, in spans of gaps, so that
+    no gaps x nodes array is held.
     """
-    bins = edges.size - 1
-    f = np.subtract(x, edges[0], out=scratch)
-    f /= edges[-1] - edges[0]
-    f *= bins
-    np.copyto(index, f, casting="unsafe")  # truncated, as by astype
-    # mode="clip", though every index is in range: "raise" buffers out;
-    # the few moved indices are set through the mask, since adding the mask
-    # would cast it to intp through a 64 KiB buffer
-    wrong = x < np.take(edges, index, out=f, mode="clip")
-    index[wrong] -= 1
-    right = np.take(edges[1:], index, out=f, mode="clip")
-    np.greater_equal(x, right, out=wrong)
-    index[wrong] += 1
-    np.minimum(index, bins - 1, out=index)  # x = edges[-1], in the last bin
-    return np.bincount(index, minlength=bins)
+    nodes, weights = _gauss_legendre(24)
+    a = 2.0 / (2 * m + 1)
+
+    def outer(v):  # f's integral from v[0] = 0 to each of the increasing v
+        gaps = np.empty(v.size - 1)
+        for start, stop in _spans(gaps.size, BLOCK // nodes.size):
+            width = np.diff(v[start:stop + 1])
+            x = v[start:stop] + width * nodes[:, None]
+            f = x * np.exp(-x * x) / np.sqrt(-np.expm1(-a * x * x))
+            gaps[start:stop] = width * np.einsum("i,ij->j", weights, f)
+        return a / normalization_constant(m) * np.concatenate(([0.0], np.cumsum(gaps)))
+
+    v = np.sqrt(-_log_fraction(edges, edges[-1]))  # inf at an edge of 0
+    cdf = np.full(edges.size, 0.5)
+    cdf[edges < 0] = outer(v[edges < 0])
+    cdf[edges > 0] = 1.0 - outer(v[edges > 0][::-1])[::-1]
+    return np.diff(cdf)
 
 
 def displacement_histogram(
     config: ApparatusConfig, n_samples: int, rng: np.random.Generator, bins: int
 ):
     """(bin_edges, counts) of n_samples displacements of the weak regime at
-    order config.m, without an n-sized array: each block's displacements
-    are binned where they are drawn, in a block of scratch.  At 200 bins the
-    counts are those of `displacement_distribution` on the same stream."""
+    order config.m.  The counts of n independent displacements are
+    Multinomial(n, p), p being `_bin_law`, so they are one multinomial draw
+    from rng, O(bins) work at any n_samples."""
     n_samples = _require_count("n_samples", n_samples)
-    k, edges = _scale_and_edges(config, bins)
-    return edges, _displacement_counts(config.m, k, edges, rng, n_samples)
+    _, edges = _scale_and_edges(config, bins)
+    return edges, rng.multinomial(n_samples, _bin_law(config.m, edges))
 
 
 def histogram_rows(edges: np.ndarray, counts: np.ndarray):

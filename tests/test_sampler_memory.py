@@ -5,9 +5,9 @@ at 10**6 draws it holds its output and a few blocks of scratch: at most
 ~1 MiB besides the output.  A sampler that allocates an n-sized
 scratch array (8 MB at this n) fails.  `kl_shift_rate` on the CLI's 4001-node
 grid holds no 32 x 4001 array (1 MB) either.  The streamed reductions,
-`displacement_histogram`, `expected_uncertainty_product` and
-`expected_angular_momentum`, hold no n-sized array at all: ~1 MiB besides
-their output at 10**6 and at 4 * 10**6 draws.
+`expected_uncertainty_product` and `expected_angular_momentum`, hold no
+n-sized array at all: ~1 MiB besides their output at 10**6 and at 4 * 10**6
+draws; `displacement_histogram`, one multinomial draw, holds O(bins).
 """
 
 import math

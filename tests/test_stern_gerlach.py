@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import integrate, special, stats
 from spinmodel import orientation as om
 from spinmodel import qm_oracle as qm
 from spinmodel import stern_gerlach as sg
+from spinmodel import streams
 from spinmodel.streams import BLOCK, _spans, stream
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
@@ -80,18 +82,6 @@ class TestConditionalDensity:
         assert float(np.max(np.abs(twice.values - target))) < 1e-9
 
 
-def _odd_power_one_call(c, m):
-    """c**(2m+1) by repeated squaring over the whole array at once."""
-    out, square = c.copy(), c * c
-    while m:
-        if m & 1:
-            out *= square
-        m >>= 1
-        if m:
-            square *= square
-    return out
-
-
 class TestDisplacement:
     def test_maximum_value(self):
         assert sg.displacement(0.0, 1, 1.0, 1.0) == pytest.approx(
@@ -115,8 +105,7 @@ class TestDisplacement:
         thetas = om.sample_theta(m, stream(3, "sg-power", m), 100000)
         prefactor = 1.0 / (4.0 * om.normalization_constant(m))
         expected = prefactor * np.cos(thetas) ** (2 * m + 1)
-        dz = sg.displacement(thetas, m, 1.0, 1.0)
-        np.testing.assert_allclose(dz, expected, rtol=1e-14, atol=0)
+        assert np.array_equal(sg.displacement(thetas, m, 1.0, 1.0), expected)
 
     def test_requires_finite_order(self):
         # the order is a whole number m >= 0
@@ -256,57 +245,36 @@ class TestDisplacement:
     @pytest.mark.parametrize("m", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_histogram_is_the_sum_of_block_calls(self, m, n):
-        # each call spawns the next children of the stream, so the counts of
-        # consecutive calls, of one block each or of any whole number of
-        # blocks, are those of one call on the same key
+        # each call spawns the next children of the stream, so consecutive
+        # calls of one block each give the samples of one call on the same
+        # key, and their counts add up to its counts
         config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
         rng = stream(11, "sg-stream", m, n)
-        edges, counts = sg.displacement_histogram(config, n, rng, 200)
+        dz, edges, counts = sg.displacement_distribution(m, config, n, rng)
         ref = stream(11, "sg-stream", m, n)
-        expected = np.zeros(200, dtype=counts.dtype)
-        for start in range(0, n, BLOCK):
-            size = min(BLOCK, n - start)
-            _, expected_edges, part = sg.displacement_distribution(
-                m, config, size, ref
-            )
-            expected += part
-        _, one_edges, one_call = sg.displacement_distribution(
-            m, config, n, stream(11, "sg-stream", m, n)
-        )
-        assert np.array_equal(counts, expected)
-        assert np.array_equal(counts, one_call)
-        assert np.array_equal(edges, expected_edges)
-        assert np.array_equal(edges, one_edges)
+        parts = [sg.displacement_distribution(m, config, stop - start, ref)
+                 for start, stop in _spans(n)]
+        assert np.array_equal(dz, np.concatenate([part[0] for part in parts]))
+        assert np.array_equal(counts, sum(part[2] for part in parts))
+        assert all(np.array_equal(edges, part[1]) for part in parts)
         assert int(counts.sum()) == n
         assert rng.random() == ref.random()
-
-    def test_histogram_of_many_bins_draws_blocks(self):
-        # more bins than the CLI allows are slower, not wrong: the counts are
-        # np.histogram's of one displacement_distribution call on the same key
-        bins, n = BLOCK + 7, 2 * BLOCK + 2
-        config = sg.ApparatusConfig(m=2)
-        rng = stream(11, "sg-stream-bins")
-        edges, counts = sg.displacement_histogram(config, n, rng, bins)
-        ref = stream(11, "sg-stream-bins")
-        dz, _, _ = sg.displacement_distribution(2, config, n, ref)
-        k = sg.displacement(0.0, 2, config.gradient, config.transit_time)
-        expected, expected_edges = np.histogram(dz, bins, range=(-k, k))
-        assert np.array_equal(counts, expected)
-        assert np.array_equal(edges, expected_edges)
-        assert rng.spawn(1)[0].random() == ref.spawn(1)[0].random()
 
     @pytest.mark.parametrize("bins", [1, 17, 200, 16384])
     @pytest.mark.parametrize("k", [1.0, 0.1234567, 1e-290, 1e300])
     def test_bin_counts_are_those_of_np_histogram(self, bins, k):
-        # every edge and its two neighbouring floats, and a uniform spread
-        edges = np.histogram_bin_edges([], bins, range=(-k, k))
+        # the sampler bins each block by np.histogram with explicit edges,
+        # numpy's sort-and-search path; its counts are those of numpy's
+        # path for evenly spaced bins over (-k, k), at every edge and its
+        # two neighbouring floats and for a uniform spread
+        edges = np.linspace(-k, k, bins + 1)
         x = np.concatenate([
             edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf),
             stream(11, "sg-bin-counts").uniform(-k, k, 5000),
         ]).clip(-k, k)
-        n = x.size
-        got = sg._bin_counts(x, edges, np.empty(n), np.empty(n, dtype=np.intp))
-        assert np.array_equal(got, np.histogram(x, bins, range=(-k, k))[0])
+        assert np.array_equal(
+            np.histogram(x, edges)[0], np.histogram(x, bins, range=(-k, k))[0]
+        )
 
     @pytest.mark.parametrize("bins", [0, 2.5, math.nan, 1e300])
     def test_histogram_rejects_bins_that_are_not_a_count(self, bins):
@@ -319,15 +287,6 @@ class TestDisplacement:
         config = sg.ApparatusConfig(gradient=1e-300, transit_time=1e-200)
         with pytest.raises(ValueError, match="eta and transit_time"):
             sg.displacement_histogram(config, 10, stream(11, "sg-stream-scale"), 200)
-
-    @pytest.mark.parametrize("m", [0, 2])
-    def test_displacement_of_any_layout(self, m):
-        # a transposed theta gives a Fortran-ordered cos, which the blocks
-        # must still cover in place
-        thetas = np.linspace(0.0, math.pi, 2 * (BLOCK + 3)).reshape(2, -1).T
-        prefactor = sg.displacement(0.0, m, 1.0, 1.0)
-        expected = prefactor * _odd_power_one_call(np.cos(thetas), m)
-        assert np.array_equal(sg.displacement(thetas, m, 1.0, 1.0), expected)
 
     def test_histogram_rows_density_normalizes(self):
         rng = stream(11, "sg-rows")
@@ -342,7 +301,7 @@ class TestDisplacement:
 LAW_ORDERS = [0, 1, 10, 10**6, 10**12, 2**52 - 1]
 
 
-def _bin_law(m, edges):
+def _betainc_law(m, edges):
     """The exact probability of each bin of [-k, k] under theta ~ p_m:
     |z|/k = |cos theta|^{2m+1} and cos^2 theta ~ Beta(m + 1/2, 1/2), so
     P(|z|/k >= t) = I_y(1/2, m + 1/2) with y = 1 - t^{2/(2m+1)}, split
@@ -355,19 +314,71 @@ def _bin_law(m, edges):
     return np.diff(cdf)
 
 
+def _edges(m, bins):
+    return sg._scale_and_edges(sg.ApparatusConfig(m=m), bins)[1]
+
+
 class TestDisplacementLaw:
-    """The sampled histogram against its exact bin law, at every order the
-    CLI admits; cos theta itself has too few bits for the power 2m + 1 from
-    m ~ 1e11, and filled 12 of 200 bins at m = 2**52 - 1."""
+    """The displacement's bin law and its samples against the exact law,
+    at every order the CLI admits; cos theta itself has too few bits for
+    the power 2m + 1 from m ~ 1e11, and the sampler that raised it filled
+    12 of 200 bins at m = 2**52 - 1."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bins", [1, 2, 7, 200, 201, BLOCK])
+    @pytest.mark.parametrize("m", LAW_ORDERS)
+    def test_bin_law_matches_betainc(self, m, bins):
+        # 201 bins put a central bin across 0.  betainc itself is the
+        # looser side: at m = 0 it reads ~7e-14 off arcsin's exact bin
+        # masses next to the centre of 2**14 bins
+        edges = _edges(m, bins)
+        p = sg._bin_law(m, edges)
+        assert np.max(np.abs(p - _betainc_law(m, edges))) <= 1e-13
+        assert p.min() >= 0.0
+        assert abs(p.sum() - 1.0) <= 1e-12
+
+    def test_bin_law_approaches_the_limit_law(self):
+        # as m grows, |z|/k -> e^{-G} with G ~ Gamma(1/2, 1), so
+        # P(|z|/k <= t) -> erfc(sqrt(-ln t)); the distance is ~7e-3 / m
+        m = 10**6
+        edges = _edges(m, 200)
+        with np.errstate(divide="ignore"):  # t = 0 at the centre edge
+            inner = special.erfc(np.sqrt(-np.log(np.abs(edges) / edges[-1])))
+        cdf = np.where(edges < 0, 0.5 * (1.0 - inner), 0.5 * (1.0 + inner))
+        assert np.max(np.abs(sg._bin_law(m, edges) - np.diff(cdf))) <= 1e-8
+
+    @pytest.mark.parametrize("bins", [1, 200, BLOCK])
+    @pytest.mark.parametrize("m", [0, 1, 2**52 - 1])
+    def test_histogram_is_one_multinomial_draw(self, m, bins, monkeypatch):
+        # from the caller's generator: no child stream and no thread
+        def no_thread(first, second):
+            raise AssertionError("displacement_histogram started a thread")
+
+        monkeypatch.setattr(streams, "_two_threads", no_thread)
+        n = 10**7
+        rng, ref = stream(13, "sg-multinomial", m), stream(13, "sg-multinomial", m)
+        edges, counts = sg.displacement_histogram(sg.ApparatusConfig(m=m), n, rng, bins)
+        assert np.array_equal(edges, _edges(m, bins))
+        assert np.array_equal(counts, ref.multinomial(n, sg._bin_law(m, edges)))
+        assert int(counts.sum()) == n
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert rng.random() == ref.random()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bins", [200, BLOCK])
     @pytest.mark.parametrize("m", LAW_ORDERS)
     def test_histogram_matches_bin_law(self, m, bins):
+        # Pearson's chi^2 of the sampled displacements, in the sampler's own
+        # 200 bins and in 2**14
         n = 2 * 10**6
         config = sg.ApparatusConfig(m=m)
-        edges, counts = sg.displacement_histogram(config, n, stream(13, "sg-law", m), bins)
-        expected = n * _bin_law(m, edges)
+        dz, edges, counts = sg.displacement_distribution(
+            m, config, n, stream(13, "sg-law", m)
+        )
+        if bins != 200:
+            edges = _edges(m, bins)
+            counts = np.histogram(dz, edges)[0]
+        expected = n * _betainc_law(m, edges)
         assert expected.min() >= 5  # Pearson's statistic is chi^2 distributed
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert stats.chi2.sf(chi2, bins - 1) > 1e-6
@@ -393,6 +404,22 @@ class TestDisplacementLaw:
         np.testing.assert_allclose(
             sg.displacement_density(z, m, 1.0, 1.0), expected, rtol=1e-12, atol=0
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [1, 2**52 - 1])
+    def test_density_keeps_the_distance_from_the_edge(self, m):
+        # at the last float below k, a rounded z/k would lose k - z; the
+        # reference takes log(z/k) in 60-digit decimals
+        k = sg.displacement(0.0, m, 1.0, 1.0)
+        z = np.nextafter(k, 0.0)
+        with decimal.localcontext() as context:
+            context.prec = 60
+            log_fraction = (decimal.Decimal(z) / decimal.Decimal(k)).ln()
+            sin2 = float(1 - (2 * log_fraction / (2 * m + 1)).exp())
+        z_m = om.normalization_constant(m)
+        expected = 1.0 / (z_m * k * (2 * m + 1) * math.sqrt(sin2))
+        density = sg.displacement_density([-z, z], m, 1.0, 1.0)
+        np.testing.assert_allclose(density, expected, rtol=1e-14, atol=0)
 
 
 @settings(max_examples=25, deadline=None)

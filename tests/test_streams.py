@@ -172,9 +172,6 @@ BLOCKED = {
     "displacement_distribution": lambda rng, n: sg.displacement_distribution(
         1, sg.ApparatusConfig(), n, rng
     ),
-    "displacement_histogram": lambda rng, n: sg.displacement_histogram(
-        sg.ApparatusConfig(m=2), n, rng, 200
-    ),
     "sample_displacement": lambda rng, n: fl.sample_displacement(
         fl.TranslationParams(), rng, n
     ),
@@ -283,7 +280,7 @@ class TestThreadedBlocks:
     def test_concurrent_callers_keep_the_bits(self):
         # more sampling threads than cores, switching as often as possible
         n = 3 * BLOCK + 5
-        names = ["sample_theta", "displacement_histogram",
+        names = ["sample_theta", "displacement_distribution",
                  "expected_angular_momentum"]
         expected = [_bits(BLOCKED[name](stream(9, "threads-race", name), n))
                     for name in names]
