@@ -114,12 +114,12 @@ def _flag(key, value):
 COUNT = _numeric(int, 1)
 REAL = _numeric(float, -math.inf)
 POSITIVE = _numeric(float, 0.0, strict=True)
-# bounds the run time of a draw: fluctuations reduces its draws one block at
-# a time, on both cores, and holds no n-sized array, so at 1e7 samples it
-# peaks at ~36 MiB RSS, as at the defaults, but takes ~0.9 s (2-core host),
-# linear in samples; stern-gerlach draws one binomial and one multinomial,
-# ~0.25 s at any samples.  NODES bounds the arrays of a grid: a variational
-# grid of 1e7 nodes peaks at ~0.65 GiB and pauli at 2^23 nodes at ~1.7 GiB
+# every sampling subcommand draws its counts and rows as variates of their
+# exact laws (fluctuations one Gamma variate per sampled row, stern-gerlach a
+# binomial and a multinomial, the Bell runs a multinomial per setting), so at
+# 1e7 samples each takes ~0.2-0.35 s and peaks at ~36 MiB RSS (2-core host),
+# as at the defaults.  NODES bounds the arrays of a grid: a variational grid
+# of 1e7 nodes peaks at ~0.65 GiB and pauli at 2^23 nodes at ~1.7 GiB
 SAMPLES = _numeric(int, 1, high=10**7)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
 # a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),
@@ -386,6 +386,15 @@ def run_pauli(config, seed):
     return [("pauli_snapshot", header, rows)], summary
 
 
+# the shift variances dt / (2 mass) a KL row admits.  The row's ratio to its
+# exact 1 depends on that variance v alone (the same to 1e-15 at mass 1,
+# 10^6 and 10^-6); on the row's 4001-node grid of [-10, 10] it is within 1e-4
+# of 1 for v from ~2e-14 to ~4.5, and within 4.3e-5 on this band.  Below it,
+# the rounding of log rho at the grid's edge swamps the divergence (-0.70 at
+# v = 5e-19); above it, the outer shifts leave the grid (0.146 at v = 500)
+_KL_VARIANCES = (1e-13, 4.0)
+
+
 def run_fluctuations(config, seed):
     rng = stream(seed, "fluctuations")
     n = config["samples"]
@@ -398,7 +407,14 @@ def run_fluctuations(config, seed):
         rows.append((f"angular_momentum_m{mass}_w{omega}", ls, 0.5))
     x = np.linspace(-10, 10, 4001)
     rho = np.exp(-(x**2) / 2.0) / math.sqrt(2 * math.pi)
+    low, high = _KL_VARIANCES
     for dt in config["dt_sequence"]:
+        variance = dt / (2.0 * config["mass"])
+        if not low <= variance <= high:
+            raise ConfigError(
+                f"dt_sequence and mass: dt / (2 mass) must be in [{low}, {high}] "
+                f"for the KL rows, got {variance!r} at dt = {dt!r}"
+            )
         p = fluctuations.TranslationParams(config["mass"], dt)
         rate = fluctuations.kl_shift_rate(x, rho, p)
         fisher = fluctuations.fisher_functional(x, rho, p)

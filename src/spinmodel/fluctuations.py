@@ -2,29 +2,34 @@
 
 In natural units (hbar = 1), translational fluctuations follow a Gaussian
 transition kernel whose per-component variance dt / 2m reproduces
-<dx dp> = 1/2.  The rotational model samples the radius u of random
-circular motion as |N(0, 1 / 2 m omega)|, so the Monte Carlo average of
-m omega u^2 lands on <L_s> = 1/2 independent of mass and frequency.
-The Kullback-Leibler metric, averaged over the shift by Gauss-Hermite
-quadrature, converges to (1/4m) int (grad rho)^2 / rho as dt -> 0.
+<dx dp> = 1/2.  The rotational model takes the radius u of random circular
+motion as |N(0, 1 / 2 m omega)|, so m omega u^2 averages to <L_s> = 1/2
+independent of mass and frequency.  Each Monte Carlo average is a weight
+times the mean of squared normals, drawn as one variate of that mean's
+exact law.  The Kullback-Leibler metric, averaged over the shift by
+Gauss-Hermite quadrature, converges to (1/4m) int (grad rho)^2 / rho as
+dt -> 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .streams import (
-    BLOCK,
-    _blocks,
-    _normal_blocks,
-    _require_count,
-    _run_blocks,
-    _spans,
-)
+from .streams import BLOCK, _require_count, _run_blocks, _spans
+
+
+def _require_normal(what: str, *scales):
+    """Raise, saying `what` the scales are, unless each is a positive normal
+    float: one that overflowed to inf or fell below 2**-1022 turned the
+    estimates into NaN, inf or 0."""
+    if not all(sys.float_info.min <= s <= sys.float_info.max for s in scales):
+        got = " and ".join(map(repr, scales))
+        raise ValueError(f"{what} must be positive normal floats, got {got}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,11 @@ class TranslationParams:
     def __post_init__(self):
         if not (0 < self.mass < math.inf and 0 < self.dt < math.inf):
             raise ValueError("all parameters must be positive and finite")
+        _require_normal(
+            "mass and dt: dt / (2 mass) and mass / dt",
+            self.component_variance,
+            self.mass / self.dt,
+        )
 
     @property
     def component_variance(self) -> float:
@@ -49,6 +59,10 @@ class RotationParams:
     def __post_init__(self):
         if not (0 < self.mass < math.inf and 0 < self.omega < math.inf):
             raise ValueError("all parameters must be positive and finite")
+        # m omega first: once it is normal, 1 / (2 m omega) divides by no 0
+        weight = self.mass * self.omega
+        _require_normal("mass and omega: mass * omega", weight)
+        _require_normal("mass and omega: 1 / (2 mass omega)", 0.5 / weight)
 
     @property
     def radius_scale(self) -> float:
@@ -83,31 +97,20 @@ def uncertainty_product(samples: np.ndarray, params: TranslationParams) -> float
     w = np.asarray(samples, dtype=float)
     if w.ndim != 2 or w.shape[0] < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
-    sums = (_square_sum(v) for v in _blocks(w.reshape(-1)))
-    return _uncertainty_product(params, sums, w.size)
+    return params.mass / params.dt * float(_square_sum(w.reshape(-1))) / w.size
 
 
 def expected_uncertainty_product(
     params: TranslationParams, n: int, rng: np.random.Generator
 ) -> float:
-    """Monte Carlo <dx_i dp_i> over n displacement vectors, expected 1/2.
-
-    The vectors are drawn as `sample_displacement` draws them, but block by
-    block, so the estimate has the bits of
-    `uncertainty_product(sample_displacement(params, rng, n), params)` on the
-    same stream, without the (n, 3) array."""
+    """Monte Carlo <dx_i dp_i> over n displacement vectors, expected 1/2:
+    m / dt times the mean square of their 3n components, each of variance
+    `component_variance`, the mean drawn by `_mean_of_squares`."""
     n = _require_count("n", n)
     if n < 10**4:
         raise ValueError("need at least 1e4 displacement samples")
-    sd = math.sqrt(params.component_variance)
-
-    def kernel(blocks):
-        for w in _normal_blocks(blocks):
-            w *= sd
-            yield _square_sum(w)
-
-    sums = _run_blocks(rng, 3 * n, kernel)
-    return _uncertainty_product(params, sums, 3 * n)
+    mean = _mean_of_squares(3 * n, rng)
+    return params.mass / params.dt * params.component_variance * mean
 
 
 def _square_sum(v):
@@ -117,19 +120,10 @@ def _square_sum(v):
     return np.einsum("i,i->", v, v)
 
 
-def _uncertainty_product(params: TranslationParams, sums, size: int) -> float:
-    """m / dt times the mean of the squares of `size` displacement
-    components, from the sums of squares of their blocks in block order."""
-    return params.mass / params.dt * float(_ordered_sum(sums)) / size
-
-
-def _ordered_sum(values):
-    """The sum of values, added one at a time in order: a blocked estimate
-    adds its block sums so, whichever thread computed them."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def _mean_of_squares(count: int, rng: np.random.Generator) -> float:
+    """The mean of `count` squared standard normals, drawn as one variate of
+    its exact law chi^2_count / count = 2 Gamma(count / 2) / count."""
+    return 2.0 * float(rng.standard_gamma(count / 2)) / count
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +133,15 @@ def _ordered_sum(values):
 def expected_angular_momentum(
     params: RotationParams, n: int, rng: np.random.Generator
 ) -> float:
-    """Monte Carlo <m omega u^2>; 1/2 for any (m, omega)."""
+    """Monte Carlo <m omega u^2> over n radii u = |N(0, 1/2 m omega)|; 1/2
+    for any (m, omega).  Only u^2 enters, so the mean is m omega
+    `radius_scale`^2 times the mean of n squared standard normals, drawn by
+    `_mean_of_squares`."""
     n = _require_count("n", n)
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
-    scale, weight = params.radius_scale, params.mass * params.omega
-
-    # u = |N(0, 1/2 m omega)|, but only u**2 enters and the sign does not
-    # change it, so the draws are scaled and squared in place as they come
-    def kernel(blocks):
-        for v in _normal_blocks(blocks):
-            v *= scale
-            v *= v
-            v *= weight
-            yield np.sum(v)
-
-    return float(_ordered_sum(_run_blocks(rng, n, kernel)) / n)
+    weight = params.mass * params.omega
+    return weight * params.radius_scale**2 * _mean_of_squares(n, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,15 @@ yield statistically independent streams.  The key is the ``repr`` of
 hashes its bytes into the SFC64 state.
 
 The samplers share the rules of their draws here: `_require_count`, the one
-check of a count of draws, and one block rule, so that no sampler holds an
-n-sized scratch array and every sampler runs on two cores with the bits it
+check of a count of draws, and one block rule, so that no blocked sampler
+holds an n-sized scratch array and each runs on two cores with the bits it
 has on one:
 
 - Blocks.  A call's n values go in consecutive blocks of `BLOCK`, the last
-  one shorter (`_spans`, `_blocks`), and block b is drawn from child b of
+  one shorter (`_spans`), and block b is drawn from child b of
   ``rng.spawn(ceil(n / BLOCK))`` (`_run_blocks`).  The caller's generator
   only spawns: its own draws are untouched, and the next call spawns the
-  next children.  Normals are drawn block by block into one reused array
-  (`_normal_blocks`).
+  next children.
 - Threads.  `_split` hands the blocks, in order, to the caller and one
   worker thread, each taking the next block left and keeping its scratch
   from block to block.  The worker comes from `_two_threads`, the package's
@@ -27,8 +26,6 @@ has on one:
   Block b holds the same values whichever thread draws it, so a result
   does not depend on the thread count.  A worker calls only private
   kernels, never a public function.
-- Sums.  A float sum adds its block sums in block order, so a streamed
-  estimate and its array form agree to the bit.
 """
 
 from __future__ import annotations
@@ -74,12 +71,6 @@ def _spans(n: int, size: int = BLOCK):
         yield start, min(start + size, n)
 
 
-def _blocks(values: np.ndarray):
-    """Consecutive views of at most `BLOCK` values of the flat array values."""
-    for start, stop in _spans(values.size):
-        yield values[start:stop]
-
-
 def _run_blocks(rng: np.random.Generator, n: int, kernel) -> list:
     """The results of kernel for the blocks of range(n), in block order,
     computed by `_split`: kernel's items are (child, start, stop), block b
@@ -95,16 +86,6 @@ def _run_blocks(rng: np.random.Generator, n: int, kernel) -> list:
         children = rng.spawn(len(window))
         results += _split([(c, *span) for c, span in zip(children, window)], kernel)
     return results
-
-
-def _normal_blocks(blocks):
-    """The standard normals of each (child, start, stop) of blocks, in order,
-    drawn from the child into one reused array, as long as the first block."""
-    z = None
-    for child, start, stop in blocks:
-        if z is None:
-            z = np.empty(stop - start)
-        yield child.standard_normal(out=z[:stop - start])
 
 
 def _split(items: list, kernel) -> list:

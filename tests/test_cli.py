@@ -192,12 +192,24 @@ class TestRun:
         edges, counts = sg.displacement_histogram(sg.ApparatusConfig(), 2000, rng, 11)
         assert rows == sg.histogram_rows(edges, counts)
 
-    def test_fluctuations_product_is_the_array_form(self):
+    def test_fluctuations_product_is_one_gamma_draw(self):
         _, config = _small_config(SMALL_RUNS[7])
         summary = cli.run_fluctuations(config, 7)[1]
-        params = fl.TranslationParams()
-        w = fl.sample_displacement(params, stream(7, "fluctuations"), 10000)
-        assert summary["uncertainty_product"] == fl.uncertainty_product(w, params)
+        # one Gamma draw of the run's stream, its first draw
+        rng = stream(7, "fluctuations")
+        expected = fl.expected_uncertainty_product(fl.TranslationParams(), 10000, rng)
+        assert summary["uncertainty_product"] == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mass", [1.0, 1e6, 1e-6])
+    def test_kl_rows_at_the_edges_of_the_admitted_band(self, mass):
+        # dt / (2 mass) at each end of the band, 1e-13 and 4
+        config = _small_config(SMALL_RUNS[7])[1]
+        config.update(mass=mass, dt_sequence=[2 * v * mass for v in cli._KL_VARIANCES])
+        [(_, _, rows)], _ = cli.run_fluctuations(config, 7)
+        kl = [estimate for q, estimate, _ in rows if q.startswith("kl_over_fisher_")]
+        assert len(kl) == 2
+        assert all(abs(ratio - 1.0) <= 1e-4 for ratio in kl)
 
     def test_fluctuations_kl_rows_do_not_depend_on_seed(self, tmp_path, capsys):
         tables = {}
@@ -332,10 +344,19 @@ MALFORMED = [
     ("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-10"], _SCALE),
     # one over the bound, streams.BLOCK = 2**14
     ("stern-gerlach", None, ["--bins", "16385"], "bins"),
+    # dt / (2 mass) or mass / dt underflows or overflows: NaN or inf products
+    ("fluctuations", None, ["--mass", "1e300", "--dt", "1e-300"], "mass and dt"),
+    ("fluctuations", None, ["--mass", "1e-300", "--dt", "1e300"], "mass and dt"),
+    ("fluctuations", None, ["--dt", "1e300", "--mass", "1e-10"], "mass and dt"),
+    # a KL row's dt / (2 mass) outside [1e-13, 4]: ratios of 0, -0.70 and 0.998
+    ("fluctuations", None, ["--mass", "1e300"], "dt_sequence and mass"),
+    ("fluctuations", None, ["--dt-sequence", "1e-18"], "dt_sequence and mass"),
+    ("fluctuations", "dt_sequence = 0.1,16", [], "dt_sequence and mass"),
 ]
 
 
 class TestMalformedInput:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sub, line, flags, key", MALFORMED)
     def test_exit_2_naming_the_key(self, tmp_path, capsys, sub, line, flags, key):
         argv = [sub, "--out", str(tmp_path / "out"), *flags]

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from spinmodel import fluctuations as fl
-from spinmodel import pauli
+from spinmodel import pauli, streams
 from spinmodel.streams import BLOCK, _spans, stream
 from spinmodel.telegraph import DwellModel
 
@@ -20,6 +20,14 @@ class TestTranslation:
         for mass, dt in [(-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan)]:
             with pytest.raises(ValueError):
                 fl.TranslationParams(mass=mass, dt=dt)
+
+    @pytest.mark.parametrize(
+        # dt / 2m or m / dt underflows or overflows: the product read NaN or inf
+        "mass, dt", [(1e300, 1e-300), (1e-300, 1e300), (1e-10, 1e300), (1e200, 1e-120)]
+    )
+    def test_rejects_scales_that_are_not_normal(self, mass, dt):
+        with pytest.raises(ValueError, match=re.escape("mass and dt: dt / (2 mass)")):
+            fl.TranslationParams(mass=mass, dt=dt)
 
     def test_uncertainty_product(self):
         params = fl.TranslationParams()
@@ -49,6 +57,14 @@ class TestRotation:
         with pytest.raises(ValueError):
             fl.RotationParams(mass=mass, omega=omega)
 
+    @pytest.mark.parametrize(
+        # m omega underflows or overflows, or 1 / (2 m omega) is subnormal
+        "mass, omega", [(1e-200, 1e-200), (1e200, 1e200), (1e154, 1e154)]
+    )
+    def test_rejects_scales_that_are_not_normal(self, mass, omega):
+        with pytest.raises(ValueError, match="mass and omega: "):
+            fl.RotationParams(mass=mass, omega=omega)
+
     @pytest.mark.parametrize("mass,omega", [(1.0, 1.0), (3.0, 7.0), (0.5, 2.0)])
     def test_angular_momentum_half_hbar(self, mass, omega):
         params = fl.RotationParams(mass=mass, omega=omega)
@@ -57,65 +73,39 @@ class TestRotation:
             0.5, abs=0.005
         )
 
-    def test_same_bits_as_the_absolute_radius(self):
-        # only u**2 enters, so dropping |.| from u = |N(0, 1/2 m omega)|
-        # leaves every bit of the estimate as it was
-        params = fl.RotationParams(mass=3.0, omega=7.0)
-        u = np.abs(_radii(stream(31, "fl-ls-bits"), params, 10**5))
-        expected = _block_mean(params.mass * params.omega * u**2)
-        got = fl.expected_angular_momentum(params, 10**5, stream(31, "fl-ls-bits"))
-        assert got == expected
-
     @pytest.mark.parametrize(
         "n", [10**4, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 10**6 + 3, 2**20 + 17]
     )
-    def test_same_bits_as_one_mean(self, n):
-        # the blocks' sums are added in block order, so the mean is that of
-        # the whole array summed block by block
+    def test_same_bits_as_one_mean(self, n, monkeypatch):
+        # the mean of the n squared radii is one draw of its exact law, at
+        # odd and even n, from the caller's generator: no child, no thread
+        monkeypatch.setattr(streams, "_two_threads", _no_thread)
         params = fl.RotationParams(mass=3.0, omega=7.0)
-        ref = stream(31, "fl-ls-blocks", n)
-        u = _radii(ref, params, n)
-        expected = _block_mean(params.mass * params.omega * u**2)
-        rng = stream(31, "fl-ls-blocks", n)
+        rng, ref = stream(31, "fl-ls-blocks", n), stream(31, "fl-ls-blocks", n)
+        mean = 2.0 * ref.standard_gamma(n / 2) / n
+        expected = params.mass * params.omega * params.radius_scale**2 * mean
         assert fl.expected_angular_momentum(params, n, rng) == expected
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert rng.random() == ref.random()
 
 
-def _radii(rng, params, n):
-    """n draws of N(0, 1/2 m omega), block b drawn from child b of rng by one
-    call: the block rule of the samplers."""
-    children = rng.spawn(-(-n // BLOCK))
-    return np.concatenate([
-        child.normal(0.0, params.radius_scale, stop - start)
-        for child, (start, stop) in zip(children, _spans(n))
-    ])
-
-
-def _block_mean(values):
-    """The mean of values by the blocked estimates' sum rule: np.sum of each
-    block of BLOCK values, the block sums added in block order."""
-    total = 0.0
-    for start in range(0, values.size, BLOCK):
-        total += np.sum(values[start:start + BLOCK])
-    return float(total / values.size)
+def _no_thread(first, second):
+    raise AssertionError("a fluctuation reduction started a thread")
 
 
 class TestStreamedUncertaintyProduct:
-    @pytest.mark.parametrize(
-        # 3n = 2 BLOCK - 2 and 2 BLOCK + 1 end either side of a block's end
-        "n",
-        [10**4, 2 * BLOCK // 3, 2 * BLOCK // 3 + 1, BLOCK, 3 * BLOCK + 5, 10**6 + 3],
-    )
+    @pytest.mark.parametrize("n", [10**4, 10**4 + 1, 10**6 + 3])
     @pytest.mark.parametrize("mass, dt", [(1.0, 1.0), (3.0, 0.2)])
-    def test_same_bits_as_the_array_form(self, n, mass, dt):
-        # the same normals, squared and summed over the same blocks of the
-        # flat (n, 3) sequence, in the same order
+    def test_same_bits_as_one_mean(self, n, mass, dt, monkeypatch):
+        # the mean square of the 3n components is one draw of its exact law,
+        # from the caller's generator: no child stream and no thread
+        monkeypatch.setattr(streams, "_two_threads", _no_thread)
         params = fl.TranslationParams(mass=mass, dt=dt)
-        rng = stream(31, "fl-ur-stream", n)
-        ref = stream(31, "fl-ur-stream", n)
-        w = fl.sample_displacement(params, ref, n)
-        got = fl.expected_uncertainty_product(params, n, rng)
-        assert got == fl.uncertainty_product(w, params)
+        rng, ref = stream(31, "fl-ur-gamma", n), stream(31, "fl-ur-gamma", n)
+        mean = 2.0 * ref.standard_gamma(3 * n / 2) / (3 * n)
+        expected = params.mass / params.dt * params.component_variance * mean
+        assert fl.expected_uncertainty_product(params, n, rng) == expected
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("n", [1, BLOCK // 3, BLOCK // 3 + 1, 3 * BLOCK + 5])
@@ -132,15 +122,12 @@ class TestStreamedUncertaintyProduct:
         w = fl.sample_displacement(params, stream(31, "fl-ur-blocks", n), n)
         assert np.array_equal(w, expected)
 
-    def test_array_form_sums_squares_block_by_block(self):
+    def test_array_form_is_one_square_sum(self):
         params = fl.TranslationParams(mass=3.0, dt=0.2)
         w = fl.sample_displacement(params, stream(31, "fl-ur-rule"), 3 * BLOCK + 5)
         flat = w.reshape(-1)
-        total = 0.0
-        for start in range(0, flat.size, BLOCK):
-            block = flat[start:start + BLOCK]
-            total += np.einsum("i,i->", block, block)
-        expected = params.mass / params.dt * float(total) / flat.size
+        total = float(np.einsum("i,i->", flat, flat))
+        expected = params.mass / params.dt * total / flat.size
         assert fl.uncertainty_product(w, params) == expected
 
     @pytest.mark.parametrize("mass, dt", [(1.0, 1.0), (3.0, 0.2), (0.5, 4.0)])
@@ -157,6 +144,37 @@ class TestStreamedUncertaintyProduct:
             fl.expected_uncertainty_product(
                 fl.TranslationParams(), 9999, stream(31, "fl-ur-few")
             )
+
+
+# each sampled row, called with a count n on a stream, and its squares per draw
+ROWS = {
+    "expected_uncertainty_product": (
+        lambda rng, n: fl.expected_uncertainty_product(
+            fl.TranslationParams(3.0, 0.2), n, rng
+        ),
+        3,
+    ),
+    "expected_angular_momentum": (
+        lambda rng, n: fl.expected_angular_momentum(fl.RotationParams(3.0, 7.0), n, rng),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_rows_spread_as_their_exact_law(name):
+    # a row is chi^2_k / (2k), k = 3n or n squares: mean 1/2, variance
+    # 1/(2k) and fourth central moment (3 + 12/k) / (4k^2).  A Gamma shape
+    # off by 2x keeps the mean, so only the variance catches it
+    row, per_draw = ROWS[name]
+    n, keys = 10**4, 400
+    k = per_draw * n
+    values = np.array([row(stream(31, "fl-spread", name, i), n) for i in range(keys)])
+    variance, fourth = 1.0 / (2 * k), (3.0 + 12.0 / k) / (4.0 * k**2)
+    assert abs(values.mean() - 0.5) <= 5 * math.sqrt(variance / keys)
+    # the variance of the unbiased sample variance of `keys` draws
+    spread = fourth / keys - variance**2 * (keys - 3) / (keys * (keys - 1))
+    assert abs(values.var(ddof=1) - variance) <= 5 * math.sqrt(spread)
 
 
 class TestGaussHermiteRule:

@@ -4,10 +4,11 @@ Each sampler transforms its draws one block of `streams.BLOCK` at a time, so
 at 10**6 draws it holds its output and a few blocks of scratch: at most
 ~1 MiB besides the output.  A sampler that allocates an n-sized
 scratch array (8 MB at this n) fails.  `kl_shift_rate` on the CLI's 4001-node
-grid holds no 32 x 4001 array (1 MB) either.  The streamed reductions,
-`expected_uncertainty_product` and `expected_angular_momentum`, hold no
-n-sized array at all: ~1 MiB besides their output at 10**6 and at 4 * 10**6
-draws; `displacement_histogram`, one multinomial draw, holds O(bins).
+grid holds no 32 x 4001 array (1 MB) either.  The reductions of a count of
+draws hold no n-sized array at all, at 10**6 and at 4 * 10**6 draws:
+`displacement_histogram`, one multinomial draw, holds O(bins), and
+`expected_uncertainty_product` and `expected_angular_momentum`, one Gamma
+draw each, hold O(1).
 """
 
 import math
@@ -46,8 +47,8 @@ KERNELS = {
 }
 
 
-# the streamed reductions, called with a count of draws: their output does
-# not grow with it, and neither may their peak
+# the reductions, called with a count of draws: their output does not grow
+# with it, and neither may their peak
 STREAMED = {
     "displacement_histogram": lambda rng, n: sg.displacement_histogram(
         sg.ApparatusConfig(), n, rng, 200

@@ -15,7 +15,7 @@ from spinmodel import orientation as om
 from spinmodel import stern_gerlach as sg
 from spinmodel import streams
 from spinmodel import telegraph as tg
-from spinmodel.streams import BLOCK, _WINDOW, _normal_blocks, _run_blocks, _spans, stream
+from spinmodel.streams import BLOCK, _WINDOW, _run_blocks, _spans, stream
 
 
 def test_same_key_same_sequence():
@@ -87,25 +87,6 @@ def _blocks_of(rng, n):
     return [(child, *span) for child, span in zip(rng.spawn(-(-n // BLOCK)), _spans(n))]
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_normal_blocks_use_the_stream_as_one_call(n):
-    # block b is drawn from child b by one standard_normal call; each block
-    # is overwritten by the next, so it is copied as it comes
-    blocks = _blocks_of(stream(3, "normal-blocks", n), n)
-    got = np.concatenate([block.copy() for block in _normal_blocks(blocks)])
-    ref = _blocks_of(stream(3, "normal-blocks", n), n)
-    expected = np.concatenate([c.standard_normal(stop - start) for c, start, stop in ref])
-    assert np.array_equal(got, expected)
-    assert np.array_equal(blocks[-1][0].standard_normal(4), ref[-1][0].standard_normal(4))
-
-
-def test_normal_blocks_share_one_buffer():
-    n = 3 * BLOCK + 5
-    blocks = list(_normal_blocks(_blocks_of(stream(3, "normal-buffer"), n)))
-    assert [b.size for b in blocks] == [BLOCK] * 3 + [5]
-    assert all(np.shares_memory(blocks[0], b) for b in blocks[1:])
-
-
 def test_windows_spawn_the_children_of_one_spawn():
     # the blocks go in windows of _WINDOW, each with its own spawn; block b
     # still gets child b of one rng.spawn of all the blocks
@@ -165,8 +146,7 @@ def test_non_count_raises_naming_the_value(name, n):
         COUNTED[name](stream(5, "count", name), n)
 
 
-# every blocked sampler, called with a count n; the two reductions take
-# n >= 10**4, so they draw 10**4 for n = 1
+# every blocked sampler, called with a count n
 BLOCKED = {
     "sample_theta": lambda rng, n: om.sample_theta(3, rng, n),
     "displacement_distribution": lambda rng, n: sg.displacement_distribution(
@@ -174,12 +154,6 @@ BLOCKED = {
     ),
     "sample_displacement": lambda rng, n: fl.sample_displacement(
         fl.TranslationParams(), rng, n
-    ),
-    "expected_uncertainty_product": lambda rng, n: fl.expected_uncertainty_product(
-        fl.TranslationParams(3.0, 0.2), max(n, 10**4), rng
-    ),
-    "expected_angular_momentum": lambda rng, n: fl.expected_angular_momentum(
-        fl.RotationParams(3.0, 7.0), max(n, 10**4), rng
     ),
 }
 
@@ -280,8 +254,7 @@ class TestThreadedBlocks:
     def test_concurrent_callers_keep_the_bits(self):
         # more sampling threads than cores, switching as often as possible
         n = 3 * BLOCK + 5
-        names = ["sample_theta", "displacement_distribution",
-                 "expected_angular_momentum"]
+        names = ["sample_theta", "displacement_distribution", "sample_displacement"]
         expected = [_bits(BLOCKED[name](stream(9, "threads-race", name), n))
                     for name in names]
         results = [None] * 4
