@@ -34,15 +34,6 @@ class DwellModel:
         if self.distribution not in (EXPONENTIAL, FIXED):
             raise ValueError("distribution must be 'exponential' or 'fixed'")
 
-    def draw(self, trend, rng: np.random.Generator) -> np.ndarray:
-        """Dwells of segments with trends +1 / -1: an array shaped like
-        `trend`, one independent dwell per element, drawn in order."""
-        up = np.asarray(trend) > 0
-        tau = np.where(up, float(self.tau_plus), float(self.tau_minus))
-        if self.distribution == EXPONENTIAL:
-            tau = rng.exponential(tau)
-        return tau
-
 
 @dataclass(frozen=True, eq=False)
 class TelegraphTrajectory:
@@ -63,15 +54,31 @@ class TelegraphTrajectory:
             raise ValueError("first segment must start at t = 0")
         if len(starts) != len(trends):
             raise ValueError("start_times and trends must have equal length")
-        if np.any(np.diff(starts) <= 0):
+        # comparisons only, so a NaN fails each of them
+        if not np.all(starts[1:] > starts[:-1]):
             raise ValueError("start times must be strictly increasing")
-        if np.any(trends[1:] * trends[:-1] != -1):
-            raise ValueError("trends must alternate")
-        if starts[-1] >= self.total_duration:
+        # +1, -1 or -1, +1, then period two: one contiguous comparison
+        first = trends[0]
+        if not (
+            first in (1, -1)
+            and np.all(trends[1:2] == -int(first))
+            and np.all(trends[2:] == trends[:-2])
+        ):
+            raise ValueError("trends must alternate between +1 and -1")
+        if not abs(self.total_duration) < math.inf:
+            raise ValueError("total_duration must be finite")
+        if not starts[-1] < self.total_duration:
             raise ValueError("last segment must start before total_duration")
 
     def segment_durations(self) -> np.ndarray:
-        return np.diff(self.start_times, append=self.total_duration)
+        """Each segment's duration, the last one's up to total_duration: the
+        bits of np.diff(start_times, append=total_duration), without its
+        concatenated copy."""
+        starts = self.start_times
+        durations = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=durations[:-1])
+        durations[-1] = self.total_duration - starts[-1]
+        return durations
 
     def trend_at(self, t: float) -> int:
         """Trend at time t; boundary instants belong to the later segment."""
@@ -92,26 +99,42 @@ def simulate(
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if initial_trend not in (+1, -1):
         raise ValueError("initial_trend must be +1 or -1")
-    # segment i has trend initial_trend * (-1)**i; batches of whole pairs
-    # keep that phase.  One cumsum over all dwells adds them in the same
-    # order as a running total would, so batching leaves the start times as
-    # they are; it only draws a few dwells past the window.
+    # segment i has trend initial_trend * (-1)**i, so each batch is rows of
+    # (initial, other) dwells: one standard exponential fill, scaled in place,
+    # as rng.exponential(tau) would draw them.  times[0] carries the running
+    # end in, so one cumsum per batch adds in the order of a running total.
     pairs = int(duration / (model.tau_plus + model.tau_minus)) + 1
-    phase = np.tile((initial_trend, -initial_trend), pairs + 4 * math.isqrt(pairs) + 8)
-    dwells = np.empty(0)
-    while True:
-        dwells = np.concatenate((dwells, model.draw(phase, rng)))
-        ends = np.cumsum(dwells)
-        if ends[-1] >= duration:
-            break
-    switches = int(np.searchsorted(ends, duration))
-    starts = np.concatenate(([0.0], ends[:switches]))
-    return TelegraphTrajectory(starts, np.resize(phase, switches + 1), duration)
+    batch = pairs + 4 * math.isqrt(pairs) + 8
+    taus = (model.tau_plus, model.tau_minus)[::initial_trend]  # (initial, other)
+    chunks, end = [], 0.0
+    while end < duration:
+        times = np.empty(2 * batch + 1)
+        times[0] = end
+        dwells = times[1:].reshape(batch, 2)
+        if model.distribution == EXPONENTIAL:
+            rng.standard_exponential(out=dwells)
+        else:
+            dwells.fill(1.0)
+        # column by column: a (2,) operand would loop over 2-element rows
+        dwells[:, 0] *= taus[0]
+        dwells[:, 1] *= taus[1]
+        np.cumsum(times, out=times)
+        chunks.append(times[1:] if chunks else times)
+        end = times[-1]
+    if len(chunks) > 1:
+        times = np.concatenate(chunks)
+    segments = int(np.searchsorted(times, duration))
+    trends = np.empty(segments, dtype=np.int64)
+    trends[0::2] = initial_trend
+    trends[1::2] = -initial_trend
+    return TelegraphTrajectory(times[:segments], trends, duration)
 
 
 def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
     """Time fractions (up, down); they sum to 1 exactly."""
-    up = float(traj.segment_durations()[traj.trends > 0].sum()) / traj.total_duration
+    # segments alternate, so the up ones are every other, from 0 or 1
+    up_durations = traj.segment_durations()[int(traj.trends[0] < 0) :: 2]
+    up = float(up_durations.sum()) / traj.total_duration
     return up, 1.0 - up
 
 

@@ -442,6 +442,47 @@ class TestFreeMotion:
         assert var == pytest.approx(1.0 + (t / 2.0) ** 2, abs=0.01)
 
 
+def _component_mean_x(field, component):
+    rho = np.abs(field.psi[component]) ** 2
+    return float(np.sum(field.grid.axis() * rho) / np.sum(rho))
+
+
+class TestAccuracy:
+    """The Strang step against Ehrenfest's exact <x>(t): second order in a
+    harmonic trap, exact for a linear field at any dt."""
+
+    @pytest.mark.parametrize("dt", [0.1, 0.01])
+    def test_harmonic_trap_is_second_order(self, dt):
+        # V = x^2 / 2 moves <x> as x0 cos t for any state; at t = 3 the
+        # error falls 100-fold when dt falls 10-fold
+        grid = pauli.SpatialGrid(1, 256, 20.0)
+        x = grid.axis()
+        state = pauli.SpinorField.normalized(
+            grid, np.exp(-((x - 2.0) ** 2) / 2.0), np.zeros_like(x)
+        )
+        config = pauli.FieldConfig(scalar_potential=-(x**2) / 2.0)
+        errors = [
+            _component_mean_x(pauli.evolve(state, config, step, round(3.0 / step)), 0)
+            - 2.0 * math.cos(3.0)
+            for step in (dt, dt / 10.0)
+        ]
+        assert errors[0] / errors[1] == pytest.approx(100.0, rel=0.01)
+
+    @pytest.mark.parametrize("eta", [0.25, 0.5])
+    def test_linear_field_is_exact_at_a_coarse_step(self, eta):
+        # B_z = 1 + eta x pushes Psi_+/- with force -/+ eta / 2, so
+        # <x>_+/- = -/+ eta t^2 / 4; the nested commutators of p^2 / 2 and a
+        # linear potential are c-numbers, so six steps of dt = 0.5 hit it
+        grid = pauli.SpatialGrid(1, 2048, 60.0)
+        psi = pauli.gaussian_packet(grid)
+        state = pauli.SpinorField.normalized(grid, psi, 0.6 * psi)
+        config = pauli.FieldConfig(b_z=1.0 + eta * grid.axis())
+        evolved = pauli.evolve(state, config, 0.5, 6)
+        shift = eta * 3.0**2 / 4.0
+        assert _component_mean_x(evolved, 0) == pytest.approx(-shift, abs=1e-13)
+        assert _component_mean_x(evolved, 1) == pytest.approx(shift, abs=1e-13)
+
+
 class TestMadelung:
     def test_reconstruction(self):
         state = packet_state(momentum=0.5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinmodel import telegraph as tg
@@ -23,18 +23,6 @@ class TestDwellModel:
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ValueError):
             tg.DwellModel(1.0, 1.0, "weibull")
-
-    def test_fixed_draw_is_deterministic(self):
-        model = tg.DwellModel(2.0, 0.5, tg.FIXED)
-        rng = stream(0, "tg-fixed")
-        assert model.draw(+1, rng) == 2.0
-        assert model.draw(-1, rng) == 0.5
-
-    def test_exponential_draw_mean(self):
-        model = tg.DwellModel(2.0, 0.5)
-        rng = stream(0, "tg-exp")
-        draws = [model.draw(+1, rng) for _ in range(20000)]
-        assert np.mean(draws) == pytest.approx(2.0, abs=0.05)
 
 
 class TestTrajectory:
@@ -66,6 +54,17 @@ class TestTrajectory:
             ((0.0, 1.0, 1.0), (+1, -1, +1), 2.0, "strictly increasing"),
             ((0.0, 1.5, 1.0), (+1, -1, +1), 2.0, "strictly increasing"),
             ((0.0, 1.0, 2.0), (+1, -1, +1), 2.0, "before total_duration"),
+            # a NaN fails every comparison, so a NaN start or window passed
+            # tests that reject on a true comparison, as did an infinite
+            # window; the fractions read NaN, or 0 up
+            ((0.0, math.nan, 2.0), (+1, -1, +1), 3.0, "strictly increasing"),
+            ((0.0, 1.0), (+1, -1), math.nan, "total_duration must be finite"),
+            ((0.0, 1.0), (+1, -1), math.inf, "total_duration must be finite"),
+            ((0.0, 1.0, 2.0), (+1, -1, -1), 3.0, r"alternate between \+1 and -1"),
+            ((0.0, 1.0, 2.0), (-1, +1, 1.5), 3.0, r"alternate between \+1 and -1"),
+            # a product of -1 and a lone segment passed the alternation test
+            ((0.0, 1.0), (0.5, -2.0), 2.0, r"alternate between \+1 and -1"),
+            ((0.0,), (2,), 1.0, r"alternate between \+1 and -1"),
         ],
     )
     def test_rejects_malformed_segments(self, starts, trends, duration, message):
@@ -155,6 +154,99 @@ def test_simulate_matches_sequential_reference(distribution, initial_trend, dura
     starts, trends = _sequential_simulate(model, duration, initial_trend, stream(*key))
     assert np.array_equal(traj.start_times, starts)
     assert np.array_equal(traj.trends, trends)
+
+
+def _state(rng):
+    # SFC64's state holds an array, which == cannot compare as a whole
+    return repr(rng.bit_generator.state)
+
+
+class _ShrunkFirstFills:
+    """A generator whose first `shrunk` standard exponential fills are scaled
+    by 2**-12, so the first batches fall short of the window; the scale is a
+    power of two, so it commutes with the dwell means bit for bit."""
+
+    SCALE = 2.0**-12
+
+    def __init__(self, rng, shrunk):
+        self.rng, self.shrunk, self.fills = rng, shrunk, []
+
+    def standard_exponential(self, out):
+        self.rng.standard_exponential(out=out)
+        if len(self.fills) < self.shrunk:
+            out *= self.SCALE
+        self.fills.append(out.size)
+
+
+@pytest.mark.parametrize("initial_trend", [+1, -1])
+@pytest.mark.parametrize("shrunk", [1, 2])
+def test_redraw_continues_the_running_total(initial_trend, shrunk):
+    # a batch that does not reach the window draws another, whose running
+    # total starts at the last end
+    model = tg.DwellModel(0.7, 1.9)
+    duration = 300.0
+    key = (9, "tg-redraw", initial_trend, shrunk)
+    rng = _ShrunkFirstFills(stream(*key), shrunk)
+    traj = tg.simulate(model, duration, initial_trend, rng)
+    assert len(rng.fills) == shrunk + 1
+
+    reference = stream(*key)
+    taus = {+1: model.tau_plus, -1: model.tau_minus}
+    starts, trends, t, trend = [0.0], [initial_trend], 0.0, initial_trend
+    for batch, size in enumerate(rng.fills):
+        scale = _ShrunkFirstFills.SCALE if batch < shrunk else 1.0
+        for e in reference.standard_exponential(size):
+            t += (e * scale) * taus[trend]
+            trend = -trend
+            if t < duration:
+                starts.append(t)
+                trends.append(trend)
+    assert t >= duration
+    assert np.array_equal(traj.start_times, starts)
+    assert np.array_equal(traj.trends, trends)
+    assert traj.trends.dtype == np.int64
+    assert _state(rng.rng) == _state(reference)
+
+
+@pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
+@pytest.mark.parametrize("duration", [0.05, 7.3, 2000.0, 1e5])
+def test_simulate_draws_two_per_pair_of_its_batch(distribution, duration):
+    # one batch of pairs + 4 isqrt(pairs) + 8 (initial, other) pairs, each
+    # one standard exponential; fixed dwells draw nothing
+    model = tg.DwellModel(1.0, 3.0, distribution)
+    key = (9, "tg-state", distribution, duration)
+    rng = stream(*key)
+    tg.simulate(model, duration, -1, rng)
+    reference = stream(*key)
+    if distribution == tg.EXPONENTIAL:
+        pairs = int(duration / 4.0) + 1
+        reference.standard_exponential(2 * (pairs + 4 * math.isqrt(pairs) + 8))
+    assert _state(rng) == _state(reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.sampled_from([+1, -1]),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(1, +1, 1.0, 0)
+@example(2, -1, 1.0, 0)
+@example(257, -1, 0.3, 1)
+@example(258, +1, 0.3, 1)
+def test_fractions_match_the_boolean_mask(segments, initial_trend, tau, seed):
+    # the strided up durations sum pairwise to the bits of the masked copy
+    dwells = np.random.default_rng(seed).exponential(tau, segments)
+    ends = np.cumsum(dwells)
+    assume(np.all(np.diff(ends) > 0))
+    starts = np.concatenate(([0.0], ends[:-1]))
+    trends = initial_trend * (-1) ** np.arange(segments)
+    traj = tg.TelegraphTrajectory(starts, trends, float(ends[-1]))
+    durations = np.diff(traj.start_times, append=traj.total_duration)
+    assert np.array_equal(traj.segment_durations(), durations)
+    up = float(durations[traj.trends > 0].sum()) / traj.total_duration
+    assert tg.empirical_fractions(traj) == (up, 1.0 - up)
 
 
 class TestParity:
