@@ -321,10 +321,18 @@ def _bell_plan(config, **timing):
     )
 
 
+def _bell_stream(config, seed, *ids):
+    """The run's stream in Monte Carlo mode; analytic mode draws nothing, so
+    a default bell-delay run never loads numpy.random."""
+    if config["mode"] == entanglement.MONTE_CARLO:
+        return stream(seed, *ids)
+    return None
+
+
 def run_bell_test(config, seed):
     model = entanglement.BELL_MODELS[config["state"]]
     plan = _bell_plan(config)
-    rng = stream(seed, "bell-test")
+    rng = _bell_stream(config, seed, "bell-test")
     result = entanglement.chsh(plan, model, mode=config["mode"], rng=rng)
     rows = [
         (a, b, *counts, e, se)
@@ -348,7 +356,7 @@ def run_bell_delay(config, seed):
     rows = []
     for i, delay in enumerate(config["delays"]):
         plan = _bell_plan(config, delay=delay, dwell=dwell)
-        rng = stream(seed, "bell-delay", i)
+        rng = _bell_stream(config, seed, "bell-delay", i)
         result = entanglement.chsh(
             plan, model, mode=config["mode"], rng=rng, degrade_y=config["degrade_y"]
         )

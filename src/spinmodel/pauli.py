@@ -8,9 +8,15 @@ to round-off.  The fields couple only through sigma_z B_z and phi.  There
 is no vector potential: a uniform A has curl A = 0, so it is the gauge
 e^{iAx}, not a field.
 
+Each `evolve` call pays its fixed costs once: the potential phase is taken
+on the fields' own shape (two complex exps for scalar fields), the kinetic
+phase from one axis's factors (their outer product in 2-D), and the closing
+half-potential of each step is fused with the opening one of the next.
+
 The Madelung decomposition Psi_pm = sqrt(rho_pm) exp(i S_pm) links
 the spinor to density/phase-action fields and to the continuity and
-extended Hamilton-Jacobi residual diagnostics.
+extended Hamilton-Jacobi residual diagnostics, whose real fields (the
+current and sqrt(rho)) are transformed by rfftn.
 """
 
 from __future__ import annotations
@@ -73,8 +79,18 @@ class SpatialGrid:
         return np.meshgrid(*[self.axis()] * self.dimension, indexing="ij")
 
     def wavenumbers(self):
-        k = 2.0 * np.pi * np.fft.fftfreq(self.nodes, d=self.spacing)
-        return np.meshgrid(*[k] * self.dimension, indexing="ij")
+        return np.meshgrid(*[_wavenumber_axis(self)] * self.dimension, indexing="ij")
+
+
+def _wavenumber_axis(grid: SpatialGrid) -> np.ndarray:
+    """The wavenumbers of one axis, in fftfreq's order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.nodes, d=grid.spacing)
+
+
+def _along_axes(values: np.ndarray, dimension: int) -> list:
+    """values (one per bin of an axis) shaped to broadcast along each axis."""
+    return [values.reshape((-1,) + (1,) * (dimension - 1 - axis))
+            for axis in range(dimension)]
 
 
 @dataclass(frozen=True)
@@ -88,17 +104,27 @@ class FieldConfig:
     b_z: object = 0.0
 
     def potential_energy(self, grid: SpatialGrid) -> np.ndarray:
-        """Diagonal potential V_pm = +/- B_z / 2 - phi, stacked (V_+, V_-)."""
+        """Diagonal potential V_pm = +/- B_z / 2 - phi, stacked (V_+, V_-),
+        as a read-only (2, *grid.shape) view of the stack on the fields' own
+        shape."""
+        return np.broadcast_to(self._potential(grid), (2, *grid.shape))
+
+    def _potential(self, grid: SpatialGrid) -> np.ndarray:
+        """potential_energy on the fields' own shape: (2, 1, ...) for scalar
+        fields, so it costs what the fields hold, not the grid."""
         base = -self._as_field(self.scalar_potential, grid)
         zeeman = 0.5 * self._as_field(self.b_z, grid)
         return np.stack((base + zeeman, base - zeeman))
 
     @staticmethod
     def _as_field(value, grid: SpatialGrid):
-        arr = np.broadcast_to(np.asarray(value, dtype=float), grid.shape)
+        """value as a finite float array with the grid's number of axes that
+        broadcasts to grid.shape."""
+        arr = np.asarray(value, dtype=float)
+        np.broadcast_to(arr, grid.shape)  # raises ValueError unless it does
         if not np.all(np.isfinite(arr)):
             raise ValueError("field values must be finite")
-        return arr
+        return arr.reshape((1,) * (grid.dimension - arr.ndim) + arr.shape)
 
 
 @dataclass(frozen=True)
@@ -157,18 +183,25 @@ def evolve(
     steps = int(steps)
     grid = field.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        half = np.exp(-0.5j * dt * config.potential_energy(grid))
-        kinetic = np.exp(-1j * dt * _kinetic_energy(grid))
+        half = np.exp(-0.5j * dt * config._potential(grid))
+        kinetic = np.exp(-1j * dt * (_wavenumber_axis(grid) ** 2 / 2.0))
     # finite unit-modulus factors keep a finite spinor finite at every step
     if not (np.isfinite(half).all() and np.isfinite(kinetic).all()):
         raise ConvergenceError(f"non-finite phase factors of dt={dt!r} and the field")
+    if grid.dimension == 2:
+        kinetic = np.multiply.outer(kinetic, kinetic)
     # fftn's axis order, last axis first, gives fftn's bits; not ifft2(out=):
     # numpy 2.4's ifft2 drops out, which would leave psi in k-space
     axes = range(-1, -grid.dimension - 1, -1)
     psi = np.array(field.psi, dtype=complex)  # a copy: the input stays unchanged
     if psi[0].size < _PARALLEL_NODES:
+        # copied to the grid's shape: on these cache-sized grids a broadcast
+        # operand is slower in the loop than a contiguous one
+        half = np.ascontiguousarray(np.broadcast_to(half, psi.shape))
         _strang_steps(psi, half, kinetic, axes, steps)
     else:
+        # kept on the fields' shape: at these sizes a broadcast operand costs
+        # the loop no more than a copy would, and holds no grid-sized arrays
         _strang_steps_split(psi, half, kinetic, axes, steps)
     if not np.isfinite(psi).all():
         raise ConvergenceError("non-finite amplitudes after the last step")
@@ -176,15 +209,22 @@ def evolve(
 
 
 def _strang_steps(psi, half, kinetic, axes, steps: int) -> None:
-    """Advance psi by `steps` Strang steps in place."""
-    for _ in range(steps):
-        psi *= half
+    """Advance psi by `steps` Strang steps in place.
+
+    A step is half, kinetic, half; the closing half of one step and the
+    opening half of the next are one multiply by full = half * half.
+    """
+    if not steps:
+        return
+    full = half * half
+    psi *= half
+    for step in range(steps, 0, -1):
         for axis in axes:
             np.fft.fft(psi, axis=axis, out=psi)
         psi *= kinetic
         for axis in axes:
             np.fft.ifft(psi, axis=axis, out=psi)
-        psi *= half
+        psi *= full if step > 1 else half
 
 
 def _strang_steps_split(psi, half, kinetic, axes, steps: int) -> None:
@@ -226,7 +266,7 @@ def _component(component: str) -> int:
 
 
 def _current(fields: list[SpinorField], component: str):
-    """Each snapshot's component, and the middle one's rho, current and k.
+    """Each snapshot's component, and the middle one's rho and current.
 
     The per-axis probability current Im(psi* grad psi) equals rho grad S
     wherever the Madelung phase is defined, but needs no phase unwrapping.
@@ -238,10 +278,24 @@ def _current(fields: list[SpinorField], component: str):
     psis = [f.psi[index] for f in fields]
     psi = psis[1]
     rho = np.abs(psi) ** 2
-    ks = grid.wavenumbers()
     psi_hat = np.fft.fftn(psi)
-    current = [np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat)) for k in ks]
-    return psis, rho, current, ks
+    current = [
+        np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat))
+        for k in _along_axes(_wavenumber_axis(grid), grid.dimension)
+    ]
+    return psis, rho, current
+
+
+def _half_spectrum(values: np.ndarray, grid: SpatialGrid) -> list:
+    """values (one per fftfreq bin of an axis) along each axis of rfftn's
+    half spectrum of a real field: the last axis keeps bins 0..nodes/2."""
+    *rest, _ = _along_axes(values, grid.dimension)
+    return [*rest, values[: grid.nodes // 2 + 1]]
+
+
+def _real_inverse(spectrum: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """The real field of an rfftn half spectrum on the grid."""
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=range(grid.dimension))
 
 
 def continuity_residual(
@@ -258,12 +312,18 @@ def continuity_residual(
     holds for any sigma_z B_z and phi.  It stays until ROADMAP item 1 drops
     it together with the bench's positional calls.
     """
-    psis, rho, current, ks = _current(fields, component)
+    psis, rho, current = _current(fields, component)
+    grid = fields[0].grid
     drho_dt = (np.abs(psis[2]) ** 2 - np.abs(psis[0]) ** 2) / (2.0 * dt)
-    div = sum(
-        np.real(np.fft.ifftn(1j * k * np.fft.fftn(j))) for k, j in zip(ks, current)
+    # a real field's derivative has no Nyquist term: the real part of the
+    # complex transform drops it, and the half spectrum must too
+    k = _wavenumber_axis(grid)
+    k[grid.nodes // 2] = 0.0
+    spectrum = sum(
+        1j * k_axis * np.fft.rfftn(j)
+        for k_axis, j in zip(_half_spectrum(k, grid), current)
     )
-    residual = (drho_dt + div)[rho > DENSITY_FLOOR]
+    residual = (drho_dt + _real_inverse(spectrum, grid))[rho > DENSITY_FLOOR]
     return float(np.sqrt(np.mean(residual**2)))
 
 
@@ -281,7 +341,7 @@ def hj_residual(
     probability current J/rho, so no global phase unwrapping is needed;
     masked where the density is below HJ_FLOOR.
     """
-    psis, rho, current, ks = _current(fields, component)
+    psis, rho, current = _current(fields, component)
     mask = rho > HJ_FLOOR
     rho_m = rho[mask]
     ds_dt = np.angle(psis[2] * np.conj(psis[0]))[mask] / (2.0 * dt)
@@ -289,7 +349,8 @@ def hj_residual(
     grid = fields[0].grid
     v = config.potential_energy(grid)[_component(component)][mask]
     sqrt_rho = np.sqrt(rho)
-    lap = np.real(np.fft.ifftn(-2.0 * _kinetic_energy(grid) * np.fft.fftn(sqrt_rho)))
+    k_squared = sum(_half_spectrum(_wavenumber_axis(grid) ** 2, grid))
+    lap = _real_inverse(-k_squared * np.fft.rfftn(sqrt_rho), grid)
     quantum = -0.5 * lap[mask] / sqrt_rho[mask]
     residual = ds_dt + kinetic + v + quantum
     return float(np.sqrt(np.mean(residual**2)))

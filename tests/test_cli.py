@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +297,21 @@ class TestRun:
         assert code == cli.EXIT_CONFIG
         assert flag[2:] in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode, loaded", [("analytic", False), ("monte_carlo", True)])
+def test_bell_delay_loads_numpy_random_only_to_draw(tmp_path, mode, loaded):
+    # analytic mode, the default, draws nothing, so it builds no stream
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["bell-delay", "--mode", mode, "--samples", "2000", "--out", str(tmp_path)]
+    code = (
+        "import sys; from spinmodel import cli; "
+        f"code = cli.run({argv!r}); print(code, 'numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1].decode() == f"0 {loaded}"
 
 
 def _exit_code(argv):

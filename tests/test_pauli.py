@@ -17,22 +17,43 @@ def packet_state(grid=None, momentum=0.0, width=1.0):
     return pauli.SpinorField.normalized(grid, psi, psi)
 
 
+def _meshgrid_kinetic_phase(grid, dt):
+    """The kinetic phase as the product of each axis's factor, on meshgrids."""
+    first, *rest = (np.exp(-1j * dt * (k**2 / 2.0)) for k in grid.wavenumbers())
+    for factor in rest:
+        first = first * factor
+    return first
+
+
 def _reference_evolve(field, config, dt, steps):
-    """Per-component Strang loop with one fftn/ifftn pair per component."""
-    v_plus, v_minus = config.potential_energy(field.grid)
-    half_plus = np.exp(-0.5j * dt * v_plus)
-    half_minus = np.exp(-0.5j * dt * v_minus)
-    energy = pauli._kinetic_energy(field.grid)
-    kinetic = np.exp(-1j * dt * energy)
-    psi_p, psi_m = field.psi[0].copy(), field.psi[1].copy()
+    """Per-component fused Strang loop with one fftn/ifftn pair per component:
+    half, then kinetic and half * half per step, with half after the last."""
+    halves = np.exp(-0.5j * dt * config.potential_energy(field.grid))
+    kinetic = _meshgrid_kinetic_phase(field.grid, dt)
+    psis = [psi.copy() for psi in field.psi]
+    if steps:
+        psis = [psi * half for psi, half in zip(psis, halves)]
+    for step in range(steps):
+        closing = halves * halves if step < steps - 1 else halves
+        psis = [
+            np.fft.ifftn(np.fft.fftn(psi) * kinetic) * factor
+            for psi, factor in zip(psis, closing)
+        ]
+    return psis
+
+
+def _classic_evolve(field, config, dt, steps):
+    """Per-component Strang loop, half * kinetic * half in every step, with
+    the kinetic phase of the summed energy k^2 / 2."""
+    halves = np.exp(-0.5j * dt * config.potential_energy(field.grid))
+    kinetic = np.exp(-1j * dt * pauli._kinetic_energy(field.grid))
+    psis = [psi.copy() for psi in field.psi]
     for _ in range(steps):
-        psi_p *= half_plus
-        psi_m *= half_minus
-        psi_p = np.fft.ifftn(np.fft.fftn(psi_p) * kinetic)
-        psi_m = np.fft.ifftn(np.fft.fftn(psi_m) * kinetic)
-        psi_p *= half_plus
-        psi_m *= half_minus
-    return psi_p, psi_m
+        psis = [
+            np.fft.ifftn(np.fft.fftn(psi * half) * kinetic) * half
+            for psi, half in zip(psis, halves)
+        ]
+    return np.stack(psis)
 
 
 def two_component_state(grid):
@@ -276,6 +297,89 @@ class TestStackedSteps:
         assert np.array_equal(evolved.psi[0], psi_p)
         assert np.array_equal(evolved.psi[1], psi_m)
         assert np.array_equal(state.psi, before)
+
+    # on the split path scalar fields' phases stay broadcast, not copied
+    @pytest.mark.parametrize("dimension, nodes", [(2, 128), (1, 2**14)])
+    def test_scalar_fields_keep_the_bits_on_two_threads(self, dimension, nodes):
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        state = two_component_state(grid)
+        config = pauli.FieldConfig(b_z=0.8, scalar_potential=0.1)
+        evolved = pauli.evolve(state, config, 0.01, 25)
+        assert np.array_equal(evolved.psi, _reference_evolve(state, config, 0.01, 25))
+
+    def test_zero_steps_return_the_input_bits(self):
+        state = two_component_state(pauli.SpatialGrid(1, 256, 20.0))
+        evolved = pauli.evolve(state, pauli.FieldConfig(b_z=1.0), 0.01, 0)
+        assert np.array_equal(evolved.psi, state.psi)
+        assert evolved.psi is not state.psi
+
+    # the fused closing/opening halves round differently from two multiplies
+    @pytest.mark.parametrize(
+        "dimension, nodes, steps", [(1, 256, 2048), (2, 64, 128)]
+    )
+    def test_fused_halves_match_the_classic_loop(self, dimension, nodes, steps):
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        state = two_component_state(grid)
+        config = non_uniform_fields(grid)
+        evolved = pauli.evolve(state, config, 0.01, steps).psi
+        classic = _classic_evolve(state, config, 0.01, steps)
+        assert np.max(np.abs(evolved - classic)) <= 1e-13 * np.max(np.abs(classic))
+
+
+# field values of each shape a FieldConfig takes: a scalar, a grid array, and
+# an axis array that broadcasts along the grid's last axis
+FIELD_VALUES = {
+    "scalar": lambda grid: 0.3,
+    "grid": lambda grid: 0.4 + 0.1 * grid.coordinates()[0]
+    - 0.05 * grid.coordinates()[-1] ** 2,
+    "axis": lambda grid: 0.2 * np.cos(grid.axis()),
+}
+
+
+class TestPhaseFactors:
+    """evolve's phase factors, taken on the fields' own shape and from one
+    axis's kinetic factors, against the grid-shaped formulas."""
+
+    @staticmethod
+    def _phases(monkeypatch, grid, config, dt):
+        seen = []
+        monkeypatch.setattr(
+            pauli, "_strang_steps",
+            lambda psi, half, kinetic, axes, steps: seen.append((half, kinetic)),
+        )
+        pauli.evolve(two_component_state(grid), config, dt, 1)
+        (phases,) = seen
+        return phases
+
+    # 2-D 64^2 stays on one thread, so one call sees both components
+    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("phi", sorted(FIELD_VALUES))
+    @pytest.mark.parametrize("b_z", sorted(FIELD_VALUES))
+    def test_potential_phase_keeps_its_bits(
+        self, monkeypatch, dimension, nodes, phi, b_z
+    ):
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        config = pauli.FieldConfig(
+            scalar_potential=FIELD_VALUES[phi](grid), b_z=FIELD_VALUES[b_z](grid)
+        )
+        half, _ = self._phases(monkeypatch, grid, config, 0.01)
+        expected = np.exp(-0.5j * 0.01 * config.potential_energy(grid))
+        assert half.shape == (2, *grid.shape)
+        assert np.array_equal(half, expected)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.5])
+    def test_one_dimensional_kinetic_phase_keeps_its_bits(self, monkeypatch, dt):
+        grid = pauli.SpatialGrid(1, 256, 20.0)
+        _, kinetic = self._phases(monkeypatch, grid, pauli.FieldConfig(b_z=1.0), dt)
+        expected = np.exp(-1j * dt * pauli._kinetic_energy(grid))
+        assert np.array_equal(kinetic, expected)
+
+    def test_two_dimensional_kinetic_phase_is_the_axis_product(self, monkeypatch):
+        grid = pauli.SpatialGrid(2, 64, 20.0)
+        _, kinetic = self._phases(monkeypatch, grid, pauli.FieldConfig(), 0.01)
+        assert np.array_equal(kinetic, _meshgrid_kinetic_phase(grid, 0.01))
+        summed = np.exp(-1j * 0.01 * pauli._kinetic_energy(grid))
+        assert np.max(np.abs(kinetic - summed)) <= 1e-15
 
 
 class TestThreadedSteps:
