@@ -10,13 +10,18 @@ e^{iAx}, not a field.
 
 Each `evolve` call pays its fixed costs once: the potential phase is taken
 on the fields' own shape (two complex exps for scalar fields), the kinetic
-phase from one axis's factors (their outer product in 2-D), and the closing
-half-potential of each step is fused with the opening one of the next.
+phase from one axis's factors (their outer product in 2-D) with the inverse
+transform's 1/N^d folded in, and the closing half-potential of each step is
+fused with the opening one of the next.
 
 The Madelung decomposition Psi_pm = sqrt(rho_pm) exp(i S_pm) links
 the spinor to density/phase-action fields and to the continuity and
-extended Hamilton-Jacobi residual diagnostics, whose real fields (the
-current and sqrt(rho)) are transformed by rfftn.
+extended Hamilton-Jacobi residual diagnostics.  The diagnostics take one
+component at a time and hold about two component-sized arrays at most:
+the continuity residual takes div J as Im(psi* lap psi) from one transform
+pair with the solver's own spectral Laplacian, the Hamilton-Jacobi residual
+builds each axis's current in one reused buffer, and the energy weighs each
+axis's marginal of |psi_hat|^2 by k^2 / 2.
 """
 
 from __future__ import annotations
@@ -78,9 +83,6 @@ class SpatialGrid:
     def coordinates(self):
         return np.meshgrid(*[self.axis()] * self.dimension, indexing="ij")
 
-    def wavenumbers(self):
-        return np.meshgrid(*[_wavenumber_axis(self)] * self.dimension, indexing="ij")
-
 
 def _wavenumber_axis(grid: SpatialGrid) -> np.ndarray:
     """The wavenumbers of one axis, in fftfreq's order."""
@@ -141,10 +143,19 @@ class SpinorField:
     @staticmethod
     def normalized(grid, psi_plus, psi_minus) -> "SpinorField":
         psi = np.stack((psi_plus, psi_minus), dtype=complex)
-        rho = np.abs(psi) ** 2
         # summing the two densities first keeps the scale's rounding
-        scale = 1.0 / np.sqrt(np.sum(rho[0] + rho[1]) * grid.cell_volume)
-        return SpinorField(grid, psi * scale)
+        rho = _density(psi[0])
+        rho += _density(psi[1])
+        psi *= 1.0 / np.sqrt(np.sum(rho) * grid.cell_volume)
+        return SpinorField(grid, psi)
+
+
+def _density(psi: np.ndarray, out=None) -> np.ndarray:
+    """|psi|^2, squared in place in `out` or a new array: the bits of
+    np.abs(psi) ** 2."""
+    rho = np.abs(psi, out=out)
+    rho *= rho
+    return rho
 
 
 def norm(field: SpinorField) -> float:
@@ -154,7 +165,7 @@ def norm(field: SpinorField) -> float:
 
 def spin_populations(field: SpinorField) -> tuple[float, float]:
     dv = field.grid.cell_volume
-    up, down = (float(np.sum(rho) * dv) for rho in np.abs(field.psi) ** 2)
+    up, down = (float(np.sum(_density(psi)) * dv) for psi in field.psi)
     return up, down
 
 
@@ -163,11 +174,6 @@ def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
     bz = config._as_field(config.b_z, field.grid)
     rho = np.abs(field.psi) ** 2
     return float(0.5 * np.sum(bz * (rho[0] - rho[1])) * field.grid.cell_volume)
-
-
-def _kinetic_energy(grid: SpatialGrid) -> np.ndarray:
-    """Spectral kinetic energy k^2 / 2 of each plane wave."""
-    return sum(k**2 for k in grid.wavenumbers()) / 2.0
 
 
 def evolve(
@@ -190,6 +196,9 @@ def evolve(
         raise ConvergenceError(f"non-finite phase factors of dt={dt!r} and the field")
     if grid.dimension == 2:
         kinetic = np.multiply.outer(kinetic, kinetic)
+    # the inverse transforms' 1/N per axis, folded in once for both threads:
+    # N is a power of two, so the scaling is exact and keeps ifft's bits
+    kinetic *= 1.0 / kinetic.size
     # fftn's axis order, last axis first, gives fftn's bits; not ifft2(out=):
     # numpy 2.4's ifft2 drops out, which would leave psi in k-space
     axes = range(-1, -grid.dimension - 1, -1)
@@ -212,7 +221,8 @@ def _strang_steps(psi, half, kinetic, axes, steps: int) -> None:
     """Advance psi by `steps` Strang steps in place.
 
     A step is half, kinetic, half; the closing half of one step and the
-    opening half of the next are one multiply by full = half * half.
+    opening half of the next are one multiply by full = half * half.  The
+    inverse transforms are unscaled: kinetic carries their 1/N^d.
     """
     if not steps:
         return
@@ -223,7 +233,7 @@ def _strang_steps(psi, half, kinetic, axes, steps: int) -> None:
             np.fft.fft(psi, axis=axis, out=psi)
         psi *= kinetic
         for axis in axes:
-            np.fft.ifft(psi, axis=axis, out=psi)
+            np.fft.ifft(psi, axis=axis, out=psi, norm="forward")
         psi *= full if step > 1 else half
 
 
@@ -265,37 +275,12 @@ def _component(component: str) -> int:
     return 0 if component == "plus" else 1
 
 
-def _current(fields: list[SpinorField], component: str):
-    """Each snapshot's component, and the middle one's rho and current.
-
-    The per-axis probability current Im(psi* grad psi) equals rho grad S
-    wherever the Madelung phase is defined, but needs no phase unwrapping.
-    """
+def _snapshots(fields: list[SpinorField], component: str) -> list:
+    """The named component of each of three consecutive snapshots."""
     if len(fields) != 3:
         raise ValueError("need three consecutive snapshots")
-    grid = fields[0].grid
     index = _component(component)
-    psis = [f.psi[index] for f in fields]
-    psi = psis[1]
-    rho = np.abs(psi) ** 2
-    psi_hat = np.fft.fftn(psi)
-    current = [
-        np.imag(np.conj(psi) * np.fft.ifftn(1j * k * psi_hat))
-        for k in _along_axes(_wavenumber_axis(grid), grid.dimension)
-    ]
-    return psis, rho, current
-
-
-def _half_spectrum(values: np.ndarray, grid: SpatialGrid) -> list:
-    """values (one per fftfreq bin of an axis) along each axis of rfftn's
-    half spectrum of a real field: the last axis keeps bins 0..nodes/2."""
-    *rest, _ = _along_axes(values, grid.dimension)
-    return [*rest, values[: grid.nodes // 2 + 1]]
-
-
-def _real_inverse(spectrum: np.ndarray, grid: SpatialGrid) -> np.ndarray:
-    """The real field of an rfftn half spectrum on the grid."""
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=range(grid.dimension))
+    return [f.psi[index] for f in fields]
 
 
 def continuity_residual(
@@ -306,24 +291,30 @@ def continuity_residual(
 ) -> float:
     """RMS of d(rho)/dt + div(rho grad S) over three snapshots.
 
-    Evaluated at the middle snapshot with central time differencing, with
-    the flux taken as the probability current.  Near-zero-density regions
-    are masked out.  `config` is read by nothing: the continuity equation
-    holds for any sigma_z B_z and phi.  It stays until ROADMAP item 1 drops
-    it together with the bench's positional calls.
+    Evaluated at the middle snapshot with central time differencing.  The
+    flux is the probability current J = Im(psi* grad psi), whose divergence
+    is Im(psi* lap psi), since |grad psi|^2 is real: one transform pair with
+    the solver's own spectral Laplacian -|k|^2, Nyquist bin included, so the
+    residual falls as dt^2 for any field the solver steps.  Near-zero-density
+    regions are masked out.  `config` is read by nothing: the continuity
+    equation holds for any sigma_z B_z and phi.  It stays until ROADMAP
+    item 1 drops it together with the bench's positional calls.
     """
-    psis, rho, current = _current(fields, component)
+    before, psi, after = _snapshots(fields, component)
     grid = fields[0].grid
-    drho_dt = (np.abs(psis[2]) ** 2 - np.abs(psis[0]) ** 2) / (2.0 * dt)
-    # a real field's derivative has no Nyquist term: the real part of the
-    # complex transform drops it, and the half spectrum must too
-    k = _wavenumber_axis(grid)
-    k[grid.nodes // 2] = 0.0
-    spectrum = sum(
-        1j * k_axis * np.fft.rfftn(j)
-        for k_axis, j in zip(_half_spectrum(k, grid), current)
-    )
-    residual = (drho_dt + _real_inverse(spectrum, grid))[rho > DENSITY_FLOOR]
+    residual = _density(after)
+    residual -= _density(before)
+    residual /= 2.0 * dt
+    # minus the Laplacian, -lap psi = ifftn(|k|^2 psi_hat); conj(-lap psi) psi
+    # is the conjugate of -psi* lap psi, so its imaginary part is div J
+    neg_lap = np.fft.fftn(psi, out=np.empty(psi.shape, dtype=complex))
+    neg_lap *= sum(_along_axes(_wavenumber_axis(grid) ** 2, grid.dimension))
+    np.fft.ifftn(neg_lap, out=neg_lap)
+    np.conjugate(neg_lap, out=neg_lap)
+    neg_lap *= psi
+    residual += neg_lap.imag
+    del neg_lap
+    residual = residual[_density(psi) > DENSITY_FLOOR]
     return float(np.sqrt(np.mean(residual**2)))
 
 
@@ -339,35 +330,76 @@ def hj_residual(
     diagonal potential of the component.  dS/dt comes from the central
     phase difference arg(psi_after psi_before*)/(2 dt) and grad S from the
     probability current J/rho, so no global phase unwrapping is needed;
-    masked where the density is below HJ_FLOOR.
+    every term is taken where the density is above HJ_FLOOR.  Each axis's
+    current comes from one transform pair along that axis, in one buffer.
     """
-    psis, rho, current = _current(fields, component)
-    mask = rho > HJ_FLOOR
-    rho_m = rho[mask]
-    ds_dt = np.angle(psis[2] * np.conj(psis[0]))[mask] / (2.0 * dt)
-    kinetic = 0.5 * sum((j[mask] / rho_m) ** 2 for j in current)
+    before, psi, after = _snapshots(fields, component)
     grid = fields[0].grid
-    v = config.potential_energy(grid)[_component(component)][mask]
-    sqrt_rho = np.sqrt(rho)
-    k_squared = sum(_half_spectrum(_wavenumber_axis(grid) ** 2, grid))
-    lap = _real_inverse(-k_squared * np.fft.rfftn(sqrt_rho), grid)
-    quantum = -0.5 * lap[mask] / sqrt_rho[mask]
-    residual = ds_dt + kinetic + v + quantum
+    rho = _density(psi)
+    mask = rho > HJ_FLOOR
+    phase = after[mask]
+    phase *= np.conjugate(before[mask])
+    residual = np.angle(phase) / (2.0 * dt)
+    del phase
+    residual += _velocity_term(psi, mask, rho[mask], grid)
+    residual += config.potential_energy(grid)[_component(component)][mask]
+    # -lap(sqrt rho) of a real field: rfftn's half spectrum keeps the last
+    # axis's bins 0..nodes/2
+    sqrt_rho = np.sqrt(rho, out=rho)
+    k_squared = _along_axes(_wavenumber_axis(grid) ** 2, grid.dimension)
+    k_squared[-1] = k_squared[-1][: grid.nodes // 2 + 1]
+    spectrum = np.fft.rfftn(sqrt_rho)
+    spectrum *= sum(k_squared)
+    quantum = np.fft.irfftn(spectrum, s=grid.shape, axes=range(grid.dimension))[mask]
+    quantum *= 0.5
+    quantum /= sqrt_rho[mask]
+    residual += quantum
     return float(np.sqrt(np.mean(residual**2)))
+
+
+def _velocity_term(psi, mask, rho_m, grid: SpatialGrid) -> np.ndarray:
+    """(grad S)^2 / 2 where mask holds, with grad S = J / rho and each axis's
+    current J from one transform pair along that axis, in one buffer."""
+    gradient = np.empty(psi.shape, dtype=complex)
+    kinetic = 0.0
+    ik = _along_axes(1j * _wavenumber_axis(grid), grid.dimension)
+    for axis, ik_axis in enumerate(ik):
+        np.fft.fft(psi, axis=axis, out=gradient)
+        gradient *= ik_axis
+        np.fft.ifft(gradient, axis=axis, out=gradient)
+        # conj(grad psi) psi: its imaginary part is -J, whose sign squares away
+        np.conjugate(gradient, out=gradient)
+        gradient *= psi
+        velocity = gradient.imag[mask]
+        velocity /= rho_m
+        velocity *= velocity
+        kinetic += velocity
+    kinetic *= 0.5
+    return kinetic
 
 
 def total_energy(field: SpinorField, config: FieldConfig) -> float:
     """<Psi|H|Psi>, used for the conservation diagnostic.
 
     The kinetic term is diagonal in k and the potential in x, so each is a
-    real weighted sum of |amplitude|^2 (Parseval for the 1/N of the FFT).
+    real weighted sum of |amplitude|^2 (Parseval for the 1/N of the FFT),
+    taken one component at a time.  k^2 / 2 is a sum over the axes, so the
+    kinetic term weighs each axis's marginal of |psi_hat|^2 by its k^2 / 2.
     """
     grid = field.grid
-    psi = field.psi
-    psi_hat = np.fft.fftn(psi, axes=tuple(range(1, psi.ndim)))
-    kinetic = np.sum(_kinetic_energy(grid) * np.abs(psi_hat) ** 2)
-    kinetic /= psi[0].size
-    potential = np.sum(config.potential_energy(grid) * np.abs(psi) ** 2)
+    half_k_squared = _wavenumber_axis(grid) ** 2 / 2.0
+    spectrum = np.empty(grid.shape, dtype=complex)
+    density = np.empty(grid.shape)
+    kinetic = potential = 0.0
+    for psi, v in zip(field.psi, config._potential(grid)):
+        _density(np.fft.fftn(psi, out=spectrum), out=density)
+        for axis in range(grid.dimension):
+            others = tuple(a for a in range(grid.dimension) if a != axis)
+            kinetic += np.sum(half_k_squared * density.sum(axis=others))
+        _density(psi, out=density)
+        density *= v
+        potential += np.sum(density)
+    kinetic /= field.psi[0].size
     return float(kinetic + potential) * grid.cell_volume
 
 

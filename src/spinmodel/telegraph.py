@@ -70,16 +70,6 @@ class TelegraphTrajectory:
         if not starts[-1] < self.total_duration:
             raise ValueError("last segment must start before total_duration")
 
-    def segment_durations(self) -> np.ndarray:
-        """Each segment's duration, the last one's up to total_duration: the
-        bits of np.diff(start_times, append=total_duration), without its
-        concatenated copy."""
-        starts = self.start_times
-        durations = np.empty_like(starts)
-        np.subtract(starts[1:], starts[:-1], out=durations[:-1])
-        durations[-1] = self.total_duration - starts[-1]
-        return durations
-
     def trend_at(self, t: float) -> int:
         """Trend at time t; boundary instants belong to the later segment."""
         if t < 0 or t > self.total_duration:
@@ -132,8 +122,16 @@ def simulate(
 
 def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
     """Time fractions (up, down); they sum to 1 exactly."""
-    # segments alternate, so the up ones are every other, from 0 or 1
-    up_durations = traj.segment_durations()[int(traj.trends[0] < 0) :: 2]
+    # segments alternate, so the up ones start at every other start, from 0
+    # or 1, and each ends where the next segment starts, the last one at
+    # total_duration: only the up durations are formed, each as one subtraction
+    first = int(traj.trends[0] < 0)
+    starts = traj.start_times[first::2]
+    ends = traj.start_times[first + 1 :: 2]
+    up_durations = np.empty_like(starts)
+    np.subtract(ends, starts[: len(ends)], out=up_durations[: len(ends)])
+    if len(ends) < len(starts):
+        up_durations[-1] = traj.total_duration - starts[-1]
     up = float(up_durations.sum()) / traj.total_duration
     return up, 1.0 - up
 

@@ -17,9 +17,20 @@ def packet_state(grid=None, momentum=0.0, width=1.0):
     return pauli.SpinorField.normalized(grid, psi, psi)
 
 
+def _wavenumbers(grid):
+    """Each axis's wavenumbers, in fftfreq's order, on meshgrids."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.nodes, d=grid.spacing)
+    return np.meshgrid(*[k] * grid.dimension, indexing="ij")
+
+
+def _kinetic_energy(grid):
+    """Spectral kinetic energy k^2 / 2 of each plane wave, on the grid."""
+    return sum(k**2 for k in _wavenumbers(grid)) / 2.0
+
+
 def _meshgrid_kinetic_phase(grid, dt):
     """The kinetic phase as the product of each axis's factor, on meshgrids."""
-    first, *rest = (np.exp(-1j * dt * (k**2 / 2.0)) for k in grid.wavenumbers())
+    first, *rest = (np.exp(-1j * dt * (k**2 / 2.0)) for k in _wavenumbers(grid))
     for factor in rest:
         first = first * factor
     return first
@@ -46,7 +57,7 @@ def _classic_evolve(field, config, dt, steps):
     """Per-component Strang loop, half * kinetic * half in every step, with
     the kinetic phase of the summed energy k^2 / 2."""
     halves = np.exp(-0.5j * dt * config.potential_energy(field.grid))
-    kinetic = np.exp(-1j * dt * pauli._kinetic_energy(field.grid))
+    kinetic = np.exp(-1j * dt * _kinetic_energy(field.grid))
     psis = [psi.copy() for psi in field.psi]
     for _ in range(steps):
         psis = [
@@ -77,7 +88,7 @@ def non_uniform_fields(grid):
 
 def _reference_gradient(psi, grid):
     psi_hat = np.fft.fftn(psi)
-    return [np.fft.ifftn(1j * k * psi_hat) for k in grid.wavenumbers()]
+    return [np.fft.ifftn(1j * k * psi_hat) for k in _wavenumbers(grid)]
 
 
 def _reference_continuity_residual(fields, dt, config, component):
@@ -89,7 +100,7 @@ def _reference_continuity_residual(fields, dt, config, component):
     div = np.zeros(grid.shape)
     for axis, g in enumerate(_reference_gradient(psis[1], grid)):
         flux = np.imag(np.conj(psis[1]) * g)
-        k = grid.wavenumbers()[axis]
+        k = _wavenumbers(grid)[axis]
         div += np.real(np.fft.ifftn(1j * k * np.fft.fftn(flux)))
     residual = (drho_dt + div)[rho[1] > pauli.DENSITY_FLOOR]
     return float(np.sqrt(np.mean(residual**2)))
@@ -112,7 +123,7 @@ def _reference_hj_residual(fields, dt, config, component):
     v = v_plus if component == "plus" else v_minus
     sqrt_rho = np.sqrt(rho_mid)
     lap = np.zeros(grid.shape)
-    for k in grid.wavenumbers():
+    for k in _wavenumbers(grid):
         lap += np.real(np.fft.ifftn(-(k**2) * np.fft.fftn(sqrt_rho)))
     quantum = np.zeros(grid.shape)
     quantum[mask] = -0.5 * lap[mask] / sqrt_rho[mask]
@@ -338,7 +349,9 @@ FIELD_VALUES = {
 
 class TestPhaseFactors:
     """evolve's phase factors, taken on the fields' own shape and from one
-    axis's kinetic factors, against the grid-shaped formulas."""
+    axis's kinetic factors, against the grid-shaped formulas.  The kinetic
+    factor carries the inverse transforms' 1/N^d, a power of two, so the
+    folded factor is exactly the grid-shaped phase times 1/N^d."""
 
     @staticmethod
     def _phases(monkeypatch, grid, config, dt):
@@ -371,15 +384,16 @@ class TestPhaseFactors:
     def test_one_dimensional_kinetic_phase_keeps_its_bits(self, monkeypatch, dt):
         grid = pauli.SpatialGrid(1, 256, 20.0)
         _, kinetic = self._phases(monkeypatch, grid, pauli.FieldConfig(b_z=1.0), dt)
-        expected = np.exp(-1j * dt * pauli._kinetic_energy(grid))
+        expected = np.exp(-1j * dt * _kinetic_energy(grid)) * (1.0 / 256)
         assert np.array_equal(kinetic, expected)
 
     def test_two_dimensional_kinetic_phase_is_the_axis_product(self, monkeypatch):
         grid = pauli.SpatialGrid(2, 64, 20.0)
         _, kinetic = self._phases(monkeypatch, grid, pauli.FieldConfig(), 0.01)
-        assert np.array_equal(kinetic, _meshgrid_kinetic_phase(grid, 0.01))
-        summed = np.exp(-1j * 0.01 * pauli._kinetic_energy(grid))
-        assert np.max(np.abs(kinetic - summed)) <= 1e-15
+        scale = 1.0 / 64**2
+        assert np.array_equal(kinetic, _meshgrid_kinetic_phase(grid, 0.01) * scale)
+        summed = np.exp(-1j * 0.01 * _kinetic_energy(grid)) * scale
+        assert np.max(np.abs(kinetic - summed)) <= 1e-15 * scale
 
 
 class TestThreadedSteps:
@@ -465,7 +479,7 @@ class TestReductions:
         grid = pauli.SpatialGrid(dimension, nodes, 20.0)
         state = two_component_state(grid)
         config = non_uniform_fields(grid)
-        kin = pauli._kinetic_energy(grid)
+        kin = _kinetic_energy(grid)
         energy = 0.0
         for psi, v in zip(state.psi, config.potential_energy(grid)):
             psi_hat = np.fft.fftn(psi)
@@ -631,6 +645,12 @@ class TestMadelung:
         assert pauli.continuity_residual(snaps, dt, config, component) < 1e-6
         assert pauli.hj_residual(snaps, dt, config, component) < 1e-4
 
+    # relative bounds only (abs=0): the residuals are ~3e-7 (continuity) and
+    # ~3e-5 (HJ), where approx's default abs=1e-12 would allow ~3e-6 and
+    # ~3e-8 relative.  Measured gaps: continuity <= 2.1e-9, since
+    # Im(psi* lap psi) and the reference's div of the spectral current differ
+    # by the current's aliasing; HJ <= 1.2e-9, as large from an fftn-based
+    # current: round-off amplified by 1/sqrt(rho) near the mask's edge
     @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
     @pytest.mark.parametrize("component", ["plus", "minus"])
     def test_residuals_match_per_axis_reference(self, dimension, nodes, component):
@@ -642,11 +662,37 @@ class TestMadelung:
         assert pauli.continuity_residual(
             snaps, dt, config, component
         ) == pytest.approx(
-            _reference_continuity_residual(snaps, dt, config, component), rel=1e-12
+            _reference_continuity_residual(snaps, dt, config, component),
+            rel=1e-8, abs=0,
         )
         assert pauli.hj_residual(snaps, dt, config, component) == pytest.approx(
-            _reference_hj_residual(snaps, dt, config, component), rel=1e-12
+            _reference_hj_residual(snaps, dt, config, component), rel=1e-8, abs=0
         )
+
+    # eps (-1)^n, the Nyquist mode (the (N/2, N/2) corner in 2-D), on a moving
+    # packet: div J taken as Im(psi* lap psi) with the solver's own -|k|^2 is
+    # consistent with the step, so the residual falls as dt^2, by ~100 here
+    # (measured 155 in 1-D, 102 in 2-D).  The divergence of the spectrally
+    # differentiated current, Nyquist bin zeroed, stalls at ~0.2 (1-D) and
+    # ~3e-3 (2-D) for both time steps.
+    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
+    def test_continuity_residual_with_nyquist_content_falls_as_dt_squared(
+        self, dimension, nodes
+    ):
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        coords = grid.coordinates()
+        nyquist = (-1.0) ** sum(np.indices(grid.shape))
+        psi = np.exp(-sum(c**2 for c in coords) / 4.0 + 0.5j * coords[0])
+        psi += 1e-3 * nyquist
+        state = pauli.SpinorField.normalized(grid, psi, 0.5 * psi)
+        config = pauli.FieldConfig(b_z=1.0)
+
+        def residual(dt, component):
+            snaps = [pauli.evolve(state, config, dt, n) for n in (0, 1, 2)]
+            return pauli.continuity_residual(snaps, dt, config, component)
+
+        for component in ("plus", "minus"):
+            assert residual(1e-4, component) < residual(1e-3, component) / 50.0
 
     def test_snapshot_rows_shape(self):
         rows = pauli.snapshot_rows(packet_state(), stride=16)

@@ -12,6 +12,12 @@ from spinmodel.streams import stream
 taus = st.floats(min_value=0.05, max_value=5.0)
 
 
+def _mirrored(traj):
+    """The trajectory with every trend flipped: its up segments are the
+    original's down ones."""
+    return tg.TelegraphTrajectory(traj.start_times, -traj.trends, traj.total_duration)
+
+
 class TestDwellModel:
     @pytest.mark.parametrize(
         "tp,tm", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)]
@@ -30,8 +36,10 @@ class TestTrajectory:
         return tg.TelegraphTrajectory((0.0, 1.0, 2.5), (+1, -1, +1), 4.0)
 
     def test_segments_tile_duration(self):
+        # up segments [0, 1) and [2.5, 4], down [1, 2.5)
         traj = self._traj()
-        assert traj.segment_durations().sum() == pytest.approx(4.0)
+        assert tg.empirical_fractions(traj) == (0.625, 0.375)
+        assert tg.empirical_fractions(_mirrored(traj)) == (0.375, 0.625)
 
     def test_boundary_belongs_to_later_segment(self):
         traj = self._traj()
@@ -99,10 +107,12 @@ class TestSimulate:
         model = tg.DwellModel(tau_plus, tau_minus)
         rng = stream(9, "tg-sim", trial)
         traj = tg.simulate(model, 20.0, +1, rng)
-        # the constructor enforces tiling/alternation; re-check durations
-        assert traj.segment_durations().sum() == pytest.approx(20.0)
+        # the constructor enforces tiling/alternation; re-check durations:
+        # the up and the down segments, each summed on its own, tile it
         assert traj.trends[0] == +1
         up, down = tg.empirical_fractions(traj)
+        mirrored_up, _ = tg.empirical_fractions(_mirrored(traj))
+        assert up + mirrored_up == pytest.approx(1.0)
         assert up + down == pytest.approx(1.0)
 
     @pytest.mark.parametrize("tp,tm", [(1.0, 1.0), (3.0, 1.0), (0.2, 0.8)])
@@ -244,9 +254,11 @@ def test_fractions_match_the_boolean_mask(segments, initial_trend, tau, seed):
     trends = initial_trend * (-1) ** np.arange(segments)
     traj = tg.TelegraphTrajectory(starts, trends, float(ends[-1]))
     durations = np.diff(traj.start_times, append=traj.total_duration)
-    assert np.array_equal(traj.segment_durations(), durations)
     up = float(durations[traj.trends > 0].sum()) / traj.total_duration
     assert tg.empirical_fractions(traj) == (up, 1.0 - up)
+    # the down durations, as up ones of the mirrored trajectory, tile the rest
+    down = float(durations[traj.trends < 0].sum()) / traj.total_duration
+    assert tg.empirical_fractions(_mirrored(traj))[0] == down
 
 
 class TestParity:
