@@ -384,13 +384,13 @@ class TestPhaseFactors:
     def test_one_dimensional_kinetic_phase_keeps_its_bits(self, monkeypatch, dt):
         grid = pauli.SpatialGrid(1, 256, 20.0)
         _, kinetic = self._phases(monkeypatch, grid, pauli.FieldConfig(b_z=1.0), dt)
-        expected = np.exp(-1j * dt * _kinetic_energy(grid)) * (1.0 / 256)
+        expected = np.exp(-1j * dt * _kinetic_energy(grid)) * (1.0 / grid.nodes)
         assert np.array_equal(kinetic, expected)
 
     def test_two_dimensional_kinetic_phase_is_the_axis_product(self, monkeypatch):
         grid = pauli.SpatialGrid(2, 64, 20.0)
         _, kinetic = self._phases(monkeypatch, grid, pauli.FieldConfig(), 0.01)
-        scale = 1.0 / 64**2
+        scale = 1.0 / grid.nodes**2
         assert np.array_equal(kinetic, _meshgrid_kinetic_phase(grid, 0.01) * scale)
         summed = np.exp(-1j * 0.01 * _kinetic_energy(grid)) * scale
         assert np.max(np.abs(kinetic - summed)) <= 1e-15 * scale
