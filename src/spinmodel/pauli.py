@@ -172,8 +172,10 @@ def spin_populations(field: SpinorField) -> tuple[float, float]:
 def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
     """(1/2) integral of B_z (|Psi_+|^2 - |Psi_-|^2)."""
     bz = config._as_field(config.b_z, field.grid)
-    rho = np.abs(field.psi) ** 2
-    return float(0.5 * np.sum(bz * (rho[0] - rho[1])) * field.grid.cell_volume)
+    polarization = _density(field.psi[0])
+    polarization -= _density(field.psi[1])
+    polarization *= bz
+    return float(0.5 * np.sum(polarization) * field.grid.cell_volume)
 
 
 def evolve(
@@ -265,7 +267,7 @@ def madelung(field: SpinorField) -> tuple[np.ndarray, np.ndarray]:
     phase = np.angle(field.psi)
     for axis in range(1, phase.ndim):
         phase = np.unwrap(phase, axis=axis)
-    return np.abs(field.psi) ** 2, phase
+    return _density(field.psi), phase
 
 
 def _component(component: str) -> int:

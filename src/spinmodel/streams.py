@@ -14,15 +14,16 @@ holds an n-sized scratch array and each runs on two cores with the bits it
 has on one:
 
 - Blocks.  A call's n values go in consecutive blocks of `BLOCK`, the last
-  one shorter (`_spans`), and block b is drawn from child b of
+  one shorter (`_spans`), and block b is drawn from child b of one
   ``rng.spawn(ceil(n / BLOCK))`` (`_run_blocks`).  The caller's generator
   only spawns: its own draws are untouched, and the next call spawns the
   next children.
-- Threads.  `_split` hands the blocks, in order, to the caller and one
-  worker thread, each taking the next block left and keeping its scratch
-  from block to block.  The worker comes from `_two_threads`, the package's
-  one two-thread helper (`pauli.evolve` steps its two spinor components
-  through it too).  A call of one block starts no thread.
+- Threads.  `_run_blocks` keeps one queue of the call's blocks, in order,
+  and the caller and one worker thread each take the next block left,
+  keeping their scratch from block to block.  The worker comes from
+  `_two_threads`, the package's one two-thread helper (`pauli.evolve`
+  steps its two spinor components through it too); a call starts it once,
+  or not at all if it has one block.
   Block b holds the same values whichever thread draws it, so a result
   does not depend on the thread count.  A worker calls only private
   kernels, never a public function.
@@ -31,7 +32,6 @@ has on one:
 from __future__ import annotations
 
 import contextvars
-import itertools
 import threading
 
 import numpy as np
@@ -40,11 +40,9 @@ __all__ = ["stream"]
 
 # values per block of the blocked kernels (the samplers, kl_shift_rate): a
 # float64 block is 128 KiB, so a few of them stay in a core's L2 cache; a
-# sampler spawns one child stream per block, in ~20 us, ~3 % of its draws
+# sampler spawns one child stream per block, in ~20 us, ~3 % of its draws,
+# and holds all of a call's children (~0.9 KiB each, 0.7 % of the output)
 BLOCK = 2**14
-# blocks per spawn: a sampler holds the child streams (~0.9 KiB each) of at
-# most this many blocks at a time, and starts one worker thread for each
-_WINDOW = 64
 
 
 def stream(seed: int, *ids) -> np.random.Generator:
@@ -72,34 +70,21 @@ def _spans(n: int, size: int = BLOCK):
 
 
 def _run_blocks(rng: np.random.Generator, n: int, kernel) -> list:
-    """The results of kernel for the blocks of range(n), in block order,
-    computed by `_split`: kernel's items are (child, start, stop), block b
-    being span b of `_spans(n)`, drawn from child b of rng.spawn.
+    """The results kernel yields for the blocks of range(n), in block order.
 
-    The blocks go in windows of `_WINDOW`, and each window's children are
-    spawned at once.  Each spawn goes on from the last, so the children are
-    those of rng.spawn(ceil(n / BLOCK)).
+    kernel is a generator function: given an iterable of blocks (child,
+    start, stop), block b being span b of `_spans(n)` drawn from child b of
+    one rng.spawn(ceil(n / BLOCK)), it yields one result for each, in order.
+    It runs on the caller's thread and, if there are two or more blocks, on
+    one worker, each fed the next block no thread has taken, so a thread
+    slowed by other load on its core takes fewer.  Each run keeps its
+    scratch to itself, from block to block, and writes only where its blocks
+    say.
     """
-    results = []
-    spans = _spans(n)
-    while window := list(itertools.islice(spans, _WINDOW)):
-        children = rng.spawn(len(window))
-        results += _split([(c, *span) for c, span in zip(children, window)], kernel)
-    return results
-
-
-def _split(items: list, kernel) -> list:
-    """The results kernel yields for items, in item order.
-
-    kernel is a generator function: given an iterable of items, it yields
-    one result for each, in order.  It runs on the caller's thread and, if
-    there are two or more items, on one worker, each fed the next item no
-    thread has taken, so a thread slowed by other load on its core takes
-    fewer.  Each run keeps its scratch to itself, from item to item, and
-    writes only where its items say.
-    """
-    results = [None] * len(items)
-    order = iter(range(len(items)))
+    spans = list(_spans(n))
+    blocks = [(child, *span) for child, span in zip(rng.spawn(len(spans)), spans)]
+    results = [None] * len(blocks)
+    order = iter(range(len(blocks)))
     lock = threading.Lock()
 
     def run():
@@ -108,16 +93,16 @@ def _split(items: list, kernel) -> list:
         def take():
             while True:
                 with lock:
-                    i = next(order, None)
-                if i is None:
+                    b = next(order, None)
+                if b is None:
                     return
-                taken.append(i)
-                yield items[i]
+                taken.append(b)
+                yield blocks[b]
 
         for j, result in enumerate(kernel(take())):
             results[taken[j]] = result
 
-    if len(items) < 2:
+    if len(blocks) < 2:
         run()
     else:
         _two_threads(run, run)

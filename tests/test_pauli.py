@@ -694,6 +694,27 @@ class TestMadelung:
         for component in ("plus", "minus"):
             assert residual(1e-4, component) < residual(1e-3, component) / 50.0
 
+    # the HJ residual is taken only where rho > HJ_FLOOR, so the floor decides
+    # how much of the packet the residual tests.  On the benchmark's packets
+    # (widths 0.8 to 1.5, a 0.3/0.7 split, momentum up to 2) the floor of
+    # 1e-6 leaves out at most 4.6e-5 of a component's mass (2-D, width 1.5);
+    # a floor of 1e-3 would leave out 6e-4 to 5e-2 of it, the packet's flanks
+    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("width", [0.8, 1.5])
+    def test_hj_floor_keeps_the_packet(self, dimension, nodes, width):
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        coords = grid.coordinates()
+        packet = np.exp(
+            -sum(c**2 for c in coords) / (4.0 * width**2) + 2.0j * coords[0]
+        )
+        state = pauli.SpinorField.normalized(
+            grid, math.sqrt(0.3) * packet, math.sqrt(0.7) * packet
+        )
+        mid = pauli.evolve(state, pauli.FieldConfig(b_z=1.0), 0.01, 20)
+        for psi in mid.psi:
+            rho = np.abs(psi) ** 2
+            assert np.sum(rho[rho <= pauli.HJ_FLOOR]) <= 1e-4 * np.sum(rho)
+
     def test_snapshot_rows_shape(self):
         rows = pauli.snapshot_rows(packet_state(), stride=16)
         assert len(rows) == 256 // 16

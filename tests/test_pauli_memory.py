@@ -39,6 +39,7 @@ def _snapshots():
 
 SNAPS, CONFIG = _snapshots()
 PACKET = _packet()
+GRID_FIELD = pauli.FieldConfig(b_z=np.exp(-GRID.coordinates()[0] ** 2))
 
 # name -> (call, bound in component arrays beyond the output, and why)
 DIAGNOSTICS = {
@@ -55,6 +56,9 @@ DIAGNOSTICS = {
     "total_energy": (lambda: pauli.total_energy(SNAPS[1], CONFIG), 1.75),
     # one density at a time (1/2)
     "spin_populations": (lambda: pauli.spin_populations(SNAPS[1]), 0.75),
+    # the two densities (1/2 each); the difference and the product with the
+    # grid-shaped B_z are taken in place in the first
+    "zeeman_energy": (lambda: pauli.zeeman_energy(SNAPS[1], GRID_FIELD), 1.25),
     # the two densities, summed in place (1); the output is the spinor itself
     "normalized": (lambda: pauli.SpinorField.normalized(GRID, PACKET, PACKET), 1.25),
 }

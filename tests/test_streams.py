@@ -15,7 +15,7 @@ from spinmodel import orientation as om
 from spinmodel import stern_gerlach as sg
 from spinmodel import streams
 from spinmodel import telegraph as tg
-from spinmodel.streams import BLOCK, _WINDOW, _run_blocks, _spans, stream
+from spinmodel.streams import BLOCK, _run_blocks, _spans, stream
 
 
 def test_same_key_same_sequence():
@@ -87,15 +87,14 @@ def _blocks_of(rng, n):
     return [(child, *span) for child, span in zip(rng.spawn(-(-n // BLOCK)), _spans(n))]
 
 
-def test_windows_spawn_the_children_of_one_spawn():
-    # the blocks go in windows of _WINDOW, each with its own spawn; block b
-    # still gets child b of one rng.spawn of all the blocks
-    n = 2 * _WINDOW * BLOCK + 5
+def test_one_spawn_gives_block_b_child_b():
+    # all of a call's children come from one rng.spawn: block b gets child b
+    n = 130 * BLOCK + 5
     got = _run_blocks(
-        stream(3, "windows"), n,
+        stream(3, "one-spawn"), n,
         lambda blocks: ((child.random(), start, stop) for child, start, stop in blocks),
     )
-    expected = [(c.random(), start, stop) for c, start, stop in _blocks_of(stream(3, "windows"), n)]
+    expected = [(c.random(), start, stop) for c, start, stop in _blocks_of(stream(3, "one-spawn"), n)]
     assert got == expected
 
 
@@ -190,8 +189,8 @@ class TestThreadedBlocks:
         assert np.shape(two) == np.shape(one) == (() if size is None else size)
         assert _bits(two) == _bits(one)
 
-    @pytest.mark.parametrize("n, threads", [(BLOCK, 0), (BLOCK + 1, 1)])
-    def test_one_block_starts_no_thread(self, n, threads, monkeypatch):
+    @staticmethod
+    def _workers_started(monkeypatch, n):
         calls = []
 
         def counted(first, second):
@@ -200,7 +199,16 @@ class TestThreadedBlocks:
 
         monkeypatch.setattr(streams, "_two_threads", counted)
         om.sample_theta(1, stream(9, "threads-count"), n)
-        assert len(calls) == threads
+        return len(calls)
+
+    @pytest.mark.parametrize("n, threads", [(BLOCK, 0), (BLOCK + 1, 1)])
+    def test_one_block_starts_no_thread(self, n, threads, monkeypatch):
+        assert self._workers_started(monkeypatch, n) == threads
+
+    def test_one_worker_per_call(self, monkeypatch):
+        # one queue of all the call's blocks, so one worker however many
+        # blocks the call has
+        assert self._workers_started(monkeypatch, 130 * BLOCK + 5) == 1
 
     @pytest.mark.parametrize("name", BLOCKED)
     def test_no_thread_outlives_the_call(self, name):
@@ -218,15 +226,15 @@ class TestThreadedBlocks:
         assert threading.active_count() == threads
 
     def test_kernel_exception_reaches_the_caller(self):
-        def kernel(items):
-            for item in items:
-                if item == 2:
+        def kernel(blocks):
+            for _, start, _ in blocks:
+                if start == 2 * BLOCK:
                     raise ZeroDivisionError("kernel")
-                yield item
+                yield start
 
         threads = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="kernel"):
-            streams._split([0, 1, 2, 3], kernel)
+            _run_blocks(stream(9, "kernel-error"), 4 * BLOCK, kernel)
         assert threading.active_count() == threads
 
     def test_worker_keeps_the_callers_errstate(self):
@@ -238,17 +246,18 @@ class TestThreadedBlocks:
             assert streams._two_threads(invalid, invalid) == ("raise", "raise")
 
     def test_a_slow_thread_takes_fewer_items(self):
-        # items go to whichever thread is free; results stay in item order
+        # blocks go to whichever thread is free; results stay in block order
         caller, taken = threading.current_thread(), []
 
-        def kernel(items):
-            for item in items:
+        def kernel(blocks):
+            for _, start, _ in blocks:
                 if threading.current_thread() is not caller:
                     time.sleep(0.2)
                 taken.append(threading.current_thread() is caller)
-                yield item
+                yield start // BLOCK
 
-        assert streams._split(list(range(20)), kernel) == list(range(20))
+        got = _run_blocks(stream(9, "slow-thread"), 20 * BLOCK, kernel)
+        assert got == list(range(20))
         assert sum(taken) >= 18
 
     def test_concurrent_callers_keep_the_bits(self):
