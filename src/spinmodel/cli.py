@@ -14,8 +14,8 @@ like JSON file values: counts integral (``1e6`` is one), numbers finite,
 lists ``1,2,3`` or a JSON list.  Unknown keys are rejected.  Exit codes:
 0 success; 2 malformed configuration, naming the key, a value a model's
 constructor rejects with ``ValueError``, or an unusable output directory;
-3 numerical non-convergence: the phase factors of ``dt`` and the field are
-not finite.
+3 numerical non-convergence: the phase factors of ``dt`` (of ``dt * steps``
+for the uniform ``pauli`` field) and the field are not finite.
 """
 
 from __future__ import annotations
@@ -168,8 +168,10 @@ SCHEMA = {
         "nodes": (NODES, 256),
         "extent": (POSITIVE, 20.0),
         "dt": (POSITIVE, 0.001),
-        # bounds the run time: 10^6 Strang steps take ~40 s at 256 nodes;
-        # run_pauli also bounds nodes x steps by PAULI_NODE_STEPS
+        # the run's b_z is uniform, so evolve takes its steps as one step of
+        # steps * dt and the run time does not grow with steps (~0.3 s end to
+        # end at 256 nodes, 1000 or 10^6 steps); whether this bound and
+        # PAULI_NODE_STEPS should stay is ROADMAP item 24's question
         "steps": (_numeric(int, 1, high=10**6), 1000),
         "b_z": (REAL, 1.0),
         "stride": (COUNT, 8),
@@ -185,10 +187,9 @@ SCHEMA = {
     # and 71 MiB
     "oracle-check": {"pairs": (_numeric(int, 1, high=10**5), 100)},
 }
-# bounds a pauli run's time: a 1-D Strang step costs ~25-105 ns per node
-# between 256 and 2^20 nodes (2-core host, two threads from 2^14 nodes on;
-# up to ~2.5x more in slow host phases), so 256 x 10^6 node-steps, the
-# default grid at the steps bound, take ~6-27 s
+# bounds nodes x steps.  A pauli run's field is uniform, so its steps are one
+# step of steps * dt and its time grows with nodes alone (~2 s end to end at
+# 2^20 nodes on a 2-core host), not with this product
 PAULI_NODE_STEPS = 256 * 10**6
 
 

@@ -8,6 +8,11 @@ to round-off.  The fields couple only through sigma_z B_z and phi.  There
 is no vector potential: a uniform A has curl A = 0, so it is the gauge
 e^{iAx}, not a field.
 
+A uniform field (scalar B_z and phi) is a potential with one value per
+component, which commutes with the kinetic term, [T, V] = 0: then n Strang
+steps of dt are exactly one step of n dt, and `evolve` takes that one step.
+A field that varies on the grid is stepped n times.
+
 Each `evolve` call pays its fixed costs once: the potential phase is taken
 on the fields' own shape (two complex exps for scalar fields), the kinetic
 phase from one axis's factors (their outer product in 2-D) with the inverse
@@ -45,8 +50,9 @@ _PARALLEL_NODES = 2**14
 
 
 class ConvergenceError(RuntimeError):
-    """Numerical non-convergence: the phase factors of `dt` and the field
-    are not finite, so `evolve` cannot step the spinor."""
+    """Numerical non-convergence: the phase factors of `dt` (of
+    `steps * dt` for a uniform field) and the field are not finite, so
+    `evolve` cannot step the spinor."""
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,13 @@ def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
 def evolve(
     field: SpinorField, config: FieldConfig, dt: float, steps: int
 ) -> SpinorField:
-    """Advance the spinor by `steps` Strang-split time steps."""
+    """Advance the spinor by `steps` Strang-split time steps.
+
+    Scalar fields take them as one step of steps * dt: a potential with one
+    value per component commutes with the kinetic term, [T, V] = 0, so the
+    steps' factors multiply to that one step's.  Grid- and axis-shaped
+    fields are stepped `steps` times.
+    """
     if not abs(norm(field) - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise ValueError("input field must be normalized")
     if not 0 < dt < math.inf:
@@ -190,12 +202,18 @@ def evolve(
         raise ValueError(f"steps must be a whole number >= 0, got {steps!r}")
     steps = int(steps)
     grid = field.grid
+    potential = config._potential(grid)
+    step_dt, step_count = dt, steps
+    if potential[0].size == 1 and steps:  # one value per component
+        step_dt, step_count = dt * steps, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        half = np.exp(-0.5j * dt * config._potential(grid))
-        kinetic = np.exp(-1j * dt * (_wavenumber_axis(grid) ** 2 / 2.0))
+        half = np.exp(-0.5j * step_dt * potential)
+        kinetic = np.exp(-1j * step_dt * (_wavenumber_axis(grid) ** 2 / 2.0))
     # finite unit-modulus factors keep a finite spinor finite at every step
     if not (np.isfinite(half).all() and np.isfinite(kinetic).all()):
-        raise ConvergenceError(f"non-finite phase factors of dt={dt!r} and the field")
+        raise ConvergenceError(
+            f"non-finite phase factors of dt={dt!r}, steps={steps} and the field"
+        )
     if grid.dimension == 2:
         kinetic = np.multiply.outer(kinetic, kinetic)
     # the inverse transforms' 1/N per axis, folded in once for both threads:
@@ -209,11 +227,11 @@ def evolve(
         # copied to the grid's shape: on these cache-sized grids a broadcast
         # operand is slower in the loop than a contiguous one
         half = np.ascontiguousarray(np.broadcast_to(half, psi.shape))
-        _strang_steps(psi, half, kinetic, axes, steps)
+        _strang_steps(psi, half, kinetic, axes, step_count)
     else:
         # kept on the fields' shape: at these sizes a broadcast operand costs
         # the loop no more than a copy would, and holds no grid-sized arrays
-        _strang_steps_split(psi, half, kinetic, axes, steps)
+        _strang_steps_split(psi, half, kinetic, axes, step_count)
     if not np.isfinite(psi).all():
         raise ConvergenceError("non-finite amplitudes after the last step")
     return SpinorField(grid, psi)

@@ -400,7 +400,20 @@ class TestMalformedInput:
     def test_non_finite_field_is_non_convergence(self, tmp_path, capsys):
         argv = ["pauli", "--dt", "1e307", "--steps", "2", "--out", str(tmp_path)]
         assert cli.run(argv) == cli.EXIT_NUMERIC
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "dt=1e+307, steps=2 " in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_uniform_field_time_overflow_is_non_convergence(self, tmp_path, capsys):
+        # a uniform field's steps are one step of dt x steps, which overflows
+        # here; the error names the caller's dt and steps, not their product
+        argv = ["pauli", "--dt", "1e303", "--steps", "1000000", "--out", str(tmp_path)]
+        assert cli.run(argv) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "non-finite phase factors of dt=1e+303, steps=1000000 " in err
+        assert "Traceback" not in err
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

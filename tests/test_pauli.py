@@ -309,14 +309,19 @@ class TestStackedSteps:
         assert np.array_equal(evolved.psi[1], psi_m)
         assert np.array_equal(state.psi, before)
 
-    # on the split path scalar fields' phases stay broadcast, not copied
-    @pytest.mark.parametrize("dimension, nodes", [(2, 128), (1, 2**14)])
+    # on the split path scalar fields' phases stay broadcast, not copied;
+    # 1-D 256 is the one-thread path.  Scalar fields take their 25 steps as
+    # one step of 25 dt, within round-off of the 25 steps
+    @pytest.mark.parametrize("dimension, nodes", [(2, 128), (1, 2**14), (1, 256)])
     def test_scalar_fields_keep_the_bits_on_two_threads(self, dimension, nodes):
         grid = pauli.SpatialGrid(dimension, nodes, 20.0)
         state = two_component_state(grid)
         config = pauli.FieldConfig(b_z=0.8, scalar_potential=0.1)
-        evolved = pauli.evolve(state, config, 0.01, 25)
-        assert np.array_equal(evolved.psi, _reference_evolve(state, config, 0.01, 25))
+        evolved = pauli.evolve(state, config, 0.01, 25).psi
+        one_step = _reference_evolve(state, config, 0.01 * 25, 1)
+        assert np.array_equal(evolved, one_step)
+        stepped = np.stack(_reference_evolve(state, config, 0.01, 25))
+        assert np.max(np.abs(evolved - stepped)) <= 1e-12 * np.max(np.abs(stepped))
 
     def test_zero_steps_return_the_input_bits(self):
         state = two_component_state(pauli.SpatialGrid(1, 256, 20.0))
@@ -394,6 +399,44 @@ class TestPhaseFactors:
         assert np.array_equal(kinetic, _meshgrid_kinetic_phase(grid, 0.01) * scale)
         summed = np.exp(-1j * 0.01 * _kinetic_energy(grid)) * scale
         assert np.max(np.abs(kinetic - summed)) <= 1e-15 * scale
+
+
+class TestUniformFields:
+    """A potential with one value per component commutes with the kinetic
+    term, so evolve takes a scalar field's n steps as one step of n dt, and
+    steps grid- and axis-shaped fields n times."""
+
+    # 2-D 128^2 is on the threaded path, where each component is one call
+    @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 128)])
+    @pytest.mark.parametrize("shape", sorted(FIELD_VALUES))
+    def test_only_scalar_fields_take_one_step(
+        self, monkeypatch, dimension, nodes, shape
+    ):
+        strang_steps = pauli._strang_steps
+        seen = []
+
+        def recorded(psi, half, kinetic, axes, steps):
+            seen.append(steps)
+            strang_steps(psi, half, kinetic, axes, steps)
+
+        monkeypatch.setattr(pauli, "_strang_steps", recorded)
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        config = pauli.FieldConfig(b_z=FIELD_VALUES[shape](grid))
+        pauli.evolve(two_component_state(grid), config, 0.01, 7)
+        calls = 2 if grid.nodes**dimension >= pauli._PARALLEL_NODES else 1
+        assert seen == [1 if shape == "scalar" else 7] * calls
+
+    @pytest.mark.parametrize("dimension, nodes, steps", [(1, 256, 1000), (2, 64, 100)])
+    def test_grid_shaped_constant_field_matches_the_one_step(
+        self, dimension, nodes, steps
+    ):
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        state = two_component_state(grid)
+        scalar = pauli.FieldConfig(b_z=0.8)
+        constant = pauli.FieldConfig(b_z=np.full(grid.shape, 0.8))
+        one_step = pauli.evolve(state, scalar, 0.01, steps).psi
+        stepped = pauli.evolve(state, constant, 0.01, steps).psi
+        assert np.max(np.abs(stepped - one_step)) <= 1e-12 * np.max(np.abs(one_step))
 
 
 class TestThreadedSteps:
@@ -535,6 +578,14 @@ class TestLarmor:
         expected = b_z * dt * steps
         expected = math.atan2(math.sin(expected), math.cos(expected))
         assert delta == pytest.approx(expected, rel=0.01, abs=1e-9)
+
+    # the CLI's steps bound: a uniform field's 10^6 steps are one step
+    @pytest.mark.parametrize("b_z", [0.5, 1.0, 2.0])
+    def test_relative_phase_at_the_steps_bound(self, b_z):
+        dt, steps = 0.001, 10**6
+        evolved = pauli.evolve(packet_state(), pauli.FieldConfig(b_z=b_z), dt, steps)
+        error = pauli.relative_phase(evolved) - b_z * dt * steps
+        assert abs(math.atan2(math.sin(error), math.cos(error))) <= 1e-12
 
 
 class TestFreeMotion:
