@@ -119,7 +119,8 @@ POSITIVE = _numeric(float, 0.0, strict=True)
 # binomial and a multinomial, the Bell runs a multinomial per setting), so at
 # 1e7 samples each takes ~0.2-0.35 s and peaks at ~36 MiB RSS (2-core host),
 # as at the defaults.  NODES bounds the arrays of a grid: a variational grid
-# of 1e7 nodes peaks at ~0.65 GiB and pauli at 2^23 nodes at ~1.7 GiB
+# of 1e7 nodes peaks at ~0.65 GiB, and pauli at 2^23 nodes at ~1.4 GiB at the
+# default stride of 8 (~3.5 GiB at stride 1)
 SAMPLES = _numeric(int, 1, high=10**7)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
 # a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),

@@ -36,17 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _two_threads
-
 NORM_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
 # the Hamilton-Jacobi residual divides by sqrt(rho), which amplifies round-off
 # in the tails far more than the continuity residual's rho does
 HJ_FLOOR = 1e-6
-# from this many nodes per component evolve advances Psi_- on a second
-# thread: numpy's FFT and ufunc loops release the GIL, and on smaller grids
-# the GIL handoffs cost more than the second core saves
-_PARALLEL_NODES = 2**14
 
 
 class ConvergenceError(RuntimeError):
@@ -216,22 +210,14 @@ def evolve(
         )
     if grid.dimension == 2:
         kinetic = np.multiply.outer(kinetic, kinetic)
-    # the inverse transforms' 1/N per axis, folded in once for both threads:
-    # N is a power of two, so the scaling is exact and keeps ifft's bits
+    # the inverse transforms' 1/N per axis, folded in once per call: N is a
+    # power of two, so the scaling is exact and keeps ifft's bits
     kinetic *= 1.0 / kinetic.size
     # fftn's axis order, last axis first, gives fftn's bits; not ifft2(out=):
     # numpy 2.4's ifft2 drops out, which would leave psi in k-space
     axes = range(-1, -grid.dimension - 1, -1)
     psi = np.array(field.psi, dtype=complex)  # a copy: the input stays unchanged
-    if psi[0].size < _PARALLEL_NODES:
-        # copied to the grid's shape: on these cache-sized grids a broadcast
-        # operand is slower in the loop than a contiguous one
-        half = np.ascontiguousarray(np.broadcast_to(half, psi.shape))
-        _strang_steps(psi, half, kinetic, axes, step_count)
-    else:
-        # kept on the fields' shape: at these sizes a broadcast operand costs
-        # the loop no more than a copy would, and holds no grid-sized arrays
-        _strang_steps_split(psi, half, kinetic, axes, step_count)
+    _strang_steps(psi, half, kinetic, axes, step_count)
     if not np.isfinite(psi).all():
         raise ConvergenceError("non-finite amplitudes after the last step")
     return SpinorField(grid, psi)
@@ -255,21 +241,6 @@ def _strang_steps(psi, half, kinetic, axes, steps: int) -> None:
         for axis in axes:
             np.fft.ifft(psi, axis=axis, out=psi, norm="forward")
         psi *= full if step > 1 else half
-
-
-def _strang_steps_split(psi, half, kinetic, axes, steps: int) -> None:
-    """_strang_steps with Psi_- advanced on a second thread.
-
-    sigma_z B_z never mixes the components, so each one is stepped on its
-    own, with the same bits as the stacked array.  `_two_threads` runs the
-    worker in a copy of the caller's context, so the caller's np.errstate
-    holds in it; its exception, if any, is raised here once both threads
-    are done.
-    """
-    _two_threads(
-        lambda: _strang_steps(psi[0], half[0], kinetic, axes, steps),
-        lambda: _strang_steps(psi[1], half[1], kinetic, axes, steps),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -449,4 +420,6 @@ def snapshot_rows(field: SpinorField, stride: int = 1):
         raise ValueError("stride must be >= 1")
     rho, s = madelung(field)
     x = field.grid.axis()
-    return np.column_stack((x, rho[0], rho[1], s[0], s[1]))[::stride].tolist()
+    # strided before the stack, which then holds only the exported rows
+    columns = (x[::stride], *rho[:, ::stride], *s[:, ::stride])
+    return np.column_stack(columns).tolist()

@@ -21,9 +21,8 @@ has on one:
 - Threads.  `_run_blocks` keeps one queue of the call's blocks, in order,
   and the caller and one worker thread each take the next block left,
   keeping their scratch from block to block.  The worker comes from
-  `_two_threads`, the package's one two-thread helper (`pauli.evolve`
-  steps its two spinor components through it too); a call starts it once,
-  or not at all if it has one block.
+  `_two_threads`, the package's one place that starts a thread; a call
+  starts it once, or not at all if it has one block.
   Block b holds the same values whichever thread draws it, so a result
   does not depend on the thread count.  A worker calls only private
   kernels, never a public function.
@@ -112,7 +111,8 @@ def _run_blocks(rng: np.random.Generator, n: int, kernel) -> list:
 def _two_threads(first, second):
     """(first(), second()), second() run on a worker thread.
 
-    The worker runs in a copy of the caller's context, so the caller's
+    Its one caller is `_run_blocks`, which passes its two queue runs.  The
+    worker runs in a copy of the caller's context, so the caller's
     np.errstate holds in it.  It is joined before this returns or raises,
     and its exception, if any, is raised here once both are done.
     """

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from spinmodel import pauli
+from spinmodel import pauli, streams
 from spinmodel import stern_gerlach as sg
 from spinmodel.pauli import ConvergenceError
 from spinmodel.streams import stream
@@ -265,7 +265,6 @@ class TestUnitarity:
         with pytest.raises(ConvergenceError):
             pauli.evolve(packet_state(), pauli.FieldConfig(b_z=1.0), 1e307, 2)
 
-    # 2-D 128^2 is on the threaded path
     @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 128)])
     @pytest.mark.parametrize("b_z, dt", [(1.0, 1e307), (1e308, 10.0)])
     def test_non_finite_phases_raise_before_stepping(
@@ -294,7 +293,8 @@ class TestUnitarity:
 
 
 class TestStackedSteps:
-    # from 2-D 128^2 and 1-D 2^14 on, each component is stepped on its own thread
+    # the stacked spinor, stepped as one array, keeps the bits of each
+    # component stepped on its own, on cache-sized and larger grids
     @pytest.mark.parametrize(
         "dimension, nodes", [(1, 256), (2, 64), (2, 128), (1, 2**14)]
     )
@@ -309,11 +309,10 @@ class TestStackedSteps:
         assert np.array_equal(evolved.psi[1], psi_m)
         assert np.array_equal(state.psi, before)
 
-    # on the split path scalar fields' phases stay broadcast, not copied;
-    # 1-D 256 is the one-thread path.  Scalar fields take their 25 steps as
-    # one step of 25 dt, within round-off of the 25 steps
+    # scalar fields' phases stay broadcast on the fields' own shape, and
+    # their 25 steps are one step of 25 dt, within round-off of the 25 steps
     @pytest.mark.parametrize("dimension, nodes", [(2, 128), (1, 2**14), (1, 256)])
-    def test_scalar_fields_keep_the_bits_on_two_threads(self, dimension, nodes):
+    def test_scalar_fields_keep_the_bits_with_broadcast_phases(self, dimension, nodes):
         grid = pauli.SpatialGrid(dimension, nodes, 20.0)
         state = two_component_state(grid)
         config = pauli.FieldConfig(b_z=0.8, scalar_potential=0.1)
@@ -369,7 +368,6 @@ class TestPhaseFactors:
         (phases,) = seen
         return phases
 
-    # 2-D 64^2 stays on one thread, so one call sees both components
     @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 64)])
     @pytest.mark.parametrize("phi", sorted(FIELD_VALUES))
     @pytest.mark.parametrize("b_z", sorted(FIELD_VALUES))
@@ -382,8 +380,8 @@ class TestPhaseFactors:
         )
         half, _ = self._phases(monkeypatch, grid, config, 0.01)
         expected = np.exp(-0.5j * 0.01 * config.potential_energy(grid))
-        assert half.shape == (2, *grid.shape)
-        assert np.array_equal(half, expected)
+        assert half.shape == config._potential(grid).shape
+        assert np.array_equal(np.broadcast_to(half, expected.shape), expected)
 
     @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.5])
     def test_one_dimensional_kinetic_phase_keeps_its_bits(self, monkeypatch, dt):
@@ -406,7 +404,6 @@ class TestUniformFields:
     term, so evolve takes a scalar field's n steps as one step of n dt, and
     steps grid- and axis-shaped fields n times."""
 
-    # 2-D 128^2 is on the threaded path, where each component is one call
     @pytest.mark.parametrize("dimension, nodes", [(1, 256), (2, 128)])
     @pytest.mark.parametrize("shape", sorted(FIELD_VALUES))
     def test_only_scalar_fields_take_one_step(
@@ -423,8 +420,7 @@ class TestUniformFields:
         grid = pauli.SpatialGrid(dimension, nodes, 20.0)
         config = pauli.FieldConfig(b_z=FIELD_VALUES[shape](grid))
         pauli.evolve(two_component_state(grid), config, 0.01, 7)
-        calls = 2 if grid.nodes**dimension >= pauli._PARALLEL_NODES else 1
-        assert seen == [1 if shape == "scalar" else 7] * calls
+        assert seen == [1 if shape == "scalar" else 7]
 
     @pytest.mark.parametrize("dimension, nodes, steps", [(1, 256, 1000), (2, 64, 100)])
     def test_grid_shaped_constant_field_matches_the_one_step(
@@ -439,12 +435,8 @@ class TestUniformFields:
         assert np.max(np.abs(stepped - one_step)) <= 1e-12 * np.max(np.abs(one_step))
 
 
-class TestThreadedSteps:
-    """The split path: Psi_- on a worker thread from _PARALLEL_NODES on."""
-
-    def test_threshold_splits_the_pinned_grids(self):
-        # TestStackedSteps pins 4096-node components on one thread, 2^14 on two
-        assert 4096 < pauli._PARALLEL_NODES <= 2**14
+class TestCallerThread:
+    """evolve steps the spinor on the caller's thread and starts none."""
 
     def test_non_finite_amplitudes_are_non_convergence(self):
         grid = pauli.SpatialGrid(2, 128, 20.0)
@@ -456,11 +448,21 @@ class TestThreadedSteps:
         assert threading.active_count() == threads
         assert np.array_equal(state.psi, before)
 
-    def test_no_thread_outlives_the_call(self):
-        grid = pauli.SpatialGrid(2, 128, 20.0)
-        threads = threading.active_count()
-        pauli.evolve(two_component_state(grid), non_uniform_fields(grid), 0.01, 3)
-        assert threading.active_count() == threads
+    @pytest.mark.parametrize("dimension, nodes", [(2, 128), (1, 2**14)])
+    @pytest.mark.parametrize("fields", ["scalar", "grid"])
+    def test_starts_no_thread(self, monkeypatch, dimension, nodes, fields):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("evolve started a thread")
+
+        monkeypatch.setattr(streams, "_two_threads", no_thread)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        grid = pauli.SpatialGrid(dimension, nodes, 20.0)
+        config = (
+            pauli.FieldConfig(b_z=0.8, scalar_potential=0.1)
+            if fields == "scalar"
+            else non_uniform_fields(grid)
+        )
+        pauli.evolve(two_component_state(grid), config, 0.01, 3)
 
     def test_concurrent_callers_keep_the_bits(self):
         # more stepping threads than cores, switching as often as possible
@@ -485,32 +487,6 @@ class TestThreadedSteps:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert all(np.array_equal(psi, expected) for psi in results)
-
-    @staticmethod
-    def _worker_only_overflow():
-        """Arrays on which only Psi_-'s first half-step computes 0 * inf."""
-        shape = (128, 128)
-        psi = np.zeros((2, *shape), dtype=complex)
-        psi[0] = 1.0
-        half = np.ones((2, *shape), dtype=complex)
-        half[1] = np.inf
-        return psi, half, np.ones(shape, dtype=complex), range(-1, -3, -1)
-
-    def test_worker_keeps_the_callers_errstate(self):
-        # a plain thread starts with numpy's default errstate, which warns
-        psi, half, kinetic, axes = self._worker_only_overflow()
-        with np.errstate(all="ignore"):
-            pauli._strang_steps_split(psi, half, kinetic, axes, 3)
-        assert np.isfinite(psi[0]).all()
-        assert np.isnan(psi[1]).all()
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_worker_exception_reaches_the_caller(self):
-        psi, half, kinetic, axes = self._worker_only_overflow()
-        threads = threading.active_count()
-        with pytest.raises(RuntimeWarning, match="invalid value"):
-            pauli._strang_steps_split(psi, half, kinetic, axes, 3)
-        assert threading.active_count() == threads
 
 
 class TestReductions:

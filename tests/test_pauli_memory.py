@@ -1,10 +1,12 @@
-"""Peak memory of the Pauli diagnostics, traced by tracemalloc.
+"""Peak memory of the Pauli solver and diagnostics, traced by tracemalloc.
 
 At 2-D 256^2 one spinor component, a complex grid array, is 1 MiB, and a
 real grid array is half of that.  Each diagnostic takes one component at a
 time, so it holds about two component arrays at most; one that takes the
 stacked spinor, or keeps a complex temporary per axis or per term, holds
 four to seven (4.5 to 6.5 MiB before the diagnostics were rebuilt in place).
+A one-step `evolve` holds its phase factors on the fields' own shape and
+the kinetic phase on the grid's, besides the stepped copy it returns.
 """
 
 import math
@@ -43,6 +45,9 @@ GRID_FIELD = pauli.FieldConfig(b_z=np.exp(-GRID.coordinates()[0] ** 2))
 
 # name -> (call, bound in component arrays beyond the output, and why)
 DIAGNOSTICS = {
+    # the kinetic phase (1) and the finiteness mask of the stepped spinor
+    # (1/8); a scalar field's potential phase holds two values
+    "evolve": (lambda: pauli.evolve(SNAPS[0], CONFIG, DT, 1), 1.25),
     # the spectrum of the middle snapshot (1), the density difference and
     # |k|^2 (1/2 each), and the mask's index arrays
     "continuity_residual": (
