@@ -116,12 +116,15 @@ REAL = _numeric(float, -math.inf)
 POSITIVE = _numeric(float, 0.0, strict=True)
 # every sampling subcommand draws its counts and rows as variates of their
 # exact laws (fluctuations one Gamma variate per sampled row, stern-gerlach a
-# binomial and a multinomial, the Bell runs a multinomial per setting), so at
-# 1e7 samples each takes ~0.2-0.35 s and peaks at ~36 MiB RSS (2-core host),
-# as at the defaults.  NODES bounds the arrays of a grid: a variational grid
-# of 1e7 nodes peaks at ~0.65 GiB, and pauli at 2^23 nodes at ~1.4 GiB at the
-# default stride of 8 (~3.5 GiB at stride 1)
-SAMPLES = _numeric(int, 1, high=10**7)
+# binomial and a multinomial, the Bell runs a multinomial per setting), so a
+# run's cost does not grow with samples.  The bound is numpy's: its binomial
+# (BTPE, which its multinomial calls per cell) forms a count in double
+# precision, so counts are exact integers only below 2^53; cells of p = 0.1
+# drew exact counts at n = 2^56 and multiples of 16 at n = 2^60.  NODES
+# bounds the arrays of a grid: a variational grid of 1e7 nodes peaks at
+# ~0.65 GiB, and pauli at 2^23 nodes at ~1.4 GiB at the default stride of 8
+# (~3.5 GiB at stride 1)
+SAMPLES = _numeric(int, 1, high=2**53)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
 # a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),
 # with its node spacing pi/(nodes - 1): at m = 10^6 the peak is ~1e-3 wide
@@ -170,10 +173,9 @@ SCHEMA = {
         "extent": (POSITIVE, 20.0),
         "dt": (POSITIVE, 0.001),
         # the run's b_z is uniform, so evolve takes its steps as one step of
-        # steps * dt and the run time does not grow with steps (~0.3 s end to
-        # end at 256 nodes, 1000 or 10^6 steps); whether this bound and
-        # PAULI_NODE_STEPS should stay is ROADMAP item 24's question
-        "steps": (_numeric(int, 1, high=10**6), 1000),
+        # steps * dt: a run's time grows with nodes alone, which NODES
+        # bounds, and a dt * steps whose phase factors are not finite exits 3
+        "steps": (COUNT, 1000),
         "b_z": (REAL, 1.0),
         "stride": (COUNT, 8),
         "packet_width": (POSITIVE, 1.0),
@@ -184,14 +186,10 @@ SCHEMA = {
         "dt": (POSITIVE, 1.0),
         "dt_sequence": (_list_of(POSITIVE), "0.1,0.01,0.001"),
     },
-    # bounds the per-pair loop, which keeps every row: 10^5 pairs take ~5 s
-    # and 71 MiB
+    # bounds the per-pair loop, which keeps every row: 10^5 pairs take ~2.5 s
+    # and peak at ~75 MiB RSS end to end (2-core host)
     "oracle-check": {"pairs": (_numeric(int, 1, high=10**5), 100)},
 }
-# bounds nodes x steps.  A pauli run's field is uniform, so its steps are one
-# step of steps * dt and its time grows with nodes alone (~2 s end to end at
-# 2^20 nodes on a 2-core host), not with this product
-PAULI_NODE_STEPS = 256 * 10**6
 
 
 def load_config_file(path: str) -> dict:
@@ -375,11 +373,6 @@ def run_bell_delay(config, seed):
 
 
 def run_pauli(config, seed):
-    if config["nodes"] * config["steps"] > PAULI_NODE_STEPS:
-        raise ConfigError(
-            f"nodes x steps: must be <= {PAULI_NODE_STEPS}, got "
-            f"{config['nodes']} x {config['steps']}"
-        )
     grid = pauli.SpatialGrid(1, config["nodes"], config["extent"])
     packet = pauli.gaussian_packet(grid, width=config["packet_width"])
     init = pauli.SpinorField.normalized(grid, packet, packet)
@@ -437,12 +430,13 @@ def run_oracle_check(config, seed):
     rng = stream(seed, "oracle-check")
     n = config["pairs"]
     rows = []
-    for _ in range(n):
-        # .tolist(): Python floats, the cell type of every other table
-        b1, b2 = rng.uniform(0, 2 * math.pi, 2).tolist()
+    # one call draws each row's (beta1, beta2, a, b) in the stream's order;
+    # each row becomes Python floats, the cell type of every other table, as
+    # the loop reaches it, so no list copy of all n x 4 angles is held
+    angles = rng.uniform(0, 2 * math.pi, (n, 4))
+    for b1, b2, a, b in map(np.ndarray.tolist, angles):
         model_p = sg.two_apparatus_up_probability(b1, b2)
         oracle_p = qm_oracle.overlap_prob(b1, b2)
-        a, b = rng.uniform(0, 2 * math.pi, 2).tolist()
         model_e = entanglement.correlation(entanglement.PSI_MINUS, a, b)
         oracle_e = qm_oracle.singlet_correlation(a, b)
         rows.append((b1, b2, model_p, oracle_p, a, b, model_e, oracle_e))

@@ -106,10 +106,7 @@ def expected_uncertainty_product(
     """Monte Carlo <dx_i dp_i> over n displacement vectors, expected 1/2:
     m / dt times the mean square of their 3n components, each of variance
     `component_variance`, the mean drawn by `_mean_of_squares`."""
-    n = _require_count("n", n)
-    if n < 10**4:
-        raise ValueError("need at least 1e4 displacement samples")
-    mean = _mean_of_squares(3 * n, rng)
+    mean = _mean_of_squares(3 * _require_count("n", n), rng)
     return params.mass / params.dt * params.component_variance * mean
 
 
@@ -137,11 +134,9 @@ def expected_angular_momentum(
     for any (m, omega).  Only u^2 enters, so the mean is m omega
     `radius_scale`^2 times the mean of n squared standard normals, drawn by
     `_mean_of_squares`."""
-    n = _require_count("n", n)
-    if n < 10**4:
-        raise ValueError("need at least 1e4 samples")
     weight = params.mass * params.omega
-    return weight * params.radius_scale**2 * _mean_of_squares(n, rng)
+    mean = _mean_of_squares(_require_count("n", n), rng)
+    return weight * params.radius_scale**2 * mean
 
 
 # ---------------------------------------------------------------------------

@@ -227,12 +227,13 @@ def _strang_steps(psi, half, kinetic, axes, steps: int) -> None:
     """Advance psi by `steps` Strang steps in place.
 
     A step is half, kinetic, half; the closing half of one step and the
-    opening half of the next are one multiply by full = half * half.  The
-    inverse transforms are unscaled: kinetic carries their 1/N^d.
+    opening half of the next are one multiply by full = half * half, built
+    only when more than one step reads it.  The inverse transforms are
+    unscaled: kinetic carries their 1/N^d.
     """
     if not steps:
         return
-    full = half * half
+    full = half * half if steps > 1 else None
     psi *= half
     for step in range(steps, 0, -1):
         for axis in axes:

@@ -331,7 +331,7 @@ MALFORMED = [
     ("pauli", None, ["--nodes", "100"], "nodes"),
     ("pauli", None, ["--stride", "0"], "stride"),
     ("variational", None, ["--orders", "0"], "orders"),
-    ("fluctuations", None, ["--samples", "10"], "samples"),
+    ("fluctuations", None, ["--samples", "0"], "samples"),
     ("bell-delay", "tau = NaN", [], "tau"),
     ("bell-test", "samples = 1.7", [], "samples"),
     ("bell-delay", 'degrade_y = "no"', [], "degrade_y"),
@@ -345,14 +345,15 @@ MALFORMED = [
     ("fluctuations", None, ["--omega", "5"], "omega"),
     ("variational", None, ["--orders", "1e8"], "orders"),
     ("variational", None, ["--nodes", "1e15"], "nodes"),
-    ("stern-gerlach", None, ["--samples", "1e15"], "samples"),
-    ("fluctuations", None, ["--samples", "1e15"], "samples"),
+    # one over the bound, 2**53; the float literal 9.007199254740993e15
+    # would round to 2**53
+    ("stern-gerlach", None, ["--samples", "9007199254740993"], "samples"),
+    ("fluctuations", None, ["--samples", "9007199254740993"], "samples"),
     ("bell-test", None, ["--mode", "monte_carlo", "--samples", "1e300"], "samples"),
-    ("pauli", None, ["--steps", "1000001"], "steps"),
+    ("pauli", None, ["--steps", "0"], "steps"),
     ("oracle-check", "pairs = 1e6", [], "pairs"),
-    # each key within its own bound, but nodes x steps over 256 x 10^6
-    ("pauli", None, ["--nodes", "262144", "--steps", "1000"], "nodes x steps"),
-    ("pauli", "nodes = 4096", ["--steps", "1e5"], "nodes x steps"),
+    ("bell-test", None, ["--samples", "9007199254740993"], "samples"),
+    ("bell-delay", "samples = 9007199254740993", [], "samples"),
     # the displacement scale eta T^2 / (4 Z_m) overflows, or over 200 bins
     # it gives bins of zero or subnormal width
     ("stern-gerlach", "eta = 1e308", ["--transit-time", "1e308"], _SCALE),
@@ -435,6 +436,87 @@ class TestMalformedInput:
             assert cli.run(["variational", "--out", str(out), *extra]) == cli.EXIT_OK
             configs.append(json.loads((out / "manifest.json").read_text())["config"])
         assert configs[0] == configs[1] == {"orders": [1], "nodes": 512}
+
+
+# the largest admitted sample count, 2**53: the counts are exact integers
+MAX_SAMPLES = 2**53
+PSI_MINUS_CHSH = 2 * math.sqrt(2)
+
+
+def _json_run(tmp_path, argv):
+    """Run argv in process as json into tmp_path: (summary, {table: rows})."""
+    assert cli.run([*argv, "--format", "json", "--out", str(tmp_path)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    tables = {}
+    for name in manifest["result_files"]:
+        payload = json.loads((tmp_path / name).read_text())
+        if "rows" in payload:  # not a summary file
+            tables[name.removesuffix(".json")] = payload["rows"]
+    return manifest["summary"], tables
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAdmittedExtremes:
+    """Admitted runs at the ends of the size bounds, each judged against its
+    closed form (within 5 sigma for a sampled value)."""
+
+    def test_large_pauli_grid_at_many_steps(self, tmp_path, capsys):
+        # the uniform b_z takes the 1000 steps as one: the run costs its nodes
+        argv = ["pauli", "--nodes", "262144", "--steps", "1000"]
+        summary, tables = _json_run(tmp_path, argv)
+        assert abs(summary["norm"] - 1.0) <= 1e-10
+        assert all(abs(p - 0.5) <= 1e-10 for p in summary["populations"])
+        centre = max(tables["pauli_snapshot"], key=lambda r: r["rho_plus"])
+        # b_z = 1, t = 1000 steps * 0.001: the relative phase b_z t is 1
+        phase = centre["s_minus"] - centre["s_plus"]
+        assert abs(math.remainder(phase - 1.0, 2 * math.pi)) <= 1e-6
+
+    def test_fluctuations_from_one_sample(self, tmp_path, capsys):
+        _, tables = _json_run(tmp_path, ["fluctuations", "--samples", "1"])
+        rows = tables["fluctuations"]
+        assert len(rows) == 7
+        assert all(math.isfinite(row["estimate"]) for row in rows)
+
+    def test_stern_gerlach_at_the_samples_bound(self, tmp_path, capsys):
+        argv = ["stern-gerlach", "--samples", str(MAX_SAMPLES)]
+        summary, tables = _json_run(tmp_path, argv)
+        assert sum(row["count"] for row in tables["displacement_histogram"]) == MAX_SAMPLES
+        p_up = math.cos(summary["beta"] / 2) ** 2
+        sd = math.sqrt(p_up * (1 - p_up) / MAX_SAMPLES)
+        assert abs(summary["empirical_up_fraction"] - p_up) <= 5 * sd
+
+    def test_bell_test_at_the_samples_bound(self, tmp_path, capsys):
+        argv = ["bell-test", "--samples", str(MAX_SAMPLES)]
+        summary, tables = _json_run(tmp_path, argv)
+        rows = tables["bell_test"]
+        for row in rows:
+            total = sum(row[k] for k in ("n_pp", "n_pm", "n_mp", "n_mm"))
+            assert total == MAX_SAMPLES
+        sd = math.sqrt(sum(row["stderr"] ** 2 for row in rows))
+        assert abs(summary["S"] - PSI_MINUS_CHSH) <= 5 * sd
+
+    def test_bell_delay_at_the_samples_bound(self, tmp_path, capsys):
+        _, exact = _json_run(tmp_path / "analytic", ["bell-delay"])
+        argv = ["bell-delay", "--mode", "monte_carlo", "--samples", str(MAX_SAMPLES)]
+        _, drawn = _json_run(tmp_path / "drawn", argv)
+        # each of the four E terms has a standard error of at most 2 / sqrt(n)
+        sd = 4 / math.sqrt(MAX_SAMPLES)
+        assert exact["bell_delay"][0]["S"] == pytest.approx(PSI_MINUS_CHSH, abs=1e-12)
+        for got, want in zip(drawn["bell_delay"], exact["bell_delay"], strict=True):
+            assert got["delay"] == want["delay"]
+            assert abs(got["S"] - want["S"]) <= 5 * sd
+
+    def test_fluctuations_at_the_samples_bound(self, tmp_path, capsys):
+        argv = ["fluctuations", "--samples", str(MAX_SAMPLES)]
+        _, tables = _json_run(tmp_path, argv)
+        for row in tables["fluctuations"]:
+            q = row["quantity"]
+            if q.startswith("kl_over_fisher_"):
+                continue  # quadrature rows, which do not sample
+            # (m / dt) w^2 and m omega u^2 are chi-square(1) / 2 per square
+            squares = 3 * MAX_SAMPLES if q == "uncertainty_product" else MAX_SAMPLES
+            sd = math.sqrt(0.5 / squares)
+            assert abs(row["estimate"] - row["expected"]) <= 5 * sd
 
 
 _NUMBERS = st.integers(0, 4) | st.floats(0.5, 4.0) | st.sampled_from(["1,2", "1e6"])

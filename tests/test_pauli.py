@@ -555,7 +555,7 @@ class TestLarmor:
         expected = math.atan2(math.sin(expected), math.cos(expected))
         assert delta == pytest.approx(expected, rel=0.01, abs=1e-9)
 
-    # the CLI's steps bound: a uniform field's 10^6 steps are one step
+    # a uniform field's 10^6 steps are one step
     @pytest.mark.parametrize("b_z", [0.5, 1.0, 2.0])
     def test_relative_phase_at_the_steps_bound(self, b_z):
         dt, steps = 0.001, 10**6

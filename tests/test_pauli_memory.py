@@ -48,6 +48,9 @@ DIAGNOSTICS = {
     # the kinetic phase (1) and the finiteness mask of the stepped spinor
     # (1/8); a scalar field's potential phase holds two values
     "evolve": (lambda: pauli.evolve(SNAPS[0], CONFIG, DT, 1), 1.25),
+    # the grid-shaped potential (1), its phase factors (2), the kinetic phase
+    # (1) and the mask (1/8); full = half * half (2 more) only from two steps
+    "evolve_grid_field": (lambda: pauli.evolve(SNAPS[0], GRID_FIELD, DT, 1), 4.25),
     # the spectrum of the middle snapshot (1), the density difference and
     # |k|^2 (1/2 each), and the mask's index arrays
     "continuity_residual": (
