@@ -12,12 +12,16 @@ sampled estimator is defined as E_hat = 2 * mean(S_A * S_B).
 Every quantity derives from one outcome table per setting, the joint law
 of (branch, S_A, S_B): the analytic E is its branch sum, the Monte Carlo
 E and its standard error come from one multinomial draw of it, and the
-per-pair sampler draws its cells.
+per-pair sampler draws its cells.  It is built from three laws: the
+corner weights of joint_density, the probability p+ or p- that Bob's
+pole flips given his start trend (telegraph._odd_flip_by_start), and the
+reading rule that a pole at 0 reads with mean cos(angle) and one at pi
+with -cos(angle).  Each cell is (1 + S_B mu_B + S_A S_B c) / 8, with Bob's
+mean reading mu_B and the branch correlation c (see _outcome_table).
 
 Delayed measurement degrades the z-branch correlation: Bob's trend
 evolves as a telegraph process during the delay, and an odd number of
-switches flips his sub-state with the closed-form probability
-telegraph.odd_flip_probability.
+switches flips his pole.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .streams import _require_count
-from .telegraph import DwellModel, odd_flip_probability
+from .telegraph import DwellModel, _odd_flip_by_start
 
 ANTI = "anti"
 SAME = "same"
@@ -70,41 +74,19 @@ PHI_PLUS = BellPairModel(SAME, SAME)
 BELL_MODELS = {m.name: m for m in (PSI_MINUS, PSI_PLUS, PHI_MINUS, PHI_PLUS)}
 
 
-@dataclass(frozen=True)
-class JointTwoPointDensity:
-    """Weights over the four (theta_A, theta_B) corners on one axis.
-
-    Corner order: (0,0), (0,pi), (pi,0), (pi,pi).
-    """
-
-    weights: tuple
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if len(w) != 4 or any(x < 0 for x in w):
-            raise ValueError("need four non-negative weights")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
+# joint_density's weights, half on each of the two compatible corners
+_CORNER_WEIGHTS = {ANTI: (0.0, 0.5, 0.5, 0.0), SAME: (0.5, 0.0, 0.0, 0.5)}
+_NO_FLIP = (0.0, 0.0)
 
 
-def joint_density(model: BellPairModel, axis: str) -> JointTwoPointDensity:
-    kind = {AXIS_Z: model.z_correlation, AXIS_Y: model.y_correlation}.get(axis)
-    if kind is None:
-        raise ValueError("axis must be 'z' or 'y'")
-    if kind == ANTI:
-        return JointTwoPointDensity((0.0, 0.5, 0.5, 0.0))
-    return JointTwoPointDensity((0.5, 0.0, 0.0, 0.5))
-
-
-def branch_expectation(correlation: str, alpha: float, beta: float) -> float:
-    """Conditional E on one branch, angles measured from the branch axis.
-
-    Summing the four outcome products weighted by the independent
-    marginals cos^2/sin^2 collapses to +/- cos(alpha) cos(beta).
-    """
-    sign = -1.0 if correlation == ANTI else +1.0
-    return sign * math.cos(alpha) * math.cos(beta)
+def joint_density(model: BellPairModel, axis: str) -> tuple:
+    """Weights of one axis's (theta_A, theta_B) corners, in the order
+    (0,0), (0,pi), (pi,0), (pi,pi)."""
+    if axis == AXIS_Z:
+        return _CORNER_WEIGHTS[model.z_correlation]
+    if axis == AXIS_Y:
+        return _CORNER_WEIGHTS[model.y_correlation]
+    raise ValueError("axis must be 'z' or 'y'")
 
 
 def correlation(model: BellPairModel, a: float, b: float) -> float:
@@ -120,24 +102,33 @@ def _outcome_table(
     model: BellPairModel,
     a: float,
     b: float,
-    p_flip: float = 0.0,
+    flips: tuple = _NO_FLIP,
     degrade_y: bool = False,
 ) -> tuple:
-    """Joint law P(branch, S_A, S_B) = (1 + S_A S_B c_branch) / 8.
+    """Joint law P(branch, S_A, S_B) = (1 + S_B mu_B + S_A S_B c) / 8.
 
-    Each branch is taken with probability 1/2 and carries the conditional
-    expectation c_branch; flipping Bob's sub-state with probability p_flip
-    scales it by 1 - 2 p_flip, on the y-branch only if degrade_y.  Every
+    Each branch is taken with probability 1/2, its corners with the
+    joint_density weights w; Bob's pole flips with probability p+ from 0
+    and p- from pi, flips = (p+, p-), on the y-branch only if degrade_y; a
+    pole at 0 reads with mean cos(angle), one at pi with -cos(angle).  Each
+    pole sits at 0 with weight 1/2, so Alice's mean reading is 0, Bob's is
+    mu_B = (p- - p+) cos(beta), and the correlation is
+    c = (w0 - w1 - w2 + w3) cos(alpha) cos(beta) (1 - (p+ + p-)).  Every
     Bell quantity, analytic or sampled, derives from this table.  Cells run
     over (S_A, S_B) = ++, +-, -+, -- on the z-branch, then on the y-branch.
     """
-    c_z = branch_expectation(model.z_correlation, a, b) * (1.0 - 2.0 * p_flip)
-    c_y = branch_expectation(
-        model.y_correlation, math.pi / 2 - a, math.pi / 2 - b
-    ) * (1.0 - 2.0 * (p_flip if degrade_y else 0.0))
-    same_z, diff_z = (1.0 + c_z) / 8.0, (1.0 - c_z) / 8.0
-    same_y, diff_y = (1.0 + c_y) / 8.0, (1.0 - c_y) / 8.0
-    return (same_z, diff_z, diff_z, same_z, same_y, diff_y, diff_y, same_y)
+    cells = ()
+    for axis, alpha, beta, (p_plus, p_minus) in (
+        (AXIS_Z, a, b, flips),
+        (AXIS_Y, math.pi / 2 - a, math.pi / 2 - b, flips if degrade_y else _NO_FLIP),
+    ):
+        w0, w1, w2, w3 = joint_density(model, axis)
+        cos_b = math.cos(beta)
+        c = (w0 - w1 - w2 + w3) * math.cos(alpha) * cos_b * (1.0 - (p_plus + p_minus))
+        mu_b = (p_minus - p_plus) * cos_b
+        cells += ((1.0 + mu_b + c) / 8.0, (1.0 - mu_b - c) / 8.0,
+                  (1.0 + mu_b - c) / 8.0, (1.0 - mu_b + c) / 8.0)
+    return cells
 
 
 def _coincidences(c) -> tuple:
@@ -167,7 +158,9 @@ def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
         raise ValueError(f"mode must be {ANALYTIC!r} or {MONTE_CARLO!r}")
     if rng is None:
         raise ValueError("Monte Carlo mode needs an rng")
-    counts = _coincidences(rng.multinomial(n, table).tolist())
+    # a cell whose exact value is 0, where a pole that flips with probability
+    # 1 is read at 0 or pi, can round to -1e-17, which multinomial rejects
+    counts = _coincidences(rng.multinomial(n, [max(w, 0.0) for w in table]).tolist())
     e = _correlation(counts, n)
     return e, 2.0 * math.sqrt((1.0 - (e / 2.0) ** 2) / n), counts
 
@@ -223,8 +216,14 @@ class MeasurementPlan:
         _require_count("samples", self.samples)
         if not 0 <= self.delay < math.inf:
             raise ValueError("delay must be non-negative and finite")
-        if not all(map(math.isfinite, (*self.alice_angles, *self.bob_angles))):
-            raise ValueError("measurement angles must be finite")
+        for name in ("alice_angles", "bob_angles"):
+            try:
+                pair = getattr(self, name)
+                ok = len(pair) == 2 and all(map(math.isfinite, pair))
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be two finite angles")
 
 
 @dataclass(frozen=True)
@@ -250,13 +249,13 @@ def chsh(
     A zero delay reproduces the simultaneous-measurement Bell test; a
     positive delay applies the telegraph degradation to Bob's branches.
     """
-    p = odd_flip_probability(plan.dwell, plan.delay)
+    flips = _odd_flip_by_start(plan.dwell, plan.delay)
     a, ap = plan.alice_angles
     b, bp = plan.bob_angles
     settings = ((a, b), (a, bp), (ap, b), (ap, bp))
     es, ses, counts = zip(*(
         _evaluate(
-            _outcome_table(model, sa, sb, p, degrade_y),
+            _outcome_table(model, sa, sb, flips, degrade_y),
             mode, plan.samples, rng,
         )
         for sa, sb in settings
@@ -281,8 +280,8 @@ def delayed_correlation(
     The z-branch correlation decays by the odd-switch parity of Bob's
     telegraph trend; the y-branch is kept intact unless degrade_y.
     """
-    p = odd_flip_probability(dwell, delay)
-    table = _outcome_table(model, a, b, p, degrade_y)
+    flips = _odd_flip_by_start(dwell, delay)
+    table = _outcome_table(model, a, b, flips, degrade_y)
     return _correlation(_coincidences(table))
 
 

@@ -72,7 +72,7 @@ class TelegraphTrajectory:
 
     def trend_at(self, t: float) -> int:
         """Trend at time t; boundary instants belong to the later segment."""
-        if t < 0 or t > self.total_duration:
+        if not 0 <= t <= self.total_duration:
             raise ValueError("t outside [0, total_duration]")
         idx = np.searchsorted(self.start_times, t, side="right") - 1
         return int(self.trends[idx])
@@ -138,8 +138,9 @@ def empirical_fractions(traj: TelegraphTrajectory) -> tuple[float, float]:
 
 def _odd_flip_by_start(model: DwellModel, delay: float) -> tuple[float, float]:
     """(p+, p-): P(odd number of trend switches within delay | initial trend
-    +1 / -1), averaged by odd_flip_probability.  Exponential
-    dwells, with rate sum L = 1/tau+ + 1/tau-: the Markov transition
+    +1 / -1), the flip law of the Bell outcome table, which
+    odd_flip_probability averages.  Exponential dwells, with rate sum
+    L = 1/tau+ + 1/tau-: the Markov transition
     (1/tau_s) / L (1 - exp(-L delay)).  Fixed dwells, the first segment seen
     at a uniform point: a shift r = delay mod T, T = tau+ + tau-, moves
     phases of measure min(r, T - r, tau+, tau-) from either trend into the other."""
@@ -167,10 +168,9 @@ def flip_parity(model: DwellModel, delay: float, rng: np.random.Generator, size)
 
 
 def odd_flip_probability(model: DwellModel, delay: float) -> float:
-    """P(odd number of trend switches within delay), in closed form: the mean
-    of `_odd_flip_by_start` over equally weighted initial trends, since the
-    Bell corner weights put Bob's sub-state at +1 or -1 with probability 1/2:
-    1/2 (1 - exp(-(1/tau+ + 1/tau-) delay)) for exponential dwells and
-    1/2 min(r, T - r, tau+, tau-) (1/tau+ + 1/tau-) for fixed ones."""
+    """P(odd number of trend switches within delay), flip_parity's law, in
+    closed form: the mean of `_odd_flip_by_start` over equally weighted
+    initial trends, 1/2 (1 - exp(-(1/tau+ + 1/tau-) delay)) for exponential
+    dwells and 1/2 min(r, T - r, tau+, tau-) (1/tau+ + 1/tau-) for fixed ones."""
     p_plus, p_minus = _odd_flip_by_start(model, delay)
     return 0.5 * (p_plus + p_minus)

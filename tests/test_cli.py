@@ -323,53 +323,95 @@ def _exit_code(argv):
 
 _SCALE = "eta and transit_time"
 # (subcommand, config file line or None, flags, key the error must name)
+# Each row's id is the one pytest gave it by position when the table was
+# first parameterized, kept literally so that inserting or deleting a row
+# renames no other test; a new row takes the id <subcommand>-<key>-<case>.
 MALFORMED = [
-    ("stern-gerlach", "samples = abc", [], "samples"),
-    ("bell-delay", "delays = 1,x", [], "delays"),
-    ("variational", "orders = 1,x", [], "orders"),
-    ("pauli", "dt = Infinity", [], "dt"),
-    ("pauli", None, ["--nodes", "100"], "nodes"),
-    ("pauli", None, ["--stride", "0"], "stride"),
-    ("variational", None, ["--orders", "0"], "orders"),
-    ("fluctuations", None, ["--samples", "0"], "samples"),
-    ("bell-delay", "tau = NaN", [], "tau"),
-    ("bell-test", "samples = 1.7", [], "samples"),
-    ("bell-delay", 'degrade_y = "no"', [], "degrade_y"),
-    ("variational", None, ["--samples", "5"], "samples"),
-    ("pauli", None, ["--samples", "5"], "samples"),
-    ("oracle-check", None, ["--samples", "5"], "samples"),
-    ("stern-gerlach", None, ["--bins", "1e300"], "bins"),
-    ("stern-gerlach", "bins = 1000001", [], "bins"),
-    ("variational", None, ["--nodes", "1"], "nodes"),
-    ("stern-gerlach", None, ["--m", "4503599627370496", "--samples", "10"], "m must"),
-    ("fluctuations", None, ["--omega", "5"], "omega"),
-    ("variational", None, ["--orders", "1e8"], "orders"),
-    ("variational", None, ["--nodes", "1e15"], "nodes"),
+    pytest.param("stern-gerlach", "samples = abc", [], "samples",
+                 id="stern-gerlach-samples = abc-flags0-samples"),
+    pytest.param("bell-delay", "delays = 1,x", [], "delays",
+                 id="bell-delay-delays = 1,x-flags1-delays"),
+    pytest.param("variational", "orders = 1,x", [], "orders",
+                 id="variational-orders = 1,x-flags2-orders"),
+    pytest.param("pauli", "dt = Infinity", [], "dt",
+                 id="pauli-dt = Infinity-flags3-dt"),
+    pytest.param("pauli", None, ["--nodes", "100"], "nodes",
+                 id="pauli-None-flags4-nodes"),
+    pytest.param("pauli", None, ["--stride", "0"], "stride",
+                 id="pauli-None-flags5-stride"),
+    pytest.param("variational", None, ["--orders", "0"], "orders",
+                 id="variational-None-flags6-orders"),
+    pytest.param("fluctuations", None, ["--samples", "0"], "samples",
+                 id="fluctuations-None-flags7-samples"),
+    pytest.param("bell-delay", "tau = NaN", [], "tau",
+                 id="bell-delay-tau = NaN-flags8-tau"),
+    pytest.param("bell-test", "samples = 1.7", [], "samples",
+                 id="bell-test-samples = 1.7-flags9-samples"),
+    pytest.param("bell-delay", 'degrade_y = "no"', [], "degrade_y",
+                 id='bell-delay-degrade_y = "no"-flags10-degrade_y'),
+    pytest.param("variational", None, ["--samples", "5"], "samples",
+                 id="variational-None-flags11-samples"),
+    pytest.param("pauli", None, ["--samples", "5"], "samples",
+                 id="pauli-None-flags12-samples"),
+    pytest.param("oracle-check", None, ["--samples", "5"], "samples",
+                 id="oracle-check-None-flags13-samples"),
+    pytest.param("stern-gerlach", None, ["--bins", "1e300"], "bins",
+                 id="stern-gerlach-None-flags14-bins"),
+    pytest.param("stern-gerlach", "bins = 1000001", [], "bins",
+                 id="stern-gerlach-bins = 1000001-flags15-bins"),
+    pytest.param("variational", None, ["--nodes", "1"], "nodes",
+                 id="variational-None-flags16-nodes"),
+    pytest.param("stern-gerlach", None, ["--m", "4503599627370496", "--samples", "10"], "m must",
+                 id="stern-gerlach-None-flags17-m must"),
+    pytest.param("fluctuations", None, ["--omega", "5"], "omega",
+                 id="fluctuations-None-flags18-omega"),
+    pytest.param("variational", None, ["--orders", "1e8"], "orders",
+                 id="variational-None-flags19-orders"),
+    pytest.param("variational", None, ["--nodes", "1e15"], "nodes",
+                 id="variational-None-flags20-nodes"),
     # one over the bound, 2**53; the float literal 9.007199254740993e15
     # would round to 2**53
-    ("stern-gerlach", None, ["--samples", "9007199254740993"], "samples"),
-    ("fluctuations", None, ["--samples", "9007199254740993"], "samples"),
-    ("bell-test", None, ["--mode", "monte_carlo", "--samples", "1e300"], "samples"),
-    ("pauli", None, ["--steps", "0"], "steps"),
-    ("oracle-check", "pairs = 1e6", [], "pairs"),
-    ("bell-test", None, ["--samples", "9007199254740993"], "samples"),
-    ("bell-delay", "samples = 9007199254740993", [], "samples"),
+    pytest.param("stern-gerlach", None, ["--samples", "9007199254740993"], "samples",
+                 id="stern-gerlach-None-flags21-samples"),
+    pytest.param("fluctuations", None, ["--samples", "9007199254740993"], "samples",
+                 id="fluctuations-None-flags22-samples"),
+    pytest.param("bell-test", None, ["--mode", "monte_carlo", "--samples", "1e300"], "samples",
+                 id="bell-test-None-flags23-samples"),
+    pytest.param("pauli", None, ["--steps", "0"], "steps",
+                 id="pauli-None-flags24-steps"),
+    pytest.param("oracle-check", "pairs = 1e6", [], "pairs",
+                 id="oracle-check-pairs = 1e6-flags25-pairs"),
+    pytest.param("bell-test", None, ["--samples", "9007199254740993"], "samples",
+                 id="bell-test-None-flags26-samples"),
+    pytest.param("bell-delay", "samples = 9007199254740993", [], "samples",
+                 id="bell-delay-samples = 9007199254740993-flags27-samples"),
     # the displacement scale eta T^2 / (4 Z_m) overflows, or over 200 bins
     # it gives bins of zero or subnormal width
-    ("stern-gerlach", "eta = 1e308", ["--transit-time", "1e308"], _SCALE),
-    ("stern-gerlach", "eta = 1e300", ["--transit-time", "1e10"], _SCALE),
-    ("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-200"], _SCALE),
-    ("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-10"], _SCALE),
+    pytest.param("stern-gerlach", "eta = 1e308", ["--transit-time", "1e308"], _SCALE,
+                 id="stern-gerlach-eta = 1e308-flags28-eta and transit_time"),
+    pytest.param("stern-gerlach", "eta = 1e300", ["--transit-time", "1e10"], _SCALE,
+                 id="stern-gerlach-eta = 1e300-flags29-eta and transit_time"),
+    pytest.param("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-200"], _SCALE,
+                 id="stern-gerlach-eta = 1e-300-flags30-eta and transit_time"),
+    pytest.param("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-10"], _SCALE,
+                 id="stern-gerlach-eta = 1e-300-flags31-eta and transit_time"),
     # one over the bound, streams.BLOCK = 2**14
-    ("stern-gerlach", None, ["--bins", "16385"], "bins"),
+    pytest.param("stern-gerlach", None, ["--bins", "16385"], "bins",
+                 id="stern-gerlach-None-flags32-bins"),
     # dt / (2 mass) or mass / dt underflows or overflows: NaN or inf products
-    ("fluctuations", None, ["--mass", "1e300", "--dt", "1e-300"], "mass and dt"),
-    ("fluctuations", None, ["--mass", "1e-300", "--dt", "1e300"], "mass and dt"),
-    ("fluctuations", None, ["--dt", "1e300", "--mass", "1e-10"], "mass and dt"),
+    pytest.param("fluctuations", None, ["--mass", "1e300", "--dt", "1e-300"], "mass and dt",
+                 id="fluctuations-None-flags33-mass and dt"),
+    pytest.param("fluctuations", None, ["--mass", "1e-300", "--dt", "1e300"], "mass and dt",
+                 id="fluctuations-None-flags34-mass and dt"),
+    pytest.param("fluctuations", None, ["--dt", "1e300", "--mass", "1e-10"], "mass and dt",
+                 id="fluctuations-None-flags35-mass and dt"),
     # a KL row's dt / (2 mass) outside [1e-13, 4]: ratios of 0, -0.70 and 0.998
-    ("fluctuations", None, ["--mass", "1e300"], "dt_sequence and mass"),
-    ("fluctuations", None, ["--dt-sequence", "1e-18"], "dt_sequence and mass"),
-    ("fluctuations", "dt_sequence = 0.1,16", [], "dt_sequence and mass"),
+    pytest.param("fluctuations", None, ["--mass", "1e300"], "dt_sequence and mass",
+                 id="fluctuations-None-flags36-dt_sequence and mass"),
+    pytest.param("fluctuations", None, ["--dt-sequence", "1e-18"], "dt_sequence and mass",
+                 id="fluctuations-None-flags37-dt_sequence and mass"),
+    pytest.param("fluctuations", "dt_sequence = 0.1,16", [], "dt_sequence and mass",
+                 id="fluctuations-dt_sequence = 0.1,16-flags38-dt_sequence and mass"),
 ]
 
 

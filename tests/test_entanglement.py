@@ -9,7 +9,8 @@ from spinmodel import entanglement as ent
 from spinmodel import qm_oracle as qm
 from spinmodel.streams import stream
 from spinmodel.telegraph import (
-    EXPONENTIAL, FIXED, DwellModel, flip_parity, odd_flip_probability, simulate,
+    EXPONENTIAL, FIXED, DwellModel, _odd_flip_by_start, flip_parity,
+    odd_flip_probability, simulate,
 )
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
@@ -31,13 +32,13 @@ class TestModelEncoding:
     def test_joint_density_weights(self, model):
         for axis in (ent.AXIS_Z, ent.AXIS_Y):
             d = ent.joint_density(model, axis)
-            assert sum(d.weights) == pytest.approx(1.0)
+            assert sum(d) == pytest.approx(1.0)
             # half weight on each of the two compatible corners
-            assert sorted(d.weights) == [0.0, 0.0, 0.5, 0.5]
+            assert sorted(d) == [0.0, 0.0, 0.5, 0.5]
 
     def test_anti_axis_occupies_opposite_corners(self):
         d = ent.joint_density(ent.PSI_MINUS, ent.AXIS_Z)
-        assert d.weights == (0.0, 0.5, 0.5, 0.0)
+        assert d == (0.0, 0.5, 0.5, 0.0)
 
     def test_joint_density_rejects_bad_axis(self):
         with pytest.raises(ValueError):
@@ -48,7 +49,7 @@ class TestModelEncoding:
         for axis in (ent.AXIS_Z, ent.AXIS_Y):
             d = ent.joint_density(model, axis)
             # a product law p_A(i) p_B(j) has determinant 0
-            det = np.linalg.det(np.reshape(d.weights, (2, 2)))
+            det = np.linalg.det(np.reshape(d, (2, 2)))
             assert abs(det) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -65,9 +66,14 @@ class TestCorrelation:
     def test_singlet_perfect_anticorrelation(self, a):
         assert ent.correlation(ent.PSI_MINUS, a, a) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_branch_expectation_signs(self):
-        assert ent.branch_expectation(ent.ANTI, 0.0, 0.0) == -1.0
-        assert ent.branch_expectation(ent.SAME, 0.0, 0.0) == +1.0
+    def test_corner_signs(self):
+        # at a = b = 0 the z-branch reads its corners' signs and the y-branch
+        # adds cos^2(pi/2) ~ 4e-33
+        for model in ALL_MODELS:
+            w0, w1, w2, w3 = ent.joint_density(model, ent.AXIS_Z)
+            assert ent.correlation(model, 0.0, 0.0) == pytest.approx(
+                w0 - w1 - w2 + w3, abs=1e-15
+            )
 
 
 class TestSampling:
@@ -187,6 +193,10 @@ class TestChsh:
             ("samples", math.nan),
             ("samples", 2.5),
             pytest.param("samples", 10**400, id="samples-10**400"),
+            pytest.param("alice_angles", (0.0,), id="alice_angles-one"),
+            pytest.param("bob_angles", (0.0, 1.0, 2.0), id="bob_angles-three"),
+            pytest.param("alice_angles", 0.5, id="alice_angles-number"),
+            pytest.param("bob_angles", ("0", "1"), id="bob_angles-strings"),
         ],
     )
     def test_plan_rejects_bad_values(self, field, value):
@@ -208,7 +218,7 @@ def _event_level_correlation(model, a, b, delay, dwell, rng, n):
     total = 0
     for _ in range(n):
         axis = ent.AXIS_Z if rng.random() < 0.5 else ent.AXIS_Y
-        weights = ent.joint_density(model, axis).weights
+        weights = ent.joint_density(model, axis)
         theta_a, theta_b = CORNERS[rng.choice(4, p=weights)]
         if axis == ent.AXIS_Z:
             alpha, beta = a, b
@@ -226,7 +236,72 @@ def _event_level_correlation(model, a, b, delay, dwell, rng, n):
     return 2.0 * total / n
 
 
+def _reading(s, angle, pole):
+    """P(outcome s) of a pole read at angle: +1 with cos^2((angle - pole)/2)."""
+    up = math.cos((angle - pole) / 2) ** 2
+    return up if s > 0 else 1.0 - up
+
+
+def _enumerated_cells(model, a, b, flips, degrade_y):
+    """Reference P(branch, S_A, S_B) in the outcome table's cell order, as an
+    exact sum over events: a branch with probability 1/2, a corner by its
+    joint_density weight, Bob's pole flipped with the probability of his
+    start trend, flips = (p+, p-), on the y-branch only if degrade_y, and
+    each pole read by _reading.  It reads neither the outcome table nor
+    odd_flip_probability."""
+    cells = []
+    for axis, alpha, beta, (p_plus, p_minus) in (
+        (ent.AXIS_Z, a, b, flips),
+        (ent.AXIS_Y, math.pi / 2 - a, math.pi / 2 - b,
+         flips if degrade_y else (0.0, 0.0)),
+    ):
+        weights = ent.joint_density(model, axis)
+        for s_a, s_b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            total = 0.0
+            for w, (theta_a, theta_b) in zip(weights, CORNERS):
+                p_flip = p_plus if theta_b == 0.0 else p_minus
+                for pole, p_pole in ((theta_b, 1.0 - p_flip),
+                                     (math.pi - theta_b, p_flip)):
+                    total += (0.5 * w * p_pole * _reading(s_a, alpha, theta_a)
+                              * _reading(s_b, beta, pole))
+            cells.append(total)
+    return cells
+
+
 class TestDelayedMeasurement:
+    @pytest.mark.parametrize("degrade_y", [False, True])
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize(
+        "tau_plus, tau_minus, distribution, delay",
+        [(1.0, 2.0, EXPONENTIAL, 0.7), (0.2, 5.0, FIXED, 0.1),
+         (1.0, 1.0, EXPONENTIAL, 0.7)],
+    )
+    def test_cells_match_exact_enumeration(
+        self, tau_plus, tau_minus, distribution, delay, model, degrade_y
+    ):
+        # with p+ != p- Bob's marginal is not 1/2, so the cells are not
+        # (1 +/- c) / 8 even where E is right
+        dwell = DwellModel(tau_plus, tau_minus, distribution)
+        flips = _odd_flip_by_start(dwell, delay)
+        for a, b in ((0.0, 0.0), (0.3, 1.1), (2.0, -0.7), (math.pi, math.pi / 4)):
+            got = ent._outcome_table(model, a, b, flips, degrade_y)
+            want = _enumerated_cells(model, a, b, flips, degrade_y)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_monte_carlo_where_a_pole_flips_surely(self, model):
+        # fixed dwells (0.1, 0.3) and a delay of 0.1 flip a pole at 0 with
+        # probability 1; read at 0 or pi, a cell of exact value 0 rounds
+        # to -1e-17 in the table
+        plan = ent.MeasurementPlan((0.0, math.pi), (0.0, math.pi), 1000, 0.1,
+                                   DwellModel(0.1, 0.3, FIXED))
+        rng = stream(21, "ent-sure-flip", model.name)
+        mc = ent.chsh(plan, model, ent.MONTE_CARLO, rng)
+        exact = ent.chsh(plan, model)
+        for counts, e, want in zip(mc.counts, mc.expectations, exact.expectations):
+            assert sum(counts) == plan.samples
+            assert abs(e - want) < 5 * 2 / math.sqrt(plan.samples)
+
     @pytest.mark.parametrize("b", [0.0, math.pi / 4])
     @pytest.mark.parametrize(
         "tau_plus, tau_minus, distribution, delay",

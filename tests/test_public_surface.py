@@ -30,8 +30,7 @@ EXEMPT_MODULES = {"qm_oracle"}
 # public names kept with no consumer yet, each for the ROADMAP item that
 # gives it one
 KEEP = {
-    "entanglement.joint_density",  # item 8: the outcome table's corner weights
-    "telegraph.TelegraphTrajectory.trend_at",  # item 8: event-level delay check
+    "telegraph.TelegraphTrajectory.trend_at",  # item 8: read only by a test reference
     "orientation.total_action",  # item 10: the stationarity residual
     "stern_gerlach.conditional_density",  # item 10: the derived field-to-order map
     "orientation.limit_density",  # item 10: the derived field-to-order map

@@ -80,8 +80,11 @@ class TestTrajectory:
             tg.TelegraphTrajectory(starts, trends, duration)
 
     def test_rejects_queries_outside_window(self):
-        with pytest.raises(ValueError):
-            self._traj().trend_at(4.5)
+        # a NaN fails every comparison, so only a comparison that must hold
+        # rejects it
+        for t in (4.5, math.nan):
+            with pytest.raises(ValueError):
+                self._traj().trend_at(t)
 
     def test_stores_read_only_arrays(self):
         traj = self._traj()
