@@ -33,7 +33,6 @@ import numpy as np
 from . import __version__
 from . import entanglement, fluctuations, orientation, pauli, qm_oracle
 from . import stern_gerlach as sg
-from . import telegraph
 from .streams import BLOCK, stream
 
 ENV_OUT = "SPINMODEL_OUT"
@@ -149,7 +148,6 @@ SCHEMA = {
         # cost O(1) in m
         "m": (_numeric(int, 0), 1),
         "eta": (POSITIVE, 1.0),
-        "transit_time": (POSITIVE, 1.0),
         # bounds the output's cost: at 2**14 bins a run peaks at ~40 MiB RSS
         # as csv (~36 MiB at 200 bins), its bin law takes ~6 ms and the run
         # ~0.25 s on a 2-core host, as at 200 bins
@@ -163,7 +161,6 @@ SCHEMA = {
     "bell-delay": {
         **_PAIR,
         "samples": (SAMPLES, 200000),
-        "tau": (POSITIVE, 1.0),
         "delays": (_list_of(_numeric(float, 0.0)), "0,0.1,0.2,0.5,1,2,5,10"),
         "mode": (MODE, "analytic"),
         "degrade_y": (_flag, False),
@@ -182,8 +179,6 @@ SCHEMA = {
     },
     "fluctuations": {
         "samples": (SAMPLES, 1000000),
-        "mass": (POSITIVE, 1.0),
-        "dt": (POSITIVE, 1.0),
         "dt_sequence": (_list_of(POSITIVE), "0.1,0.01,0.001"),
     },
     # bounds the per-pair loop, which keeps every row: 10^5 pairs take ~2.5 s
@@ -297,9 +292,7 @@ def run_stern_gerlach(config, seed):
     p_up = sg.two_apparatus_up_probability(0.0, beta)
     density = orientation.TwoPointDensity(p_up, 1.0 - p_up)
     up_fraction = sg.up_count(density, rng, n) / n
-    apparatus = sg.ApparatusConfig(
-        gradient=config["eta"], transit_time=config["transit_time"], m=config["m"]
-    )
+    apparatus = sg.ApparatusConfig(gradient=config["eta"], m=config["m"])
     edges, counts = sg.displacement_histogram(apparatus, n, rng, config["bins"])
     header = ["bin_left", "bin_right", "count", "density"]
     summary = {
@@ -312,12 +305,12 @@ def run_stern_gerlach(config, seed):
     return [("displacement_histogram", header, rows)], summary
 
 
-def _bell_plan(config, **timing):
+def _bell_plan(config, delay=0.0):
     return entanglement.MeasurementPlan(
         alice_angles=(config["a"], config["a_prime"]),
         bob_angles=(config["b"], config["b_prime"]),
         samples=config["samples"],
-        **timing,
+        delay=delay,
     )
 
 
@@ -352,10 +345,10 @@ def run_bell_test(config, seed):
 
 def run_bell_delay(config, seed):
     model = entanglement.BELL_MODELS[config["state"]]
-    dwell = telegraph.DwellModel(config["tau"], config["tau"])
     rows = []
+    # the plan's dwell is the unit DwellModel(): delays are in mean dwells
     for i, delay in enumerate(config["delays"]):
-        plan = _bell_plan(config, delay=delay, dwell=dwell)
+        plan = _bell_plan(config, delay=delay)
         rng = _bell_stream(config, seed, "bell-delay", i)
         result = entanglement.chsh(
             plan, model, mode=config["mode"], rng=rng, degrade_y=config["degrade_y"]
@@ -364,7 +357,6 @@ def run_bell_delay(config, seed):
     summary = {
         "state": config["state"],
         "mode": config["mode"],
-        "tau": config["tau"],
         "degrade_y": config["degrade_y"],
         "S_first": rows[0][1],
         "S_last": rows[-1][1],
@@ -389,19 +381,20 @@ def run_pauli(config, seed):
     return [("pauli_snapshot", header, rows)], summary
 
 
-# the shift variances dt / (2 mass) a KL row admits.  The row's ratio to its
-# exact 1 depends on that variance v alone (the same to 1e-15 at mass 1,
-# 10^6 and 10^-6); on the row's 4001-node grid of [-10, 10] it is within 1e-4
-# of 1 for v from ~2e-14 to ~4.5, and within 4.3e-5 on this band.  Below it,
-# the rounding of log rho at the grid's edge swamps the divergence (-0.70 at
-# v = 5e-19); above it, the outer shifts leave the grid (0.146 at v = 500)
+# the shift variances dt / 2 (unit mass) a KL row admits.  The row's ratio to
+# its exact 1 depends on the variance v = dt / (2 mass) alone
+# (tests/test_fluctuations.py); on the row's 4001-node grid of [-10, 10] it is
+# within 1e-4 of 1 for v from ~2e-14 to ~4.5, and within 4.3e-5 on this band.
+# Below it, the rounding of log rho at the grid's edge swamps the divergence
+# (-0.70 at v = 5e-19); above it, the outer shifts leave the grid (0.146 at
+# v = 500)
 _KL_VARIANCES = (1e-13, 4.0)
 
 
 def run_fluctuations(config, seed):
     rng = stream(seed, "fluctuations")
     n = config["samples"]
-    trans = fluctuations.TranslationParams(config["mass"], config["dt"])
+    trans = fluctuations.TranslationParams()
     product = fluctuations.expected_uncertainty_product(trans, n, rng)
     rows = [("uncertainty_product", product, 0.5)]
     for i, (mass, omega) in enumerate([(1.0, 1.0), (3.0, 7.0), (0.5, 2.0)]):
@@ -412,13 +405,12 @@ def run_fluctuations(config, seed):
     rho = np.exp(-(x**2) / 2.0) / math.sqrt(2 * math.pi)
     low, high = _KL_VARIANCES
     for dt in config["dt_sequence"]:
-        variance = dt / (2.0 * config["mass"])
-        if not low <= variance <= high:
+        if not low <= dt / 2.0 <= high:
             raise ConfigError(
-                f"dt_sequence and mass: dt / (2 mass) must be in [{low}, {high}] "
-                f"for the KL rows, got {variance!r} at dt = {dt!r}"
+                f"dt_sequence: dt / 2 must be in [{low}, {high}] for the KL "
+                f"rows, got {dt / 2.0!r} at dt = {dt!r}"
             )
-        p = fluctuations.TranslationParams(config["mass"], dt)
+        p = fluctuations.TranslationParams(dt=dt)
         rate = fluctuations.kl_shift_rate(x, rho, p)
         fisher = fluctuations.fisher_functional(x, rho, p)
         rows.append((f"kl_over_fisher_dt{dt}", rate / fisher, 1.0))
@@ -478,9 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, keys in SCHEMA.items():
-        # flags not given stay off the namespace, so only given flags override
+        # flags not given stay off the namespace, so only given flags override;
+        # no abbreviations, which would read --dt as --dt-sequence
         p = sub.add_parser(
-            name, help=f"run the {name} experiment", argument_default=argparse.SUPPRESS
+            name, help=f"run the {name} experiment", allow_abbrev=False,
+            argument_default=argparse.SUPPRESS,
         )
         p.add_argument("--config", default=None, help="config file (key=value or JSON)")
         p.add_argument("--seed", type=int, default=42)

@@ -32,6 +32,7 @@ axis's marginal of |psi_hat|^2 by k^2 / 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,18 @@ class SpatialGrid:
             raise ValueError("nodes must be a power of two >= 16")
         if not 0 < self.extent < math.inf:
             raise ValueError("extent must be positive and finite")
+        # a subnormal spacing leaves the packet unnormalizable, and a cell
+        # volume past the float range overflows spacing**2
+        spacing = self.extent / self.nodes
+        if not all(
+            sys.float_info.min <= s <= sys.float_info.max
+            for s in (spacing, spacing * spacing)[: self.dimension]
+        ):
+            raise ValueError(
+                f"extent: the node spacing extent / nodes and the cell volume "
+                f"must be positive normal floats, got extent = {self.extent!r} "
+                f"over {self.nodes} nodes in {self.dimension}-D"
+            )
 
     @property
     def spacing(self) -> float:

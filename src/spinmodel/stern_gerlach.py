@@ -30,17 +30,16 @@ DOWN = -1
 
 @dataclass(frozen=True)
 class ApparatusConfig:
-    """Field, transit time and order of one Stern-Gerlach apparatus."""
+    """Field gradient and order of one Stern-Gerlach apparatus, crossed in
+    the unit transit time: the displacement scale eta T^2 / (4 Z_m) has one
+    degree of freedom, eta."""
 
     gradient: float = 1.0
-    transit_time: float = 1.0
     m: int = 1
 
     def __post_init__(self):
         if not 0 < self.gradient < math.inf:
             raise ValueError("gradient must be positive and finite")
-        if not 0 < self.transit_time < math.inf:
-            raise ValueError("transit_time must be positive and finite")
         _require_order(self.m)
 
 
@@ -121,18 +120,18 @@ def displacement_density(z, m: int, eta: float, transit_time: float):
 
 
 def _scale_and_edges(config: ApparatusConfig, bins):
-    """(k, edges): the displacement scale k of config and np.histogram's
-    bins + 1 evenly spaced edges of [-k, k], if the bin width 2k/bins is a
-    normal float."""
+    """(k, edges): the displacement scale k of config, at the unit transit
+    time, and np.histogram's bins + 1 evenly spaced edges of [-k, k], if
+    the bin width 2k/bins is a normal float."""
     bins = _require_count("bins", bins)
-    k = displacement(0.0, config.m, config.gradient, config.transit_time)
+    k = displacement(0.0, config.m, config.gradient, 1.0)
     # numpy widens a zero range, rejects an infinite one and gives bins of
     # subnormal width infinite densities; k itself is finite
     width = 2.0 * float(k) / bins
     if not sys.float_info.min <= width <= sys.float_info.max:
         raise ValueError(
-            f"eta and transit_time: displacement scale {k:g} gives bins of "
-            f"width {width:g}, not a normal float"
+            f"eta: displacement scale {k:g} gives bins of width {width:g}, "
+            "not a normal float"
         )
     return k, np.linspace(-k, k, bins + 1)
 
@@ -248,7 +247,12 @@ def displacement_histogram(
 
 def histogram_rows(edges: np.ndarray, counts: np.ndarray):
     """(bin_left, bin_right, count, density) rows for CSV export."""
-    density = counts / (counts.sum() * np.diff(edges))
+    n, widths = counts.sum(), np.diff(edges)
+    with np.errstate(over="ignore"):
+        scale = n * widths
+    # n times a bin width can pass the float range at the top of eta (bins
+    # ~6e305 wide at m = 1); the fractions n_i / n then divide by the width
+    density = counts / scale if np.isfinite(scale).all() else counts / n / widths
     return list(zip(
         edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), density.tolist()
     ))

@@ -31,6 +31,14 @@ class DwellModel:
     def __post_init__(self):
         if not (0 < self.tau_plus < math.inf and 0 < self.tau_minus < math.inf):
             raise ValueError("dwell means must be positive and finite")
+        # the switching rate of the flip law: an inf one makes P(odd flips)
+        # NaN at delay 0 (inf * 0) and overflows the trajectory's segment count
+        if not 1.0 / self.tau_plus + 1.0 / self.tau_minus < math.inf:
+            raise ValueError(
+                "tau_plus and tau_minus: the switching rate 1/tau_plus + "
+                f"1/tau_minus must be finite, got {self.tau_plus!r} and "
+                f"{self.tau_minus!r}"
+            )
         if self.distribution not in (EXPONENTIAL, FIXED):
             raise ValueError("distribution must be 'exponential' or 'fixed'")
 

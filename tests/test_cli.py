@@ -60,7 +60,7 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError):
             cli.merge_config(SG_KEYS, {"samples": 0}, {})
         with pytest.raises(cli.ConfigError):
-            cli.merge_config(cli.SCHEMA["bell-delay"], {"tau": -2.0}, {})
+            cli.merge_config(cli.SCHEMA["bell-delay"], {"delays": -2.0}, {})
         with pytest.raises(cli.ConfigError):
             cli.merge_config(SG_KEYS, {"m": -1}, {})
 
@@ -203,11 +203,10 @@ class TestRun:
         assert summary["uncertainty_product"] == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mass", [1.0, 1e6, 1e-6])
-    def test_kl_rows_at_the_edges_of_the_admitted_band(self, mass):
-        # dt / (2 mass) at each end of the band, 1e-13 and 4
+    def test_kl_rows_at_the_edges_of_the_admitted_band(self):
+        # dt / 2 at each end of the band, 1e-13 and 4
         config = _small_config(SMALL_RUNS[7])[1]
-        config.update(mass=mass, dt_sequence=[2 * v * mass for v in cli._KL_VARIANCES])
+        config.update(dt_sequence=[2 * v for v in cli._KL_VARIANCES])
         [(_, _, rows)], _ = cli.run_fluctuations(config, 7)
         kl = [estimate for q, estimate, _ in rows if q.startswith("kl_over_fisher_")]
         assert len(kl) == 2
@@ -299,6 +298,66 @@ class TestRun:
         assert not (tmp_path / "manifest.json").exists()
 
 
+# "subcommand.key" -> the overrides of a perturbed small run: the key's new
+# value and any setting under which the key applies, which the reference run
+# keeps
+_PERTURBED = {
+    "variational.orders": {"orders": [2]},
+    "variational.nodes": {"nodes": 128},
+    "stern-gerlach.samples": {"samples": 3000},
+    "stern-gerlach.beta": {"beta": 1.0},
+    "stern-gerlach.m": {"m": 2},
+    "stern-gerlach.eta": {"eta": 2.0},
+    "stern-gerlach.bins": {"bins": 12},
+    **{
+        f"{sub}.{key}": {key: value}
+        for sub in ("bell-test", "bell-delay")
+        for key, value in (
+            ("state", "psi_plus"), ("a", 0.1), ("a_prime", 1.0),
+            ("b", 0.5), ("b_prime", 2.0),
+        )
+    },
+    "bell-test.samples": {"samples": 3000},
+    "bell-test.mode": {"mode": "analytic"},
+    "bell-delay.samples": {"samples": 3000, "mode": "monte_carlo"},
+    "bell-delay.delays": {"delays": [0.0, 1.0]},
+    "bell-delay.mode": {"mode": "monte_carlo"},
+    "bell-delay.degrade_y": {"degrade_y": True},
+    "pauli.nodes": {"nodes": 128},
+    "pauli.extent": {"extent": 10.0},
+    "pauli.dt": {"dt": 0.002},
+    "pauli.steps": {"steps": 20},
+    "pauli.b_z": {"b_z": 2.0},
+    "pauli.stride": {"stride": 2},
+    "pauli.packet_width": {"packet_width": 0.5},
+    "fluctuations.samples": {"samples": 20000},
+    "fluctuations.dt_sequence": {"dt_sequence": [0.2]},
+    "oracle-check.pairs": {"pairs": 6},
+}
+
+
+def _outputs(sub, overrides):
+    """The tables and the summary of sub's first SMALL_RUNS entry with
+    overrides, less the summary's echoes of config keys, which a key moves
+    whether or not it moves a result."""
+    small = _small_config(next(argv for argv in SMALL_RUNS if argv[0] == sub))[1]
+    keys = cli.SCHEMA[sub]
+    tables, summary = cli.RUNNERS[sub](cli.merge_config(keys, small, overrides), 42)
+    return tables, {k: v for k, v in summary.items() if k not in keys}
+
+
+@pytest.mark.parametrize("name", [f"{s}.{key}" for s, keys in cli.SCHEMA.items() for key in keys])
+def test_every_key_moves_an_output(name):
+    # a setting that moves no table cell or summary value is a second
+    # statement of a scale another key sets, or no setting at all
+    sub, key = name.split(".")
+    perturbed = _PERTURBED.get(name)
+    if perturbed is None:
+        pytest.fail(f"{name} has no perturbation in _PERTURBED")
+    reference = {k: v for k, v in perturbed.items() if k != key}
+    assert _outputs(sub, perturbed) != _outputs(sub, reference)
+
+
 @pytest.mark.parametrize("mode, loaded", [("analytic", False), ("monte_carlo", True)])
 def test_bell_delay_loads_numpy_random_only_to_draw(tmp_path, mode, loaded):
     # analytic mode, the default, draws nothing, so it builds no stream
@@ -321,7 +380,6 @@ def _exit_code(argv):
         return exc.code
 
 
-_SCALE = "eta and transit_time"
 # (subcommand, config file line or None, flags, key the error must name)
 # Each row's id is the one pytest gave it by position when the table was
 # first parameterized, kept literally so that inserting or deleting a row
@@ -385,33 +443,41 @@ MALFORMED = [
                  id="bell-test-None-flags26-samples"),
     pytest.param("bell-delay", "samples = 9007199254740993", [], "samples",
                  id="bell-delay-samples = 9007199254740993-flags27-samples"),
-    # the displacement scale eta T^2 / (4 Z_m) overflows, or over 200 bins
-    # it gives bins of zero or subnormal width
-    pytest.param("stern-gerlach", "eta = 1e308", ["--transit-time", "1e308"], _SCALE,
-                 id="stern-gerlach-eta = 1e308-flags28-eta and transit_time"),
-    pytest.param("stern-gerlach", "eta = 1e300", ["--transit-time", "1e10"], _SCALE,
-                 id="stern-gerlach-eta = 1e300-flags29-eta and transit_time"),
-    pytest.param("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-200"], _SCALE,
+    # over 200 bins the displacement scale eta / (4 Z_m) gives bins of
+    # subnormal or zero width; the flag overrides the file's eta
+    pytest.param("stern-gerlach", "eta = 1e-300", ["--eta", "1e-306"], "eta",
                  id="stern-gerlach-eta = 1e-300-flags30-eta and transit_time"),
-    pytest.param("stern-gerlach", "eta = 1e-300", ["--transit-time", "1e-10"], _SCALE,
+    pytest.param("stern-gerlach", "eta = 1e-300", ["--eta", "5e-324"], "eta",
                  id="stern-gerlach-eta = 1e-300-flags31-eta and transit_time"),
     # one over the bound, streams.BLOCK = 2**14
     pytest.param("stern-gerlach", None, ["--bins", "16385"], "bins",
                  id="stern-gerlach-None-flags32-bins"),
-    # dt / (2 mass) or mass / dt underflows or overflows: NaN or inf products
-    pytest.param("fluctuations", None, ["--mass", "1e300", "--dt", "1e-300"], "mass and dt",
-                 id="fluctuations-None-flags33-mass and dt"),
-    pytest.param("fluctuations", None, ["--mass", "1e-300", "--dt", "1e300"], "mass and dt",
-                 id="fluctuations-None-flags34-mass and dt"),
-    pytest.param("fluctuations", None, ["--dt", "1e300", "--mass", "1e-10"], "mass and dt",
-                 id="fluctuations-None-flags35-mass and dt"),
-    # a KL row's dt / (2 mass) outside [1e-13, 4]: ratios of 0, -0.70 and 0.998
-    pytest.param("fluctuations", None, ["--mass", "1e300"], "dt_sequence and mass",
-                 id="fluctuations-None-flags36-dt_sequence and mass"),
-    pytest.param("fluctuations", None, ["--dt-sequence", "1e-18"], "dt_sequence and mass",
+    # a KL row's dt / 2 outside [1e-13, 4]: ratios of -0.70 and 0.998
+    pytest.param("fluctuations", None, ["--dt-sequence", "1e-18"], "dt_sequence",
                  id="fluctuations-None-flags37-dt_sequence and mass"),
-    pytest.param("fluctuations", "dt_sequence = 0.1,16", [], "dt_sequence and mass",
+    pytest.param("fluctuations", "dt_sequence = 0.1,16", [], "dt_sequence",
                  id="fluctuations-dt_sequence = 0.1,16-flags38-dt_sequence and mass"),
+    # keys that set a unit scale twice: the outputs depend on dt / (2 mass),
+    # eta T^2 and delay / tau alone, so only dt_sequence, eta and delays set
+    # them (tau = NaN, row flags8, is the file case of bell-delay's)
+    pytest.param("fluctuations", None, ["--mass", "2"], "mass",
+                 id="fluctuations-mass-flag"),
+    pytest.param("fluctuations", "mass = 2", [], "mass",
+                 id="fluctuations-mass-file"),
+    # not an abbreviation of --dt-sequence
+    pytest.param("fluctuations", None, ["--dt", "2"], "dt",
+                 id="fluctuations-dt-flag"),
+    pytest.param("fluctuations", "dt = 2", [], "dt",
+                 id="fluctuations-dt-file"),
+    pytest.param("stern-gerlach", None, ["--transit-time", "3"], "--transit-time",
+                 id="stern-gerlach-transit_time-flag"),
+    pytest.param("stern-gerlach", "transit_time = 3", [], "transit_time",
+                 id="stern-gerlach-transit_time-file"),
+    pytest.param("bell-delay", None, ["--tau", "2"], "tau",
+                 id="bell-delay-tau-flag"),
+    # a node spacing of 4e-323, subnormal: the packet was not normalizable
+    pytest.param("pauli", None, ["--extent", "1e-320"], "extent",
+                 id="pauli-extent-subnormal-spacing"),
 ]
 
 
@@ -526,6 +592,15 @@ class TestAdmittedExtremes:
         p_up = math.cos(summary["beta"] / 2) ** 2
         sd = math.sqrt(p_up * (1 - p_up) / MAX_SAMPLES)
         assert abs(summary["empirical_up_fraction"] - p_up) <= 5 * sd
+
+    def test_stern_gerlach_density_at_the_top_of_eta(self, tmp_path, capsys):
+        # bins ~6e305 wide: samples x width passes the float range, and the
+        # density column read 0 before it was formed as (n_i / n) / width
+        summary, tables = _json_run(tmp_path, ["stern-gerlach", "--eta", "1.7e308"])
+        rows = tables["displacement_histogram"]
+        assert sum(row["count"] for row in rows) == summary["samples"]
+        mass = math.fsum(r["density"] * (r["bin_right"] - r["bin_left"]) for r in rows)
+        assert abs(mass - 1.0) <= 1e-12
 
     def test_bell_test_at_the_samples_bound(self, tmp_path, capsys):
         argv = ["bell-test", "--samples", str(MAX_SAMPLES)]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +324,15 @@ class TestDelayedMeasurement:
         dwell = DwellModel()
         e = ent.delayed_correlation(ent.PSI_MINUS, 0.1, 0.9, 0.0, dwell)
         assert e == pytest.approx(ent.correlation(ent.PSI_MINUS, 0.1, 0.9), abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("distribution", [EXPONENTIAL, FIXED])
+    def test_smallest_normal_dwells_keep_the_zero_delay_statistic(self, distribution):
+        # an infinite switching rate made S NaN at delay 0 (inf * 0)
+        tau = sys.float_info.min
+        plan = ent.MeasurementPlan(dwell=DwellModel(tau, tau, distribution))
+        s = ent.chsh(plan, ent.PSI_MINUS).statistic
+        assert s == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_long_delay_leaves_y_branch(self):
         dwell = DwellModel()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
+from spinmodel import cli
 from spinmodel import fluctuations as fl
 from spinmodel import pauli, streams
 from spinmodel.streams import BLOCK, _spans, stream
@@ -242,6 +243,21 @@ class TestFisherLimit:
             params = fl.TranslationParams(mass=mass, dt=dt)
             rate = fl.kl_shift_rate(x, rho, params)
             assert rate == pytest.approx(1.0 / (4.0 * mass * s**2), rel=1e-4, abs=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variance", cli._KL_VARIANCES)
+    def test_kl_over_fisher_depends_on_the_shift_variance_alone(self, variance):
+        # the CLI's KL rows, on their grid at the two ends of their admitted
+        # band of dt / (2 mass): masses 10^12 apart give one ratio, near 1
+        x = np.linspace(-10, 10, 4001)
+        rho = np.exp(-(x**2) / 2.0) / math.sqrt(2 * math.pi)
+        ratios = []
+        for mass in (1.0, 1e6, 1e-6):
+            params = fl.TranslationParams(mass=mass, dt=2 * variance * mass)
+            rate = fl.kl_shift_rate(x, rho, params)
+            ratios.append(rate / fl.fisher_functional(x, rho, params))
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-15, abs=0)
+        assert abs(ratios[0] - 1.0) <= 1e-4
 
     @staticmethod
     def _per_shift_loop(x, rho, params, n_shifts):

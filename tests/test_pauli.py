@@ -150,6 +150,26 @@ class TestGrid:
         with pytest.raises(ValueError, match="extent"):
             pauli.SpatialGrid(1, 16, extent)
 
+    @pytest.mark.parametrize(
+        "dimension, nodes, extent",
+        [
+            (1, 256, 1e-320),  # the spacing is subnormal
+            (2, 16, 1e-160),  # the spacing is normal, the cell volume not
+            (2, 16, 1e160),  # the cell volume overflows
+        ],
+    )
+    def test_rejects_an_extent_of_no_normal_spacing_or_volume(
+        self, dimension, nodes, extent
+    ):
+        with pytest.raises(ValueError, match="extent"):
+            pauli.SpatialGrid(dimension, nodes, extent)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_normal_volume_at_the_largest_admitted_extent(self, dimension):
+        extent = 16 * math.sqrt(sys.float_info.max) if dimension == 2 else 1e308
+        grid = pauli.SpatialGrid(dimension, 16, extent)
+        assert sys.float_info.min <= grid.cell_volume <= sys.float_info.max
+
     def test_two_dimensional_shapes(self):
         grid = pauli.SpatialGrid(2, 32, 10.0)
         x, y = grid.coordinates()

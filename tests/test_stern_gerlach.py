@@ -157,17 +157,10 @@ class TestDisplacement:
             np.abs(empirical[interior] - analytic[interior])
         ) < 0.15 * np.max(analytic[interior])
 
-    @pytest.mark.parametrize(
-        "gradient, transit_time",
-        [
-            (-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan),
-            # displacement, which every distribution call runs, rejects these
-            (0.0, 1.0), (math.inf, 1.0), (1.0, math.inf),
-        ],
-    )
-    def test_config_rejects_bad_values(self, gradient, transit_time):
-        with pytest.raises(ValueError, match="gradient|transit_time"):
-            sg.ApparatusConfig(gradient=gradient, transit_time=transit_time)
+    @pytest.mark.parametrize("gradient", [-1.0, 0.0, math.nan, math.inf])
+    def test_config_rejects_bad_values(self, gradient):
+        with pytest.raises(ValueError, match="gradient"):
+            sg.ApparatusConfig(gradient=gradient)
 
     @pytest.mark.parametrize("m", [math.nan, -1, 1.5])
     def test_config_rejects_non_whole_order(self, m):
@@ -181,25 +174,23 @@ class TestDisplacement:
             )
 
     @pytest.mark.parametrize(
-        "gradient, transit_time, bins",
+        "gradient, m, bins",
         [
-            (1e308, 1e308, 200),  # T^2 overflows
-            (1e300, 1e10, 200),  # k overflows
-            (10.0, 1e154, 1),  # k is finite, 2k is not
-            (1e-300, 1e-200, 200),  # k underflows to zero
-            (1e-300, 1e-10, 200),  # k is subnormal
-            (1e-300, 1e-3, 200),  # k is normal, 2k/bins is not
+            # the scale k = eta / (4 Z_m) at the unit transit time
+            (1e305, 2**52 - 1, 200),  # k overflows: Z_m ~ sqrt(pi / m)
+            (1.7e308, 20, 1),  # k is finite, 2k is not
+            (5e-324, 1, 200),  # k underflows to zero
+            (1e-310, 1, 200),  # k is subnormal
+            (1e-306, 1, 200),  # k is normal, 2k/bins is not
         ],
     )
-    def test_distribution_rejects_bins_of_no_normal_width(
-        self, gradient, transit_time, bins
-    ):
-        config = sg.ApparatusConfig(gradient=gradient, transit_time=transit_time)
-        with pytest.raises(ValueError, match="eta and transit_time"):
+    def test_distribution_rejects_bins_of_no_normal_width(self, gradient, m, bins):
+        config = sg.ApparatusConfig(gradient=gradient, m=m)
+        with pytest.raises(ValueError, match="eta"):
             sg.displacement_histogram(config, 10, stream(11, "sg-scale"), bins)
         if bins == 200:  # displacement_distribution's own bins
-            with pytest.raises(ValueError, match="eta and transit_time"):
-                sg.displacement_distribution(1, config, 10, stream(11, "sg-scale"))
+            with pytest.raises(ValueError, match="eta"):
+                sg.displacement_distribution(m, config, 10, stream(11, "sg-scale"))
 
     @pytest.mark.parametrize("bins", [0, -3, 2.5])
     def test_distribution_rejects_bins_that_are_not_a_count(self, bins):
@@ -211,11 +202,11 @@ class TestDisplacement:
     def test_distribution_is_displacement_of_sampled_theta(self, m):
         # cos theta drawn directly equals cos of the sampled angle from the
         # same stream, to rounding
-        config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
+        config = sg.ApparatusConfig(gradient=2.0, m=m)
         dz, _, _ = sg.displacement_distribution(m, config, 50000, stream(11, "sg-cos", m))
         thetas = om.sample_theta(m, stream(11, "sg-cos", m), 50000)
-        expected = sg.displacement(thetas, m, 2.0, 1.5)
-        k = sg.displacement(0.0, m, 2.0, 1.5)
+        expected = sg.displacement(thetas, m, 2.0, 1.0)
+        k = sg.displacement(0.0, m, 2.0, 1.0)
         assert np.max(np.abs(dz - expected)) <= 4e-15 * (2 * m + 1) * k
 
     @pytest.mark.parametrize("m", [0, 1, 3])
@@ -223,14 +214,14 @@ class TestDisplacement:
     def test_distribution_same_bits_as_one_call(self, m, n):
         # block b's sin^2 theta comes from child b of one spawn; the
         # displacement formula over the whole array at once gives every bit
-        config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
+        config = sg.ApparatusConfig(gradient=2.0, m=m)
         rng = stream(11, "sg-blocks", m, n)
         dz, edges, counts = sg.displacement_distribution(m, config, n, rng)
         ref = stream(11, "sg-blocks", m, n)
         s, c = np.empty(n), np.empty(n)
         for child, (start, stop) in zip(ref.spawn(-(-n // BLOCK)), _spans(n)):
             om._sin2_block(m, child, s[start:stop], c[start:stop])
-        k = sg.displacement(0.0, m, 2.0, 1.5)
+        k = sg.displacement(0.0, m, 2.0, 1.0)
         if m:
             expected = k * np.exp((m + 0.5) * np.log1p(-np.abs(s)))
         else:
@@ -248,7 +239,7 @@ class TestDisplacement:
         # each call spawns the next children of the stream, so consecutive
         # calls of one block each give the samples of one call on the same
         # key, and their counts add up to its counts
-        config = sg.ApparatusConfig(gradient=2.0, transit_time=1.5, m=m)
+        config = sg.ApparatusConfig(gradient=2.0, m=m)
         rng = stream(11, "sg-stream", m, n)
         dz, edges, counts = sg.displacement_distribution(m, config, n, rng)
         ref = stream(11, "sg-stream", m, n)
@@ -284,8 +275,8 @@ class TestDisplacement:
             )
 
     def test_histogram_rejects_a_bad_scale(self):
-        config = sg.ApparatusConfig(gradient=1e-300, transit_time=1e-200)
-        with pytest.raises(ValueError, match="eta and transit_time"):
+        config = sg.ApparatusConfig(gradient=5e-324)
+        with pytest.raises(ValueError, match="eta"):
             sg.displacement_histogram(config, 10, stream(11, "sg-stream-scale"), 200)
 
     def test_histogram_rows_density_normalizes(self):
@@ -295,6 +286,19 @@ class TestDisplacement:
         rows = sg.histogram_rows(edges, counts)
         mass = sum(d * (r - l) for l, r, _, d in rows)
         assert mass == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gradient, n", [(1.0, 10**5), (1.7e308, 10**5), (1.7e308, 2**53)])
+    def test_histogram_rows_density_normalizes_at_every_width(self, gradient, n):
+        # at the top of eta, n times a bin width (~6e305) passes the float
+        # range, and the density read 0
+        config = sg.ApparatusConfig(gradient=gradient)
+        edges, counts = sg.displacement_histogram(config, n, stream(11, "sg-wide"), 200)
+        rows = sg.histogram_rows(edges, counts)
+        assert abs(math.fsum(d * (r - l) for l, r, _, d in rows) - 1.0) <= 1e-12
+        if gradient == 1.0:  # the density of the finite n * width, bit for bit
+            expected = counts / (counts.sum() * np.diff(edges))
+            assert [d for *_, d in rows] == expected.tolist()
 
 
 # every admitted order, up to the largest, m = 2**52 - 1, which the CLI admits

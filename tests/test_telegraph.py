@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from spinmodel import telegraph as tg
 from spinmodel.streams import stream
 
 taus = st.floats(min_value=0.05, max_value=5.0)
+# the smallest normal float: the dwell mean with the largest finite
+# switching rate 2 / TAU_MIN when both means take it
+TAU_MIN = sys.float_info.min
 
 
 def _mirrored(traj):
@@ -29,6 +33,31 @@ class TestDwellModel:
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ValueError):
             tg.DwellModel(1.0, 1.0, "weibull")
+
+    @pytest.mark.parametrize(
+        "tp, tm", [(1e-320, 1e-320), (5e-324, 1.0), (1.0, 5e-324), (1e-308, 1e-308)]
+    )
+    def test_rejects_an_infinite_switching_rate(self, tp, tm):
+        with pytest.raises(ValueError, match="tau_plus and tau_minus"):
+            tg.DwellModel(tp, tm)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
+    def test_odd_flips_at_the_smallest_normal_dwells(self, distribution):
+        # an infinite rate made the probability inf * 0 = NaN at delay 0
+        model = tg.DwellModel(TAU_MIN, TAU_MIN, distribution)
+        assert tg.odd_flip_probability(model, 0.0) == 0.0
+        for delay in (1e-308, 1.0):
+            assert 0.0 <= tg.odd_flip_probability(model, delay) <= 1.0
+
+    @pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
+    def test_simulate_at_the_smallest_normal_dwells(self, distribution):
+        # an infinite rate overflowed the segment count; 1e-306 spans ~45
+        # segments of these means
+        model = tg.DwellModel(TAU_MIN, TAU_MIN, distribution)
+        traj = tg.simulate(model, 1e-306, +1, stream(9, "tg-min-dwell"))
+        assert 1 < len(traj.start_times) < 100
+        assert sum(tg.empirical_fractions(traj)) == 1.0
 
 
 class TestTrajectory:
