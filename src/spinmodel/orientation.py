@@ -146,9 +146,9 @@ def _sin2_block(m: int, child: np.random.Generator, s, c, cos2=None) -> None:
     tan is odd, is independent of |t| and picks the hemisphere.
     """
     child.random(out=c)
-    c *= -2.0
-    c += 1.0
-    c *= np.pi / 2
+    # pi (1/2 - V) = pi (1 - 2V) / 2 bit for bit; 1/2 - V is +0 at V = 1/2
+    np.subtract(0.5, c, out=c)
+    c *= np.pi
     np.tan(c, out=c)
     if m:
         child.random(out=s)

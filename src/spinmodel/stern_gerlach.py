@@ -124,7 +124,12 @@ def _scale_and_edges(config: ApparatusConfig, bins):
     time, and np.histogram's bins + 1 evenly spaced edges of [-k, k], if
     the bin width 2k/bins is a normal float."""
     bins = _require_count("bins", bins)
-    k = displacement(0.0, config.m, config.gradient, 1.0)
+    try:
+        k = displacement(0.0, config.m, config.gradient, 1.0)
+    except ValueError:  # at the unit transit time, eta alone sets the scale
+        raise ValueError(
+            f"eta: displacement scale overflows at eta = {config.gradient!r}"
+        ) from None
     # numpy widens a zero range, rejects an infinite one and gives bins of
     # subnormal width infinite densities; k itself is finite
     width = 2.0 * float(k) / bins
@@ -167,8 +172,7 @@ def displacement_distribution(
             sin2, out = s[:stop - start], dz[start:stop]
             _sin2_block(m, child, sin2, out)
             if m:
-                np.abs(sin2, out=out)
-                np.negative(out, out=out)
+                np.copysign(sin2, -1.0, out=out)
                 with np.errstate(divide="ignore"):  # -inf if sin^2 rounds to 1
                     np.log1p(out, out=out)
                 out *= m + 0.5

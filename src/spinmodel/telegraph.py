@@ -154,15 +154,21 @@ def _odd_flip_by_start(model: DwellModel, delay: float) -> tuple[float, float]:
     phases of measure min(r, T - r, tau+, tau-) from either trend into the other."""
     if not 0 <= delay < math.inf:
         raise ValueError(f"delay must be non-negative and finite, got {delay!r}")
-    period = model.tau_plus + model.tau_minus
+    # where T overflows, both laws are taken in half scale: each tau is then
+    # at least 2**970, so halving it is exact, and a subnormal delay that
+    # halving rounds flips with probability 0 at such dwells; scale 1 keeps
+    # every bit
+    scale = 0.5 if model.tau_plus + model.tau_minus == math.inf else 1.0
+    tau_plus, tau_minus = scale * model.tau_plus, scale * model.tau_minus
+    period = tau_plus + tau_minus
     if model.distribution == EXPONENTIAL:
         odd = 1.0 - math.exp(-(1.0 / model.tau_plus + 1.0 / model.tau_minus) * delay)
         # tau-/T = (1/tau+) / (1/tau+ + 1/tau-); 1 - it keeps p+ + p- = odd to an ulp
-        share = model.tau_minus / period
+        share = tau_minus / period
         return share * odd, (1.0 - share) * odd
-    r = math.fmod(delay, period)
-    shared = min(r, period - r, model.tau_plus, model.tau_minus)
-    return shared / model.tau_plus, shared / model.tau_minus
+    r = math.fmod(scale * delay, period)
+    shared = min(r, period - r, tau_plus, tau_minus)
+    return shared / tau_plus, shared / tau_minus
 
 
 def flip_parity(model: DwellModel, delay: float, rng: np.random.Generator, size):

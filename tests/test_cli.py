@@ -496,6 +496,17 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_displacement_scale_names_eta_alone(self, tmp_path, capsys):
+        # at the unit transit time eta alone sets the scale, and the CLI has
+        # no transit_time key
+        argv = ["stern-gerlach", "--eta", "1e305", "--m", "4503599627370495",
+                "--out", str(tmp_path / "out")]
+        assert _exit_code(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: eta: ")
+        assert "transit_time" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("out", ["afile", "afile/sub"])
     def test_unusable_out_is_a_config_error(self, tmp_path, capsys, out):
         (tmp_path / "afile").write_text("")

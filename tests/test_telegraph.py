@@ -421,6 +421,27 @@ def test_table_fixed_matches_phase_grid_by_initial_trend(tau_plus, tau_minus, de
     assert table == pytest.approx(want, abs=1e-4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "distribution, delay, each",
+    [(tg.EXPONENTIAL, 1e308, -0.5 * math.expm1(-2.0)), (tg.FIXED, 1.5e308, 0.5)],
+)
+def test_table_where_the_period_overflows(distribution, delay, each):
+    # tau+ + tau- = 2e308 is inf: the exponential split read (0, 0.8647) and
+    # the fixed law (1, 1)
+    table = tg._odd_flip_by_start(tg.DwellModel(1e308, 1e308, distribution), delay)
+    assert table == pytest.approx((each, each), rel=1e-12)
+
+
+def test_asymmetric_table_where_the_period_overflows():
+    tau_plus, tau_minus, delay = 1.7e308, 1e307, 1e308
+    rates = np.array([[-1.0 / tau_plus, 1.0 / tau_plus],
+                      [1.0 / tau_minus, -1.0 / tau_minus]])
+    transition = expm(rates * delay)
+    table = tg._odd_flip_by_start(tg.DwellModel(tau_plus, tau_minus), delay)
+    assert table == pytest.approx((transition[0, 1], transition[1, 0]), rel=1e-12)
+
+
 @pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
 @pytest.mark.parametrize(
     "tau_plus, tau_minus, delay", [(1.0, 2.5, 0.6), (2.5, 0.4, 1.9)]
