@@ -36,7 +36,7 @@ def main():
         )
         rows = sg.histogram_rows(edges, counts)
         centers = [0.5 * (left + right) for left, right, _, _ in rows]
-        analytic = sg.displacement_density(centers, m, config.gradient, 1.0)
+        analytic = sg.displacement_density(centers, m, config.gradient)
         for c, (_, _, _, e), a in zip(centers, rows, analytic.tolist()):
             writer.writerow([m, c, e, a])
     if args.out:

@@ -138,6 +138,15 @@ _PAIR = {  # the Bell state and the CHSH angles
     "b_prime": (REAL, 3 * math.pi / 4),
 }
 
+# the shift variances dt / 2 (unit mass) a KL row admits.  The row's ratio to
+# its exact 1 depends on the variance v = dt / (2 mass) alone
+# (tests/test_fluctuations.py); on the row's 4001-node grid of [-10, 10] it is
+# within 1e-4 of 1 for v from ~2e-14 to ~4.5, and within 4.3e-5 on this band.
+# Below it, the rounding of log rho at the grid's edge swamps the divergence
+# (-0.70 at v = 5e-19); above it, the outer shifts leave the grid (0.146 at
+# v = 500)
+_KL_VARIANCES = (1e-13, 4.0)
+
 # subcommand -> key -> (parser, default)
 SCHEMA = {
     "variational": {"orders": (_list_of(ORDER), "1,2,3"), "nodes": (NODES, 2048)},
@@ -179,7 +188,11 @@ SCHEMA = {
     },
     "fluctuations": {
         "samples": (SAMPLES, 1000000),
-        "dt_sequence": (_list_of(POSITIVE), "0.1,0.01,0.001"),
+        # doubling is exact, so dt / 2 is in _KL_VARIANCES where dt is here
+        "dt_sequence": (
+            _list_of(_numeric(float, 2 * _KL_VARIANCES[0], high=2 * _KL_VARIANCES[1])),
+            "0.1,0.01,0.001",
+        ),
     },
     # bounds the per-pair loop, which keeps every row: 10^5 pairs take ~2.5 s
     # and peak at ~75 MiB RSS end to end (2-core host)
@@ -381,16 +394,6 @@ def run_pauli(config, seed):
     return [("pauli_snapshot", header, rows)], summary
 
 
-# the shift variances dt / 2 (unit mass) a KL row admits.  The row's ratio to
-# its exact 1 depends on the variance v = dt / (2 mass) alone
-# (tests/test_fluctuations.py); on the row's 4001-node grid of [-10, 10] it is
-# within 1e-4 of 1 for v from ~2e-14 to ~4.5, and within 4.3e-5 on this band.
-# Below it, the rounding of log rho at the grid's edge swamps the divergence
-# (-0.70 at v = 5e-19); above it, the outer shifts leave the grid (0.146 at
-# v = 500)
-_KL_VARIANCES = (1e-13, 4.0)
-
-
 def run_fluctuations(config, seed):
     rng = stream(seed, "fluctuations")
     n = config["samples"]
@@ -403,13 +406,7 @@ def run_fluctuations(config, seed):
         rows.append((f"angular_momentum_m{mass}_w{omega}", ls, 0.5))
     x = np.linspace(-10, 10, 4001)
     rho = np.exp(-(x**2) / 2.0) / math.sqrt(2 * math.pi)
-    low, high = _KL_VARIANCES
     for dt in config["dt_sequence"]:
-        if not low <= dt / 2.0 <= high:
-            raise ConfigError(
-                f"dt_sequence: dt / 2 must be in [{low}, {high}] for the KL "
-                f"rows, got {dt / 2.0!r} at dt = {dt!r}"
-            )
         p = fluctuations.TranslationParams(dt=dt)
         rate = fluctuations.kl_shift_rate(x, rho, p)
         fisher = fluctuations.fisher_functional(x, rho, p)

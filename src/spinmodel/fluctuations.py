@@ -86,7 +86,6 @@ def sample_displacement(params: TranslationParams, rng: np.random.Generator, siz
         for child, start, stop in blocks:
             w = child.standard_normal(out=flat[start:stop])
             w *= sd
-            yield
 
     _run_blocks(rng, flat.size, kernel)
     return out

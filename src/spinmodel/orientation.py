@@ -197,7 +197,6 @@ def sample_theta(m: int, rng: np.random.Generator, size):
             np.abs(s, out=s)
             np.sqrt(s, out=s)
             np.arctan2(s, theta, out=theta)
-            yield
 
     _run_blocks(rng, flat.size, kernel)
     return out[()]

@@ -77,17 +77,14 @@ def two_apparatus_up_probability(beta1: float, beta2: float) -> float:
 # weak-gradient displacement regime
 
 
-def displacement(theta, m: int, eta: float, transit_time: float):
-    """Screen displacement (eta / 4 Z_m) dT^2 cos^{2m+1}(theta)."""
-    if not (0 < eta < math.inf and 0 < transit_time < math.inf):
-        raise ValueError("eta and transit_time must be positive and finite")
-    z_m = normalization_constant(m)
-    try:
-        prefactor = eta / (4.0 * z_m) * transit_time**2
-    except OverflowError:  # transit_time**2 beyond the float range
-        prefactor = math.inf
+def displacement(theta, m: int, eta: float):
+    """Screen displacement (eta / 4 Z_m) cos^{2m+1}(theta), in the unit
+    transit time."""
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
+    prefactor = eta / (4.0 * normalization_constant(m))
     if prefactor == math.inf:
-        raise ValueError("eta and transit_time: displacement scale overflows")
+        raise ValueError(f"eta: displacement scale overflows at eta = {eta!r}")
     return prefactor * np.cos(theta) ** (2 * m + 1)
 
 
@@ -100,7 +97,7 @@ def _log_fraction(z, k: float):
         return np.where(a >= 0.5 * k, np.log1p((a - k) / k), np.log(a / k))
 
 
-def displacement_density(z, m: int, eta: float, transit_time: float):
+def displacement_density(z, m: int, eta: float):
     """Analytic pushforward density of the displacement under theta ~ p_m.
 
     With x = cos(theta) and dz_max the displacement scale, the map
@@ -109,7 +106,7 @@ def displacement_density(z, m: int, eta: float, transit_time: float):
     histogram.  1 - x^2 is taken as -expm1(2 log|z / dz_max| / (2m + 1)),
     which keeps its small values where x^2 rounds to 1 at large m.
     """
-    k = displacement(0.0, m, eta, transit_time)
+    k = displacement(0.0, m, eta)
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
     inside = np.abs(z) < k
@@ -120,16 +117,11 @@ def displacement_density(z, m: int, eta: float, transit_time: float):
 
 
 def _scale_and_edges(config: ApparatusConfig, bins):
-    """(k, edges): the displacement scale k of config, at the unit transit
-    time, and np.histogram's bins + 1 evenly spaced edges of [-k, k], if
-    the bin width 2k/bins is a normal float."""
+    """(k, edges): the displacement scale k of config and np.histogram's
+    bins + 1 evenly spaced edges of [-k, k], if the bin width 2k/bins is a
+    normal float."""
     bins = _require_count("bins", bins)
-    try:
-        k = displacement(0.0, config.m, config.gradient, 1.0)
-    except ValueError:  # at the unit transit time, eta alone sets the scale
-        raise ValueError(
-            f"eta: displacement scale overflows at eta = {config.gradient!r}"
-        ) from None
+    k = displacement(0.0, config.m, config.gradient)
     # numpy widens a zero range, rejects an infinite one and gives bins of
     # subnormal width infinite densities; k itself is finite
     width = 2.0 * float(k) / bins
@@ -158,7 +150,7 @@ def displacement_distribution(
     precision at every order m >= 1: cos(theta) lies within ~1/m of 1,
     where float64 has too few bits for its power 2m + 1 from m ~ 1e11.  At
     m = 0, where 1 - sin^2(theta) would cancel near pi/2, |cos(theta)| is
-    1 / sqrt(1 + t^2).
+    1 / sqrt(1 + t^2).  Each thread sums the counts of the blocks it draws.
     """
     if m != config.m:
         raise ValueError(f"m = {m!r} disagrees with config.m = {config.m!r}")
@@ -168,6 +160,7 @@ def displacement_distribution(
 
     def kernel(blocks):
         s = np.empty(min(BLOCK, n_samples))
+        counts = np.zeros(edges.size - 1, np.intp)
         for child, start, stop in blocks:
             sin2, out = s[:stop - start], dz[start:stop]
             _sin2_block(m, child, sin2, out)
@@ -182,7 +175,8 @@ def displacement_distribution(
                 np.sqrt(out, out=out)
                 np.divide(k, out, out=out)
             np.copysign(out, sin2, out=out)
-            yield np.histogram(out, edges)[0]
+            counts += np.histogram(out, edges)[0]
+        return counts
 
     return dz, edges, sum(_run_blocks(rng, n_samples, kernel))
 

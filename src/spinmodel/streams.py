@@ -20,12 +20,13 @@ has on one:
   next children.
 - Threads.  `_run_blocks` keeps one queue of the call's blocks, in order,
   and the caller and one worker thread each take the next block left,
-  keeping their scratch from block to block.  The worker comes from
-  `_two_threads`, the package's one place that starts a thread; a call
-  starts it once, or not at all if it has one block.
-  Block b holds the same values whichever thread draws it, so a result
-  does not depend on the thread count.  A worker calls only private
-  kernels, never a public function.
+  keeping their scratch from block to block.  A kernel returns one value
+  per run, not per block: the two runs share only the queue, and write
+  only where their blocks say.  The worker comes from `_two_threads`, the
+  package's one place that starts a thread; a call starts it once, or not
+  at all if it has one block.  Block b holds the same values whichever
+  thread draws it, so a result does not depend on the thread count.  A
+  worker calls only private kernels, never a public function.
 """
 
 from __future__ import annotations
@@ -69,49 +70,39 @@ def _spans(n: int, size: int = BLOCK):
 
 
 def _run_blocks(rng: np.random.Generator, n: int, kernel) -> list:
-    """The results kernel yields for the blocks of range(n), in block order.
+    """The values kernel returns for its runs over the blocks of range(n):
+    one run if range(n) has fewer than two blocks, else two.
 
-    kernel is a generator function: given an iterable of blocks (child,
-    start, stop), block b being span b of `_spans(n)` drawn from child b of
-    one rng.spawn(ceil(n / BLOCK)), it yields one result for each, in order.
-    It runs on the caller's thread and, if there are two or more blocks, on
-    one worker, each fed the next block no thread has taken, so a thread
-    slowed by other load on its core takes fewer.  Each run keeps its
+    kernel is a plain function: given an iterable of blocks (child, start,
+    stop), block b being span b of `_spans(n)` drawn from child b of one
+    rng.spawn(ceil(n / BLOCK)), it draws each and returns one value for its
+    run.  It runs on the caller's thread and, if there are two or more
+    blocks, on one worker, each fed the next block no thread has taken, so a
+    thread slowed by other load on its core takes fewer.  Each run keeps its
     scratch to itself, from block to block, and writes only where its blocks
     say.
     """
     spans = list(_spans(n))
     blocks = [(child, *span) for child, span in zip(rng.spawn(len(spans)), spans)]
-    results = [None] * len(blocks)
-    order = iter(range(len(blocks)))
-    lock = threading.Lock()
-
-    def run():
-        taken = []
-
-        def take():
-            while True:
-                with lock:
-                    b = next(order, None)
-                if b is None:
-                    return
-                taken.append(b)
-                yield blocks[b]
-
-        for j, result in enumerate(kernel(take())):
-            results[taken[j]] = result
-
     if len(blocks) < 2:
-        run()
-    else:
-        _two_threads(run, run)
-    return results
+        return [kernel(iter(blocks))]
+    queue, lock = iter(blocks), threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                block = next(queue, None)
+            if block is None:
+                return
+            yield block
+
+    return list(_two_threads(lambda: kernel(take()), lambda: kernel(take())))
 
 
 def _two_threads(first, second):
     """(first(), second()), second() run on a worker thread.
 
-    Its one caller is `_run_blocks`, which passes its two queue runs.  The
+    Its one caller is `_run_blocks`, which passes its two kernel runs.  The
     worker runs in a copy of the caller's context, so the caller's
     np.errstate holds in it.  It is joined before this returns or raises,
     and its exception, if any, is raised here once both are done.

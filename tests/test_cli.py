@@ -457,6 +457,11 @@ MALFORMED = [
                  id="fluctuations-None-flags37-dt_sequence and mass"),
     pytest.param("fluctuations", "dt_sequence = 0.1,16", [], "dt_sequence",
                  id="fluctuations-dt_sequence = 0.1,16-flags38-dt_sequence and mass"),
+    # one ulp outside the admitted dt in [2e-13, 8], the band doubled
+    pytest.param("fluctuations", None, ["--dt-sequence", "1.9999999999999998e-13"],
+                 "dt_sequence", id="fluctuations-dt_sequence-ulp-below"),
+    pytest.param("fluctuations", None, ["--dt-sequence", "8.000000000000002"],
+                 "dt_sequence", id="fluctuations-dt_sequence-ulp-above"),
     # keys that set a unit scale twice: the outputs depend on dt / (2 mass),
     # eta T^2 and delay / tau alone, so only dt_sequence, eta and delays set
     # them (tau = NaN, row flags8, is the file case of bell-delay's)

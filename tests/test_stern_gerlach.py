@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,20 +85,20 @@ class TestConditionalDensity:
 
 class TestDisplacement:
     def test_maximum_value(self):
-        assert sg.displacement(0.0, 1, 1.0, 1.0) == pytest.approx(
+        assert sg.displacement(0.0, 1, 1.0) == pytest.approx(
             DZ_MAX_M1, abs=1e-12
         )
 
     @pytest.mark.parametrize("m", [0, 1, 2, 7, 40, 1000])
-    @pytest.mark.parametrize("eta, transit_time", [(1.0, 1.0), (0.3, 2.5), (7.0, 0.1)])
-    def test_scale_is_exact(self, m, eta, transit_time):
-        # the displacement at theta = 0 is the histogram's range, eta T^2 / (4 Z_m)
-        scale = eta / (4.0 * om.normalization_constant(m)) * transit_time**2
-        assert sg.displacement(0.0, m, eta, transit_time) == scale
+    @pytest.mark.parametrize("eta", [1.0, 0.3, 7.0])
+    def test_scale_is_exact(self, m, eta):
+        # the displacement at theta = 0 is the histogram's range, eta / (4 Z_m)
+        scale = eta / (4.0 * om.normalization_constant(m))
+        assert sg.displacement(0.0, m, eta) == scale
 
     def test_odd_symmetry(self):
         thetas = np.linspace(0, math.pi, 101)
-        dz = sg.displacement(thetas, 2, 1.0, 1.0)
+        dz = sg.displacement(thetas, 2, 1.0)
         assert np.allclose(dz, -dz[::-1], atol=1e-15)
 
     @pytest.mark.parametrize("m", [0, 1, 3, 10, 40])
@@ -105,35 +106,30 @@ class TestDisplacement:
         thetas = om.sample_theta(m, stream(3, "sg-power", m), 100000)
         prefactor = 1.0 / (4.0 * om.normalization_constant(m))
         expected = prefactor * np.cos(thetas) ** (2 * m + 1)
-        assert np.array_equal(sg.displacement(thetas, m, 1.0, 1.0), expected)
+        assert np.array_equal(sg.displacement(thetas, m, 1.0), expected)
 
     def test_requires_finite_order(self):
         # the order is a whole number m >= 0
         with pytest.raises(ValueError, match="m must be non-negative"):
-            sg.displacement(0.0, -1, 1.0, 1.0)
+            sg.displacement(0.0, -1, 1.0)
 
-    @pytest.mark.parametrize(
-        "eta, transit_time",
-        [
-            (0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
-            (math.inf, 1.0), (1.0, math.inf),
-        ],
-    )
-    def test_rejects_bad_scale(self, eta, transit_time):
-        with pytest.raises(ValueError, match="eta and transit_time"):
-            sg.displacement(0.0, 1, eta, transit_time)
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_scale(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            sg.displacement(0.0, 1, eta)
 
-    @pytest.mark.parametrize("eta, transit_time", [(1e308, 1e308), (1e300, 1e10)])
-    def test_rejects_scale_beyond_the_float_range(self, eta, transit_time):
-        # transit_time**2 overflows, then the product does
-        with pytest.raises(ValueError, match="eta and transit_time"):
-            sg.displacement(np.linspace(0.0, math.pi, 5), 1, eta, transit_time)
+    @pytest.mark.parametrize("eta, m", [(1e305, 2**52 - 1), (1.7e308, 100)])
+    def test_rejects_scale_beyond_the_float_range(self, eta, m):
+        # eta / (4 Z_m) overflows: Z_m ~ 2.6e-8 at m = 2**52 - 1, ~0.18 at 100
+        message = f"eta: displacement scale overflows at eta = {eta!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sg.displacement(np.linspace(0.0, math.pi, 5), m, eta)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_density_normalizes(self, m):
-        k = sg.displacement(0.0, m, 1.0, 1.0)
+        k = sg.displacement(0.0, m, 1.0)
         total, _ = integrate.quad(
-            lambda z: sg.displacement_density(z, m, 1.0, 1.0),
+            lambda z: sg.displacement_density(z, m, 1.0),
             -k,
             k,
             points=[0.0],
@@ -149,7 +145,7 @@ class TestDisplacement:
         centers = 0.5 * (edges[:-1] + edges[1:])
         widths = np.diff(edges)
         empirical = counts / (counts.sum() * widths)
-        analytic = sg.displacement_density(centers, m, 1.0, 1.0)
+        analytic = sg.displacement_density(centers, m, 1.0)
         # bins near the edges contain the integrable singularity; compare
         # the interior on an absolute scale set by the density height
         interior = slice(3, -3)
@@ -205,8 +201,8 @@ class TestDisplacement:
         config = sg.ApparatusConfig(gradient=2.0, m=m)
         dz, _, _ = sg.displacement_distribution(m, config, 50000, stream(11, "sg-cos", m))
         thetas = om.sample_theta(m, stream(11, "sg-cos", m), 50000)
-        expected = sg.displacement(thetas, m, 2.0, 1.0)
-        k = sg.displacement(0.0, m, 2.0, 1.0)
+        expected = sg.displacement(thetas, m, 2.0)
+        k = sg.displacement(0.0, m, 2.0)
         assert np.max(np.abs(dz - expected)) <= 4e-15 * (2 * m + 1) * k
 
     @pytest.mark.parametrize("m", [0, 1, 3])
@@ -221,7 +217,7 @@ class TestDisplacement:
         s, c = np.empty(n), np.empty(n)
         for child, (start, stop) in zip(ref.spawn(-(-n // BLOCK)), _spans(n)):
             om._sin2_block(m, child, s[start:stop], c[start:stop])
-        k = sg.displacement(0.0, m, 2.0, 1.0)
+        k = sg.displacement(0.0, m, 2.0)
         if m:
             expected = k * np.exp((m + 0.5) * np.log1p(-np.abs(s)))
         else:
@@ -390,9 +386,9 @@ class TestDisplacementLaw:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m", LAW_ORDERS)
     def test_density_is_finite_at_every_order(self, m):
-        k = sg.displacement(0.0, m, 1.0, 1.0)
+        k = sg.displacement(0.0, m, 1.0)
         z = np.linspace(-k, k, 2001)
-        density = sg.displacement_density(z, m, 1.0, 1.0)
+        density = sg.displacement_density(z, m, 1.0)
         assert np.all(np.isfinite(density))
         assert np.all(density[1:-1] > 0)
         assert density[0] == density[-1] == 0.0
@@ -400,13 +396,13 @@ class TestDisplacementLaw:
     @pytest.mark.parametrize("m", [1, 3])
     def test_density_keeps_its_values(self, m):
         # 1 - x^2 by expm1 of the log, against the power form it replaced
-        k = sg.displacement(0.0, m, 1.0, 1.0)
+        k = sg.displacement(0.0, m, 1.0)
         z = np.linspace(-k, k, 2001)[1:-1]
         x = np.sign(z) * (np.abs(z) / k) ** (1.0 / (2 * m + 1))
         z_m = om.normalization_constant(m)
         expected = 1.0 / (z_m * k * (2 * m + 1) * np.sqrt(1.0 - x**2))
         np.testing.assert_allclose(
-            sg.displacement_density(z, m, 1.0, 1.0), expected, rtol=1e-12, atol=0
+            sg.displacement_density(z, m, 1.0), expected, rtol=1e-12, atol=0
         )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -414,7 +410,7 @@ class TestDisplacementLaw:
     def test_density_keeps_the_distance_from_the_edge(self, m):
         # at the last float below k, a rounded z/k would lose k - z; the
         # reference takes log(z/k) in 60-digit decimals
-        k = sg.displacement(0.0, m, 1.0, 1.0)
+        k = sg.displacement(0.0, m, 1.0)
         z = np.nextafter(k, 0.0)
         with decimal.localcontext() as context:
             context.prec = 60
@@ -422,7 +418,7 @@ class TestDisplacementLaw:
             sin2 = float(1 - (2 * log_fraction / (2 * m + 1)).exp())
         z_m = om.normalization_constant(m)
         expected = 1.0 / (z_m * k * (2 * m + 1) * math.sqrt(sin2))
-        density = sg.displacement_density([-z, z], m, 1.0, 1.0)
+        density = sg.displacement_density([-z, z], m, 1.0)
         np.testing.assert_allclose(density, expected, rtol=1e-14, atol=0)
 
 
@@ -431,5 +427,5 @@ class TestDisplacementLaw:
 def test_displacement_magnitude_bounded(m):
     rng = stream(5, "sg-bound", m)
     thetas = rng.uniform(0.0, math.pi, 100)
-    dz = sg.displacement(thetas, m, 1.0, 1.0)
-    assert np.all(np.abs(dz) <= sg.displacement(0.0, m, 1.0, 1.0) + 1e-15)
+    dz = sg.displacement(thetas, m, 1.0)
+    assert np.all(np.abs(dz) <= sg.displacement(0.0, m, 1.0) + 1e-15)

@@ -91,12 +91,35 @@ def _blocks_of(rng, n):
 def test_one_spawn_gives_block_b_child_b():
     # all of a call's children come from one rng.spawn: block b gets child b
     n = 130 * BLOCK + 5
-    got = _run_blocks(
-        stream(3, "one-spawn"), n,
-        lambda blocks: ((child.random(), start, stop) for child, start, stop in blocks),
-    )
+    drawn = []
+
+    def kernel(blocks):
+        for child, start, stop in blocks:
+            drawn.append((child.random(), start, stop))
+
+    _run_blocks(stream(3, "one-spawn"), n, kernel)
     expected = [(c.random(), start, stop) for c, start, stop in _blocks_of(stream(3, "one-spawn"), n)]
-    assert got == expected
+    assert sorted(drawn, key=lambda block: block[1]) == expected
+
+
+@pytest.mark.parametrize(
+    "n, runs", [(1, 1), (BLOCK, 1), (BLOCK + 1, 2), (20 * BLOCK, 2)]
+)
+def test_one_value_per_run(n, runs):
+    # a kernel returns one value for its run: one run on the caller's
+    # thread for one block, and one more on a worker for two or more
+    caller = threading.current_thread()
+    threads = threading.active_count()
+
+    def kernel(blocks):
+        return threading.current_thread() is caller, [start for _, start, _ in blocks]
+
+    got = _run_blocks(stream(9, "runs", n), n, kernel)
+    assert threading.active_count() == threads
+    assert len(got) == runs
+    assert [on_caller for on_caller, _ in got] == [True, False][:runs]
+    starts = sorted(start for _, taken in got for start in taken)
+    assert starts == list(range(0, n, BLOCK))
 
 
 # every sampler that takes a count of draws, called with the count n
@@ -317,7 +340,6 @@ class TestThreadedBlocks:
             for _, start, _ in blocks:
                 if start == 2 * BLOCK:
                     raise ZeroDivisionError("kernel")
-                yield start
 
         threads = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="kernel"):
@@ -333,19 +355,20 @@ class TestThreadedBlocks:
             assert streams._two_threads(invalid, invalid) == ("raise", "raise")
 
     def test_a_slow_thread_takes_fewer_items(self):
-        # blocks go to whichever thread is free; results stay in block order
-        caller, taken = threading.current_thread(), []
+        # blocks go to whichever thread is free, each to one thread
+        caller = threading.current_thread()
 
         def kernel(blocks):
+            taken = []
             for _, start, _ in blocks:
                 if threading.current_thread() is not caller:
                     time.sleep(0.2)
-                taken.append(threading.current_thread() is caller)
-                yield start // BLOCK
+                taken.append(start // BLOCK)
+            return threading.current_thread() is caller, taken
 
         got = _run_blocks(stream(9, "slow-thread"), 20 * BLOCK, kernel)
-        assert got == list(range(20))
-        assert sum(taken) >= 18
+        assert sorted(b for _, taken in got for b in taken) == list(range(20))
+        assert sum(len(taken) for on_caller, taken in got if not on_caller) <= 2
 
     def test_concurrent_callers_keep_the_bits(self):
         # more sampling threads than cores, switching as often as possible
