@@ -59,8 +59,11 @@ class SpatialGrid:
     extent: float
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ValueError("dimension must be 1 or 2")
+        dimension = self.dimension
+        # a bool is an int, and 1.0 == 1 would give no shape
+        whole = isinstance(dimension, (int, np.integer)) and not isinstance(dimension, bool)
+        if not (whole and dimension in (1, 2)):
+            raise ValueError(f"dimension must be 1 or 2, got {dimension!r}")
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two >= 16")
         if not 0 < self.extent < math.inf:
@@ -70,12 +73,22 @@ class SpatialGrid:
         spacing = self.extent / self.nodes
         if not all(
             sys.float_info.min <= s <= sys.float_info.max
-            for s in (spacing, spacing * spacing)[: self.dimension]
+            for s in (spacing, spacing * spacing)[:dimension]
         ):
             raise ValueError(
                 f"extent: the node spacing extent / nodes and the cell volume "
                 f"must be positive normal floats, got extent = {self.extent!r} "
-                f"over {self.nodes} nodes in {self.dimension}-D"
+                f"over {self.nodes} nodes in {dimension}-D"
+            )
+        # the Nyquist wavenumber pi / spacing, rounded as _wavenumber_axis
+        # rounds it: the kinetic phase and the residuals need its square,
+        # summed over the axes, finite, and no dt steps a grid where it is not
+        nyquist = 2.0 * math.pi * ((self.nodes // 2) * (1.0 / (self.nodes * spacing)))
+        if not dimension * (nyquist * nyquist) <= sys.float_info.max:
+            raise ValueError(
+                f"extent: the squared wavenumber (pi / spacing)^2, summed over "
+                f"the axes, overflows at extent = {self.extent!r} over "
+                f"{self.nodes} nodes in {dimension}-D"
             )
 
     @property
@@ -191,6 +204,15 @@ def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
     return float(0.5 * np.sum(polarization) * field.grid.cell_volume)
 
 
+def _require_whole(name: str, n, low: int) -> int:
+    """n as an int, if it is a whole number >= low, with no upper bound: unlike
+    streams._require_count's counts of draws, steps and strides size no array."""
+    # n % 1 also rejects NaN and inf; a bool is an int, so it is refused by name
+    if isinstance(n, (bool, np.bool_)) or not (n >= low and n % 1 == 0):
+        raise ValueError(f"{name} must be a whole number >= {low}, got {n!r}")
+    return int(n)
+
+
 def evolve(
     field: SpinorField, config: FieldConfig, dt: float, steps: int
 ) -> SpinorField:
@@ -205,9 +227,7 @@ def evolve(
         raise ValueError("input field must be normalized")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if not (steps >= 0 and steps % 1 == 0):  # also rejects NaN and inf
-        raise ValueError(f"steps must be a whole number >= 0, got {steps!r}")
-    steps = int(steps)
+    steps = _require_whole("steps", steps, 0)
     grid = field.grid
     potential = config._potential(grid)
     step_dt, step_count = dt, steps
@@ -430,8 +450,8 @@ def snapshot_rows(field: SpinorField, stride: int = 1):
     """(x, |psi_+|^2, |psi_-|^2, S_+, S_-) rows for export (1D)."""
     if field.grid.dimension != 1:
         raise ValueError("snapshot export is 1D only")
-    if not stride >= 1:  # a negative slice step would reverse the rows
-        raise ValueError("stride must be >= 1")
+    # a negative slice step would reverse the rows
+    stride = _require_whole("stride", stride, 1)
     rho, s = madelung(field)
     x = field.grid.axis()
     # strided before the stack, which then holds only the exported rows

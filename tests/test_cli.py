@@ -17,6 +17,8 @@ from spinmodel import stern_gerlach as sg
 from spinmodel.pauli import ConvergenceError
 from spinmodel.streams import stream
 
+import cli_processes
+
 SG_KEYS = cli.SCHEMA["stern-gerlach"]
 
 
@@ -483,7 +485,19 @@ MALFORMED = [
     # a node spacing of 4e-323, subnormal: the packet was not normalizable
     pytest.param("pauli", None, ["--extent", "1e-320"], "extent",
                  id="pauli-extent-subnormal-spacing"),
+    # (pi / spacing)^2 overflows, so no dt steps the grid: it exited 3 naming dt
+    pytest.param("pauli", None, ["--extent", "1e-300"], "extent",
+                 id="pauli-extent-wavenumber-overflow"),
 ]
+
+
+@pytest.mark.parametrize("argv, bound_mib", cli_processes.RUNS)
+def test_every_fresh_process_row_parses(argv, bound_mib):
+    # tests/cli_processes.py runs these rows outside Tier-1: a flag or key
+    # that is removed or renamed fails here, in process
+    args = cli.build_parser().parse_args(argv)
+    keys = cli.SCHEMA[args.subcommand]
+    cli.merge_config(keys, {}, {k: v for k, v in vars(args).items() if k in keys})
 
 
 class TestMalformedInput:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -142,8 +143,14 @@ class TestGrid:
             pauli.SpatialGrid(1, 100, 20.0)
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension must be 1 or 2, got 3"):
             pauli.SpatialGrid(3, 64, 20.0)
+
+    # True built a 1-D grid, and 1.0 a grid whose shape raised a TypeError
+    @pytest.mark.parametrize("dimension", [True, np.True_, 1.0, 2.5])
+    def test_rejects_a_dimension_that_is_no_int(self, dimension):
+        with pytest.raises(ValueError, match=f"dimension .*got {re.escape(repr(dimension))}"):
+            pauli.SpatialGrid(dimension, 64, 20.0)
 
     @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan])
     def test_rejects_bad_extent(self, extent):
@@ -156,6 +163,7 @@ class TestGrid:
             (1, 256, 1e-320),  # the spacing is subnormal
             (2, 16, 1e-160),  # the spacing is normal, the cell volume not
             (2, 16, 1e160),  # the cell volume overflows
+            (1, 256, 1e-300),  # (pi / spacing)^2 overflows: no dt steps it
         ],
     )
     def test_rejects_an_extent_of_no_normal_spacing_or_volume(
@@ -163,6 +171,17 @@ class TestGrid:
     ):
         with pytest.raises(ValueError, match="extent"):
             pauli.SpatialGrid(dimension, nodes, extent)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_smallest_extent_is_where_the_summed_squared_wavenumber_overflows(
+        self, dimension
+    ):
+        # the Nyquist wavenumber is pi / spacing, and dimension k^2 reaches
+        # the largest float at this extent of 16 nodes
+        edge = 16 * math.pi / math.sqrt(sys.float_info.max / dimension)
+        pauli.SpatialGrid(dimension, 16, edge * (1 + 1e-9))
+        with pytest.raises(ValueError, match="extent: the squared wavenumber"):
+            pauli.SpatialGrid(dimension, 16, edge * (1 - 1e-9))
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_normal_volume_at_the_largest_admitted_extent(self, dimension):
@@ -261,9 +280,10 @@ class TestUnitarity:
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 pauli.evolve(packet_state(), pauli.FieldConfig(), dt, steps)
 
-    @pytest.mark.parametrize("steps", [-1, 1.5, math.nan, math.inf])
+    # True took one step
+    @pytest.mark.parametrize("steps", [-1, 1.5, math.nan, math.inf, True, np.True_])
     def test_rejects_bad_step_count(self, steps):
-        with pytest.raises(ValueError, match="steps must be a whole number"):
+        with pytest.raises(ValueError, match=f"steps must .*got {re.escape(repr(steps))}"):
             pauli.evolve(packet_state(), pauli.FieldConfig(), 0.001, steps)
 
     def test_whole_float_step_count(self):
@@ -767,9 +787,10 @@ class TestMadelung:
         assert len(rows) == 256 // 16
         assert len(rows[0]) == 5
 
-    @pytest.mark.parametrize("stride", [0, -1])
+    # True exported every row, and 2.5 raised a TypeError
+    @pytest.mark.parametrize("stride", [0, -1, 2.5, math.nan, True, np.True_])
     def test_snapshot_rows_rejects_bad_stride(self, stride):
-        with pytest.raises(ValueError, match="stride"):
+        with pytest.raises(ValueError, match=f"stride .*got {re.escape(repr(stride))}"):
             pauli.snapshot_rows(packet_state(), stride)
 
 
