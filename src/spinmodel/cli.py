@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from . import entanglement, fluctuations, orientation, pauli, qm_oracle
 from . import stern_gerlach as sg
-from .streams import BLOCK, stream
+from .streams import BLOCK, MAX_DRAWS, stream
 
 ENV_OUT = "SPINMODEL_OUT"
 
@@ -116,14 +116,12 @@ POSITIVE = _numeric(float, 0.0, strict=True)
 # every sampling subcommand draws its counts and rows as variates of their
 # exact laws (fluctuations one Gamma variate per sampled row, stern-gerlach a
 # binomial and a multinomial, the Bell runs a multinomial per setting), so a
-# run's cost does not grow with samples.  The bound is numpy's: its binomial
-# (BTPE, which its multinomial calls per cell) forms a count in double
-# precision, so counts are exact integers only below 2^53; cells of p = 0.1
-# drew exact counts at n = 2^56 and multiples of 16 at n = 2^60.  NODES
+# run's cost does not grow with samples.  The bound is numpy's,
+# streams.MAX_DRAWS = 2^53, the largest count it draws exactly.  NODES
 # bounds the arrays of a grid: a variational grid of 1e7 nodes peaks at
 # ~0.65 GiB, and pauli at 2^23 nodes at ~1.4 GiB at the default stride of 8
 # (~3.5 GiB at stride 1)
-SAMPLES = _numeric(int, 1, high=2**53)
+SAMPLES = _numeric(int, 1, high=MAX_DRAWS)
 NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
 # a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),
 # with its node spacing pi/(nodes - 1): at m = 10^6 the peak is ~1e-3 wide

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _require_count
+from .streams import MAX_DRAWS, _require_count
 from .telegraph import DwellModel, _odd_flip_by_start
 
 ANTI = "anti"
@@ -150,7 +150,7 @@ def _evaluate(table, mode: str, n: int, rng: np.random.Generator | None):
     S_A S_B are +/-1 with mean E/2, so the estimator's standard error is
     2 sqrt((1 - (E/2)^2) / n).
     """
-    _require_count("n", n)
+    _require_count("n", n, high=MAX_DRAWS)
     if mode == ANALYTIC:
         cells = _coincidences(table)
         return _correlation(cells), 0.0, tuple([n * w for w in cells])
@@ -213,7 +213,7 @@ class MeasurementPlan:
     dwell: DwellModel = DwellModel()
 
     def __post_init__(self):
-        _require_count("samples", self.samples)
+        _require_count("samples", self.samples, high=MAX_DRAWS)
         if not 0 <= self.delay < math.inf:
             raise ValueError("delay must be non-negative and finite")
         for name in ("alice_angles", "bob_angles"):

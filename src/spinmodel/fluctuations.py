@@ -14,22 +14,12 @@ dt -> 0.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .streams import BLOCK, _require_count, _run_blocks, _spans
-
-
-def _require_normal(what: str, *scales):
-    """Raise, saying `what` the scales are, unless each is a positive normal
-    float: one that overflowed to inf or fell below 2**-1022 turned the
-    estimates into NaN, inf or 0."""
-    if not all(sys.float_info.min <= s <= sys.float_info.max for s in scales):
-        got = " and ".join(map(repr, scales))
-        raise ValueError(f"{what} must be positive normal floats, got {got}")
+from .streams import BLOCK, _require_count, _require_normal, _run_blocks, _spans
 
 
 @dataclass(frozen=True)

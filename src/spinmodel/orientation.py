@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import numbers
 
 import numpy as np
 
-from .streams import BLOCK, _run_blocks
+from .streams import BLOCK, _require_int, _run_blocks
 
 _NORM_TOL = 1e-10
 
@@ -92,13 +91,10 @@ def theta_grid(n_nodes: int) -> np.ndarray:
 
 
 def _require_order(m) -> None:
-    """The order m of the family is a whole number >= 0, and small enough
+    """The order m of the family is an int >= 0, and small enough
     that m + 1/2, the power of cos^2(theta) in a displacement, is exact in a
     float."""
-    if isinstance(m, bool) or not (isinstance(m, numbers.Integral) and 0 <= m < 2**52):
-        raise ValueError(
-            f"m must be non-negative and a whole number below 2**52, got {m!r}"
-        )
+    _require_int("m", m, 0, 2**52 - 1)
 
 
 def normalization_constant(m: int) -> float:

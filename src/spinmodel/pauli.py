@@ -32,10 +32,11 @@ axis's marginal of |psi_hat|^2 by k^2 / 2.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .streams import _require_count, _require_int, _require_normal
 
 NORM_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
@@ -59,36 +60,31 @@ class SpatialGrid:
     extent: float
 
     def __post_init__(self):
-        dimension = self.dimension
-        # a bool is an int, and 1.0 == 1 would give no shape
-        whole = isinstance(dimension, (int, np.integer)) and not isinstance(dimension, bool)
-        if not (whole and dimension in (1, 2)):
-            raise ValueError(f"dimension must be 1 or 2, got {dimension!r}")
-        if self.nodes < 16 or self.nodes & (self.nodes - 1):
-            raise ValueError("nodes must be a power of two >= 16")
+        dimension, nodes = self.dimension, self.nodes
+        # 1.0 == 1 would give no shape, and 64.0 no power-of-two test
+        _require_int("dimension", dimension, 1, 2)
+        _require_int("nodes", nodes, 16, 2**63 - 1)
+        if nodes & (nodes - 1):
+            raise ValueError(f"nodes must be a power of two >= 16, got {nodes!r}")
         if not 0 < self.extent < math.inf:
             raise ValueError("extent must be positive and finite")
         # a subnormal spacing leaves the packet unnormalizable, and a cell
         # volume past the float range overflows spacing**2
-        spacing = self.extent / self.nodes
-        if not all(
-            sys.float_info.min <= s <= sys.float_info.max
-            for s in (spacing, spacing * spacing)[:dimension]
-        ):
-            raise ValueError(
-                f"extent: the node spacing extent / nodes and the cell volume "
-                f"must be positive normal floats, got extent = {self.extent!r} "
-                f"over {self.nodes} nodes in {dimension}-D"
-            )
+        spacing = self.extent / nodes
+        _require_normal(
+            f"extent: at extent = {self.extent!r} over {nodes} nodes in "
+            f"{dimension}-D, the node spacing and the cell volume",
+            *(spacing, spacing * spacing)[:dimension],
+        )
         # the Nyquist wavenumber pi / spacing, rounded as _wavenumber_axis
         # rounds it: the kinetic phase and the residuals need its square,
         # summed over the axes, finite, and no dt steps a grid where it is not
-        nyquist = 2.0 * math.pi * ((self.nodes // 2) * (1.0 / (self.nodes * spacing)))
-        if not dimension * (nyquist * nyquist) <= sys.float_info.max:
+        nyquist = 2.0 * math.pi * ((nodes // 2) * (1.0 / (nodes * spacing)))
+        if not math.isfinite(dimension * nyquist * nyquist):
             raise ValueError(
                 f"extent: the squared wavenumber (pi / spacing)^2, summed over "
                 f"the axes, overflows at extent = {self.extent!r} over "
-                f"{self.nodes} nodes in {dimension}-D"
+                f"{nodes} nodes in {dimension}-D"
             )
 
     @property
@@ -204,15 +200,6 @@ def zeeman_energy(field: SpinorField, config: FieldConfig) -> float:
     return float(0.5 * np.sum(polarization) * field.grid.cell_volume)
 
 
-def _require_whole(name: str, n, low: int) -> int:
-    """n as an int, if it is a whole number >= low, with no upper bound: unlike
-    streams._require_count's counts of draws, steps and strides size no array."""
-    # n % 1 also rejects NaN and inf; a bool is an int, so it is refused by name
-    if isinstance(n, (bool, np.bool_)) or not (n >= low and n % 1 == 0):
-        raise ValueError(f"{name} must be a whole number >= {low}, got {n!r}")
-    return int(n)
-
-
 def evolve(
     field: SpinorField, config: FieldConfig, dt: float, steps: int
 ) -> SpinorField:
@@ -227,7 +214,7 @@ def evolve(
         raise ValueError("input field must be normalized")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    steps = _require_whole("steps", steps, 0)
+    steps = _require_count("steps", steps, 0, math.inf)
     grid = field.grid
     potential = config._potential(grid)
     step_dt, step_count = dt, steps
@@ -451,7 +438,7 @@ def snapshot_rows(field: SpinorField, stride: int = 1):
     if field.grid.dimension != 1:
         raise ValueError("snapshot export is 1D only")
     # a negative slice step would reverse the rows
-    stride = _require_whole("stride", stride, 1)
+    stride = _require_count("stride", stride, 1, math.inf)
     rho, s = madelung(field)
     x = field.grid.axis()
     # strided before the stack, which then holds only the exported rows

@@ -9,7 +9,6 @@ density has not collapsed to the poles.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,7 +21,9 @@ from .orientation import (
     _sin2_block,
     normalization_constant,
 )
-from .streams import BLOCK, _require_count, _run_blocks, _spans
+from .streams import (
+    BLOCK, MAX_DRAWS, _require_count, _require_normal, _run_blocks, _spans
+)
 
 UP = +1
 DOWN = -1
@@ -53,7 +54,7 @@ def up_count(density: TwoPointDensity, rng: np.random.Generator, n: int) -> int:
     """The number of UP outcomes among n independent measurements, drawn as
     one binomial variate: the exact law of the count of `measure_many`'s
     UPs, with no n-sized array."""
-    n = _require_count("n", n)
+    n = _require_count("n", n, high=MAX_DRAWS)
     return int(rng.binomial(n, density.weight_up))
 
 
@@ -124,12 +125,8 @@ def _scale_and_edges(config: ApparatusConfig, bins):
     k = displacement(0.0, config.m, config.gradient)
     # numpy widens a zero range, rejects an infinite one and gives bins of
     # subnormal width infinite densities; k itself is finite
-    width = 2.0 * float(k) / bins
-    if not sys.float_info.min <= width <= sys.float_info.max:
-        raise ValueError(
-            f"eta: displacement scale {k:g} gives bins of width {width:g}, "
-            "not a normal float"
-        )
+    _require_normal(f"eta: the bin width 2k / {bins} at displacement scale k = {k:g}",
+                    2.0 * float(k) / bins)
     return k, np.linspace(-k, k, bins + 1)
 
 
@@ -238,7 +235,7 @@ def displacement_histogram(
     order config.m.  The counts of n independent displacements are
     Multinomial(n, p), p being `_bin_law`, so they are one multinomial draw
     from rng, O(bins) work at any n_samples."""
-    n_samples = _require_count("n_samples", n_samples)
+    n_samples = _require_count("n_samples", n_samples, high=MAX_DRAWS)
     _, edges = _scale_and_edges(config, bins)
     return edges, rng.multinomial(n_samples, _bin_law(config.m, edges))
 

@@ -8,10 +8,12 @@ yield statistically independent streams.  The key is the ``repr`` of
 ``(seed, *ids)``, so ``"1"`` and ``1`` are distinct keys; SeedSequence
 hashes its bytes into the SFC64 state.
 
-The samplers share the rules of their draws here: `_require_count`, the one
-check of a count of draws, and one block rule, so that no blocked sampler
-holds an n-sized scratch array and each runs on two cores with the bits it
-has on one:
+The package's argument rules are stated here, once each: `_require_count`,
+a whole-valued count returned as an int; `_require_int`, an int that a
+frozen dataclass keeps as given; `_require_normal`, scales that must be
+positive normal floats.  The samplers also share one block rule, so that no
+blocked sampler holds an n-sized scratch array and each runs on two cores
+with the bits it has on one:
 
 - Blocks.  A call's n values go in consecutive blocks of `BLOCK`, the last
   one shorter (`_spans`), and block b is drawn from child b of one
@@ -32,6 +34,7 @@ has on one:
 from __future__ import annotations
 
 import contextvars
+import sys
 import threading
 
 import numpy as np
@@ -44,6 +47,11 @@ __all__ = ["stream"]
 # and holds all of a call's children (~0.9 KiB each, 0.7 % of the output)
 BLOCK = 2**14
 
+# the largest count that numpy's binomial (BTPE, which its multinomial calls
+# per cell) draws exactly: it forms a count in double precision; cells of
+# p = 0.1 drew exact counts at n = 2**56 and multiples of 16 at n = 2**60
+MAX_DRAWS = 2**53
+
 
 def stream(seed: int, *ids) -> np.random.Generator:
     """Generator keyed by ``(seed, *ids)``.
@@ -54,12 +62,33 @@ def stream(seed: int, *ids) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
-def _require_count(name: str, n) -> int:
-    """n as an int, if it is a whole number in [1, 2**63): a count of draws."""
-    # n % 1, unlike float(n), takes any int; numpy takes an int64 count, no bool
-    if isinstance(n, (bool, np.bool_)) or not (1 <= n < 2**63 and n % 1 == 0):
-        raise ValueError(f"{name} must be a whole number in [1, 2**63), got {n!r}")
+def _require_count(name: str, n, low: int = 1, high=2**63 - 1) -> int:
+    """n as an int, if it is a whole number in [low, high]: by default a
+    count of draws, which numpy takes as an int64."""
+    # n % 1, unlike float(n), takes any int and rejects NaN and inf; a bool
+    # is an int, so it is refused by name
+    if isinstance(n, (bool, np.bool_)) or not (low <= n <= high and n % 1 == 0):
+        raise ValueError(
+            f"{name} must be a whole number in [{low}, {high}], got {n!r}"
+        )
     return int(n)
+
+
+def _require_int(name: str, n, low: int, high: int) -> None:
+    """Raise unless n is an int in [low, high]: a value that a frozen
+    dataclass keeps as given, so a whole float such as 2.0 is refused, and
+    a bool, which is an int, by name."""
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and low <= n <= high):
+        raise ValueError(f"{name} must be an int in [{low}, {high}], got {n!r}")
+
+
+def _require_normal(what: str, *scales):
+    """Raise, saying `what` the scales are, unless each is a positive normal
+    float: one that overflowed to inf or fell below 2**-1022 turned the
+    estimates into NaN, inf or 0."""
+    if not all(sys.float_info.min <= s <= sys.float_info.max for s in scales):
+        got = " and ".join(map(repr, scales))
+        raise ValueError(f"{what} must be positive normal floats, got {got}")
 
 
 def _spans(n: int, size: int = BLOCK):

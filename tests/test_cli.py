@@ -448,17 +448,17 @@ MALFORMED = [
     # over 200 bins the displacement scale eta / (4 Z_m) gives bins of
     # subnormal or zero width; the flag overrides the file's eta
     pytest.param("stern-gerlach", "eta = 1e-300", ["--eta", "1e-306"], "eta",
-                 id="stern-gerlach-eta = 1e-300-flags30-eta and transit_time"),
+                 id="stern-gerlach-eta = 1e-300-flags30-eta"),
     pytest.param("stern-gerlach", "eta = 1e-300", ["--eta", "5e-324"], "eta",
-                 id="stern-gerlach-eta = 1e-300-flags31-eta and transit_time"),
+                 id="stern-gerlach-eta = 1e-300-flags31-eta"),
     # one over the bound, streams.BLOCK = 2**14
     pytest.param("stern-gerlach", None, ["--bins", "16385"], "bins",
                  id="stern-gerlach-None-flags32-bins"),
     # a KL row's dt / 2 outside [1e-13, 4]: ratios of -0.70 and 0.998
     pytest.param("fluctuations", None, ["--dt-sequence", "1e-18"], "dt_sequence",
-                 id="fluctuations-None-flags37-dt_sequence and mass"),
+                 id="fluctuations-None-flags37-dt_sequence"),
     pytest.param("fluctuations", "dt_sequence = 0.1,16", [], "dt_sequence",
-                 id="fluctuations-dt_sequence = 0.1,16-flags38-dt_sequence and mass"),
+                 id="fluctuations-dt_sequence = 0.1,16-flags38-dt_sequence"),
     # one ulp outside the admitted dt in [2e-13, 8], the band doubled
     pytest.param("fluctuations", None, ["--dt-sequence", "1.9999999999999998e-13"],
                  "dt_sequence", id="fluctuations-dt_sequence-ulp-below"),

@@ -194,6 +194,8 @@ class TestChsh:
             ("samples", math.nan),
             ("samples", 2.5),
             pytest.param("samples", 10**400, id="samples-10**400"),
+            # numpy's multinomial counts are exact only up to 2**53
+            pytest.param("samples", 2**53 + 1, id="samples-2**53+1"),
             pytest.param("alice_angles", (0.0,), id="alice_angles-one"),
             pytest.param("bob_angles", (0.0, 1.0, 2.0), id="bob_angles-three"),
             pytest.param("alice_angles", 0.5, id="alice_angles-number"),

@@ -138,12 +138,17 @@ class TestGrid:
         assert grid.spacing == pytest.approx(20.0 / 256)
         assert grid.cell_volume == grid.spacing
 
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            pauli.SpatialGrid(1, 100, 20.0)
+    # 64.0 raised a TypeError, and 2**70 built a grid
+    @pytest.mark.parametrize("nodes", [100, 64.0, 16.5, 2**70, True])
+    def test_rejects_non_power_of_two(self, nodes):
+        with pytest.raises(ValueError, match=f"nodes .*got {re.escape(repr(nodes))}"):
+            pauli.SpatialGrid(1, nodes, 20.0)
+
+    def test_numpy_int_nodes_build_the_grid(self):
+        assert pauli.SpatialGrid(1, np.int64(64), 20.0).shape == (64,)
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError, match="dimension must be 1 or 2, got 3"):
+        with pytest.raises(ValueError, match=re.escape("dimension must be an int in [1, 2], got 3")):
             pauli.SpatialGrid(3, 64, 20.0)
 
     # True built a 1-D grid, and 1.0 a grid whose shape raised a TypeError

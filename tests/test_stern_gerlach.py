@@ -110,7 +110,7 @@ class TestDisplacement:
 
     def test_requires_finite_order(self):
         # the order is a whole number m >= 0
-        with pytest.raises(ValueError, match="m must be non-negative"):
+        with pytest.raises(ValueError, match=r"m must be an int in \[0, "):
             sg.displacement(0.0, -1, 1.0)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
@@ -160,7 +160,7 @@ class TestDisplacement:
 
     @pytest.mark.parametrize("m", [math.nan, -1, 1.5])
     def test_config_rejects_non_whole_order(self, m):
-        with pytest.raises(ValueError, match="whole number"):
+        with pytest.raises(ValueError, match="m must be an int"):
             sg.ApparatusConfig(m=m)
 
     def test_distribution_rejects_order_disagreeing_with_config(self):

@@ -169,6 +169,28 @@ def test_non_count_raises_naming_the_value(name, n):
         COUNTED[name](stream(5, "count", name), n)
 
 
+# the counts that numpy draws as binomial or multinomial variates, each with
+# the name of its count: exact up to streams.MAX_DRAWS = 2**53 (chsh's plan,
+# the fourth, is in test_entanglement.py)
+EXACT = {
+    "up_count": ("n", COUNTED["up_count"]),
+    "displacement_histogram": ("n_samples", COUNTED["displacement_histogram"]),
+    "estimate_correlation": ("n", lambda rng, n: ent.estimate_correlation(
+        ent.PSI_MINUS, 0.1, 0.7, n, rng
+    )),
+}
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_exact_counts_stop_at_max_draws(name):
+    # at 2**60 up_count drew multiples of 16, and the histogram's and the
+    # Bell counts multiples of 8
+    key, draw = EXACT[name]
+    draw(stream(5, "exact", name), streams.MAX_DRAWS)
+    with pytest.raises(ValueError, match=f"{key} must .*got {streams.MAX_DRAWS + 1}"):
+        draw(stream(5, "exact", name), streams.MAX_DRAWS + 1)
+
+
 # every blocked sampler, called with a count n
 BLOCKED = {
     "sample_theta": lambda rng, n: om.sample_theta(3, rng, n),
