@@ -404,10 +404,10 @@ def run_fluctuations(config, seed):
         rows.append((f"angular_momentum_m{mass}_w{omega}", ls, 0.5))
     x = np.linspace(-10, 10, 4001)
     rho = np.exp(-(x**2) / 2.0) / math.sqrt(2 * math.pi)
+    # the Fisher functional reads the mass, not dt: one value for every row
+    fisher = fluctuations.fisher_functional(x, rho, trans)
     for dt in config["dt_sequence"]:
-        p = fluctuations.TranslationParams(dt=dt)
-        rate = fluctuations.kl_shift_rate(x, rho, p)
-        fisher = fluctuations.fisher_functional(x, rho, p)
+        rate = fluctuations.kl_shift_rate(x, rho, fluctuations.TranslationParams(dt=dt))
         rows.append((f"kl_over_fisher_dt{dt}", rate / fisher, 1.0))
     summary = {"uncertainty_product": product, "samples": n}
     return [("fluctuations", ["quantity", "estimate", "expected"], rows)], summary

@@ -20,7 +20,7 @@ transform's 1/N^d folded in, and the closing half-potential of each step is
 fused with the opening one of the next.
 
 The Madelung decomposition Psi_pm = sqrt(rho_pm) exp(i S_pm) links
-the spinor to density/phase-action fields and to the continuity and
+the spinor to the density/phase-action export and to the continuity and
 extended Hamilton-Jacobi residual diagnostics.  The diagnostics take one
 component at a time and hold about two component-sized arrays at most:
 the continuity residual takes div J as Im(psi* lap psi) from one transform
@@ -128,14 +128,10 @@ class FieldConfig:
     b_z: object = 0.0
 
     def potential_energy(self, grid: SpatialGrid) -> np.ndarray:
-        """Diagonal potential V_pm = +/- B_z / 2 - phi, stacked (V_+, V_-),
-        as a read-only (2, *grid.shape) view of the stack on the fields' own
-        shape."""
-        return np.broadcast_to(self._potential(grid), (2, *grid.shape))
-
-    def _potential(self, grid: SpatialGrid) -> np.ndarray:
-        """potential_energy on the fields' own shape: (2, 1, ...) for scalar
-        fields, so it costs what the fields hold, not the grid."""
+        """Diagonal potential V_pm = +/- B_z / 2 - phi, stacked (V_+, V_-) on
+        the fields' own shape, which broadcasts to (2, *grid.shape): (2, 1,
+        ...) for scalar fields, so it costs what the fields hold, not the
+        grid."""
         base = -self._as_field(self.scalar_potential, grid)
         zeeman = 0.5 * self._as_field(self.b_z, grid)
         return np.stack((base + zeeman, base - zeeman))
@@ -168,7 +164,10 @@ class SpinorField:
         # summing the two densities first keeps the scale's rounding
         rho = _density(psi[0])
         rho += _density(psi[1])
-        psi *= 1.0 / np.sqrt(np.sum(rho) * grid.cell_volume)
+        integral = np.sum(rho) * grid.cell_volume
+        if not 0 < integral < math.inf:  # also rejects a NaN norm
+            raise ValueError(f"cannot normalize a spinor with norm {integral}")
+        psi *= 1.0 / np.sqrt(integral)
         return SpinorField(grid, psi)
 
 
@@ -216,7 +215,7 @@ def evolve(
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     steps = _require_count("steps", steps, 0, math.inf)
     grid = field.grid
-    potential = config._potential(grid)
+    potential = config.potential_energy(grid)
     step_dt, step_count = dt, steps
     if potential[0].size == 1 and steps:  # one value per component
         step_dt, step_count = dt * steps, 1
@@ -268,31 +267,15 @@ def _strang_steps(psi, half, kinetic, axes, steps: int) -> None:
 # Madelung diagnostics
 
 
-def madelung(field: SpinorField) -> tuple[np.ndarray, np.ndarray]:
-    """Density/phase-action split Psi_pm = sqrt(rho_pm) exp(i S_pm).
-
-    Returns (rho, S), each stacked like field.psi, with S unwrapped along
-    every grid axis.
-    """
-    phase = np.angle(field.psi)
-    for axis in range(1, phase.ndim):
-        phase = np.unwrap(phase, axis=axis)
-    return _density(field.psi), phase
-
-
-def _component(component: str) -> int:
-    """Index of the named component in SpinorField.psi."""
-    if component not in ("plus", "minus"):
-        raise ValueError("component must be 'plus' or 'minus'")
-    return 0 if component == "plus" else 1
-
-
-def _snapshots(fields: list[SpinorField], component: str) -> list:
-    """The named component of each of three consecutive snapshots."""
+def _snapshots(fields: list[SpinorField], component: str) -> tuple:
+    """(index, before, psi, after): the named component's index in
+    SpinorField.psi and that component of three consecutive snapshots."""
     if len(fields) != 3:
         raise ValueError("need three consecutive snapshots")
-    index = _component(component)
-    return [f.psi[index] for f in fields]
+    if component not in ("plus", "minus"):
+        raise ValueError("component must be 'plus' or 'minus'")
+    index = 0 if component == "plus" else 1
+    return (index, *(f.psi[index] for f in fields))
 
 
 def continuity_residual(
@@ -312,7 +295,7 @@ def continuity_residual(
     equation holds for any sigma_z B_z and phi.  It stays until ROADMAP
     item 1 drops it together with the bench's positional calls.
     """
-    before, psi, after = _snapshots(fields, component)
+    _, before, psi, after = _snapshots(fields, component)
     grid = fields[0].grid
     residual = _density(after)
     residual -= _density(before)
@@ -327,6 +310,8 @@ def continuity_residual(
     residual += neg_lap.imag
     del neg_lap
     residual = residual[_density(psi) > DENSITY_FLOOR]
+    if not residual.size:  # the mean of no nodes would be NaN
+        raise ValueError(f"no {component} density over DENSITY_FLOOR = {DENSITY_FLOOR}")
     return float(np.sqrt(np.mean(residual**2)))
 
 
@@ -345,16 +330,18 @@ def hj_residual(
     every term is taken where the density is above HJ_FLOOR.  Each axis's
     current comes from one transform pair along that axis, in one buffer.
     """
-    before, psi, after = _snapshots(fields, component)
+    index, before, psi, after = _snapshots(fields, component)
     grid = fields[0].grid
     rho = _density(psi)
     mask = rho > HJ_FLOOR
     phase = after[mask]
+    if not phase.size:  # the mean of no nodes would be NaN
+        raise ValueError(f"no {component} density over HJ_FLOOR = {HJ_FLOOR}")
     phase *= np.conjugate(before[mask])
     residual = np.angle(phase) / (2.0 * dt)
     del phase
     residual += _velocity_term(psi, mask, rho[mask], grid)
-    residual += config.potential_energy(grid)[_component(component)][mask]
+    residual += np.broadcast_to(config.potential_energy(grid)[index], grid.shape)[mask]
     # -lap(sqrt rho) of a real field: rfftn's half spectrum keeps the last
     # axis's bins 0..nodes/2
     sqrt_rho = np.sqrt(rho, out=rho)
@@ -403,7 +390,7 @@ def total_energy(field: SpinorField, config: FieldConfig) -> float:
     spectrum = np.empty(grid.shape, dtype=complex)
     density = np.empty(grid.shape)
     kinetic = potential = 0.0
-    for psi, v in zip(field.psi, config._potential(grid)):
+    for psi, v in zip(field.psi, config.potential_energy(grid)):
         _density(np.fft.fftn(psi, out=spectrum), out=density)
         for axis in range(grid.dimension):
             others = tuple(a for a in range(grid.dimension) if a != axis)
@@ -439,8 +426,9 @@ def snapshot_rows(field: SpinorField, stride: int = 1):
         raise ValueError("snapshot export is 1D only")
     # a negative slice step would reverse the rows
     stride = _require_count("stride", stride, 1, math.inf)
-    rho, s = madelung(field)
-    x = field.grid.axis()
-    # strided before the stack, which then holds only the exported rows
-    columns = (x[::stride], *rho[:, ::stride], *s[:, ::stride])
+    # Psi_pm = sqrt(rho_pm) exp(i S_pm): S unwrapped along the whole grid,
+    # then strided; rho is pointwise, so formed for the exported rows only
+    phase = np.unwrap(np.angle(field.psi), axis=1)[:, ::stride]
+    rho = _density(field.psi[:, ::stride])
+    columns = (field.grid.axis()[::stride], *rho, *phase)
     return np.column_stack(columns).tolist()

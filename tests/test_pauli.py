@@ -215,6 +215,14 @@ class TestSpinorField:
         assert np.array_equal(state.psi[1], 0.5 * state.psi[0])
         assert pauli.norm(state) == pytest.approx(1.0, abs=1e-12)
 
+    # a zero norm divided by zero, and a NaN or infinite one gave a NaN spinor
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_normalized_rejects_a_norm_not_positive_and_finite(self, value):
+        psi = np.zeros(64)
+        psi[3] = value
+        with pytest.raises(ValueError, match=f"spinor with norm {value}$"):
+            pauli.SpinorField.normalized(self.grid, psi, np.zeros(64))
+
 
 class TestFieldConfig:
     def test_diagonal_potential_signs(self):
@@ -425,7 +433,7 @@ class TestPhaseFactors:
         )
         half, _ = self._phases(monkeypatch, grid, config, 0.01)
         expected = np.exp(-0.5j * 0.01 * config.potential_energy(grid))
-        assert half.shape == config._potential(grid).shape
+        assert half.shape == config.potential_energy(grid).shape
         assert np.array_equal(np.broadcast_to(half, expected.shape), expected)
 
     @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.5])
@@ -676,7 +684,8 @@ class TestAccuracy:
 class TestMadelung:
     def test_reconstruction(self):
         state = packet_state(momentum=0.5)
-        rho, s = pauli.madelung(state)
+        rows = np.array(pauli.snapshot_rows(state))
+        rho, s = rows[:, 1:3].T, rows[:, 3:].T
         rebuilt = np.sqrt(rho) * np.exp(1j * s)
         assert np.allclose(rebuilt, state.psi, atol=1e-12)
 
@@ -786,6 +795,23 @@ class TestMadelung:
         for psi in mid.psi:
             rho = np.abs(psi) ** 2
             assert np.sum(rho[rho <= pauli.HJ_FLOOR]) <= 1e-4 * np.sum(rho)
+
+    # a fully polarized spinor has no minus density: the mean over no nodes
+    # was NaN, with a RuntimeWarning
+    @pytest.mark.parametrize("residual, floor", [
+        (pauli.continuity_residual, "DENSITY_FLOOR = 1e-12"),
+        (pauli.hj_residual, "HJ_FLOOR = 1e-06"),
+    ])
+    def test_residuals_reject_an_empty_component(self, residual, floor):
+        grid = pauli.SpatialGrid(1, 256, 20.0)
+        state = pauli.SpinorField.normalized(
+            grid, pauli.gaussian_packet(grid), np.zeros(256)
+        )
+        config = pauli.FieldConfig(b_z=1.0)
+        snaps = [pauli.evolve(state, config, 0.01, n) for n in (1, 2, 3)]
+        assert residual(snaps, 0.01, config, "plus") < 1e-3
+        with pytest.raises(ValueError, match=f"no minus density over {floor}$"):
+            residual(snaps, 0.01, config, "minus")
 
     def test_snapshot_rows_shape(self):
         rows = pauli.snapshot_rows(packet_state(), stride=16)
