@@ -1,8 +1,8 @@
 """Experiment runner: subcommand dispatch, seeding, and result emission.
 
-Runners compute and ``run`` writes.  A runner maps ``(config, seed)`` to a
-list of ``(name, header, rows)`` tables and a JSON summary; ``run`` writes
-the tables, two subcommands' summary files and a ``manifest.json``.  Reruns
+Runners compute and ``run`` writes.  A runner maps ``(config, seed)`` to
+one ``(name, header, rows)`` table and a JSON summary; ``run`` writes the
+table, two subcommands' summary files and a ``manifest.json``.  Reruns
 with the same configuration and seed produce byte-identical result files;
 the manifest also records the wall-clock duration, so it is not byte-stable.
 
@@ -206,12 +206,9 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if raw.lstrip().startswith("{"):
         try:
-            data = json.loads(raw)
+            return json.loads(raw)
         except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top-level JSON value must be an object")
-        return data
     config = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -239,13 +236,6 @@ def merge_config(keys: dict, file_config: dict, cli_overrides: dict) -> dict:
 # output
 
 
-def write_csv(path: str, header: list, rows: list):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -256,7 +246,10 @@ def write_result(out_dir, name, fmt, header, rows, summary):
     """Emit one result table in the requested format; returns the filename."""
     path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "csv":
-        write_csv(path, header, rows)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
     else:
         write_json(path, {**summary, "rows": [dict(zip(header, r)) for r in rows]})
     return os.path.basename(path)
@@ -293,7 +286,7 @@ def run_variational(config, seed):
     min_value = float(np.min(kl.values))
     rows.append((kl_spec.m, orientation.KULLBACK_LEIBLER, min_value))
     header = ["order_m", "divergence", "linf_error_or_min_density"]
-    return [("variational", header, rows)], {"kl_min_density": min_value}
+    return ("variational", header, rows), {"kl_min_density": min_value}
 
 
 def run_stern_gerlach(config, seed):
@@ -313,31 +306,28 @@ def run_stern_gerlach(config, seed):
         "samples": n,
     }
     rows = sg.histogram_rows(edges, counts)
-    return [("displacement_histogram", header, rows)], summary
+    return ("displacement_histogram", header, rows), summary
 
 
-def _bell_plan(config, delay=0.0):
-    return entanglement.MeasurementPlan(
+def _chsh(config, seed, *ids, delay=0.0):
+    """The CHSH result of the run's pair at `delay`, drawn from stream(seed,
+    *ids) in Monte Carlo mode; analytic mode draws nothing, so it builds no
+    stream and a default bell-delay run never loads numpy.random."""
+    plan = entanglement.MeasurementPlan(
         alice_angles=(config["a"], config["a_prime"]),
         bob_angles=(config["b"], config["b_prime"]),
         samples=config["samples"],
         delay=delay,
     )
-
-
-def _bell_stream(config, seed, *ids):
-    """The run's stream in Monte Carlo mode; analytic mode draws nothing, so
-    a default bell-delay run never loads numpy.random."""
-    if config["mode"] == entanglement.MONTE_CARLO:
-        return stream(seed, *ids)
-    return None
+    mode = config["mode"]
+    rng = stream(seed, *ids) if mode == entanglement.MONTE_CARLO else None
+    model = entanglement.BELL_MODELS[config["state"]]
+    degrade_y = config.get("degrade_y", False)
+    return entanglement.chsh(plan, model, mode=mode, rng=rng, degrade_y=degrade_y)
 
 
 def run_bell_test(config, seed):
-    model = entanglement.BELL_MODELS[config["state"]]
-    plan = _bell_plan(config)
-    rng = _bell_stream(config, seed, "bell-test")
-    result = entanglement.chsh(plan, model, mode=config["mode"], rng=rng)
+    result = _chsh(config, seed, "bell-test")
     rows = [
         (a, b, *counts, e, se)
         for (a, b), counts, e, se in zip(
@@ -349,22 +339,17 @@ def run_bell_test(config, seed):
         "state": config["state"],
         "mode": config["mode"],
         "S": result.statistic,
-        "samples": plan.samples,
+        "samples": config["samples"],
     }
-    return [("bell_test", header, rows)], summary
+    return ("bell_test", header, rows), summary
 
 
 def run_bell_delay(config, seed):
-    model = entanglement.BELL_MODELS[config["state"]]
-    rows = []
     # the plan's dwell is the unit DwellModel(): delays are in mean dwells
-    for i, delay in enumerate(config["delays"]):
-        plan = _bell_plan(config, delay=delay)
-        rng = _bell_stream(config, seed, "bell-delay", i)
-        result = entanglement.chsh(
-            plan, model, mode=config["mode"], rng=rng, degrade_y=config["degrade_y"]
-        )
-        rows.append((delay, result.statistic))
+    rows = [
+        (delay, _chsh(config, seed, "bell-delay", i, delay=delay).statistic)
+        for i, delay in enumerate(config["delays"])
+    ]
     summary = {
         "state": config["state"],
         "mode": config["mode"],
@@ -372,7 +357,7 @@ def run_bell_delay(config, seed):
         "S_first": rows[0][1],
         "S_last": rows[-1][1],
     }
-    return [("bell_delay", ["delay", "S"], rows)], summary
+    return ("bell_delay", ["delay", "S"], rows), summary
 
 
 def run_pauli(config, seed):
@@ -389,7 +374,7 @@ def run_pauli(config, seed):
         "zeeman_energy": pauli.zeeman_energy(final, field_config),
         "grid": {"nodes": grid.nodes, "extent": grid.extent, "dt": config["dt"]},
     }
-    return [("pauli_snapshot", header, rows)], summary
+    return ("pauli_snapshot", header, rows), summary
 
 
 def run_fluctuations(config, seed):
@@ -410,7 +395,7 @@ def run_fluctuations(config, seed):
         rate = fluctuations.kl_shift_rate(x, rho, fluctuations.TranslationParams(dt=dt))
         rows.append((f"kl_over_fisher_dt{dt}", rate / fisher, 1.0))
     summary = {"uncertainty_product": product, "samples": n}
-    return [("fluctuations", ["quantity", "estimate", "expected"], rows)], summary
+    return ("fluctuations", ["quantity", "estimate", "expected"], rows), summary
 
 
 def run_oracle_check(config, seed):
@@ -436,7 +421,7 @@ def run_oracle_check(config, seed):
         "max_abs_correlation_difference": max(abs(r[6] - r[7]) for r in rows),
         "pairs": n,
     }
-    return [("oracle_check", header, rows)], summary
+    return ("oracle_check", header, rows), summary
 
 
 RUNNERS = {
@@ -494,7 +479,7 @@ def run(argv=None) -> int:
         overrides = {key: value for key, value in vars(args).items() if key in keys}
         config = merge_config(keys, file_config, overrides)
         started = time.monotonic()
-        tables, summary = RUNNERS[name](config, args.seed)
+        (table, header, rows), summary = RUNNERS[name](config, args.seed)
     except pauli.ConvergenceError as exc:
         print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -504,10 +489,7 @@ def run(argv=None) -> int:
         return EXIT_CONFIG
     try:
         os.makedirs(out_dir, exist_ok=True)
-        files = [
-            write_result(out_dir, table, args.format, header, rows, summary)
-            for table, header, rows in tables
-        ]
+        files = [write_result(out_dir, table, args.format, header, rows, summary)]
         if name in _SUMMARY_FILES:
             files.append(_SUMMARY_FILES[name])
             write_json(os.path.join(out_dir, files[-1]), summary)

@@ -161,10 +161,23 @@ class SpinorField:
     @staticmethod
     def normalized(grid, psi_plus, psi_minus) -> "SpinorField":
         psi = np.stack((psi_plus, psi_minus), dtype=complex)
-        # summing the two densities first keeps the scale's rounding
-        rho = _density(psi[0])
-        rho += _density(psi[1])
-        integral = np.sum(rho) * grid.cell_volume
+
+        def norm_integral():
+            # summing the two densities first keeps the scale's rounding
+            with np.errstate(over="ignore"):
+                rho = _density(psi[0])
+                rho += _density(psi[1])
+                return np.sum(rho) * grid.cell_volume
+
+        integral = norm_integral()
+        if not 0 < integral < math.inf:
+            # a density that under- or overflows sums again over psi scaled by
+            # its largest real or imaginary part; a normal input never comes
+            # here, so it keeps its bits
+            largest = np.max(np.abs(psi.view(float)))
+            if 0 < largest < math.inf:
+                psi /= largest
+                integral = norm_integral()
         if not 0 < integral < math.inf:  # also rejects a NaN norm
             raise ValueError(f"cannot normalize a spinor with norm {integral}")
         psi *= 1.0 / np.sqrt(integral)

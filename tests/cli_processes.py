@@ -10,7 +10,7 @@ child's peak RSS, its ru_maxrss from os.wait4, passes it.
 Tier-1 does not collect this file, since its name does not match test_*.py.
 Run it by path:
 
-    PYTHONPATH=src python -m pytest -q tests/cli_processes.py
+    python -m pytest -q tests/cli_processes.py
 """
 
 import filecmp

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmodel import cli
+from spinmodel import entanglement as ent
 from spinmodel import fluctuations as fl
 from spinmodel import orientation as om
 from spinmodel import stern_gerlach as sg
@@ -25,7 +26,7 @@ SG_KEYS = cli.SCHEMA["stern-gerlach"]
 class TestConfigParsing:
     def test_key_value_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("beta = 0.5  # tilt\nbins = 32\nstate = psi_plus\n")
+        path.write_text("beta = 0.5  # tilt\n\n# comment\nbins = 32\nstate = psi_plus\n")
         config = cli.load_config_file(str(path))
         assert config == {"beta": 0.5, "bins": 32, "state": "psi_plus"}
 
@@ -38,6 +39,14 @@ class TestConfigParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("beta 0.5\n")
         with pytest.raises(cli.ConfigError, match="bad.cfg:1"):
+            cli.load_config_file(str(path))
+
+    def test_top_level_json_list_is_a_malformed_line(self, tmp_path):
+        # only a document that starts with "{" is read as JSON, so a list
+        # is a key = value line without its "="
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(cli.ConfigError, match="list.json:1: expected 'key = value'"):
             cli.load_config_file(str(path))
 
     def test_invalid_json_document(self, tmp_path):
@@ -176,25 +185,51 @@ class TestRun:
     def test_runner_returns_plain_tables_and_summary(self, argv):
         # a runner touches no file, so it runs here with no directory at all
         sub, config = _small_config(argv)
-        tables, summary = cli.RUNNERS[sub](config, 42)
+        (name, header, rows), summary = cli.RUNNERS[sub](config, 42)
         assert json.loads(json.dumps(summary, allow_nan=False)) == summary
-        assert tables
-        for _, header, rows in tables:
-            assert rows
-            for row in rows:
-                assert len(row) == len(header)
-                # csv writes a numpy scalar by str(), which hides it
-                assert all(type(cell) in (int, float, str) for cell in row)
+        assert name
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            # csv writes a numpy scalar by str(), which hides it
+            assert all(type(cell) in (int, float, str) for cell in row)
 
     def test_stern_gerlach_draws_up_count_then_histogram(self):
         _, config = _small_config(SMALL_RUNS[1])
-        [(_, _, rows)], summary = cli.run_stern_gerlach(config, 7)
+        (_, _, rows), summary = cli.run_stern_gerlach(config, 7)
         rng = stream(7, "stern-gerlach")
         p_up = sg.two_apparatus_up_probability(0.0, config["beta"])
         up = sg.up_count(om.TwoPointDensity(p_up, 1.0 - p_up), rng, 2000)
         assert summary["empirical_up_fraction"] == up / 2000
         edges, counts = sg.displacement_histogram(sg.ApparatusConfig(), 2000, rng, 11)
         assert rows == sg.histogram_rows(edges, counts)
+
+    @staticmethod
+    def _chsh(config, rng, delay=0.0, degrade_y=False):
+        plan = ent.MeasurementPlan(
+            (config["a"], config["a_prime"]), (config["b"], config["b_prime"]),
+            config["samples"], delay,
+        )
+        model = ent.BELL_MODELS[config["state"]]
+        return ent.chsh(plan, model, ent.MONTE_CARLO, rng, degrade_y)
+
+    def test_bell_test_draws_from_its_stream(self, tmp_path, capsys):
+        summary, tables = _json_run(tmp_path, [*SMALL_RUNS[2], "--seed", "7"])
+        result = self._chsh(_small_config(SMALL_RUNS[2])[1], stream(7, "bell-test"))
+        counts = [tuple(row[k] for k in ("n_pp", "n_pm", "n_mp", "n_mm"))
+                  for row in tables["bell_test"]]
+        assert counts == [tuple(c) for c in result.counts]
+        assert summary["S"] == result.statistic
+
+    def test_bell_delay_row_i_draws_from_stream_i(self, tmp_path, capsys):
+        argv = [*SMALL_RUNS[5], "--degrade-y", "--seed", "7"]
+        _, tables = _json_run(tmp_path, argv)
+        config = _small_config(SMALL_RUNS[5])[1]
+        assert len(tables["bell_delay"]) == 2
+        for i, row in enumerate(tables["bell_delay"]):
+            rng = stream(7, "bell-delay", i)
+            result = self._chsh(config, rng, row["delay"], degrade_y=True)
+            assert row["S"] == result.statistic
 
     def test_fluctuations_product_is_one_gamma_draw(self):
         _, config = _small_config(SMALL_RUNS[7])
@@ -209,7 +244,7 @@ class TestRun:
         # dt / 2 at each end of the band, 1e-13 and 4
         config = _small_config(SMALL_RUNS[7])[1]
         config.update(dt_sequence=[2 * v for v in cli._KL_VARIANCES])
-        [(_, _, rows)], _ = cli.run_fluctuations(config, 7)
+        (_, _, rows), _ = cli.run_fluctuations(config, 7)
         kl = [estimate for q, estimate, _ in rows if q.startswith("kl_over_fisher_")]
         assert len(kl) == 2
         assert all(abs(ratio - 1.0) <= 1e-4 for ratio in kl)
@@ -339,13 +374,13 @@ _PERTURBED = {
 
 
 def _outputs(sub, overrides):
-    """The tables and the summary of sub's first SMALL_RUNS entry with
+    """The table and the summary of sub's first SMALL_RUNS entry with
     overrides, less the summary's echoes of config keys, which a key moves
     whether or not it moves a result."""
     small = _small_config(next(argv for argv in SMALL_RUNS if argv[0] == sub))[1]
     keys = cli.SCHEMA[sub]
-    tables, summary = cli.RUNNERS[sub](cli.merge_config(keys, small, overrides), 42)
-    return tables, {k: v for k, v in summary.items() if k not in keys}
+    table, summary = cli.RUNNERS[sub](cli.merge_config(keys, small, overrides), 42)
+    return table, {k: v for k, v in summary.items() if k not in keys}
 
 
 @pytest.mark.parametrize("name", [f"{s}.{key}" for s, keys in cli.SCHEMA.items() for key in keys])

@@ -178,10 +178,21 @@ class TestGridDensity:
         with pytest.raises(ValueError, match="finite"):
             om.GridDensity(t, np.full_like(t, np.nan))
 
+    @pytest.mark.parametrize("shapes", [((64,), (63,)), ((8, 8), (8, 8))])
+    def test_rejects_arrays_not_matching_and_1d(self, shapes):
+        thetas, values = (np.full(shape, 1.0 / math.pi) for shape in shapes)
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            om.GridDensity(thetas, values)
+
     def test_from_unnormalized(self):
         t = om.theta_grid(256)
         d = om.GridDensity.from_unnormalized(t, np.cos(t) ** 2)
         assert d.integral() == pytest.approx(1.0, abs=1e-12)
+
+    def test_from_unnormalized_rejects_zero_mass(self):
+        t = om.theta_grid(64)
+        with pytest.raises(ValueError, match="zero mass"):
+            om.GridDensity.from_unnormalized(t, np.zeros_like(t))
 
     def test_expectation_of_cos_squared(self):
         d = om.closed_form_density(1, n_nodes=4096)

@@ -223,6 +223,21 @@ class TestSpinorField:
         with pytest.raises(ValueError, match=f"spinor with norm {value}$"):
             pauli.SpinorField.normalized(self.grid, psi, np.zeros(64))
 
+    # 1e-200 * packet gave a norm of 0.0 and 1e200 * packet an overflow in
+    # its density, though both are finite spinors
+    @pytest.mark.parametrize(
+        "base, scale",
+        [*(("packet", s) for s in (1e200, 1e-200, 1e300, 1e-300)), ("constant", 1.7e308)],
+    )
+    def test_normalized_density_under_or_overflow_matches_the_unscaled(self, base, scale):
+        if base == "packet":
+            psi = pauli.gaussian_packet(self.grid)
+        else:  # the scaled spinor is 1.7e308 + 1.7e308j at every node
+            psi = np.full(64, 1 + 1j)
+        expected = pauli.SpinorField.normalized(self.grid, psi, psi).psi
+        got = pauli.SpinorField.normalized(self.grid, scale * psi, scale * psi).psi
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
 
 class TestFieldConfig:
     def test_diagonal_potential_signs(self):
@@ -812,6 +827,23 @@ class TestMadelung:
         assert residual(snaps, 0.01, config, "plus") < 1e-3
         with pytest.raises(ValueError, match=f"no minus density over {floor}$"):
             residual(snaps, 0.01, config, "minus")
+
+    @pytest.mark.parametrize("residual", [pauli.continuity_residual, pauli.hj_residual])
+    def test_residuals_reject_two_snapshots_or_an_unknown_component(self, residual):
+        config = pauli.FieldConfig(b_z=1.0)
+        snaps = [pauli.evolve(packet_state(), config, 0.01, n) for n in (1, 2, 3)]
+        with pytest.raises(ValueError, match="need three consecutive snapshots"):
+            residual(snaps[:2], 0.01, config, "plus")
+        with pytest.raises(ValueError, match="component must be 'plus' or 'minus'"):
+            residual(snaps, 0.01, config, "up")
+
+    def test_packet_and_export_are_one_dimensional(self):
+        grid = pauli.SpatialGrid(2, 16, 10.0)
+        with pytest.raises(ValueError, match="gaussian_packet is 1D only"):
+            pauli.gaussian_packet(grid)
+        state = pauli.SpinorField(grid, np.ones((2, 16, 16), dtype=complex))
+        with pytest.raises(ValueError, match="snapshot export is 1D only"):
+            pauli.snapshot_rows(state)
 
     def test_snapshot_rows_shape(self):
         rows = pauli.snapshot_rows(packet_state(), stride=16)

@@ -41,6 +41,10 @@ class TestBellStates:
         with pytest.raises(ValueError):
             qm.PairState((1.0, 1.0, 0.0, 0.0))
 
+    def test_rejects_three_amplitudes(self):
+        with pytest.raises(ValueError, match="need four amplitudes"):
+            qm.PairState((1.0, 0.0, 0.0))
+
     @given(angles, angles)
     def test_singlet_closed_form(self, a, b):
         assert qm.singlet_correlation(a, b) == pytest.approx(

@@ -161,6 +161,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="duration must be positive and finite"):
             tg.simulate(tg.DwellModel(), duration, +1, stream(9, "tg-bad-duration"))
 
+    def test_rejects_a_zero_initial_trend(self):
+        with pytest.raises(ValueError, match="initial_trend must be"):
+            tg.simulate(tg.DwellModel(), 1.0, 0, stream(9, "tg-bad-trend"))
+
     def test_fixed_dwells_are_periodic(self):
         model = tg.DwellModel(1.0, 2.0, tg.FIXED)
         rng = stream(9, "tg-periodic")
