@@ -10,8 +10,9 @@ Configuration may come from a file (``key = value`` lines or a JSON
 document) with command-line flags taking precedence.  ``SCHEMA`` gives each
 subcommand its keys, each with one parser and one default, and a flag per
 key.  Flag and ``key = value`` values are read as JSON literals, then parsed
-like JSON file values: counts integral (``1e6`` is one), numbers finite,
-lists ``1,2,3`` or a JSON list.  Unknown keys are rejected.  Exit codes:
+like JSON file values, each number by the library's own count or real rule
+(`streams`): counts integral (``1e6`` is one), numbers finite, lists
+``1,2,3`` or a JSON list.  Unknown keys are rejected.  Exit codes:
 0 success; 2 malformed configuration, naming the key, a value a model's
 constructor rejects with ``ValueError``, or an unusable output directory;
 3 numerical non-convergence: the phase factors of ``dt`` (of ``dt * steps``
@@ -27,13 +28,14 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from . import entanglement, fluctuations, orientation, pauli, qm_oracle
 from . import stern_gerlach as sg
-from .streams import BLOCK, MAX_DRAWS, stream
+from .streams import BLOCK, MAX_DRAWS, _require_count, _require_real, stream
 
 ENV_OUT = "SPINMODEL_OUT"
 
@@ -56,27 +58,6 @@ def _parse_scalar(text: str):
         return json.loads(text)
     except ValueError:
         return text
-
-
-def _numeric(kind, low, strict=False, high=math.inf):
-    """Parser of finite `kind` (int or float) values >= low, or > low if
-    strict, and <= high."""
-    relation = ">" if strict else ">="
-
-    def parse(key, value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
-        if not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-        if kind is int and value != int(value):
-            raise ConfigError(f"{key}: must be a whole number, got {value!r}")
-        if value < low or (strict and value == low):
-            raise ConfigError(f"{key}: must be {relation} {low}, got {value!r}")
-        if value > high:
-            raise ConfigError(f"{key}: must be <= {high}, got {value!r}")
-        return kind(value)
-
-    return parse
 
 
 def _list_of(item):
@@ -110,9 +91,9 @@ def _flag(key, value):
     return value
 
 
-COUNT = _numeric(int, 1)
-REAL = _numeric(float, -math.inf)
-POSITIVE = _numeric(float, 0.0, strict=True)
+COUNT = partial(_require_count, high=math.inf)
+REAL = _require_real
+POSITIVE = partial(_require_real, low=0.0, open_low=True)
 # every sampling subcommand draws its counts and rows as variates of their
 # exact laws (fluctuations one Gamma variate per sampled row, stern-gerlach a
 # binomial and a multinomial, the Bell runs a multinomial per setting), so a
@@ -121,12 +102,12 @@ POSITIVE = _numeric(float, 0.0, strict=True)
 # bounds the arrays of a grid: a variational grid of 1e7 nodes peaks at
 # ~0.65 GiB, and pauli at 2^23 nodes at ~1.4 GiB at the default stride of 8
 # (~3.5 GiB at stride 1)
-SAMPLES = _numeric(int, 1, high=MAX_DRAWS)
-NODES = _numeric(int, 2, high=10**7)  # a grid needs two nodes to have a spacing
+SAMPLES = partial(_require_count, high=MAX_DRAWS)
+NODES = partial(_require_count, low=2, high=10**7)  # a grid needs two nodes to have a spacing
 # a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),
 # with its node spacing pi/(nodes - 1): at m = 10^6 the peak is ~1e-3 wide
 # and the default 2048 nodes are ~1.5e-3 apart
-ORDER = _numeric(int, 1, high=10**6)
+ORDER = partial(_require_count, high=10**6)
 MODE = _choice(entanglement.ANALYTIC, entanglement.MONTE_CARLO)
 _PAIR = {  # the Bell state and the CHSH angles
     "state": (_choice(*entanglement.BELL_MODELS), "psi_minus"),
@@ -144,6 +125,8 @@ _PAIR = {  # the Bell state and the CHSH angles
 # (-0.70 at v = 5e-19); above it, the outer shifts leave the grid (0.146 at
 # v = 500)
 _KL_VARIANCES = (1e-13, 4.0)
+# doubling is exact, so dt / 2 is in _KL_VARIANCES where dt is here
+KL_DT = partial(_require_real, low=2 * _KL_VARIANCES[0], high=2 * _KL_VARIANCES[1])
 
 # subcommand -> key -> (parser, default)
 SCHEMA = {
@@ -153,12 +136,12 @@ SCHEMA = {
         "beta": (REAL, math.pi / 3),
         # ApparatusConfig takes any whole m below 2**52; the bin law and Z_m
         # cost O(1) in m
-        "m": (_numeric(int, 0), 1),
+        "m": (partial(_require_count, low=0, high=math.inf), 1),
         "eta": (POSITIVE, 1.0),
         # bounds the output's cost: at 2**14 bins a run peaks at ~40 MiB RSS
         # as csv (~36 MiB at 200 bins), its bin law takes ~6 ms and the run
         # ~0.25 s on a 2-core host, as at 200 bins
-        "bins": (_numeric(int, 1, high=BLOCK), 200),
+        "bins": (partial(_require_count, high=BLOCK), 200),
     },
     "bell-test": {
         **_PAIR,
@@ -168,7 +151,7 @@ SCHEMA = {
     "bell-delay": {
         **_PAIR,
         "samples": (SAMPLES, 200000),
-        "delays": (_list_of(_numeric(float, 0.0)), "0,0.1,0.2,0.5,1,2,5,10"),
+        "delays": (_list_of(partial(_require_real, low=0.0)), "0,0.1,0.2,0.5,1,2,5,10"),
         "mode": (MODE, "analytic"),
         "degrade_y": (_flag, False),
     },
@@ -186,21 +169,18 @@ SCHEMA = {
     },
     "fluctuations": {
         "samples": (SAMPLES, 1000000),
-        # doubling is exact, so dt / 2 is in _KL_VARIANCES where dt is here
-        "dt_sequence": (
-            _list_of(_numeric(float, 2 * _KL_VARIANCES[0], high=2 * _KL_VARIANCES[1])),
-            "0.1,0.01,0.001",
-        ),
+        "dt_sequence": (_list_of(KL_DT), "0.1,0.01,0.001"),
     },
     # bounds the per-pair loop, which keeps every row: 10^5 pairs take ~2.5 s
     # and peak at ~75 MiB RSS end to end (2-core host)
-    "oracle-check": {"pairs": (_numeric(int, 1, high=10**5), 100)},
+    "oracle-check": {"pairs": (partial(_require_count, high=10**5), 100)},
 }
 
 
 def load_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a byte-order mark, which would hide a JSON "{"
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -223,13 +203,17 @@ def load_config_file(path: str) -> dict:
 
 def merge_config(keys: dict, file_config: dict, cli_overrides: dict) -> dict:
     """Defaults, then file values, then flags, each parsed by its key's
-    parser in `keys`, one subcommand's ``SCHEMA`` entry."""
+    parser in `keys`, one subcommand's ``SCHEMA`` entry, whose refusal names
+    the key."""
     unknown = sorted((set(file_config) | set(cli_overrides)) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     defaults = {key: default for key, (_, default) in keys.items()}
     merged = {**defaults, **file_config, **cli_overrides}
-    return {key: keys[key][0](key, value) for key, value in merged.items()}
+    try:
+        return {key: keys[key][0](key, value) for key, value in merged.items()}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import MAX_DRAWS, _require_count
+from .streams import MAX_DRAWS, _require_count, _require_real
 from .telegraph import DwellModel, _odd_flip_by_start
 
 ANTI = "anti"
@@ -214,16 +214,13 @@ class MeasurementPlan:
 
     def __post_init__(self):
         _require_count("samples", self.samples, high=MAX_DRAWS)
-        if not 0 <= self.delay < math.inf:
-            raise ValueError("delay must be non-negative and finite")
+        _require_real("delay", self.delay, 0.0)
         for name in ("alice_angles", "bob_angles"):
-            try:
-                pair = getattr(self, name)
-                ok = len(pair) == 2 and all(map(math.isfinite, pair))
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be two finite angles")
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2):
+                raise ValueError(f"{name} must be two angles, got {pair!r}")
+            for angle in pair:
+                _require_real(name, angle)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .streams import BLOCK, _require_count, _require_normal, _run_blocks, _spans
+from .streams import BLOCK, _require_count, _require_normal, _require_real, _run_blocks, _spans
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class TranslationParams:
     dt: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.mass < math.inf and 0 < self.dt < math.inf):
-            raise ValueError("all parameters must be positive and finite")
+        _require_real("mass", self.mass, 0.0, open_low=True)
+        _require_real("dt", self.dt, 0.0, open_low=True)
         _require_normal(
             "mass and dt: dt / (2 mass) and mass / dt",
             self.component_variance,
@@ -47,8 +47,8 @@ class RotationParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.mass < math.inf and 0 < self.omega < math.inf):
-            raise ValueError("all parameters must be positive and finite")
+        _require_real("mass", self.mass, 0.0, open_low=True)
+        _require_real("omega", self.omega, 0.0, open_low=True)
         # m omega first: once it is normal, 1 / (2 m omega) divides by no 0
         weight = self.mass * self.omega
         _require_normal("mass and omega: mass * omega", weight)

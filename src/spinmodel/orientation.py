@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .streams import BLOCK, _require_int, _run_blocks
+from .streams import BLOCK, _require_int, _require_real, _run_blocks
 
 _NORM_TOL = 1e-10
 
@@ -226,12 +226,9 @@ class ActionSpec:
     m: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.g_s):
-            raise ValueError("g_s must be finite")
-        if not 0 < self.delta_phi < math.inf:
-            raise ValueError("delta_phi must be positive and finite")
-        if not 0 < self.L_s < math.inf:
-            raise ValueError("L_s must be positive and finite")
+        _require_real("g_s", self.g_s)
+        _require_real("delta_phi", self.delta_phi, 0.0, open_low=True)
+        _require_real("L_s", self.L_s, 0.0, open_low=True)
         if self.divergence not in _DIVERGENCES:
             raise ValueError(f"divergence must be one of {_DIVERGENCES}")
         _require_order(self.m)

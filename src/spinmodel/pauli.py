@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _require_count, _require_int, _require_normal
+from .streams import _require_count, _require_int, _require_normal, _require_real
 
 NORM_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
@@ -66,8 +66,7 @@ class SpatialGrid:
         _require_int("nodes", nodes, 16, 2**63 - 1)
         if nodes & (nodes - 1):
             raise ValueError(f"nodes must be a power of two >= 16, got {nodes!r}")
-        if not 0 < self.extent < math.inf:
-            raise ValueError("extent must be positive and finite")
+        _require_real("extent", self.extent, 0.0, open_low=True)
         # a subnormal spacing leaves the packet unnormalizable, and a cell
         # volume past the float range overflows spacing**2
         spacing = self.extent / nodes
@@ -224,22 +223,25 @@ def evolve(
     """
     if not abs(norm(field) - 1.0) <= NORM_TOL:  # also rejects a NaN norm
         raise ValueError("input field must be normalized")
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _require_real("dt", dt, 0.0, open_low=True)
     steps = _require_count("steps", steps, 0, math.inf)
     grid = field.grid
     potential = config.potential_energy(grid)
     step_dt, step_count = dt, steps
     if potential[0].size == 1 and steps:  # one value per component
         step_dt, step_count = dt * steps, 1
+    # the kinetic phase of bins 0..N/2: fftfreq's other bins are their
+    # values negated exactly, so bins N/2+1..N-1 mirror N/2-1..1 bit for bit
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.nodes, d=grid.spacing)
     with np.errstate(over="ignore", invalid="ignore"):
         half = np.exp(-0.5j * step_dt * potential)
-        kinetic = np.exp(-1j * step_dt * (_wavenumber_axis(grid) ** 2 / 2.0))
+        kinetic = np.exp(-1j * step_dt * (k**2 / 2.0))
     # finite unit-modulus factors keep a finite spinor finite at every step
     if not (np.isfinite(half).all() and np.isfinite(kinetic).all()):
         raise ConvergenceError(
             f"non-finite phase factors of dt={dt!r}, steps={steps} and the field"
         )
+    kinetic = np.concatenate((kinetic, kinetic[-2:0:-1]))
     if grid.dimension == 2:
         kinetic = np.multiply.outer(kinetic, kinetic)
     # the inverse transforms' 1/N per axis, folded in once per call: N is a

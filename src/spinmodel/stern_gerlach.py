@@ -22,7 +22,7 @@ from .orientation import (
     normalization_constant,
 )
 from .streams import (
-    BLOCK, MAX_DRAWS, _require_count, _require_normal, _run_blocks, _spans
+    BLOCK, MAX_DRAWS, _require_count, _require_normal, _require_real, _run_blocks, _spans
 )
 
 UP = +1
@@ -39,8 +39,7 @@ class ApparatusConfig:
     m: int = 1
 
     def __post_init__(self):
-        if not 0 < self.gradient < math.inf:
-            raise ValueError("gradient must be positive and finite")
+        _require_real("gradient", self.gradient, 0.0, open_low=True)
         _require_order(self.m)
 
 
@@ -81,8 +80,7 @@ def two_apparatus_up_probability(beta1: float, beta2: float) -> float:
 def displacement(theta, m: int, eta: float):
     """Screen displacement (eta / 4 Z_m) cos^{2m+1}(theta), in the unit
     transit time."""
-    if not 0 < eta < math.inf:
-        raise ValueError("eta must be positive and finite")
+    _require_real("eta", eta, 0.0, open_low=True)
     prefactor = eta / (4.0 * normalization_constant(m))
     if prefactor == math.inf:
         raise ValueError(f"eta: displacement scale overflows at eta = {eta!r}")

@@ -8,10 +8,13 @@ yield statistically independent streams.  The key is the ``repr`` of
 ``(seed, *ids)``, so ``"1"`` and ``1`` are distinct keys; SeedSequence
 hashes its bytes into the SFC64 state.
 
-The package's argument rules are stated here, once each: `_require_count`,
-a whole-valued count returned as an int; `_require_int`, an int that a
-frozen dataclass keeps as given; `_require_normal`, scales that must be
-positive normal floats.  The samplers also share one block rule, so that no
+The package's argument rules are stated here, once each, each refusing a
+value with a `ValueError` that names the field and the value, and none
+taking a bool as a number: `_require_count`, a whole-valued count returned
+as an int; `_require_int`, an int that a frozen dataclass keeps as given;
+`_require_normal`, positive normal floats; `_require_real`, a finite real
+in a range, returned as a float.  `cli` parses its numeric keys with the
+count and real rules.  The samplers also share one block rule, so that no
 blocked sampler holds an n-sized scratch array and each runs on two cores
 with the bits it has on one:
 
@@ -34,6 +37,7 @@ with the bits it has on one:
 from __future__ import annotations
 
 import contextvars
+import math
 import sys
 import threading
 
@@ -65,13 +69,32 @@ def stream(seed: int, *ids) -> np.random.Generator:
 def _require_count(name: str, n, low: int = 1, high=2**63 - 1) -> int:
     """n as an int, if it is a whole number in [low, high]: by default a
     count of draws, which numpy takes as an int64."""
-    # n % 1, unlike float(n), takes any int and rejects NaN and inf; a bool
-    # is an int, so it is refused by name
-    if isinstance(n, (bool, np.bool_)) or not (low <= n <= high and n % 1 == 0):
+    if not (_within(n, low, high) and n % 1 == 0):
         raise ValueError(
             f"{name} must be a whole number in [{low}, {high}], got {n!r}"
         )
     return int(n)
+
+
+def _require_real(name: str, x, low=-math.inf, high=math.inf, *, open_low=False) -> float:
+    """x as a float, if it is a finite real in [low, high], or in (low, high]
+    if open_low."""
+    if not _within(x, low, high, open_low):
+        interval = f"{'(' if open_low else '['}{low}, {high}]"
+        raise ValueError(f"{name} must be a finite real in {interval}, got {x!r}")
+    return float(x)
+
+
+def _within(x, low, high, open_low=False) -> bool:
+    """Whether x is a real in [low, high], or (low, high] if open_low, that
+    a float holds: a str, None or a list raise TypeError in the comparison,
+    NaN, inf or a larger int fail it, and a bool, an int, is refused."""
+    try:
+        above = low < x if open_low else low <= x
+        in_range = above and x <= high and abs(x) <= sys.float_info.max
+    except TypeError:
+        return False
+    return in_range and not isinstance(x, (bool, np.bool_))
 
 
 def _require_int(name: str, n, low: int, high: int) -> None:
@@ -86,7 +109,7 @@ def _require_normal(what: str, *scales):
     """Raise, saying `what` the scales are, unless each is a positive normal
     float: one that overflowed to inf or fell below 2**-1022 turned the
     estimates into NaN, inf or 0."""
-    if not all(sys.float_info.min <= s <= sys.float_info.max for s in scales):
+    if not all(_within(s, sys.float_info.min, sys.float_info.max) for s in scales):
         got = " and ".join(map(repr, scales))
         raise ValueError(f"{what} must be positive normal floats, got {got}")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _require_count
+from .streams import _require_count, _require_int, _require_real
 
 EXPONENTIAL = "exponential"
 FIXED = "fixed"
@@ -29,8 +29,8 @@ class DwellModel:
     distribution: str = EXPONENTIAL
 
     def __post_init__(self):
-        if not (0 < self.tau_plus < math.inf and 0 < self.tau_minus < math.inf):
-            raise ValueError("dwell means must be positive and finite")
+        _require_real("tau_plus", self.tau_plus, 0.0, open_low=True)
+        _require_real("tau_minus", self.tau_minus, 0.0, open_low=True)
         # the switching rate of the flip law: an inf one makes P(odd flips)
         # NaN at delay 0 (inf * 0) and overflows the trajectory's segment count
         if not 1.0 / self.tau_plus + 1.0 / self.tau_minus < math.inf:
@@ -73,8 +73,7 @@ class TelegraphTrajectory:
             and np.all(trends[2:] == trends[:-2])
         ):
             raise ValueError("trends must alternate between +1 and -1")
-        if not abs(self.total_duration) < math.inf:
-            raise ValueError("total_duration must be finite")
+        _require_real("total_duration", self.total_duration)
         if not starts[-1] < self.total_duration:
             raise ValueError("last segment must start before total_duration")
 
@@ -93,10 +92,10 @@ def simulate(
     rng: np.random.Generator,
 ) -> TelegraphTrajectory:
     """Generate alternating dwell segments until the window is covered."""
-    if not 0 < duration < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
-    if initial_trend not in (+1, -1):
-        raise ValueError("initial_trend must be +1 or -1")
+    _require_real("duration", duration, 0.0, open_low=True)
+    _require_int("initial_trend", initial_trend, -1, 1)
+    if initial_trend == 0:
+        raise ValueError("initial_trend must be +1 or -1, got 0")
     # segment i has trend initial_trend * (-1)**i, so each batch is rows of
     # (initial, other) dwells: one standard exponential fill, scaled in place,
     # as rng.exponential(tau) would draw them.  times[0] carries the running
@@ -152,8 +151,7 @@ def _odd_flip_by_start(model: DwellModel, delay: float) -> tuple[float, float]:
     (1/tau_s) / L (1 - exp(-L delay)).  Fixed dwells, the first segment seen
     at a uniform point: a shift r = delay mod T, T = tau+ + tau-, moves
     phases of measure min(r, T - r, tau+, tau-) from either trend into the other."""
-    if not 0 <= delay < math.inf:
-        raise ValueError(f"delay must be non-negative and finite, got {delay!r}")
+    _require_real("delay", delay, 0.0)
     # where T overflows, both laws are taken in half scale: each tau is then
     # at least 2**970, so halving it is exact, and a subnormal delay that
     # halving rounds flips with probability 0 at such dwells; scale 1 keeps

@@ -49,6 +49,15 @@ class TestConfigParsing:
         with pytest.raises(cli.ConfigError, match="list.json:1: expected 'key = value'"):
             cli.load_config_file(str(path))
 
+    @pytest.mark.parametrize(
+        "text", ['{"beta": 0.5}', "beta = 0.5\n"], ids=["json", "key-value"]
+    )
+    def test_byte_order_mark_is_dropped(self, tmp_path, text):
+        # a leading BOM hid the JSON document's "{" and prefixed the first key
+        path = tmp_path / "bom.cfg"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert cli.load_config_file(str(path)) == {"beta": 0.5}
+
     def test_invalid_json_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"beta": 0.5,}')

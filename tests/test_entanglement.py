@@ -370,7 +370,8 @@ class TestDelayedMeasurement:
 
     @pytest.mark.parametrize("delay", [-0.1, math.nan])
     def test_rejects_bad_delay(self, delay):
-        with pytest.raises(ValueError, match="delay must be non-negative"):
+        bad_delay = r"delay must be a finite real in \[0\.0, inf\], got "
+        with pytest.raises(ValueError, match=bad_delay):
             ent.MeasurementPlan(delay=delay)
 
     @pytest.mark.parametrize(

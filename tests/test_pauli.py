@@ -305,7 +305,8 @@ class TestUnitarity:
     @pytest.mark.parametrize("dt", [0.0, -0.001, math.nan, math.inf])
     def test_rejects_bad_time_step(self, dt):
         for steps in (0, 1):
-            with pytest.raises(ValueError, match="dt must be positive and finite"):
+            bad_dt = r"dt must be a finite real in \(0\.0, inf\], got "
+            with pytest.raises(ValueError, match=bad_dt):
                 pauli.evolve(packet_state(), pauli.FieldConfig(), dt, steps)
 
     # True took one step
@@ -456,6 +457,15 @@ class TestPhaseFactors:
         grid = pauli.SpatialGrid(1, 256, 20.0)
         _, kinetic = self._phases(monkeypatch, grid, pauli.FieldConfig(b_z=1.0), dt)
         expected = np.exp(-1j * dt * _kinetic_energy(grid)) * (1.0 / grid.nodes)
+        assert np.array_equal(kinetic, expected)
+
+    @pytest.mark.parametrize("nodes", [16, 4096, 2**16])
+    @pytest.mark.parametrize("extent", [1.0, 7.3, 1e3])
+    def test_mirrored_kinetic_phase_keeps_its_bits(self, monkeypatch, nodes, extent):
+        # evolve builds bins 0..N/2 and mirrors them onto N/2+1..N-1
+        grid = pauli.SpatialGrid(1, nodes, extent)
+        _, kinetic = self._phases(monkeypatch, grid, pauli.FieldConfig(b_z=1.0), 0.37)
+        expected = np.exp(-1j * 0.37 * _kinetic_energy(grid)) * (1.0 / grid.nodes)
         assert np.array_equal(kinetic, expected)
 
     def test_two_dimensional_kinetic_phase_is_the_axis_product(self, monkeypatch):

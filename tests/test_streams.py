@@ -160,11 +160,13 @@ def test_whole_float_count_draws_as_the_int(name):
 
 @pytest.mark.parametrize("name", COUNTED)
 @pytest.mark.parametrize(
-    "n", [10000.7, 10000.5, math.nan, math.inf, 0, 2**63, True, np.True_]
+    "n", [10000.7, 10000.5, math.nan, math.inf, 0, 2**63, True, np.True_,
+          "10000", None, [10000]]
 )
 def test_non_count_raises_naming_the_value(name, n):
-    # int(10000.7) would silently draw 10000; True drew one sample, and
-    # np.True_ raised an OverflowError
+    # int(10000.7) would silently draw 10000; True drew one sample,
+    # np.True_ raised an OverflowError, and a str, None or a list a bare
+    # TypeError
     with pytest.raises(ValueError, match=re.escape(repr(n))):
         COUNTED[name](stream(5, "count", name), n)
 

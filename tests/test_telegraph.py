@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from spinmodel import telegraph as tg
 from spinmodel.streams import stream
 
+# the real rule's messages for a delay in [0, inf) and a positive duration
+BAD_DELAY = r"delay must be a finite real in \[0\.0, inf\], got "
+BAD_DURATION = r"duration must be a finite real in \(0\.0, inf\], got "
+
 taus = st.floats(min_value=0.05, max_value=5.0)
 # the smallest normal float: the dwell mean with the largest finite
 # switching rate 2 / TAU_MIN when both means take it
@@ -95,8 +99,10 @@ class TestTrajectory:
             # tests that reject on a true comparison, as did an infinite
             # window; the fractions read NaN, or 0 up
             ((0.0, math.nan, 2.0), (+1, -1, +1), 3.0, "strictly increasing"),
-            ((0.0, 1.0), (+1, -1), math.nan, "total_duration must be finite"),
-            ((0.0, 1.0), (+1, -1), math.inf, "total_duration must be finite"),
+            pytest.param((0.0, 1.0), (+1, -1), math.nan, "total_duration must be a finite real",
+                         id="starts5-trends5-nan-total_duration must be finite"),
+            pytest.param((0.0, 1.0), (+1, -1), math.inf, "total_duration must be a finite real",
+                         id="starts6-trends6-inf-total_duration must be finite"),
             ((0.0, 1.0, 2.0), (+1, -1, -1), 3.0, r"alternate between \+1 and -1"),
             ((0.0, 1.0, 2.0), (-1, +1, 1.5), 3.0, r"alternate between \+1 and -1"),
             # a product of -1 and a lone segment passed the alternation test
@@ -158,12 +164,20 @@ class TestSimulate:
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_duration(self, duration):
         # inf overflowed the pair count and nan failed to convert to an int
-        with pytest.raises(ValueError, match="duration must be positive and finite"):
+        with pytest.raises(ValueError, match=BAD_DURATION):
             tg.simulate(tg.DwellModel(), duration, +1, stream(9, "tg-bad-duration"))
 
     def test_rejects_a_zero_initial_trend(self):
         with pytest.raises(ValueError, match="initial_trend must be"):
             tg.simulate(tg.DwellModel(), 1.0, 0, stream(9, "tg-bad-trend"))
+
+    @pytest.mark.parametrize("trend", [True, 1.0, -1.0, 2, "1", None])
+    def test_rejects_an_initial_trend_that_is_not_an_int_of_one(self, trend):
+        # True ran as +1, and 1.0 raised TypeError as a slice step
+        with pytest.raises(
+            ValueError, match=rf"initial_trend must be an int in \[-1, 1\], got {trend!r}"
+        ):
+            tg.simulate(tg.DwellModel(), 1.0, trend, stream(9, "tg-bad-trend"))
 
     def test_fixed_dwells_are_periodic(self):
         model = tg.DwellModel(1.0, 2.0, tg.FIXED)
@@ -343,7 +357,7 @@ class TestParity:
         model = tg.DwellModel(1.0, 2.0, distribution)
         assert tg.odd_flip_probability(model, 0.0) == 0.0
         for delay in (-0.1, math.nan):
-            with pytest.raises(ValueError, match="delay must be non-negative"):
+            with pytest.raises(ValueError, match=BAD_DELAY):
                 tg.odd_flip_probability(model, delay)
 
     @pytest.mark.parametrize("delay", [0.1, 0.5, 1.5])
@@ -383,7 +397,7 @@ class TestParity:
 
     @pytest.mark.parametrize("delay", [-0.1, math.nan])
     def test_parity_rejects_bad_delay(self, delay):
-        with pytest.raises(ValueError, match="delay must be non-negative"):
+        with pytest.raises(ValueError, match=BAD_DELAY):
             tg.flip_parity(tg.DwellModel(), delay, stream(9, "tg-parity-bad"), size=4)
 
     @pytest.mark.parametrize("distribution", [tg.EXPONENTIAL, tg.FIXED])
@@ -391,9 +405,9 @@ class TestParity:
         # flip_parity looped forever on it; the fixed-dwell closed form hit a
         # math domain error in fmod
         model = tg.DwellModel(1.0, 2.0, distribution)
-        with pytest.raises(ValueError, match="delay must be non-negative and finite"):
+        with pytest.raises(ValueError, match=BAD_DELAY):
             tg.odd_flip_probability(model, math.inf)
-        with pytest.raises(ValueError, match="delay must be non-negative and finite"):
+        with pytest.raises(ValueError, match=BAD_DELAY):
             tg.flip_parity(model, math.inf, stream(9, "tg-parity-inf"), size=4)
 
 
