@@ -100,8 +100,9 @@ POSITIVE = partial(_require_real, low=0.0, open_low=True)
 # run's cost does not grow with samples.  The bound is numpy's,
 # streams.MAX_DRAWS = 2^53, the largest count it draws exactly.  NODES
 # bounds the arrays of a grid: a variational grid of 1e7 nodes peaks at
-# ~0.65 GiB, and pauli at 2^23 nodes at ~1.4 GiB at the default stride of 8
-# (~3.5 GiB at stride 1)
+# ~0.42 GiB, and pauli at 2^23 nodes at ~1.3 GiB at the default stride of 8
+# (~3.5 GiB at stride 1, measured while a run still held its packet and
+# initial spinor to the end)
 SAMPLES = partial(_require_count, high=MAX_DRAWS)
 NODES = partial(_require_count, low=2, high=10**7)  # a grid needs two nodes to have a spacing
 # a variational grid must resolve the cos^{2m} peak, of width ~1/sqrt(m),
@@ -259,12 +260,13 @@ def write_manifest(out_dir, subcommand, config, seed, files, started, summary):
 def run_variational(config, seed):
     rows = []
     for m in config["orders"]:
-        for divergence in (orientation.TSALLIS, orientation.RENYI):
-            spec = orientation.ActionSpec(divergence=divergence, m=m)
-            solved = orientation.variational_solve(spec, n_nodes=config["nodes"])
-            closed = orientation.eval_density(m, solved.thetas)
-            linf = float(np.max(np.abs(solved.values - closed)))
-            rows.append((m, divergence, linf))
+        # Tsallis and Renyi solve to one closed form: both rows take its L-infinity
+        solved = orientation.variational_solve(orientation.ActionSpec(m=m), config["nodes"])
+        error = orientation.eval_density(m, solved.thetas)
+        error -= solved.values
+        linf = float(np.max(np.abs(error, out=error)))
+        del solved, error  # before the next order's grid is built
+        rows += [(m, d, linf) for d in (orientation.TSALLIS, orientation.RENYI)]
     kl_spec = orientation.ActionSpec(divergence=orientation.KULLBACK_LEIBLER)
     kl = orientation.variational_solve(kl_spec, n_nodes=config["nodes"])
     min_value = float(np.min(kl.values))
@@ -348,13 +350,16 @@ def run_pauli(config, seed):
     grid = pauli.SpatialGrid(1, config["nodes"], config["extent"])
     packet = pauli.gaussian_packet(grid, width=config["packet_width"])
     init = pauli.SpinorField.normalized(grid, packet, packet)
+    del packet
     field_config = pauli.FieldConfig(b_z=config["b_z"])
     final = pauli.evolve(init, field_config, config["dt"], config["steps"])
+    del init
     rows = pauli.snapshot_rows(final, stride=config["stride"])
     header = ["x", "rho_plus", "rho_minus", "s_plus", "s_minus"]
+    populations = pauli.spin_populations(final)
     summary = {
-        "norm": pauli.norm(final),
-        "populations": list(pauli.spin_populations(final)),
+        "norm": float(sum(populations)),  # pauli.norm, bit for bit
+        "populations": list(populations),
         "zeeman_energy": pauli.zeeman_energy(final, field_config),
         "grid": {"nodes": grid.nodes, "extent": grid.extent, "dt": config["dt"]},
     }

@@ -91,6 +91,8 @@ def joint_density(model: BellPairModel, axis: str) -> tuple:
 
 def correlation(model: BellPairModel, a: float, b: float) -> float:
     """E(a, b): sum of the z-branch and the complementary y-branch terms."""
+    _require_real("a", a)
+    _require_real("b", b)
     return _correlation(_coincidences(_outcome_table(model, a, b)))
 
 
@@ -277,6 +279,8 @@ def delayed_correlation(
     The z-branch correlation decays by the odd-switch parity of Bob's
     telegraph trend; the y-branch is kept intact unless degrade_y.
     """
+    _require_real("a", a)
+    _require_real("b", b)
     flips = _odd_flip_by_start(dwell, delay)
     table = _outcome_table(model, a, b, flips, degrade_y)
     return _correlation(_coincidences(table))

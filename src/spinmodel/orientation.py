@@ -286,10 +286,19 @@ def variational_solve(spec: ActionSpec, n_nodes: int) -> GridDensity:
 
 
 def limit_density(initial: GridDensity) -> TwoPointDensity:
-    """Collapse a grid density to its halved-sphere two-point weights."""
+    """Collapse a grid density to its halved-sphere two-point weights.
+
+    The up weight is the trapezoid integral over [0, pi/2]: over the nodes
+    up to pi/2 and, on an even grid, over the part below pi/2 of the panel
+    that straddles it, under the trapezoid's linear interpolant.
+    """
     thetas, values = initial.thetas, initial.values
-    up_mask = thetas <= np.pi / 2
-    w_up = float(np.trapezoid(values[up_mask], thetas[up_mask]))
+    k = int(np.searchsorted(thetas, np.pi / 2, side="right"))  # nodes <= pi/2
+    w_up = float(np.trapezoid(values[:k], thetas[:k]))
+    if 0 < k < thetas.size:  # panel k - 1 ends past pi/2; a node at pi/2 adds 0
+        panel = slice(k - 1, k + 1)
+        middle = np.interp(np.pi / 2, thetas[panel], values[panel])
+        w_up += float(np.trapezoid([values[k - 1], middle], [thetas[k - 1], np.pi / 2]))
     w_down = initial.integral() - w_up
     total = w_up + w_down
     return TwoPointDensity(w_up / total, w_down / total)

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import _require_count, _require_int, _require_normal, _require_real
+from .streams import (
+    _require_count, _require_int, _require_normal, _require_real, _require_real_array,
+)
 
 NORM_TOL = 1e-8
 DENSITY_FLOOR = 1e-12
@@ -120,11 +122,20 @@ def _along_axes(values: np.ndarray, dimension: int) -> list:
 class FieldConfig:
     """External fields of the Pauli equation: the solver couples sigma_z B_z
     and phi.  A uniform vector potential would be the gauge e^{iAx}, so
-    there is none.  scalar_potential and b_z may be scalars or grid arrays.
+    there is none.  scalar_potential and b_z may be scalars or grid arrays;
+    a bool, str, None, complex or non-finite value is refused by name.
     """
 
     scalar_potential: object = 0.0
     b_z: object = 0.0
+
+    def __post_init__(self):
+        for name in ("scalar_potential", "b_z"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                _require_real_array(name, value)
+            else:
+                _require_real(name, value)
 
     def potential_energy(self, grid: SpatialGrid) -> np.ndarray:
         """Diagonal potential V_pm = +/- B_z / 2 - phi, stacked (V_+, V_-) on
@@ -137,12 +148,10 @@ class FieldConfig:
 
     @staticmethod
     def _as_field(value, grid: SpatialGrid):
-        """value as a finite float array with the grid's number of axes that
-        broadcasts to grid.shape."""
+        """value, a field the constructor found finite and real, as a float
+        array with the grid's number of axes that broadcasts to grid.shape."""
         arr = np.asarray(value, dtype=float)
         np.broadcast_to(arr, grid.shape)  # raises ValueError unless it does
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field values must be finite")
         return arr.reshape((1,) * (grid.dimension - arr.ndim) + arr.shape)
 
 
@@ -441,9 +450,9 @@ def snapshot_rows(field: SpinorField, stride: int = 1):
         raise ValueError("snapshot export is 1D only")
     # a negative slice step would reverse the rows
     stride = _require_count("stride", stride, 1, math.inf)
-    # Psi_pm = sqrt(rho_pm) exp(i S_pm): S unwrapped along the whole grid,
+    # Psi_pm = sqrt(rho_pm) exp(i S_pm): each S unwrapped along the whole grid,
     # then strided; rho is pointwise, so formed for the exported rows only
-    phase = np.unwrap(np.angle(field.psi), axis=1)[:, ::stride]
+    phase = [np.unwrap(np.angle(psi))[::stride] for psi in field.psi]
     rho = _density(field.psi[:, ::stride])
     columns = (field.grid.axis()[::stride], *rho, *phase)
     return np.column_stack(columns).tolist()

@@ -79,8 +79,7 @@ class TelegraphTrajectory:
 
     def trend_at(self, t: float) -> int:
         """Trend at time t; boundary instants belong to the later segment."""
-        if not 0 <= t <= self.total_duration:
-            raise ValueError("t outside [0, total_duration]")
+        _require_real("t", t, 0.0, self.total_duration)
         idx = np.searchsorted(self.start_times, t, side="right") - 1
         return int(self.trends[idx])
 

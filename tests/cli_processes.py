@@ -32,6 +32,11 @@ MAX_SAMPLES = ["--samples", "9007199254740992"]
 # run's work or memory grows with samples: ~36 MiB, as at the defaults
 # (~40 MiB at 2**14 bins)
 BOUND_MIB = 64
+# the grid runs hold an array only until its last use: pauli at 2**18 nodes
+# peaks at ~73 MiB (~86 MiB while the packet, the initial spinor and both
+# phases stayed alive), and variational at 10**6 nodes at ~69 MiB (~92 MiB
+# while each order was solved twice and kept to the next order's solve)
+GRID_BOUND_MIB = 80
 
 # (argv, peak RSS bound in MiB or None)
 RUNS = [
@@ -48,8 +53,10 @@ RUNS = [
     pytest.param(["fluctuations", "--dt-sequence", "2e-13,8"], None,
                  id="fluctuations-dt-band"),
     # the uniform field takes the 1000 steps as one
-    pytest.param(["pauli", "--nodes", "262144", "--steps", "1000"], None,
+    pytest.param(["pauli", "--nodes", "262144", "--steps", "1000"], GRID_BOUND_MIB,
                  id="pauli-large-grid"),
+    pytest.param(["variational", "--nodes", "1000000"], GRID_BOUND_MIB,
+                 id="variational-large-grid"),
     pytest.param(["fluctuations", "--samples", "1"], None, id="fluctuations-one-sample"),
     pytest.param(["bell-delay", "--mode", "monte_carlo", "--degrade-y"], None,
                  id="bell-delay-monte-carlo-degraded"),

@@ -1,9 +1,10 @@
 """Each argument rule of the package is stated once, in `streams`.
 
-`streams` holds four rules, each refusing a value with a `ValueError` that
+`streams` holds five rules, each refusing a value with a `ValueError` that
 names the field and the value: `_require_count` takes a whole-valued count,
 `_require_int` an int kept as given, `_require_normal` a positive normal
-float and `_require_real` a finite real in a range.  None takes a bool as a
+float, `_require_real` a finite real in a range and `_require_real_array`
+an integer or float array of finite values.  None takes a bool as a
 number.  A module that reads `sys.float_info`, imports `numbers`, tests
 `% 1 == 0` or compares a parameter with an infinity writes its own copy of
 one of them.  The CLI uses the same rules, so `cli` is scanned too: each
@@ -16,6 +17,7 @@ import math
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spinmodel import cli
@@ -29,7 +31,10 @@ from spinmodel import telegraph as tg
 from spinmodel.streams import stream
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spinmodel"
-RULES = {"_require_count", "_require_int", "_require_normal", "_require_real"}
+RULES = {
+    "_require_count", "_require_int", "_require_normal", "_require_real",
+    "_require_real_array",
+}
 
 
 def _is_infinity(node):
@@ -177,19 +182,75 @@ REAL_PARAMETERS = {
     "odd_flip_probability.delay": (
         lambda v: tg.odd_flip_probability(tg.DwellModel(), v), "delay", -0.1
     ),
+    "FieldConfig.b_z": (lambda v: pauli.FieldConfig(b_z=v), "b_z", None),
+    "FieldConfig.scalar_potential": (
+        lambda v: pauli.FieldConfig(scalar_potential=v), "scalar_potential", None
+    ),
+    "correlation.a": (lambda v: ent.correlation(ent.PSI_MINUS, v, 0.0), "a", None),
+    "correlation.b": (lambda v: ent.correlation(ent.PSI_MINUS, 0.0, v), "b", None),
+    "delayed_correlation.a": (
+        lambda v: ent.delayed_correlation(ent.PSI_MINUS, v, 0.0, 0.5, tg.DwellModel()),
+        "a", None,
+    ),
+    "delayed_correlation.b": (
+        lambda v: ent.delayed_correlation(ent.PSI_MINUS, 0.0, v, 0.5, tg.DwellModel()),
+        "b", None,
+    ),
+    "TelegraphTrajectory.trend_at": (
+        lambda v: tg.TelegraphTrajectory((0.0,), (1,), 1.0).trend_at(v), "t", 1.5
+    ),
 }
+# numpy orders complex scalars, and an array of two elements has no truth value
 NON_REALS = {"True": True, "str": "1", "None": None, "nan": math.nan,
-             "inf": math.inf, "-inf": -math.inf}
+             "inf": math.inf, "-inf": -math.inf, "complex": np.complex128(1.0),
+             "array": np.array([1.0, 2.0])}
+# the fields that take an array, by the real-array rule
+ARRAY_FIELDS = {"FieldConfig.b_z", "FieldConfig.scalar_potential"}
 
 
-@pytest.mark.parametrize("name, value", [
-    pytest.param(name, given, id=f"{name}-{label}")
+@pytest.mark.parametrize("name, label, value", [
+    pytest.param(name, label, given, id=f"{name}-{label}")
     for name, (_, _, out_of_range) in REAL_PARAMETERS.items()
     for label, given in [*NON_REALS.items(), ("out-of-range", out_of_range)]
-    if given is not None or label == "None"
+    if (given is not None or label == "None")
+    and not (label == "array" and name in ARRAY_FIELDS)
 ])
-def test_real_parameter_refuses_naming_itself(name, value):
-    # a bool ran as 1, and a str raised a TypeError that named no field
+def test_real_parameter_refuses_naming_itself(name, label, value):
+    # a bool ran as 1, and a str raised a TypeError that named no field.  The
+    # rule's message opens with the field, so a one-letter field such as a is
+    # not found in its "be a finite real"; a range a model checks itself may
+    # name the field elsewhere
     call, parameter, _ = REAL_PARAMETERS[name]
-    with pytest.raises(ValueError, match=rf"(?<!\w){parameter}(?!\w)"):
+    opening = "" if label == "out-of-range" else "^"
+    with pytest.raises(ValueError, match=rf"{opening}(?<!\w){parameter}(?!\w)"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.array(0.5)], ids=repr)
+def test_real_rule_takes_a_zero_d_array_as_a_number(value):
+    assert streams._require_real("x", value) == 0.5
+
+
+NON_REAL_ARRAYS = {
+    "complex": np.array([1.0 + 0j, 2.0]), "complex-0d": np.array(1j),
+    "bool": np.array([True, False]), "str": np.array(["1"]),
+    "object": np.array([1.0], dtype=object), "nan": np.array([0.0, math.nan]),
+    "inf": np.array([[1.0], [-math.inf]]),
+}
+
+
+@pytest.mark.parametrize("field", ["b_z", "scalar_potential"])
+@pytest.mark.parametrize("label", NON_REAL_ARRAYS)
+def test_field_array_refuses_naming_itself(field, label):
+    # a complex array lost its imaginary part, and a non-finite one raised
+    # "field values must be finite", naming neither field, when first used
+    with pytest.raises(ValueError, match=rf"^{field} must be an array of finite reals"):
+        pauli.FieldConfig(**{field: NON_REAL_ARRAYS[label]})
+
+
+@pytest.mark.parametrize("values", [np.arange(16), np.arange(16, dtype=np.uint8)])
+def test_field_array_takes_integers(values):
+    grid = pauli.SpatialGrid(1, 16, 20.0)
+    potential = pauli.FieldConfig(b_z=values).potential_energy(grid)
+    expected = pauli.FieldConfig(b_z=values.astype(float)).potential_energy(grid)
+    assert np.array_equal(potential, expected)

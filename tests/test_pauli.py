@@ -248,10 +248,9 @@ class TestFieldConfig:
         assert np.allclose(v_minus, -1.0)
 
     def test_rejects_non_finite_field(self):
-        grid = pauli.SpatialGrid(1, 64, 10.0)
-        config = pauli.FieldConfig(b_z=float("nan"))
-        with pytest.raises(ValueError):
-            config.potential_energy(grid)
+        # at construction, by name; it was refused when first used, unnamed
+        with pytest.raises(ValueError, match=r"b_z must be a finite real in \[-inf, inf\]"):
+            pauli.FieldConfig(b_z=float("nan"))
 
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_potential_is_stacked_per_component(self, dimension):

@@ -6,7 +6,8 @@ time, so it holds about two component arrays at most; one that takes the
 stacked spinor, or keeps a complex temporary per axis or per term, holds
 four to seven (4.5 to 6.5 MiB before the diagnostics were rebuilt in place).
 A one-step `evolve` holds its phase factors on the fields' own shape and
-the kinetic phase on the grid's, besides the stepped copy it returns.
+the kinetic phase on the grid's, besides the stepped copy it returns.  The
+1-D row export unwraps one component's phase at a time.
 """
 
 import math
@@ -87,3 +88,16 @@ def _peak_beyond_output(call):
 def test_peak_is_about_two_component_arrays(name):
     call, components = DIAGNOSTICS[name]
     assert _peak_beyond_output(call) <= components * COMPONENT
+
+
+LINE = pauli.SpatialGrid(1, 2**16, 20.0)
+LINE_PACKET = pauli.gaussian_packet(LINE)
+LINE_FIELD = pauli.SpinorField.normalized(LINE, LINE_PACKET, LINE_PACKET)
+
+
+def test_row_export_unwraps_one_component_at_a_time():
+    # at stride 8: np.unwrap's temporaries of one component's phase (~2),
+    # both strided phases' bases (1/2 each) and the rows, as Python floats
+    # (~1.75); unwrapping both components at once held 6.0
+    peak = _peak_beyond_output(lambda: pauli.snapshot_rows(LINE_FIELD, stride=8))
+    assert peak <= 4 * 16 * LINE.nodes
